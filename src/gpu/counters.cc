@@ -1,41 +1,29 @@
 #include "gpu/counters.h"
 
-#include <cstdio>
-
 namespace rj::gpu {
 
 void Counters::Reset() {
-  fragments_ = 0;
-  vertices_ = 0;
-  bytes_transferred_ = 0;
-  atomic_adds_ = 0;
-  pip_tests_ = 0;
-  render_passes_ = 0;
-  batches_ = 0;
-  blocks_scanned_ = 0;
-  blocks_pruned_ = 0;
-  shards_routed_ = 0;
-  shards_skipped_ = 0;
+#define RJ_COUNTER_RESET(field, suffix, label) field##_ = 0;
+  RJ_DEVICE_COUNTERS(RJ_COUNTER_RESET)
+#undef RJ_COUNTER_RESET
+}
+
+CountersSnapshot Counters::Snapshot() const {
+  CountersSnapshot s;
+#define RJ_COUNTER_SNAPSHOT(field, suffix, label) s.field = field();
+  RJ_DEVICE_COUNTERS(RJ_COUNTER_SNAPSHOT)
+#undef RJ_COUNTER_SNAPSHOT
+  return s;
 }
 
 std::string Counters::ToString() const {
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "fragments=%llu vertices=%llu bytes=%llu atomics=%llu "
-                "pip=%llu passes=%llu batches=%llu blocks=%llu pruned=%llu "
-                "shards=%llu shards_skipped=%llu",
-                static_cast<unsigned long long>(fragments()),
-                static_cast<unsigned long long>(vertices()),
-                static_cast<unsigned long long>(bytes_transferred()),
-                static_cast<unsigned long long>(atomic_adds()),
-                static_cast<unsigned long long>(pip_tests()),
-                static_cast<unsigned long long>(render_passes()),
-                static_cast<unsigned long long>(batches()),
-                static_cast<unsigned long long>(blocks_scanned()),
-                static_cast<unsigned long long>(blocks_pruned()),
-                static_cast<unsigned long long>(shards_routed()),
-                static_cast<unsigned long long>(shards_skipped()));
-  return buf;
+  std::string out;
+#define RJ_COUNTER_TO_STRING(field, suffix, label)         \
+  out += (out.empty() ? "" : " ") + std::string(label) + \
+         "=" + std::to_string(field());
+  RJ_DEVICE_COUNTERS(RJ_COUNTER_TO_STRING)
+#undef RJ_COUNTER_TO_STRING
+  return out;
 }
 
 }  // namespace rj::gpu

@@ -11,6 +11,45 @@ namespace {
 // (a concurrent query on a shared device): one immediate retry, then
 // sleeps of 2/4/8/16/32 ms before latching CapacityError.
 constexpr int kMaxTransientRetries = 6;
+
+/// Staging buffers parked between pipelines. A batch's staging image is a
+/// multi-megabyte transient per query: allocated fresh each time, glibc
+/// returns it to the dispatcher thread's malloc arena, may trim the arena,
+/// and the next query re-faults every page (the problem FboPool solves for
+/// canvases). Parked buffers keep steady-state uploads on warm memory. At
+/// most kMaxParkedBytes stay parked; a buffer beyond that is freed.
+class StagingPool {
+ public:
+  static StagingPool& Shared() {
+    static StagingPool pool;
+    return pool;
+  }
+
+  /// The most recently parked buffer, or an empty one. Buffers only grow,
+  /// so the pool settles at buffers that hold the largest batch.
+  std::vector<float> Acquire() RJ_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    if (parked_.empty()) return {};
+    std::vector<float> buffer = std::move(parked_.back());
+    parked_.pop_back();
+    parked_bytes_ -= buffer.capacity() * sizeof(float);
+    return buffer;
+  }
+
+  void Release(std::vector<float> buffer) RJ_EXCLUDES(mutex_) {
+    const std::size_t bytes = buffer.capacity() * sizeof(float);
+    MutexLock lock(mutex_);
+    if (bytes == 0 || parked_bytes_ + bytes > kMaxParkedBytes) return;
+    parked_bytes_ += bytes;
+    parked_.push_back(std::move(buffer));
+  }
+
+ private:
+  static constexpr std::size_t kMaxParkedBytes = 256ull << 20;
+  Mutex mutex_;
+  std::vector<std::vector<float>> parked_ RJ_GUARDED_BY(mutex_);
+  std::size_t parked_bytes_ RJ_GUARDED_BY(mutex_) = 0;
+};
 }  // namespace
 
 BatchPipeline::BatchPipeline(gpu::Device* device,
@@ -78,6 +117,9 @@ BatchPipeline::~BatchPipeline() {
   // Destructor cannot propagate the drain status; callers that care call
   // Drain() themselves first (the executor paths all do).
   (void)Drain(nullptr);
+  for (Slot& slot : slots_) {
+    StagingPool::Shared().Release(std::move(slot.staging));
+  }
 }
 
 Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
@@ -143,6 +185,9 @@ Status BatchPipeline::UploadSlot(Slot* slot, const PointTable& table,
   // Stride from the layout's single definition, so the packed/metered
   // bytes can never drift from what PlanUpload/PlanAdmission reserve.
   const std::size_t stride = UploadStrideBytes(columns_) / sizeof(float);
+  if (slot->staging.capacity() == 0) {
+    slot->staging = StagingPool::Shared().Acquire();
+  }
   slot->staging.resize((end - begin) * stride);
   float* out = slot->staging.data();
   for (std::size_t i = begin; i < end; ++i) {

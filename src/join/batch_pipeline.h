@@ -186,9 +186,11 @@ class BatchPipeline {
   enum class Mode { kPull, kPush };
 
   struct Slot {
-    /// Persistent staging buffer: resized per batch but never reallocated
-    /// once it has reached the steady-state batch size (the same
-    /// transient-allocation fix FboPool applies to canvases).
+    /// Persistent staging buffer: drawn from a process-wide pool on the
+    /// slot's first upload and parked again when the pipeline is destroyed,
+    /// resized per batch but never reallocated once it has reached the
+    /// steady-state batch size (the same transient-allocation fix FboPool
+    /// applies to canvases).
     std::vector<float> staging;
     std::shared_ptr<gpu::Buffer> vbo;
     /// Push mode: retained copy of the pushed batch. Pull mode over a

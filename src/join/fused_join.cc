@@ -1,7 +1,7 @@
 #include "join/fused_join.h"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 
 #include "geometry/pip.h"
 #include "index/grid_index.h"
@@ -13,17 +13,26 @@ namespace rj {
 
 namespace {
 
-Status ValidateMembers(const PointTable& points, const PolygonSet& polys,
+Status ValidateMembers(std::size_t num_attributes, const PolygonSet& polys,
                        const std::vector<FusedMemberSpec>& members) {
   if (members.empty()) {
     return Status::InvalidArgument("fusion group is empty");
   }
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   for (const FusedMemberSpec& member : members) {
-    RJ_RETURN_NOT_OK(ValidateWeightColumn(points, member.weight_column));
-    RJ_RETURN_NOT_OK(ValidateFilters(points, member.filters));
+    RJ_RETURN_NOT_OK(
+        ValidateWeightColumnCount(num_attributes, member.weight_column));
+    RJ_RETURN_NOT_OK(ValidateFiltersCount(num_attributes, member.filters));
   }
   return Status::OK();
+}
+
+FusedJoinOutput MakeOutput(std::size_t num_members, std::size_t num_polygons) {
+  FusedJoinOutput out;
+  out.arrays.assign(num_members, raster::ResultArrays(num_polygons));
+  out.ranges.resize(num_members);
+  out.point_fbos.resize(num_members);
+  return out;
 }
 
 }  // namespace
@@ -44,22 +53,63 @@ std::vector<std::size_t> FusedUploadColumns(
   return columns;
 }
 
+ScanPlan PlanTableScan(const gpu::Device& device, const PointTable& points,
+                       std::size_t bytes_per_point, std::size_t batch_size,
+                       bool overlap_transfers) {
+  ScanPlan scan;
+  scan.overlap_transfers = overlap_transfers;
+  if (batch_size == 0) {
+    const UploadPlan plan = PlanUpload(device.bytes_free(), bytes_per_point,
+                                       points.size(), overlap_transfers);
+    batch_size = plan.batch_size;
+    scan.overlap_transfers = plan.overlap_transfers;
+  }
+  // The adapter's blocks are exactly the planned batch slices, and its
+  // blocks are views into `points`: batches draw in place.
+  scan.table = std::make_unique<data::TableBlockSource>(
+      &points, std::max<std::size_t>(batch_size, 1));
+  scan.source = scan.table.get();
+  scan.blocks.resize(scan.table->num_blocks());
+  std::iota(scan.blocks.begin(), scan.blocks.end(), std::size_t{0});
+  return scan;
+}
+
+ScanPlan PlanBlockScan(gpu::Device* device,
+                       const data::PointBlockSource& source,
+                       const std::vector<FusedMemberSpec>& members,
+                       const BBox& world, bool enable_pruning,
+                       bool overlap_transfers) {
+  std::vector<const FilterSet*> filters;
+  filters.reserve(members.size());
+  for (const FusedMemberSpec& member : members) {
+    filters.push_back(&member.filters);
+  }
+  BlockSelection sel = SelectBlocks(source, filters, &world, enable_pruning);
+  device->counters().AddBlocksScanned(sel.scanned);
+  device->counters().AddBlocksPruned(sel.pruned);
+  ScanPlan scan;
+  scan.source = &source;
+  scan.blocks = std::move(sel.blocks);
+  scan.overlap_transfers = overlap_transfers;
+  scan.blocks_pruned = sel.pruned;
+  return scan;
+}
+
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
-    const std::vector<FusedMemberSpec>& members) {
-  RJ_RETURN_NOT_OK(ValidateMembers(points, polys, members));
+    const std::vector<FusedMemberSpec>& members,
+    BoundedRasterJoinStats* stats) {
+  RJ_RETURN_NOT_OK(
+      ValidateMembers(scan.source->num_attributes(), polys, members));
   if (options.epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
   const std::size_t m = members.size();
+  FusedJoinOutput out = MakeOutput(m, polys.size());
 
-  FusedJoinOutput out;
-  out.arrays.assign(m, raster::ResultArrays(polys.size()));
-  out.ranges.resize(m);
-  out.point_fbos.resize(m);
-
+  // Plan the canvas tiling for the requested ε (Fig. 5).
   RJ_ASSIGN_OR_RETURN(
       std::vector<raster::CanvasTile> tiles,
       raster::PlanCanvas(world, options.epsilon, device->options().max_fbo_dim));
@@ -72,30 +122,35 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     }
   }
 
-  const std::vector<std::size_t> columns = FusedUploadColumns(members);
-  const std::size_t bytes_per_point = UploadStrideBytes(columns);
-
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
-    const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
-  }
-
-  // One triangle VBO for the whole group: Step II reads the same
-  // triangulation for every member (see BoundedRasterJoin on why it ships
-  // exactly once per execution).
+  // Ship and meter the triangle VBO exactly once per execution: Step II
+  // reads the same triangulation for every tile pass and every member, so
+  // re-uploading it per tile both distorts the transfer breakdown and
+  // breaks PlanAdmission's fixed_bytes assumption (the grant covers one
+  // triangle upload). Freed before the point pipeline starts, so the
+  // device peak stays max(fixed_bytes, in-flight point VBOs), never the
+  // sum.
   RJ_RETURN_NOT_OK(UploadTriangleVbo(device, soup.size(), &out.timing));
 
-  join::BatchPipeline pipeline(device, &points, columns, batch, {overlap});
+  // One pipeline for every tile pass: the transfer (and, for disk
+  // sources, reader) thread and the slots' staging buffers stay warm
+  // across tiles (Rewind re-streams the blocks per pass), instead of
+  // paying a thread spawn and two batch-sized staging allocations per
+  // tile. The columns shipped are every member's filter and aggregated
+  // columns (the pipeline reads from the host rows directly; the upload is
+  // for transfer-cost fidelity — see DESIGN.md §2).
+  const std::size_t num_batches = scan.blocks.size();
+  join::BatchPipeline pipeline(device, scan.source, std::move(scan.blocks),
+                               FusedUploadColumns(members),
+                               {scan.overlap_transfers});
+  std::uint64_t drawn_total = 0;
 
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     const raster::CanvasTile& tile = tiles[t];
     raster::Viewport vp(tile.world, tile.width, tile.height);
 
-    // One pooled canvas per member; targets alias them for the multi draw.
+    // One pooled canvas per member (per-query FBO allocation is the
+    // dominant transient under concurrent traffic — see fbo_pool.h);
+    // targets alias them for the point pass.
     std::vector<raster::FboLease> leases;
     leases.reserve(m);
     std::vector<raster::MultiTarget> targets(m);
@@ -107,7 +162,10 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
       targets[i].fbo = leases.back().get();
     }
 
-    // --- Step I: one shared point scan feeding every member. -------------
+    // --- Step I: one shared point scan feeding every member (batched when
+    // out-of-core). The pipeline prefetches batch b+1 (pack + CopyToDevice
+    // on its transfer thread, metered under phase::kTransfer) while the
+    // draw workers rasterize batch b in place.
     if (t > 0) RJ_RETURN_NOT_OK(pipeline.Rewind());
     for (;;) {
       RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
@@ -115,9 +173,11 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
       if (!view.has_value()) break;
       {
         ScopedPhase sp(&out.timing, phase::kProcessing);
-        PointTable slice = points.Slice(view->begin, view->end);
-        raster::DrawPointsMulti(vp, slice, targets, &device->counters(),
-                                &device->pool());
+        for (const std::uint64_t drawn : raster::DrawPointsMulti(
+                 vp, *view->rows, view->begin, view->end, targets,
+                 &device->counters(), &device->pool())) {
+          drawn_total += drawn;
+        }
       }
       pipeline.Release(*view);
       device->counters().AddBatches(1);
@@ -127,6 +187,8 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     for (std::size_t i = 0; i < m; ++i) {
       const raster::Fbo& point_fbo = *targets[i].fbo;
       if (members[i].export_point_fbo) {
+        // Single tile (validated above): copy the canvas out of its pooled
+        // lease for the caller's cross-shard gather.
         out.point_fbos[i].emplace(point_fbo);
       }
       {
@@ -151,15 +213,24 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     }
   }
   RJ_RETURN_NOT_OK(pipeline.Drain(&out.timing));
+
+  if (stats != nullptr) {
+    stats->num_tiles = tiles.size();
+    stats->num_batches = num_batches * tiles.size();
+    stats->points_drawn = drawn_total;
+    stats->blocks_pruned = scan.blocks_pruned;
+  }
   return out;
 }
 
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
-    const std::vector<FusedMemberSpec>& members) {
-  RJ_RETURN_NOT_OK(ValidateMembers(points, polys, members));
+    const std::vector<FusedMemberSpec>& members,
+    AccurateRasterJoinStats* stats) {
+  RJ_RETURN_NOT_OK(
+      ValidateMembers(scan.source->num_attributes(), polys, members));
   for (const FusedMemberSpec& member : members) {
     if (member.compute_result_ranges || member.export_point_fbo) {
       return Status::NotImplemented(
@@ -176,14 +247,11 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     return Status::InvalidArgument("world extent is empty");
   }
 
-  FusedJoinOutput out;
-  out.arrays.assign(m, raster::ResultArrays(polys.size()));
-  out.ranges.resize(m);
-  out.point_fbos.resize(m);
-
+  FusedJoinOutput out = MakeOutput(m, polys.size());
   raster::Viewport vp(world, dim, dim);
 
-  // The boundary FBO and grid index depend only on the polygons and the
+  // --- Step 1: draw polygon outlines (conservative rasterization). The
+  // boundary FBO and grid index depend only on the polygons and the
   // canvas — member-independent, built once for the group.
   raster::FboLease boundary_lease = raster::FboPool::Shared().Acquire(dim, dim);
   raster::Fbo& boundary_fbo = *boundary_lease;
@@ -192,6 +260,8 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     raster::DrawBoundaries(vp, polys, /*conservative=*/true, &boundary_fbo,
                            &device->counters(), &device->pool());
   }
+
+  // Build the grid index on the device, on the fly (§6.1 "Polygon Index").
   RJ_ASSIGN_OR_RETURN(
       GridIndex index,
       [&]() {
@@ -202,94 +272,132 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
         return r;
       }());
 
+  // Pooled per-member point canvases (see fbo_pool.h).
   std::vector<raster::FboLease> point_leases;
   point_leases.reserve(m);
-  std::vector<const std::vector<float>*> weights(m, nullptr);
   for (std::size_t i = 0; i < m; ++i) {
     point_leases.push_back(raster::FboPool::Shared().Acquire(dim, dim));
-    if (members[i].weight_column != PointTable::npos) {
-      weights[i] = &points.attribute(members[i].weight_column);
-    }
   }
 
-  const std::vector<std::size_t> columns = FusedUploadColumns(members);
-  const std::size_t bytes_per_point = UploadStrideBytes(columns);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
-    const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
-  }
-
+  std::uint64_t boundary_points = 0;
+  std::uint64_t interior_points = 0;
+  // Per-thread metering window so concurrent queries on a shared device
+  // don't absorb each other's PIP tests; parallel chunks contribute their
+  // own workers' deltas below.
   std::uint64_t worker_pips = 0;
   const std::size_t pip_before = GetThreadPipTestCount();
 
-  // --- Step 2: one shared scan (Procedure AccuratePoints, fused). --------
-  join::BatchPipeline upload_pipeline(device, &points, columns, batch,
-                                      {overlap});
+  // --- Step 2: one shared scan (Procedure AccuratePoints). Batch b+1's
+  // host→device transfer runs on the pipeline's prefetch thread while this
+  // loop processes batch b (plus, for disk sources, the reader thread
+  // materializing batch b+2).
+  const std::size_t num_batches = scan.blocks.size();
+  join::BatchPipeline upload_pipeline(device, scan.source,
+                                      std::move(scan.blocks),
+                                      FusedUploadColumns(members),
+                                      {scan.overlap_transfers});
+  std::vector<const float*> weights(m, nullptr);
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         upload_pipeline.Acquire());
     if (!view.has_value()) break;
+    const PointTable& rows = *view->rows;
     const std::size_t begin = view->begin;
     const std::size_t end = view->end;
+    for (std::size_t t = 0; t < m; ++t) {
+      weights[t] = members[t].weight_column != PointTable::npos
+                       ? rows.attribute(members[t].weight_column).data()
+                       : nullptr;
+    }
 
     ScopedPhase sp(&out.timing, phase::kProcessing);
 
-    // Fused AccuratePoints for point i: the member-independent work —
-    // transform, clip, boundary classification, and (for boundary pixels)
-    // the candidate PIP resolution — runs once; each member whose filters
-    // match then accumulates exactly what its solo run would. `contained`
-    // holds the containing polygon ids in candidate order, so per-member
-    // accumulation order equals the unfused candidate loop's order.
-    const auto process_point = [&](std::size_t i,
-                                   std::vector<raster::ResultArrays>* accs,
-                                   const auto& emit_interior,
-                                   std::vector<unsigned char>* match,
-                                   std::vector<std::size_t>* contained) {
-      bool any = false;
-      for (std::size_t t = 0; t < m; ++t) {
-        (*match)[t] = members[t].filters.Matches(points, i) ? 1 : 0;
-        any |= (*match)[t] != 0;
-      }
-      if (!any) return;
-
-      const Point p = points.At(i);
-      const Point s = vp.ToScreen(p);
-      const auto px = static_cast<std::int32_t>(std::floor(s.x));
-      const auto py = static_cast<std::int32_t>(std::floor(s.y));
-      if (px < 0 || px >= dim || py < 0 || py >= dim) return;  // clipped
-
-      if (raster::IsBoundaryPixel(boundary_fbo, px, py)) {
-        contained->clear();
-        auto [cand_begin, cand_end] = index.Candidates(p);
-        for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
-          const Polygon& poly = polys[static_cast<std::size_t>(*c)];
-          if (!poly.Contains(p)) continue;
-          contained->push_back(static_cast<std::size_t>(poly.id()));
-        }
+    // Procedure AccuratePoints over rows [first, last), one tile at a
+    // time. The member-independent work runs once per row: the vertex
+    // stage (raster::TransformTile), the boundary classification, and —
+    // for a boundary row some member accepts — Procedure JoinPoint's
+    // candidate PIP tests, whose containing polygon ids are kept in
+    // candidate order. Then each member walks the rows its filters accept
+    // in row order: boundary rows accumulate exactly into (*accs)[t],
+    // interior rows go to `emit_interior(t, frag)` (a direct FBO blend or
+    // a staged fragment) — exactly what the member's solo run does, in the
+    // same order. Rows some member accepts count into *interior /
+    // *boundary.
+    const auto shade_rows = [&](std::size_t first, std::size_t last,
+                                std::vector<raster::ResultArrays>* accs,
+                                const auto& emit_interior,
+                                std::uint64_t* interior,
+                                std::uint64_t* boundary) {
+      std::int32_t px[raster::kPointTile] = {};
+      std::int32_t py[raster::kPointTile] = {};
+      bool on_boundary[raster::kPointTile] = {};
+      unsigned char accepted[raster::kPointTile] = {};
+      std::uint32_t selected[raster::kPointTile] = {};
+      // contained[ids_begin[r] .. ids_begin[r + 1]): row r's polygons.
+      std::uint32_t ids_begin[raster::kPointTile + 1] = {};
+      std::vector<unsigned char> match(m * raster::kPointTile);
+      std::vector<std::size_t> contained;
+      for (std::size_t tile = first; tile < last; tile += raster::kPointTile) {
+        const std::size_t n = std::min(last - tile, raster::kPointTile);
+        raster::TransformTile(vp, rows, tile, n, dim, dim, px, py);
+        std::fill(accepted, accepted + n, static_cast<unsigned char>(0));
         for (std::size_t t = 0; t < m; ++t) {
-          if ((*match)[t] == 0) continue;
-          const bool has_weight = weights[t] != nullptr;
-          const float w = has_weight ? (*weights[t])[i] : 0.0f;
-          raster::ResultArrays& acc = (*accs)[t];
-          for (const std::size_t id : *contained) {
-            acc.count[id] += 1.0;
-            if (has_weight) {
-              acc.sum[id] += w;
-              acc.min[id] = std::min(acc.min[id], static_cast<double>(w));
-              acc.max[id] = std::max(acc.max[id], static_cast<double>(w));
+          unsigned char* mt = &match[t * raster::kPointTile];
+          members[t].filters.MatchRows(rows, tile, tile + n, mt);
+          for (std::size_t r = 0; r < n; ++r) {
+            mt[r] &= static_cast<unsigned char>(px[r] >= 0);
+            accepted[r] |= mt[r];
+          }
+        }
+        contained.clear();
+        for (std::size_t r = 0; r < n; ++r) {
+          ids_begin[r] = static_cast<std::uint32_t>(contained.size());
+          on_boundary[r] = accepted[r] != 0 &&
+                           raster::IsBoundaryPixel(boundary_fbo, px[r], py[r]);
+          if (accepted[r] == 0) continue;
+          if (!on_boundary[r]) {
+            ++*interior;
+            continue;
+          }
+          ++*boundary;
+          const Point p = rows.At(tile + r);
+          auto [cand_begin, cand_end] = index.Candidates(p);
+          for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
+            const Polygon& poly = polys[static_cast<std::size_t>(*c)];
+            if (poly.Contains(p)) {
+              contained.push_back(static_cast<std::size_t>(poly.id()));
             }
           }
         }
-        return;
-      }
-      for (std::size_t t = 0; t < m; ++t) {
-        if ((*match)[t] == 0) continue;
-        const float w = weights[t] != nullptr ? (*weights[t])[i] : 0.0f;
-        emit_interior(t, raster::PointFrag{px, py, w});
+        ids_begin[n] = static_cast<std::uint32_t>(contained.size());
+
+        for (std::size_t t = 0; t < m; ++t) {
+          const unsigned char* mt = &match[t * raster::kPointTile];
+          std::size_t k = 0;
+          for (std::size_t r = 0; r < n; ++r) {
+            selected[k] = static_cast<std::uint32_t>(r);
+            k += mt[r];
+          }
+          const float* w = weights[t];
+          raster::ResultArrays& acc = (*accs)[t];
+          for (std::size_t j = 0; j < k; ++j) {
+            const std::uint32_t r = selected[j];
+            const float wr = w != nullptr ? w[tile + r] : 0.0f;
+            if (!on_boundary[r]) {
+              emit_interior(t, raster::PointFrag{px[r], py[r], wr});
+              continue;
+            }
+            for (std::uint32_t c = ids_begin[r]; c < ids_begin[r + 1]; ++c) {
+              const std::size_t id = contained[c];
+              acc.count[id] += 1.0;
+              if (w != nullptr) {
+                acc.sum[id] += wr;
+                acc.min[id] = std::min(acc.min[id], static_cast<double>(wr));
+                acc.max[id] = std::max(acc.max[id], static_cast<double>(wr));
+              }
+            }
+          }
+        }
       }
     };
 
@@ -297,22 +405,19 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     const std::size_t batch_n = end - begin;
     const std::size_t num_chunks = pool.NumChunks(batch_n);
     if (num_chunks <= 1) {
-      std::vector<unsigned char> match(m, 0);
-      std::vector<std::size_t> contained;
-      for (std::size_t i = begin; i < end; ++i) {
-        process_point(
-            i, &out.arrays,
-            [&](std::size_t t, const raster::PointFrag& f) {
-              raster::BlendPointFrag(point_leases[t].get(), f,
-                                     weights[t] != nullptr);
-            },
-            &match, &contained);
-      }
+      shade_rows(
+          begin, end, &out.arrays,
+          [&](std::size_t t, const raster::PointFrag& f) {
+            raster::BlendPointFrag(point_leases[t].get(), f,
+                                   weights[t] != nullptr);
+          },
+          &interior_points, &boundary_points);
     } else {
-      // Tiled-parallel fused AccuratePoints: per chunk, a private
-      // ResultArrays per member plus one interior-fragment binner per
-      // member; both merged in ascending chunk order — each member's
-      // accumulation sequence is exactly its solo sequential order.
+      // Tiled-parallel AccuratePoints: each chunk classifies its slice of
+      // the batch, staging interior fragments per member and row band, and
+      // accumulating boundary-point PIP results into a private ResultArrays
+      // per member; both are merged in ascending chunk order — each
+      // member's accumulation sequence is exactly its sequential order.
       std::vector<raster::BandBinner> binners;
       binners.reserve(m);
       for (std::size_t t = 0; t < m; ++t) {
@@ -322,20 +427,18 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
           num_chunks,
           std::vector<raster::ResultArrays>(
               m, raster::ResultArrays(polys.size())));
+      std::vector<std::uint64_t> boundary_per_chunk(num_chunks, 0);
+      std::vector<std::uint64_t> interior_per_chunk(num_chunks, 0);
       std::vector<std::uint64_t> pips_per_chunk(num_chunks, 0);
       pool.ParallelFor(batch_n, [&](std::size_t c_begin, std::size_t c_end,
                                     std::size_t chunk) {
         const std::size_t chunk_pips_before = GetThreadPipTestCount();
-        std::vector<unsigned char> match(m, 0);
-        std::vector<std::size_t> contained;
-        for (std::size_t k = c_begin; k < c_end; ++k) {
-          process_point(
-              begin + k, &partials[chunk],
-              [&](std::size_t t, const raster::PointFrag& f) {
-                binners[t].Push(chunk, f);
-              },
-              &match, &contained);
-        }
+        shade_rows(
+            begin + c_begin, begin + c_end, &partials[chunk],
+            [&](std::size_t t, const raster::PointFrag& f) {
+              binners[t].Push(chunk, f);
+            },
+            &interior_per_chunk[chunk], &boundary_per_chunk[chunk]);
         pips_per_chunk[chunk] = GetThreadPipTestCount() - chunk_pips_before;
       });
       pool.ParallelFor(
@@ -353,6 +456,8 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
         for (std::size_t t = 0; t < m; ++t) {
           out.arrays[t].AddFrom(partials[c][t]);
         }
+        boundary_points += boundary_per_chunk[c];
+        interior_points += interior_per_chunk[c];
         worker_pips += pips_per_chunk[c];
       }
     }
@@ -372,8 +477,16 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     device->counters().AddRenderPasses(1);
   }
 
-  device->counters().AddPipTests((GetThreadPipTestCount() - pip_before) +
-                                 worker_pips);
+  const std::uint64_t pips =
+      (GetThreadPipTestCount() - pip_before) + worker_pips;
+  device->counters().AddPipTests(pips);
+  if (stats != nullptr) {
+    stats->boundary_points = boundary_points;
+    stats->interior_points = interior_points;
+    stats->pip_tests = pips;
+    stats->num_batches = num_batches;
+    stats->blocks_pruned = scan.blocks_pruned;
+  }
   return out;
 }
 

@@ -1,14 +1,18 @@
 /// \file fused_join.h
-/// \brief Fused multi-query raster joins: one point scan serving a group of
-/// compatible queries.
+/// \brief The raster join cores: one bounded (§4.1–4.2) and one accurate
+/// (§4.3) execution, each serving a group of members from one point scan.
 ///
 /// The paper's raster joins are bottlenecked by the point pass — upload +
 /// rasterization touch every point, while the polygon pass touches only the
-/// (much smaller) polygon set. N compatible concurrent queries therefore
-/// waste N−1 scans. A *fusion group* shares the scan: one BatchPipeline
-/// upload, one vertex stage per point, and per-member fragment accumulation
-/// targets (raster::DrawPointsMulti), followed by a per-member polygon pass
-/// over the member's own FBO.
+/// (much smaller) polygon set. A group of compatible queries therefore
+/// shares the scan: one BatchPipeline upload, one vertex stage per point,
+/// and per-member fragment accumulation targets (raster::DrawPointsMulti;
+/// the paper's §8 extension of several aggregates from one pass via
+/// multiple FBO attachments), followed by a per-member polygon pass over
+/// the member's own FBO. A solo query is a group of one: BoundedRasterJoin
+/// and AccurateRasterJoin plan their scan and run these cores with one
+/// member, and the Executor runs every query — solo or fused — through
+/// them.
 ///
 /// Compatibility is structural: members must agree on everything that shapes
 /// the shared scan — the dataset, the variant, and the canvas (ε for
@@ -16,28 +20,33 @@
 /// and §5 range requests are free per member.
 ///
 /// Determinism contract: every member's arrays / ranges / exported FBO are
-/// bitwise identical to running that member alone through the unfused join
-/// with any batch size. Per-member FBOs are disjoint, the shared transform
-/// is a pure function of the point, and per-pixel blend order within one
-/// member is the sequential point order regardless of batch boundaries
-/// (batches are contiguous ascending ranges — the same argument
-/// docs/SERVICE.md makes for the unfused pipeline).
+/// bitwise identical to running that member alone with any batch size,
+/// block size or pruning setting. Per-member FBOs are disjoint, the shared
+/// transform is a pure function of the point, and per-pixel blend order
+/// within one member is the sequential point order regardless of batch
+/// boundaries (batches are contiguous ascending ranges — the same argument
+/// docs/SERVICE.md makes for the pipeline). A block is scanned when any
+/// member may match it; a member that cannot match a block's rows draws
+/// nothing from them, so the union scan changes no member's result.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "agg/result_range.h"
 #include "gpu/device.h"
 #include "join/join_common.h"
+#include "join/raster_join_accurate.h"
+#include "join/raster_join_bounded.h"
 #include "raster/fbo.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
 
 namespace rj {
 
-/// The per-member half of a fusion group: what may differ across members.
+/// The per-member half of a group: what may differ across members.
 struct FusedMemberSpec {
   /// Aggregated attribute column (npos = COUNT-only member).
   std::size_t weight_column = PointTable::npos;
@@ -50,8 +59,10 @@ struct FusedMemberSpec {
   bool compute_result_ranges = false;
 
   /// Export this member's post-Step-I point FBO (bounded variant only;
-  /// single-tile canvas). The sharded gather hook, exactly as in
-  /// BoundedRasterJoin.
+  /// single-tile canvas). The sharded gather hook: per-shard point FBOs sum
+  /// pixel-wise to exactly the single-device FBO (integer-valued channel
+  /// partials), letting the Executor recompute §5 ranges bitwise-identically
+  /// across any shard count (docs/SERVICE.md).
   bool export_point_fbo = false;
 };
 
@@ -65,15 +76,9 @@ struct FusedJoinOptions {
 
   /// Grid-index resolution for boundary points (accurate variant).
   std::int32_t index_resolution = 1024;
-
-  /// Maximum points per device batch (0 = derive from memory budget).
-  std::size_t batch_size = 0;
-
-  /// Prefetch batch b+1 while batch b draws (join::BatchPipeline).
-  bool overlap_transfers = true;
 };
 
-/// What one fused execution produces: slot i belongs to the i-th member.
+/// What one execution produces: slot i belongs to the i-th member.
 /// `timing` is group-level — the scan is shared, so per-member phase
 /// attribution would be fiction; callers replicate it across members.
 struct FusedJoinOutput {
@@ -83,32 +88,68 @@ struct FusedJoinOutput {
   PhaseTimer timing;
 };
 
-/// Columns of the fused upload: the union of every member's UploadColumns,
-/// ascending. The single definition shared by the fused joins and the
-/// Executor's fused admission plan — the grant must cover exactly the
-/// stride the pipeline ships (same contract as TriangleVboBytes).
+/// The scan a core streams: blocks `blocks` (ascending ordinals) of
+/// `*source`, one device batch per block, with transfers overlapping the
+/// draw when `overlap_transfers`.
+struct ScanPlan {
+  const data::PointBlockSource* source = nullptr;
+  std::vector<std::size_t> blocks;
+  bool overlap_transfers = true;
+  /// Blocks the zone maps pruned (block-source scans only).
+  std::size_t blocks_pruned = 0;
+  /// Resident-table scans: the adapter whose blocks are the planned batch
+  /// slices (`source` points at it).
+  std::unique_ptr<data::TableBlockSource> table;
+};
+
+/// Plans the scan of a resident table: `points` in batch slices of
+/// `batch_size` points, or — when `batch_size` is 0 — sized by PlanUpload
+/// so the pipeline's in-flight buffers (2 when transfers overlap the draw)
+/// fit the device's free bytes at `bytes_per_point`.
+ScanPlan PlanTableScan(const gpu::Device& device, const PointTable& points,
+                       std::size_t bytes_per_point, std::size_t batch_size,
+                       bool overlap_transfers);
+
+/// Plans the scan of a block source: the blocks any member may match
+/// within `world` (SelectBlocks over every member's filters; everything
+/// when `enable_pruning` is off). The block capacity is the batch size.
+/// Meters the scanned/pruned decisions into `device`'s counters once for
+/// the whole group.
+ScanPlan PlanBlockScan(gpu::Device* device,
+                       const data::PointBlockSource& source,
+                       const std::vector<FusedMemberSpec>& members,
+                       const BBox& world, bool enable_pruning,
+                       bool overlap_transfers);
+
+/// Columns of the group's upload: the union of every member's
+/// UploadColumns, ascending. The single definition shared by the cores and
+/// the Executor's admission plan — the grant must cover exactly the stride
+/// the pipeline ships (same contract as TriangleVboBytes).
 std::vector<std::size_t> FusedUploadColumns(
     const std::vector<FusedMemberSpec>& members);
 
-/// Bounded raster join (§4.1–4.2) for a fusion group: one triangle-VBO
-/// upload, one BatchPipeline scan, one DrawPointsMulti per tile/batch, then
-/// a per-member DrawPolygons + optional §5 ranges.
+/// Bounded raster join (§4.1–4.2) for a group: one triangle-VBO upload,
+/// one BatchPipeline scan, one DrawPointsMulti per tile/batch, then a
+/// per-member DrawPolygons + optional §5 ranges. `stats` (optional)
+/// receives group-level diagnostics; points_drawn sums the members' draws.
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
-    const std::vector<FusedMemberSpec>& members);
+    const std::vector<FusedMemberSpec>& members,
+    BoundedRasterJoinStats* stats = nullptr);
 
-/// Accurate raster join (§4.3) for a fusion group: the boundary FBO and
-/// grid index are member-independent and built once; each boundary point's
-/// containing polygons are resolved once and accumulated into every
-/// matching member. PIP tests are metered once per boundary point (not per
-/// member) — shared work is the point of fusion; the diagnostic counter
-/// reflects tests actually executed.
+/// Accurate raster join (§4.3) for a group: the boundary FBO and grid index
+/// are member-independent and built once; each boundary point's containing
+/// polygons are resolved once and accumulated into every matching member.
+/// PIP tests — and the boundary/interior point counts in `stats` — are
+/// metered once per point (not per member): shared work is the point of
+/// fusion, and the counters reflect the work actually executed.
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
-    const std::vector<FusedMemberSpec>& members);
+    const std::vector<FusedMemberSpec>& members,
+    AccurateRasterJoinStats* stats = nullptr);
 
 }  // namespace rj

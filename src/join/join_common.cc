@@ -57,15 +57,18 @@ bool ZoneMapCanMatch(const data::BlockZoneMap& zone, const FilterSet& filters,
 }
 
 BlockSelection SelectBlocks(const data::PointBlockSource& source,
-                            const FilterSet& filters, const BBox* canvas_world,
-                            bool enable_pruning) {
+                            const std::vector<const FilterSet*>& filters,
+                            const BBox* canvas_world, bool enable_pruning) {
   BlockSelection sel;
   const std::size_t n = source.num_blocks();
   sel.blocks.reserve(n);
   for (std::size_t b = 0; b < n; ++b) {
     const data::BlockZoneMap* zone = source.zone_map(b);
     if (enable_pruning && zone != nullptr &&
-        !ZoneMapCanMatch(*zone, filters, canvas_world)) {
+        std::none_of(filters.begin(), filters.end(),
+                     [&](const FilterSet* f) {
+                       return ZoneMapCanMatch(*zone, *f, canvas_world);
+                     })) {
       ++sel.pruned;
       continue;
     }

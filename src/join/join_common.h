@@ -175,14 +175,23 @@ struct BlockSelection {
   std::size_t pruned = 0;
 };
 
-/// Selects the blocks of `source` worth scanning for a query with
-/// `filters` over `canvas_world` (nullptr: no spatial restriction).
-/// Blocks without zone maps are always scanned; `enable_pruning = false`
-/// selects everything (the A/B baseline the determinism tests compare
-/// against).
+/// Selects the blocks of `source` worth scanning for a group of queries,
+/// one filter set each, over `canvas_world` (nullptr: no spatial
+/// restriction): a block is scanned when any query may match it. Blocks
+/// without zone maps are always scanned; `enable_pruning = false` selects
+/// everything (the A/B baseline the determinism tests compare against).
 BlockSelection SelectBlocks(const data::PointBlockSource& source,
-                            const FilterSet& filters, const BBox* canvas_world,
-                            bool enable_pruning);
+                            const std::vector<const FilterSet*>& filters,
+                            const BBox* canvas_world, bool enable_pruning);
+
+/// SelectBlocks for one query.
+inline BlockSelection SelectBlocks(const data::PointBlockSource& source,
+                                   const FilterSet& filters,
+                                   const BBox* canvas_world,
+                                   bool enable_pruning) {
+  return SelectBlocks(source, std::vector<const FilterSet*>{&filters},
+                      canvas_world, enable_pruning);
+}
 
 /// Ships and meters the bounded join's triangle VBO exactly once per
 /// query (allocate → zero-fill upload → free, timed under

@@ -10,6 +10,11 @@
 ///      JoinPoint); every other point is blended into the point FBO.
 ///   3. Render polygons, skipping fragments on boundary pixels (those
 ///      points were already handled in step 2).
+///
+/// Both overloads plan their scan once — batch slices of the resident
+/// table, or the zone-map-selected blocks of a block source — and run the
+/// one accurate core (FusedAccurateRasterJoin, join/fused_join.h) as a
+/// group of one.
 #pragma once
 
 #include "gpu/device.h"

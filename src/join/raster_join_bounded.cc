@@ -1,157 +1,48 @@
 #include "join/raster_join_bounded.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "join/batch_pipeline.h"
-#include "raster/fbo_pool.h"
+#include "join/fused_join.h"
 
 namespace rj {
 
 namespace {
 
-/// The one execution core both public overloads reach: streams scan list
-/// `scan` (block ordinals into `source`) through a BatchPipeline, one
-/// device batch per block, for every canvas tile. The in-memory overload
-/// arrives here through a TableBlockSource whose blocks are exactly the
-/// planned batch slices, so both paths share one loop and cannot drift.
-Result<JoinResult> BoundedBlockJoin(
-    gpu::Device* device, const data::PointBlockSource& source,
-    std::vector<std::size_t> scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const BoundedRasterJoinOptions& options, bool overlap,
-    BoundedRasterJoinStats* stats, ResultRanges* ranges_out,
-    std::optional<raster::Fbo>* point_fbo_out) {
-  RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
-  RJ_RETURN_NOT_OK(
-      ValidateWeightColumnCount(source.num_attributes(),
-                                options.weight_column));
-  RJ_RETURN_NOT_OK(
-      ValidateFiltersCount(source.num_attributes(), options.filters));
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+/// The query as the one bounded core's single group member.
+std::vector<FusedMemberSpec> SoloMember(
+    const BoundedRasterJoinOptions& options, bool export_point_fbo) {
+  FusedMemberSpec member;
+  member.weight_column = options.weight_column;
+  member.filters = options.filters;
+  member.compute_result_ranges = options.compute_result_ranges;
+  member.export_point_fbo = export_point_fbo;
+  return {member};
+}
+
+/// Runs the planned scan through the bounded core as a group of one and
+/// unpacks the member's slot.
+Result<JoinResult> RunSolo(gpu::Device* device, ScanPlan scan,
+                           const std::vector<FusedMemberSpec>& member,
+                           const PolygonSet& polys, const TriangleSoup& soup,
+                           const BBox& world,
+                           const BoundedRasterJoinOptions& options,
+                           BoundedRasterJoinStats* stats,
+                           ResultRanges* ranges_out,
+                           std::optional<raster::Fbo>* point_fbo_out) {
+  if (options.compute_result_ranges && ranges_out == nullptr) {
+    return Status::InvalidArgument("compute_result_ranges requires ranges_out");
   }
-
-  JoinResult result(polys.size());
-
-  // Plan the canvas tiling for the requested ε (Fig. 5).
-  RJ_ASSIGN_OR_RETURN(
-      std::vector<raster::CanvasTile> tiles,
-      raster::PlanCanvas(world, options.epsilon, device->options().max_fbo_dim));
-  if (options.compute_result_ranges) {
-    if (ranges_out == nullptr) {
-      return Status::InvalidArgument(
-          "compute_result_ranges requires ranges_out");
-    }
-    if (tiles.size() != 1) {
-      return Status::NotImplemented(
-          "result ranges require a single-tile canvas (reduce epsilon "
-          "resolution or raise max_fbo_dim)");
-    }
-  }
-  if (point_fbo_out != nullptr && tiles.size() != 1) {
-    return Status::NotImplemented(
-        "point-FBO export requires a single-tile canvas");
-  }
-
-  // Columns shipped to the device: filters' columns plus the aggregated one.
-  // (The pipeline reads from the host table directly; the upload is for
-  // transfer-cost fidelity — see DESIGN.md §2.)
-  const std::vector<std::size_t> columns =
-      UploadColumns(options.filters, options.weight_column);
-  const std::size_t num_batches = scan.size();
-
-  // Ship and meter the triangle VBO exactly once per query: it is the
-  // same bytes for every tile pass, so re-uploading it per tile both
-  // distorts the transfer breakdown and breaks PlanAdmission's
-  // fixed_bytes assumption (the grant covers one triangle upload). Freed
-  // before the point pipeline starts, so the device peak stays
-  // max(fixed_bytes, in-flight point VBOs), never the sum.
-  RJ_RETURN_NOT_OK(UploadTriangleVbo(device, soup.size(), &result.timing));
-
-  std::uint64_t drawn_total = 0;
-
-  // One pipeline for every tile pass: the transfer (and, for disk
-  // sources, reader) thread and the slots' staging buffers stay warm
-  // across tiles (Rewind re-streams the blocks per pass), instead of
-  // paying a thread spawn and two batch-sized staging allocations per
-  // tile.
-  join::BatchPipeline pipeline(device, &source, std::move(scan), columns,
-                               {overlap});
-
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    const raster::CanvasTile& tile = tiles[t];
-    raster::Viewport vp(tile.world, tile.width, tile.height);
-    // Pooled canvas: per-query FBO allocation is the dominant transient
-    // under concurrent traffic (see fbo_pool.h).
-    raster::FboLease point_lease =
-        raster::FboPool::Shared().Acquire(tile.width, tile.height);
-    raster::Fbo& point_fbo = *point_lease;
-
-    // --- Step I: draw points (batched when out-of-core). -----------------
-    // The pipeline prefetches batch b+1 (pack + CopyToDevice on its
-    // transfer thread, metered under phase::kTransfer) while the draw
-    // workers rasterize batch b.
-    if (t > 0) RJ_RETURN_NOT_OK(pipeline.Rewind());
-    for (;;) {
-      RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
-                          pipeline.Acquire());
-      if (!view.has_value()) break;
-      {
-        ScopedPhase sp(&result.timing, phase::kProcessing);
-        const PointTable& rows = *view->rows;
-        if (view->begin == 0 && view->end == rows.size()) {
-          // Whole-table/whole-block batch: draw in place, no slice copy.
-          drawn_total += raster::DrawPoints(vp, rows, options.filters,
-                                            options.weight_column, &point_fbo,
-                                            &device->counters(),
-                                            &device->pool());
-        } else {
-          PointTable slice = rows.Slice(view->begin, view->end);
-          drawn_total += raster::DrawPoints(vp, slice, options.filters,
-                                            options.weight_column, &point_fbo,
-                                            &device->counters(),
-                                            &device->pool());
-        }
-      }
-      pipeline.Release(*view);
-      device->counters().AddBatches(1);
-    }
-
-    if (point_fbo_out != nullptr) {
-      // Single tile (validated above): copy the canvas out of its pooled
-      // lease for the caller's cross-shard gather.
-      point_fbo_out->emplace(point_fbo);
-    }
-
-    // --- Step II: draw polygons over the tile. ---------------------------
-    {
-      ScopedPhase sp(&result.timing, phase::kProcessing);
-      raster::ResultArrays tile_result(polys.size());
-      raster::DrawPolygons(vp, soup, point_fbo, /*boundary_fbo=*/nullptr,
-                           &tile_result, &device->counters(),
-                           &device->pool());
-      result.arrays.AddFrom(tile_result);
-    }
-    device->counters().AddRenderPasses(1);
-
-    if (options.compute_result_ranges) {
-      ScopedPhase sp(&result.timing, phase::kProcessing);
-      RJ_ASSIGN_OR_RETURN(
-          *ranges_out,
-          ComputeResultRanges(vp, polys, soup, point_fbo,
-                              FinalizeAggregate(AggregateKind::kCount,
-                                                result.arrays),
-                              &device->counters(), &device->pool()));
-    }
-  }
-  RJ_RETURN_NOT_OK(pipeline.Drain(&result.timing));
-
-  if (stats != nullptr) {
-    stats->num_tiles = tiles.size();
-    stats->num_batches = num_batches * tiles.size();
-    stats->points_drawn = drawn_total;
-  }
+  FusedJoinOptions group;
+  group.epsilon = options.epsilon;
+  RJ_ASSIGN_OR_RETURN(FusedJoinOutput out,
+                      FusedBoundedRasterJoin(device, std::move(scan), polys,
+                                             soup, world, group, member,
+                                             stats));
+  JoinResult result;
+  result.arrays = std::move(out.arrays[0]);
+  result.timing = std::move(out.timing);
+  if (options.compute_result_ranges) *ranges_out = std::move(out.ranges[0]);
+  if (point_fbo_out != nullptr) *point_fbo_out = std::move(out.point_fbos[0]);
   return result;
 }
 
@@ -169,25 +60,13 @@ Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
   // Batch planning: points are transferred exactly once per tile pass set,
   // sized so the pipeline's in-flight buffers (2 when transfers overlap
   // the draw) fit the available budget.
-  const std::size_t bytes_per_point =
-      UploadBytesPerPoint(options.filters, options.weight_column);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
-    const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
-  }
-
-  // The adapter's blocks are exactly the planned batch slices, so the
-  // block core batches bitwise-identically to the historical table scan.
-  data::TableBlockSource adapter(&points, std::max<std::size_t>(batch, 1));
-  std::vector<std::size_t> scan(adapter.num_blocks());
-  for (std::size_t b = 0; b < scan.size(); ++b) scan[b] = b;
-  return BoundedBlockJoin(device, adapter, std::move(scan), polys, soup,
-                          world, options, overlap, stats, ranges_out,
-                          point_fbo_out);
+  ScanPlan scan = PlanTableScan(
+      *device, points,
+      UploadBytesPerPoint(options.filters, options.weight_column),
+      options.batch_size, options.overlap_transfers);
+  return RunSolo(device, std::move(scan),
+                 SoloMember(options, point_fbo_out != nullptr), polys, soup,
+                 world, options, stats, ranges_out, point_fbo_out);
 }
 
 Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
@@ -199,14 +78,13 @@ Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      BoundedRasterJoinStats* stats,
                                      ResultRanges* ranges_out,
                                      std::optional<raster::Fbo>* point_fbo_out) {
-  BlockSelection sel = SelectBlocks(source, options.filters, &world,
-                                    options.enable_block_pruning);
-  device->counters().AddBlocksScanned(sel.scanned);
-  device->counters().AddBlocksPruned(sel.pruned);
-  if (stats != nullptr) stats->blocks_pruned = sel.pruned;
-  return BoundedBlockJoin(device, source, std::move(sel.blocks), polys, soup,
-                          world, options, options.overlap_transfers, stats,
-                          ranges_out, point_fbo_out);
+  const std::vector<FusedMemberSpec> member =
+      SoloMember(options, point_fbo_out != nullptr);
+  ScanPlan scan =
+      PlanBlockScan(device, source, member, world,
+                    options.enable_block_pruning, options.overlap_transfers);
+  return RunSolo(device, std::move(scan), member, polys, soup, world, options,
+                 stats, ranges_out, point_fbo_out);
 }
 
 }  // namespace rj

@@ -12,6 +12,11 @@
 /// is within Hausdorff distance ε of the true polygon; when the implied
 /// canvas exceeds the device FBO limit it is split into tiles (Fig. 5) and
 /// the two steps are repeated per tile.
+///
+/// Both overloads plan their scan once — batch slices of the resident
+/// table, or the zone-map-selected blocks of a block source — and run the
+/// one bounded core (FusedBoundedRasterJoin, join/fused_join.h) as a group
+/// of one.
 #pragma once
 
 #include <cstdint>

@@ -55,20 +55,31 @@ void AccumulateFbo(raster::Fbo* dst, const raster::Fbo& src) {
   }
 }
 
-/// Per-member half of a fusion group, derived from the queries. The §5
-/// range request is honored for the bounded variant only — the same wiring
-/// as RunVariant, where only BoundedRasterJoin takes ranges_out.
+/// The per-member half of a group, derived from the queries. The §5 range
+/// request is honored for the bounded variant only; `gather_fbos` asks
+/// for the member's point FBO instead of its ranges (the sharded gather
+/// recomputes ranges over the pixel-wise sum of the shards' FBOs).
 std::vector<FusedMemberSpec> FusedMembers(
-    const std::vector<SpatialAggQuery>& queries, JoinVariant variant) {
+    const std::vector<SpatialAggQuery>& queries, JoinVariant variant,
+    bool gather_fbos) {
   std::vector<FusedMemberSpec> members(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     members[i].weight_column = queries[i].EffectiveAggregateColumn();
     members[i].filters = queries[i].filters;
-    members[i].compute_result_ranges =
-        queries[i].with_result_ranges &&
-        variant == JoinVariant::kBoundedRaster;
+    const bool ranges = queries[i].with_result_ranges &&
+                        variant == JoinVariant::kBoundedRaster;
+    members[i].compute_result_ranges = ranges && !gather_fbos;
+    members[i].export_point_fbo = ranges && gather_fbos;
   }
   return members;
+}
+
+/// Upload stride of a group: the union of its members' columns
+/// (FusedUploadColumns) — exactly what the shared scan ships.
+std::size_t GroupStride(const std::vector<SpatialAggQuery>& queries,
+                        JoinVariant variant) {
+  return UploadStrideBytes(
+      FusedUploadColumns(FusedMembers(queries, variant, false)));
 }
 
 }  // namespace
@@ -213,20 +224,29 @@ JoinVariant Executor::ResolveVariant(const SpatialAggQuery& query) const {
 }
 
 Result<AdmissionPlan> Executor::PlanAdmission(const SpatialAggQuery& query) {
-  const JoinVariant variant = ResolveVariant(query);
+  return PlanFusedAdmission({query});
+}
+
+Result<AdmissionPlan> Executor::PlanFusedAdmission(
+    const std::vector<SpatialAggQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("fusion group is empty");
+  }
+  const JoinVariant variant = ResolveVariant(queries[0]);
   if (variant == JoinVariant::kIndexCpu) {
     return AdmissionPlan{};  // never touches device memory
   }
-  const std::size_t weight_column = query.EffectiveAggregateColumn();
-  const std::size_t bytes_per_point =
-      UploadBytesPerPoint(query.filters, weight_column);
+  // The group ships one interleaved VBO covering every member's columns,
+  // and the lead's knobs govern the shared pipeline.
+  const std::size_t bytes_per_point = GroupStride(queries, variant);
+  const bool overlap = queries[0].overlap_transfers;
   // Everything below is a pure function of (variant, stride, overlap) for
   // this dataset — the triangle-VBO term depends only on the immutable
   // polygon set — so repeats skip the triangulation-cache mutex entirely.
   query::PlanCache::AdmissionKey key;
   key.variant = variant;
   key.bytes_per_point = bytes_per_point;
-  key.overlap = query.overlap_transfers;
+  key.overlap = overlap;
   return plan_cache_->GetAdmission(key, [&]() -> Result<AdmissionPlan> {
     AdmissionPlan plan;
     plan.bytes_per_point = bytes_per_point;
@@ -239,7 +259,7 @@ Result<AdmissionPlan> Executor::PlanAdmission(const SpatialAggQuery& query) {
     // buffers in flight — 2× the stride when transfers overlap the draw
     // (BatchPipeline keeps batches b and b+1 resident), 1× serialized. A
     // single full-set batch never double-buffers, so full_bytes stays 1×.
-    const std::size_t in_flight = query.overlap_transfers ? 2 : 1;
+    const std::size_t in_flight = overlap ? 2 : 1;
     if (source_backed()) {
       // Block-source scans upload whole blocks: the batch size IS the
       // block capacity (not grant-tunable), so the floor is in_flight
@@ -266,92 +286,102 @@ Result<AdmissionPlan> Executor::PlanAdmission(const SpatialAggQuery& query) {
   });
 }
 
-Result<JoinResult> Executor::RunVariant(
-    gpu::Device* device, const PointTable* points,
-    const data::PointBlockSource* source, JoinVariant variant,
-    const SpatialAggQuery& query, std::size_t weight_column,
-    const UploadPlan& capped, const TriangleSoup* soup,
-    const GridIndex* cpu_index, const GridIndex* device_index,
-    ResultRanges* ranges_out, std::optional<raster::Fbo>* point_fbo_out) {
-  switch (variant) {
-    case JoinVariant::kBoundedRaster: {
-      BoundedRasterJoinOptions options;
-      options.epsilon = query.epsilon;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.batch_size = capped.batch_size;
-      options.overlap_transfers = capped.overlap_transfers;
-      options.compute_result_ranges = ranges_out != nullptr;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return BoundedRasterJoin(device, *source, *polys_, *soup, world_,
-                                 options, nullptr, ranges_out,
-                                 point_fbo_out);
-      }
-      return BoundedRasterJoin(device, *points, *polys_, *soup, world_,
-                               options, nullptr, ranges_out, point_fbo_out);
-    }
-    case JoinVariant::kAccurateRaster: {
-      AccurateRasterJoinOptions options;
-      options.canvas_dim = query.accurate_canvas_dim;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.batch_size = capped.batch_size;
-      options.overlap_transfers = capped.overlap_transfers;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return AccurateRasterJoin(device, *source, *polys_, *soup, world_,
-                                  options);
-      }
-      return AccurateRasterJoin(device, *points, *polys_, *soup, world_,
-                                options);
-    }
-    case JoinVariant::kIndexDevice: {
-      IndexJoinOptions options;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.batch_size = capped.batch_size;
-      options.overlap_transfers = capped.overlap_transfers;
-      options.prebuilt_index = device_index;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return IndexJoinDevice(device, *source, *polys_, world_, options);
-      }
-      return IndexJoinDevice(device, *points, *polys_, world_, options);
-    }
-    case JoinVariant::kIndexCpu: {
-      IndexJoinOptions options;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.assign_mode = GridAssignMode::kExactGeometry;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return IndexJoinCpu(*source, *polys_, *cpu_index, options,
-                            query.cpu_threads);
-      }
-      return IndexJoinCpu(*points, *polys_, *cpu_index, options,
-                          query.cpu_threads);
-    }
-    case JoinVariant::kAuto:
-      break;
-  }
-  return Status::Internal("kAuto should have been resolved");
-}
-
-Result<Executor::QuerySetup> Executor::PrepareQuery(
-    const SpatialAggQuery& query) {
-  QuerySetup setup;
-  setup.weight_column = query.EffectiveAggregateColumn();
-  if (query.aggregate != AggregateKind::kCount &&
-      setup.weight_column == PointTable::npos) {
-    return Status::InvalidArgument(
-        "non-COUNT aggregates require aggregate_column");
-  }
-  setup.variant = ResolveVariant(query);
-  setup.bytes_per_point =
-      UploadBytesPerPoint(query.filters, setup.weight_column);
+Result<FusedJoinOutput> Executor::RunVariant(
+    gpu::Device* device, const PointTable* points, const QuerySetup& setup,
+    const std::vector<SpatialAggQuery>& queries, const UploadPlan& capped,
+    bool gather_fbos) {
+  const SpatialAggQuery& lead = queries[0];
   if (setup.variant == JoinVariant::kBoundedRaster ||
       setup.variant == JoinVariant::kAccurateRaster) {
+    const std::vector<FusedMemberSpec> members =
+        FusedMembers(queries, setup.variant, gather_fbos);
+    ScanPlan scan =
+        points != nullptr
+            ? PlanTableScan(*device, *points, setup.bytes_per_point,
+                            capped.batch_size, capped.overlap_transfers)
+            : PlanBlockScan(device, *source_, members, world_,
+                            lead.enable_block_pruning,
+                            capped.overlap_transfers);
+    FusedJoinOptions options;
+    options.epsilon = lead.epsilon;
+    options.canvas_dim = lead.accurate_canvas_dim;
+    return setup.variant == JoinVariant::kBoundedRaster
+               ? FusedBoundedRasterJoin(device, std::move(scan), *polys_,
+                                        *setup.soup, world_, options, members)
+               : FusedAccurateRasterJoin(device, std::move(scan), *polys_,
+                                         *setup.soup, world_, options,
+                                         members);
+  }
+
+  // The index baselines have no raster pass to share: PrepareGroup admits
+  // them only as groups of one.
+  IndexJoinOptions options;
+  options.weight_column = lead.EffectiveAggregateColumn();
+  options.filters = lead.filters;
+  options.enable_block_pruning = lead.enable_block_pruning;
+  Result<JoinResult> join = Status::Internal("kAuto should have been resolved");
+  if (setup.variant == JoinVariant::kIndexDevice) {
+    options.batch_size = capped.batch_size;
+    options.overlap_transfers = capped.overlap_transfers;
+    options.prebuilt_index = setup.device_index;
+    join = points != nullptr
+               ? IndexJoinDevice(device, *points, *polys_, world_, options)
+               : IndexJoinDevice(device, *source_, *polys_, world_, options);
+  } else if (setup.variant == JoinVariant::kIndexCpu) {
+    options.assign_mode = GridAssignMode::kExactGeometry;
+    join = points != nullptr
+               ? IndexJoinCpu(*points, *polys_, *setup.cpu_index, options,
+                              lead.cpu_threads)
+               : IndexJoinCpu(*source_, *polys_, *setup.cpu_index, options,
+                              lead.cpu_threads);
+  }
+  if (!join.ok()) return join.status();
+  FusedJoinOutput out;
+  out.arrays.push_back(std::move(join.value().arrays));
+  out.ranges.resize(1);
+  out.point_fbos.resize(1);
+  out.timing = join.value().timing;
+  return out;
+}
+
+Result<Executor::QuerySetup> Executor::PrepareGroup(
+    const std::vector<SpatialAggQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("fusion group is empty");
+  }
+  for (const SpatialAggQuery& q : queries) {
+    if (q.aggregate != AggregateKind::kCount &&
+        q.EffectiveAggregateColumn() == PointTable::npos) {
+      return Status::InvalidArgument(
+          "non-COUNT aggregates require aggregate_column");
+    }
+  }
+  QuerySetup setup;
+  setup.variant = ResolveVariant(queries[0]);
+  // The members share one scan, so every member must resolve to the lead's
+  // raster variant and canvas. Re-checked here even though the service's
+  // grouping predicate enforces it — the shared scan is only valid when
+  // the invariant holds locally.
+  const bool raster = setup.variant == JoinVariant::kBoundedRaster ||
+                      setup.variant == JoinVariant::kAccurateRaster;
+  if (queries.size() > 1 && !raster) {
+    return Status::InvalidArgument(
+        "fusion requires a raster variant (bounded or accurate)");
+  }
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    const bool same_canvas =
+        setup.variant == JoinVariant::kBoundedRaster
+            ? queries[i].epsilon == queries[0].epsilon
+            : queries[i].accurate_canvas_dim ==
+                  queries[0].accurate_canvas_dim;
+    if (ResolveVariant(queries[i]) != setup.variant || !same_canvas) {
+      return Status::InvalidArgument(
+          "incompatible fusion group: members must share the resolved "
+          "variant and canvas");
+    }
+  }
+  setup.bytes_per_point = GroupStride(queries, setup.variant);
+  if (raster) {
     RJ_ASSIGN_OR_RETURN(setup.soup, GetTriangulation());
   }
   if (setup.variant == JoinVariant::kIndexCpu) {
@@ -365,6 +395,15 @@ Result<Executor::QuerySetup> Executor::PrepareQuery(
                         GetDeviceIndex(IndexJoinOptions{}.index_resolution));
   }
   return setup;
+}
+
+bool Executor::ShardCacheable(const SpatialAggQuery& query,
+                              JoinVariant variant) const {
+  // A §5-ranges query needs the shard FBOs (not stored), and a bypass must
+  // not read stale entries either.
+  return query.enable_shard_cache && !query.bypass_result_cache &&
+         result_cache_ != nullptr &&
+         !(query.with_result_ranges && variant == JoinVariant::kBoundedRaster);
 }
 
 Result<QueryResult> Executor::Execute(const QuerySpec& spec,
@@ -410,310 +449,65 @@ Result<QueryResult> Executor::ExecuteUncached(const SpatialAggQuery& query) {
 
 Result<QueryResult> Executor::ExecuteUncached(
     const SpatialAggQuery& query, const ShardPlacement* placement) {
-  if (sharded()) return ExecuteSharded(query, placement);
-
-  Timer total;
-  QueryResult out;
-
-  RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(query));
-  UploadPlan capped{0, query.overlap_transfers};
-  if (source_backed()) {
-    // Block scans ignore batch_size — the block capacity is the batch. The
-    // only grant-sensitive knob left is double-buffering: a grant too
-    // small for two in-flight blocks downgrades to the serialized path
-    // instead of overshooting, mirroring CappedBatch's downgrade rule.
-    const std::size_t block_bytes =
-        std::min<std::size_t>(source_->block_capacity(),
-                              PlanningPointCount()) *
-        setup.bytes_per_point;
-    if (capped.overlap_transfers && query.device_memory_cap_bytes != 0 &&
-        2 * block_bytes > query.device_memory_cap_bytes) {
-      capped.overlap_transfers = false;
-    }
-  } else {
-    capped = plan_cache_->GetUpload(
-        {query.device_memory_cap_bytes, setup.bytes_per_point,
-         points_->size(), query.overlap_transfers},
-        [&] {
-          return CappedBatch(query.device_memory_cap_bytes,
-                             setup.bytes_per_point, points_->size(),
-                             query.overlap_transfers);
-        });
-  }
-
-  JoinResult join;
-  RJ_ASSIGN_OR_RETURN(
-      join, RunVariant(device_, points_, source_, setup.variant, query,
-                       setup.weight_column, capped, setup.soup,
-                       setup.cpu_index, setup.device_index,
-                       query.with_result_ranges ? &out.ranges : nullptr,
-                       nullptr));
-
-  out.values = join.Finalize(query.aggregate);
-  out.arrays = std::move(join.arrays);
-  out.timing = join.timing;
-  out.total_seconds = total.ElapsedSeconds();
-  return out;
+  RJ_ASSIGN_OR_RETURN(std::vector<QueryResult> out,
+                      ExecuteFused({query}, placement));
+  return std::move(out[0]);
 }
 
 Result<std::vector<QueryResult>> Executor::ExecuteFused(
-    const std::vector<SpatialAggQuery>& queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("fusion group is empty");
-  }
-  if (source_backed()) {
-    // The fused pipelines share one resident upload scan over a
-    // PointTable; the block path streams from disk instead. QueryService
-    // never forms fusion groups over disk-resident datasets, but keep the
-    // API total: run the members individually — by the fusion contract
-    // each result is bitwise identical either way.
-    std::vector<QueryResult> out;
-    out.reserve(queries.size());
-    for (const SpatialAggQuery& q : queries) {
-      RJ_ASSIGN_OR_RETURN(QueryResult r, ExecuteUncached(q));
-      out.push_back(std::move(r));
-    }
-    return out;
-  }
-  if (queries.size() == 1) {
-    RJ_ASSIGN_OR_RETURN(QueryResult only, ExecuteUncached(queries[0]));
-    std::vector<QueryResult> out;
-    out.push_back(std::move(only));
-    return out;
-  }
-
+    const std::vector<SpatialAggQuery>& queries,
+    const ShardPlacement* placement) {
   Timer total;
-  // Per-member preamble (validates aggregates/columns; the soup is shared
-  // across the group via the triangulation cache).
-  std::vector<QuerySetup> setups;
-  setups.reserve(queries.size());
-  for (const SpatialAggQuery& q : queries) {
-    RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(q));
-    setups.push_back(setup);
-  }
-  const JoinVariant variant = setups[0].variant;
-  if (variant != JoinVariant::kBoundedRaster &&
-      variant != JoinVariant::kAccurateRaster) {
-    return Status::InvalidArgument(
-        "fusion requires a raster variant (bounded or accurate)");
-  }
-  // Re-check structural compatibility here even though the service's
-  // grouping predicate enforces it — the invariant that every member
-  // shares one canvas must hold locally for the shared scan to be valid.
-  for (std::size_t i = 1; i < queries.size(); ++i) {
-    const bool same_canvas =
-        variant == JoinVariant::kBoundedRaster
-            ? queries[i].epsilon == queries[0].epsilon
-            : queries[i].accurate_canvas_dim ==
-                  queries[0].accurate_canvas_dim;
-    if (setups[i].variant != variant || !same_canvas) {
-      return Status::InvalidArgument(
-          "incompatible fusion group: members must share the resolved "
-          "variant and canvas");
+  // Per-group preamble (validates aggregates, columns and compatibility;
+  // the soup is shared across the group via the triangulation cache).
+  RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareGroup(queries));
+  const SpatialAggQuery& lead = queries[0];
+
+  std::vector<QueryResult> out;
+  if (sharded()) {
+    RJ_ASSIGN_OR_RETURN(out, ExecuteSharded(queries, setup, placement));
+  } else {
+    UploadPlan capped{0, lead.overlap_transfers};
+    if (source_backed()) {
+      // Block scans ignore batch_size — the block capacity is the batch.
+      // The only grant-sensitive knob left is double-buffering: a grant
+      // too small for two in-flight blocks downgrades to the serialized
+      // path instead of overshooting, mirroring CappedBatch's downgrade
+      // rule.
+      const std::size_t block_bytes =
+          std::min<std::size_t>(source_->block_capacity(),
+                                PlanningPointCount()) *
+          setup.bytes_per_point;
+      if (capped.overlap_transfers && lead.device_memory_cap_bytes != 0 &&
+          2 * block_bytes > lead.device_memory_cap_bytes) {
+        capped.overlap_transfers = false;
+      }
+    } else {
+      capped = plan_cache_->GetUpload(
+          {lead.device_memory_cap_bytes, setup.bytes_per_point,
+           points_->size(), lead.overlap_transfers},
+          [&] {
+            return CappedBatch(lead.device_memory_cap_bytes,
+                               setup.bytes_per_point, points_->size(),
+                               lead.overlap_transfers);
+          });
+    }
+    RJ_ASSIGN_OR_RETURN(
+        FusedJoinOutput join,
+        RunVariant(device_, points_, setup, queries, capped,
+                   /*gather_fbos=*/false));
+    out.resize(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      out[i].arrays = std::move(join.arrays[i]);
+      out[i].ranges = std::move(join.ranges[i]);
+      out[i].timing = join.timing;
     }
   }
 
-  const std::vector<FusedMemberSpec> members = FusedMembers(queries, variant);
-  if (sharded()) {
-    return ExecuteFusedSharded(queries, members, variant, setups[0].soup);
-  }
-
-  const std::size_t stride = UploadStrideBytes(FusedUploadColumns(members));
-  const UploadPlan capped = plan_cache_->GetUpload(
-      {queries[0].device_memory_cap_bytes, stride, points_->size(),
-       queries[0].overlap_transfers},
-      [&] {
-        return CappedBatch(queries[0].device_memory_cap_bytes, stride,
-                           points_->size(), queries[0].overlap_transfers);
-      });
-
-  FusedJoinOptions options;
-  options.epsilon = queries[0].epsilon;
-  options.canvas_dim = queries[0].accurate_canvas_dim;
-  options.batch_size = capped.batch_size;
-  options.overlap_transfers = capped.overlap_transfers;
-
-  Result<FusedJoinOutput> fused_result =
-      variant == JoinVariant::kBoundedRaster
-          ? FusedBoundedRasterJoin(device_, *points_, *polys_,
-                                   *setups[0].soup, world_, options, members)
-          : FusedAccurateRasterJoin(device_, *points_, *polys_,
-                                    *setups[0].soup, world_, options,
-                                    members);
-  if (!fused_result.ok()) return fused_result.status();
-  FusedJoinOutput fused = std::move(fused_result).MoveValueUnsafe();
-
-  // Demultiplex: per-member payloads, group-level diagnostics replicated.
-  std::vector<QueryResult> out(queries.size());
+  // Demultiplex: per-member values; group-level diagnostics replicated.
   const double seconds = total.ElapsedSeconds();
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    out[i].arrays = std::move(fused.arrays[i]);
     out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
-    out[i].ranges = std::move(fused.ranges[i]);
-    out[i].timing = fused.timing;
-    out[i].total_seconds = seconds;
-  }
-  return out;
-}
-
-Result<AdmissionPlan> Executor::PlanFusedAdmission(
-    const std::vector<SpatialAggQuery>& queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("fusion group is empty");
-  }
-  if (queries.size() == 1) return PlanAdmission(queries[0]);
-  const JoinVariant variant = ResolveVariant(queries[0]);
-  if (variant == JoinVariant::kIndexCpu) {
-    return AdmissionPlan{};  // never fused in practice, but keep the shape
-  }
-  // Union stride through the same definition the fused pipelines use
-  // (FusedUploadColumns) — the grant must cover exactly what ships. Group
-  // shapes vary too much for the admission memo, and the arithmetic is
-  // cheap; no PlanCache entry.
-  AdmissionPlan plan;
-  plan.bytes_per_point =
-      UploadStrideBytes(FusedUploadColumns(FusedMembers(queries, variant)));
-  if (variant == JoinVariant::kBoundedRaster) {
-    RJ_ASSIGN_OR_RETURN(const TriangleSoup* soup, GetTriangulation());
-    plan.fixed_bytes = TriangleVboBytes(soup->size());
-  }
-  const std::size_t in_flight = queries[0].overlap_transfers ? 2 : 1;
-  plan.min_bytes =
-      std::max(plan.fixed_bytes, in_flight * plan.bytes_per_point);
-  plan.full_bytes = std::max(
-      {plan.fixed_bytes, PlanningPointCount() * plan.bytes_per_point,
-       plan.min_bytes});
-  return plan;
-}
-
-Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
-    const std::vector<SpatialAggQuery>& queries,
-    const std::vector<FusedMemberSpec>& members, JoinVariant variant,
-    const TriangleSoup* soup) {
-  Timer total;
-  const std::size_t m = queries.size();
-  if (!pool_->UniformFboLimit()) {
-    return Status::InvalidArgument(
-        "sharded execution requires a uniform max_fbo_dim across the pool");
-  }
-
-  // §5 ranges recompute on the gathered point FBO, exactly as in
-  // ExecuteSharded — shards export FBOs instead of computing intervals.
-  std::vector<FusedMemberSpec> shard_members = members;
-  bool any_ranges = false;
-  for (std::size_t i = 0; i < m; ++i) {
-    shard_members[i].export_point_fbo = members[i].compute_result_ranges;
-    shard_members[i].compute_result_ranges = false;
-    any_ranges = any_ranges || shard_members[i].export_point_fbo;
-  }
-
-  const std::size_t stride = UploadStrideBytes(FusedUploadColumns(members));
-  const std::size_t num_shards = shards_->num_shards();
-  std::vector<FusedJoinOutput> shard_out(num_shards);
-  std::vector<Status> shard_status(num_shards, Status::OK());
-
-  const auto run_shard = [&](std::size_t s) {
-    gpu::Device* dev = shard_device(s);
-    const PointTable& shard_points = shards_->shard(s);
-    const UploadPlan capped = plan_cache_->GetUpload(
-        {queries[0].device_memory_cap_bytes, stride, shard_points.size(),
-         queries[0].overlap_transfers},
-        [&] {
-          return CappedBatch(queries[0].device_memory_cap_bytes, stride,
-                             shard_points.size(),
-                             queries[0].overlap_transfers);
-        });
-    FusedJoinOptions options;
-    options.epsilon = queries[0].epsilon;
-    options.canvas_dim = queries[0].accurate_canvas_dim;
-    options.batch_size = capped.batch_size;
-    options.overlap_transfers = capped.overlap_transfers;
-    Result<FusedJoinOutput> join =
-        variant == JoinVariant::kBoundedRaster
-            ? FusedBoundedRasterJoin(dev, shard_points, *polys_, *soup,
-                                     world_, options, shard_members)
-            : FusedAccurateRasterJoin(dev, shard_points, *polys_, *soup,
-                                      world_, options, shard_members);
-    if (!join.ok()) {
-      shard_status[s] = join.status();
-      return;
-    }
-    shard_out[s] = std::move(join).MoveValueUnsafe();
-  };
-
-  // Device-window counter attribution, as in ExecuteSharded: shard d's
-  // window carries device d's whole delta.
-  const std::size_t devices_used = std::min(num_shards, pool_->size());
-  std::vector<gpu::CountersSnapshot> before(devices_used);
-  for (std::size_t d = 0; d < devices_used; ++d) {
-    before[d] = pool_->device(d)->counters().Snapshot();
-  }
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      threads.emplace_back(run_shard, s);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  gpu::CountersSnapshot group_counters;
-  for (std::size_t d = 0; d < devices_used; ++d) {
-    group_counters = group_counters.Plus(
-        pool_->device(d)->counters().Snapshot().DeltaSince(before[d]));
-  }
-  for (const Status& st : shard_status) RJ_RETURN_NOT_OK(st);
-
-  // Per-member gather in ascending shard order — each member's merge is
-  // exactly what its solo ExecuteSharded would perform on these (bitwise
-  // identical) per-shard partials. Shard timings ride member 0's merge
-  // once; the group total is not multiplied per member.
-  std::vector<QueryResult> out(m);
-  PhaseTimer group_timing;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<agg::ShardPartial> partials(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      partials[s].arrays = std::move(shard_out[s].arrays[i]);
-      if (i == 0) partials[s].timing = shard_out[s].timing;
-    }
-    RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged,
-                        agg::MergePartials(partials));
-    out[i].arrays = std::move(merged.arrays);
-    out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
-    if (i == 0) group_timing = merged.timing;
-  }
-
-  if (any_ranges) {
-    RJ_ASSIGN_OR_RETURN(
-        std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, queries[0].epsilon,
-                           device_->options().max_fbo_dim));
-    raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!shard_members[i].export_point_fbo) continue;
-      raster::Fbo gathered = std::move(*shard_out[0].point_fbos[i]);
-      shard_out[0].point_fbos[i].reset();
-      for (std::size_t s = 1; s < num_shards; ++s) {
-        AccumulateFbo(&gathered, *shard_out[s].point_fbos[i]);
-        shard_out[s].point_fbos[i].reset();
-      }
-      ScopedPhase sp(&group_timing, phase::kProcessing);
-      const gpu::CountersSnapshot gather_before =
-          device_->counters().Snapshot();
-      RJ_ASSIGN_OR_RETURN(
-          out[i].ranges,
-          ComputeResultRanges(vp, *polys_, *soup, gathered,
-                              FinalizeAggregate(AggregateKind::kCount,
-                                                out[i].arrays),
-                              &device_->counters(), &device_->pool()));
-      group_counters = group_counters.Plus(
-          device_->counters().Snapshot().DeltaSince(gather_before));
-    }
-  }
-
-  const double seconds = total.ElapsedSeconds();
-  for (std::size_t i = 0; i < m; ++i) {
-    out[i].timing = group_timing;
-    out[i].counters = group_counters;
     out[i].total_seconds = seconds;
   }
   return out;
@@ -751,12 +545,21 @@ Result<BBox> Executor::RoutingRegion(JoinVariant variant,
 
 Result<Executor::ShardPlacement> Executor::PlanPlacement(
     const SpatialAggQuery& query) {
+  return PlanFusedPlacement({query});
+}
+
+Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
+    const std::vector<SpatialAggQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("fusion group is empty");
+  }
+  const std::size_t m = queries.size();
   ShardPlacement p;
   if (!sharded()) {
     // Trivial single-device placement, so callers (QueryService) can plan
     // uniformly; matches ShardsPerDevice()'s {1}.
     p.device_of_shard.assign(1, 0);
-    p.cached.resize(1);
+    p.cached.assign(1, std::vector<std::shared_ptr<const QueryResult>>(m));
     p.hosted.assign(1, 1);
     p.executed = 1;
     return p;
@@ -765,29 +568,35 @@ Result<Executor::ShardPlacement> Executor::PlanPlacement(
   const std::size_t num_shards = shards_->num_shards();
   const std::size_t pool_size = pool_->size();
   p.device_of_shard.assign(num_shards, 0);
-  p.cached.resize(num_shards);
+  p.cached.assign(num_shards,
+                  std::vector<std::shared_ptr<const QueryResult>>(m));
   p.hosted.assign(pool_size, 0);
 
-  const JoinVariant variant = ResolveVariant(query);
-  const bool want_ranges = query.with_result_ranges &&
-                           variant == JoinVariant::kBoundedRaster;
-
+  // Members share the variant and canvas, hence the routing region.
+  const JoinVariant variant = ResolveVariant(queries[0]);
+  const auto routes = [](const SpatialAggQuery& q) {
+    return q.enable_shard_routing;
+  };
   std::optional<BBox> region;
-  if (query.enable_shard_routing) {
-    RJ_ASSIGN_OR_RETURN(BBox r, RoutingRegion(variant, query));
+  if (std::any_of(queries.begin(), queries.end(), routes)) {
+    RJ_ASSIGN_OR_RETURN(BBox r, RoutingRegion(variant, queries[0]));
     region = r;
   }
 
-  // Per-shard partials are cacheable only when the whole pipeline is: a
-  // §5-ranges query needs the shard FBOs (not stored), and a bypass must
-  // not read stale entries either.
-  const bool use_cache = query.enable_shard_cache &&
-                         !query.bypass_result_cache &&
-                         result_cache_ != nullptr && !want_ranges;
-  query::CacheKey base_key;
+  // A shard is served from the partial cache only when every member's
+  // partial is cached.
+  const bool use_cache =
+      std::all_of(queries.begin(), queries.end(),
+                  [&](const SpatialAggQuery& q) {
+                    return ShardCacheable(q, variant);
+                  });
+  std::vector<query::CacheKey> keys;
   if (use_cache) {
-    base_key = query::MakeCacheKey(dataset_cache_key_, dataset_version(),
-                                   query, variant);
+    keys.reserve(m);
+    for (const SpatialAggQuery& q : queries) {
+      keys.push_back(query::MakeCacheKey(dataset_cache_key_,
+                                         dataset_version(), q, variant));
+    }
   }
 
   std::vector<std::vector<std::size_t>> replicas = shard_replicas();
@@ -797,19 +606,31 @@ Result<Executor::ShardPlacement> Executor::PlanPlacement(
   // fixed replica map.
   std::vector<std::size_t> load(pool_size, 0);
   for (std::size_t s = 0; s < num_shards; ++s) {
+    // Skipped only when no member can match the shard; a member that does
+    // not route matches every shard.
     if (region.has_value() &&
-        !ZoneMapCanMatch(shards_->shard_zone(s), query.filters, &*region)) {
+        std::none_of(queries.begin(), queries.end(),
+                     [&](const SpatialAggQuery& q) {
+                       return !q.enable_shard_routing ||
+                              ZoneMapCanMatch(shards_->shard_zone(s),
+                                              q.filters, &*region);
+                     })) {
       p.device_of_shard[s] = ShardPlacement::kSkipped;
       ++p.skipped;
       continue;
     }
     if (use_cache) {
-      query::CacheKey key = base_key;
-      key.shard = s;
-      if (std::shared_ptr<const QueryResult> hit =
-              result_cache_->Lookup(key)) {
+      std::vector<std::shared_ptr<const QueryResult>> hits(m);
+      bool all_cached = true;
+      for (std::size_t i = 0; i < m && all_cached; ++i) {
+        query::CacheKey key = keys[i];
+        key.shard = s;
+        hits[i] = result_cache_->Lookup(key);
+        all_cached = hits[i] != nullptr;
+      }
+      if (all_cached) {
         p.device_of_shard[s] = ShardPlacement::kCached;
-        p.cached[s] = std::move(hit);
+        p.cached[s] = std::move(hits);
         ++p.cache_hits;
         continue;
       }
@@ -842,81 +663,59 @@ Result<Executor::ShardPlacement> Executor::PlanPlacement(
   return p;
 }
 
-Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
-                                             const ShardPlacement* placement) {
-  Timer total;
-  QueryResult out;
-
-  // Same preamble as the single-device path (PrepareQuery builds the
-  // shared preprocessing once; every shard reuses the cached soup/index —
-  // the polygon side of the join is identical across shards).
-  RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(query));
+Result<std::vector<QueryResult>> Executor::ExecuteSharded(
+    const std::vector<SpatialAggQuery>& queries, const QuerySetup& setup,
+    const ShardPlacement* placement) {
   if (!pool_->UniformFboLimit()) {
     // Shards must rasterize on one pixel grid; a pool with mixed FBO
     // limits would tile the canvas differently per shard.
     return Status::InvalidArgument(
         "sharded execution requires a uniform max_fbo_dim across the pool");
   }
-
-  // Ranges gather (bounded variant only): shards export their point FBOs
-  // and the §5 classification runs once over the pixel-wise sum, which is
-  // bitwise identical to the single-device FBO — merging per-shard
-  // *intervals* instead would regroup the per-pixel area×count products
-  // and drift by FP rounding (see merge_partials.h).
-  const bool want_ranges = query.with_result_ranges &&
-                           setup.variant == JoinVariant::kBoundedRaster;
+  const std::size_t m = queries.size();
+  const SpatialAggQuery& lead = queries[0];
 
   // Routing/cache/replica placement — planned here unless the caller
   // (QueryService) already planned it to size the admission grant.
   ShardPlacement local_placement;
   if (placement == nullptr) {
-    RJ_ASSIGN_OR_RETURN(local_placement, PlanPlacement(query));
+    RJ_ASSIGN_OR_RETURN(local_placement, PlanFusedPlacement(queries));
     placement = &local_placement;
   }
   const ShardPlacement& place = *placement;
 
   const std::size_t num_shards = shards_->num_shards();
-  std::vector<agg::ShardPartial> partials(num_shards);
+  std::vector<FusedJoinOutput> shard_out(num_shards);
   std::vector<Status> shard_status(num_shards, Status::OK());
-  std::vector<std::optional<raster::Fbo>> shard_fbos(num_shards);
-
-  // Cached shards contribute their stored arrays as-is (bitwise identical
-  // to re-executing them); skipped shards stay default — zero-size arrays
-  // the merge skips by contract (merge_partials.h).
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (place.device_of_shard[s] == ShardPlacement::kCached) {
-      partials[s].arrays = place.cached[s]->arrays;
-    }
-  }
+  std::vector<gpu::CountersSnapshot> shard_counters(num_shards);
 
   // --- Scatter: every placed shard joins on its device in parallel. ------
+  // Ranges members (bounded variant only) export their point FBOs instead
+  // of computing §5 intervals per shard: the classification runs once over
+  // the pixel-wise sum below, which is bitwise identical to the
+  // single-device FBO — merging per-shard *intervals* instead would
+  // regroup the per-pixel area×count products and drift by FP rounding
+  // (see merge_partials.h).
   const auto run_shard = [&](std::size_t s) {
     gpu::Device* dev = pool_->device(place.device_of_shard[s]);
     const PointTable& shard_points = shards_->shard(s);
     // The admission grant is per shard: each shard batches within its own
     // device_memory_cap_bytes slice, independent of sibling shard sizes.
     const UploadPlan capped = plan_cache_->GetUpload(
-        {query.device_memory_cap_bytes, setup.bytes_per_point,
-         shard_points.size(), query.overlap_transfers},
+        {lead.device_memory_cap_bytes, setup.bytes_per_point,
+         shard_points.size(), lead.overlap_transfers},
         [&] {
-          return CappedBatch(query.device_memory_cap_bytes,
+          return CappedBatch(lead.device_memory_cap_bytes,
                              setup.bytes_per_point, shard_points.size(),
-                             query.overlap_transfers);
+                             lead.overlap_transfers);
         });
-
-    Result<JoinResult> join =
-        RunVariant(dev, &shard_points, /*source=*/nullptr, setup.variant,
-                   query, setup.weight_column, capped, setup.soup,
-                   setup.cpu_index, setup.device_index,
-                   /*ranges_out=*/nullptr,
-                   want_ranges ? &shard_fbos[s] : nullptr);
+    Result<FusedJoinOutput> join = RunVariant(
+        dev, &shard_points, setup, queries, capped, /*gather_fbos=*/true);
     if (!join.ok()) {
       shard_status[s] = join.status();
       return;
     }
-    JoinResult shard_result = std::move(join).MoveValueUnsafe();
-    partials[s].arrays = std::move(shard_result.arrays);
-    partials[s].timing = shard_result.timing;
+    shard_out[s] = std::move(join).MoveValueUnsafe();
   };
 
   // Routing metering lands on the primary device *before* the delta
@@ -957,7 +756,7 @@ Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
   }
   for (std::size_t d = 0; d < pool_->size(); ++d) {
     if (first_shard_on_device[d] != npos) {
-      partials[first_shard_on_device[d]].counters =
+      shard_counters[first_shard_on_device[d]] =
           pool_->device(d)->counters().Snapshot().DeltaSince(before[d]);
     }
   }
@@ -966,82 +765,105 @@ Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
   // matter which shard thread lost the race.
   for (const Status& st : shard_status) RJ_RETURN_NOT_OK(st);
 
-  // --- Gather: deterministic merge in ascending shard order. -------------
-  RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged, agg::MergePartials(partials));
-  out.arrays = std::move(merged.arrays);
-  out.values = FinalizeAggregate(query.aggregate, out.arrays);
-  out.timing = merged.timing;
-  out.counters = merged.counters;
-  out.counters.shards_routed += place.executed;
-  out.counters.shards_skipped += place.skipped;
-
-  // Store fresh per-shard partials for pans that re-cover these shards.
-  // Unconditional on success; the version stamp in the key keeps entries
-  // from outliving a dataset bump (mirrors the service's publish guard).
-  if (query.enable_shard_cache && !query.bypass_result_cache &&
-      result_cache_ != nullptr && !want_ranges) {
-    const query::CacheKey base_key = query::MakeCacheKey(
-        dataset_cache_key_, dataset_version(), query, setup.variant);
+  // --- Gather: per member, a deterministic merge in ascending shard
+  // order. Cached shards contribute their stored arrays as-is (bitwise
+  // identical to re-executing them); skipped shards stay default —
+  // zero-size arrays the merge skips by contract (merge_partials.h). Shard
+  // timings and counters ride member 0's merge once: they describe the
+  // shared execution.
+  std::vector<QueryResult> out(m);
+  PhaseTimer timing;
+  gpu::CountersSnapshot counters;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<agg::ShardPartial> partials(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      if (place.device_of_shard[s] >= pool_->size()) continue;
-      query::CacheKey key = base_key;
-      key.shard = s;
-      QueryResult partial;
-      partial.arrays = partials[s].arrays;
-      result_cache_->Insert(key, std::move(partial));
-    }
-  }
-
-  if (want_ranges) {
-    // The gather seed is the first executing shard's FBO — always present:
-    // the shard cache is disabled under want_ranges and forced keep
-    // guarantees at least one executing shard.
-    std::size_t first_fbo = npos;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (shard_fbos[s].has_value()) {
-        first_fbo = s;
-        break;
+      if (place.device_of_shard[s] == ShardPlacement::kCached) {
+        partials[s].arrays = place.cached[s][i]->arrays;
+      } else if (place.device_of_shard[s] < pool_->size()) {
+        partials[s].arrays = std::move(shard_out[s].arrays[i]);
+        if (i == 0) {
+          partials[s].timing = shard_out[s].timing;
+          partials[s].counters = shard_counters[s];
+        }
       }
     }
-    if (first_fbo == npos) {
-      return Status::Internal("ranges gather found no shard FBO");
+    RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged,
+                        agg::MergePartials(partials));
+    out[i].arrays = std::move(merged.arrays);
+    if (i == 0) {
+      timing = merged.timing;
+      counters = merged.counters;
     }
-    raster::Fbo gathered = std::move(*shard_fbos[first_fbo]);
-    shard_fbos[first_fbo].reset();
-    for (std::size_t s = first_fbo + 1; s < num_shards; ++s) {
+
+    // Store the member's fresh per-shard partials for pans that re-cover
+    // these shards. Unconditional on success; the version stamp in the key
+    // keeps entries from outliving a dataset bump (mirrors the service's
+    // publish guard).
+    if (ShardCacheable(queries[i], setup.variant)) {
+      const query::CacheKey base_key = query::MakeCacheKey(
+          dataset_cache_key_, dataset_version(), queries[i], setup.variant);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        if (place.device_of_shard[s] >= pool_->size()) continue;
+        query::CacheKey key = base_key;
+        key.shard = s;
+        QueryResult partial;
+        partial.arrays = partials[s].arrays;
+        result_cache_->Insert(key, std::move(partial));
+      }
+    }
+  }
+  counters.shards_routed += place.executed;
+  counters.shards_skipped += place.skipped;
+
+  for (std::size_t i = 0; i < m; ++i) {
+    std::optional<raster::Fbo> gathered;
+    for (std::size_t s = 0; s < num_shards; ++s) {
       // Accumulate and free shard by shard: canvases are multi-megabyte,
       // so holding all S copies through the range pass would multiply the
       // gather's transient footprint for nothing. Skipped shards exported
       // no FBO — and an all-default FBO accumulates as the identity, so
-      // the gathered canvas equals the all-shard one bitwise.
-      if (!shard_fbos[s].has_value()) continue;
-      AccumulateFbo(&gathered, *shard_fbos[s]);
-      shard_fbos[s].reset();
+      // the gathered canvas equals the all-shard one bitwise. The shard
+      // cache is disabled for ranges members and forced keep guarantees
+      // one executing shard, so the seed is always present.
+      if (place.device_of_shard[s] >= pool_->size() ||
+          !shard_out[s].point_fbos[i].has_value()) {
+        continue;
+      }
+      if (gathered.has_value()) {
+        AccumulateFbo(&*gathered, *shard_out[s].point_fbos[i]);
+      } else {
+        gathered = std::move(shard_out[s].point_fbos[i]);
+      }
+      shard_out[s].point_fbos[i].reset();
     }
+    if (!gathered.has_value()) continue;  // no §5 ranges requested
     // Re-derive the (single-tile — the per-shard joins validated that)
     // canvas the shards rendered on.
     RJ_ASSIGN_OR_RETURN(
         std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, query.epsilon,
+        raster::PlanCanvas(world_, lead.epsilon,
                            device_->options().max_fbo_dim));
     raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
-    ScopedPhase sp(&out.timing, phase::kProcessing);
-    // The range pass is part of this query's device work too: meter its
+    ScopedPhase sp(&timing, phase::kProcessing);
+    // The range pass is part of this group's device work too: meter its
     // primary-device delta into the attributed counters, keeping the
     // "exact when no other query overlapped" contract (result.h).
     const gpu::CountersSnapshot gather_before =
         device_->counters().Snapshot();
     RJ_ASSIGN_OR_RETURN(
-        out.ranges,
-        ComputeResultRanges(vp, *polys_, *setup.soup, gathered,
+        out[i].ranges,
+        ComputeResultRanges(vp, *polys_, *setup.soup, *gathered,
                             FinalizeAggregate(AggregateKind::kCount,
-                                              out.arrays),
+                                              out[i].arrays),
                             &device_->counters(), &device_->pool()));
-    out.counters = out.counters.Plus(
+    counters = counters.Plus(
         device_->counters().Snapshot().DeltaSince(gather_before));
   }
 
-  out.total_seconds = total.ElapsedSeconds();
+  for (QueryResult& r : out) {
+    r.timing = timing;
+    r.counters = counters;
+  }
   return out;
 }
 

@@ -4,7 +4,12 @@
 ///
 /// Owns the per-query polygon processing the paper measures in Table 1
 /// (triangulation for the raster variants, grid-index construction for the
-/// baselines) and the device(s) it executes on. Two execution shapes:
+/// baselines) and the device(s) it executes on. Every execution is a group
+/// (ExecuteFused): a solo query is a group of one, and a fusion group of
+/// compatible raster queries shares one point scan through the same path —
+/// one admission plan (PlanFusedAdmission), one placement
+/// (PlanFusedPlacement), one variant dispatch (RunVariant). Two execution
+/// shapes:
 ///
 ///  * single-device — the paper's setup: one gpu::Device runs the whole
 ///    point set (batched when out of core);
@@ -156,9 +161,11 @@ class Executor {
     static constexpr std::size_t kCached = static_cast<std::size_t>(-2);
     /// Per shard: the pool device index that executes it, or a sentinel.
     std::vector<std::size_t> device_of_shard;
-    /// Per shard: the pinned cached partial (non-null iff kCached). Pinned
-    /// at plan time so a concurrent eviction cannot strand the execution.
-    std::vector<std::shared_ptr<const QueryResult>> cached;
+    /// Per shard, per group member: the pinned cached partial (non-null
+    /// iff kCached — a shard is served from the cache only when every
+    /// member's partial is). Pinned at plan time so a concurrent eviction
+    /// cannot strand the execution.
+    std::vector<std::vector<std::shared_ptr<const QueryResult>>> cached;
     /// Executing shards per pool device, in device order — what
     /// QueryService multiplies per-shard grants by (all-or-nothing
     /// reservation over exactly the devices doing work, replicas included).
@@ -169,11 +176,18 @@ class Executor {
   };
 
   /// Plans routing, per-shard cache reuse, and replica-aware device
-  /// placement for `query` (see the file comment). Unsharded executors
-  /// report the trivial single-device placement ({1} hosted). When every
-  /// shard would be skipped, shard 0 is kept on its home device so the
-  /// merge always sees one correctly-shaped partial. Thread-safe.
+  /// placement for `query` (see the file comment): PlanFusedPlacement of
+  /// a group of one. Thread-safe.
   Result<ShardPlacement> PlanPlacement(const SpatialAggQuery& query);
+
+  /// Placement of a group (ExecuteFused): a shard is skipped only when no
+  /// member can match it, and served from the partial cache only when
+  /// every member's partial is cached. Unsharded executors report the
+  /// trivial single-device placement ({1} hosted). When every shard would
+  /// be skipped, shard 0 is kept on its home device so the merge always
+  /// sees one correctly-shaped partial. Thread-safe.
+  Result<ShardPlacement> PlanFusedPlacement(
+      const std::vector<SpatialAggQuery>& queries);
 
   /// ExecuteUncached against a placement already planned (and admitted) by
   /// the caller — QueryService plans first so the grant covers exactly the
@@ -193,30 +207,36 @@ class Executor {
   std::vector<std::vector<std::size_t>> shard_replicas() const
       RJ_EXCLUDES(replica_mutex_);
 
-  /// Executes a fusion group — compatible queries over this dataset (same
-  /// resolved raster variant; equal ε for bounded, equal canvas_dim for
-  /// accurate; aggregates/filters/§5-range requests free per member) — as
-  /// ONE shared point scan: one upload pipeline, one vertex stage per
-  /// point, per-member fragment accumulation targets (join/fused_join.h).
-  /// Returns one QueryResult per query, in input order, each bitwise
-  /// identical to ExecuteUncached of that query alone — values, arrays,
-  /// and §5 ranges — for any worker/shard count.
+  /// Executes a group — one query, or a fusion group of compatible queries
+  /// over this dataset (same resolved raster variant; equal ε for bounded,
+  /// equal canvas_dim for accurate; aggregates/filters/§5-range requests
+  /// free per member) — as ONE shared point scan: one upload pipeline, one
+  /// vertex stage per point, per-member fragment accumulation targets
+  /// (join/fused_join.h). This is the one execution path: ExecuteUncached
+  /// is a group of one. Returns one QueryResult per query, in input order,
+  /// each bitwise identical to running that query alone — values, arrays,
+  /// and §5 ranges — for any worker/shard count. Sharded groups route,
+  /// reuse and store per-shard partials like a solo query
+  /// (PlanFusedPlacement); `placement` may be null (planned internally).
   ///
   /// Group-level diagnostics: timing, counters, and total_seconds describe
   /// the shared execution and are replicated across members (per-member
   /// attribution of a shared scan would be fiction). The first member's
-  /// execution knobs (device_memory_cap_bytes, overlap_transfers) govern
-  /// the shared pipeline — the service reserves one grant for the whole
-  /// group and stamps it on every member; knobs never change result bits.
-  /// A single-member group degenerates to ExecuteUncached. Never consults
-  /// the result cache (the service layers caching per member on top).
+  /// execution knobs (device_memory_cap_bytes, overlap_transfers,
+  /// enable_block_pruning) govern the shared pipeline — the service
+  /// reserves one grant for the whole group and stamps it on every member;
+  /// knobs never change result bits. Index variants have no raster pass to
+  /// share and run only as groups of one. Never consults the whole-query
+  /// result cache (the service layers caching per member on top).
   Result<std::vector<QueryResult>> ExecuteFused(
-      const std::vector<SpatialAggQuery>& queries);
+      const std::vector<SpatialAggQuery>& queries,
+      const ShardPlacement* placement = nullptr);
 
-  /// Admission footprint of a fusion group: PlanAdmission arithmetic with
-  /// the upload stride of the UNION of all members' referenced columns
-  /// (the fused scan ships one interleaved VBO covering every member — see
-  /// FusedUploadColumns). Per shard, when sharded, like PlanAdmission.
+  /// Admission footprint of a group: the upload stride of the UNION of all
+  /// members' referenced columns (the shared scan ships one interleaved
+  /// VBO covering every member — see FusedUploadColumns), memoized per
+  /// (variant, stride, overlap). Per shard, when sharded; block-source
+  /// executors size the floor by the block capacity (see PlanAdmission).
   Result<AdmissionPlan> PlanFusedAdmission(
       const std::vector<SpatialAggQuery>& queries);
 
@@ -225,7 +245,9 @@ class Executor {
   JoinVariant ResolveVariant(const SpatialAggQuery& query) const;
 
   /// Device-memory footprint of `query` for admission control (per shard,
-  /// when sharded). Builds (and caches) the triangulation when the
+  /// when sharded): PlanFusedAdmission of a group of one. Block-source
+  /// scans upload whole blocks, so their floor (and peak) is the in-flight
+  /// blocks, not points. Builds (and caches) the triangulation when the
   /// resolved variant needs its VBO size. Thread-safe.
   Result<AdmissionPlan> PlanAdmission(const SpatialAggQuery& query);
 
@@ -325,19 +347,23 @@ class Executor {
   /// Shared constructor tail: world extent and cost-model inputs.
   void InitWorldAndCosts(const BBox& points_extent, std::size_t num_points);
 
-  /// Per-query preamble shared by both execution paths: aggregate
-  /// validation, variant resolution, upload stride, and the preprocessing
-  /// the resolved variant needs (triangulation / CPU index). One copy, so
-  /// sharded and single-device behavior cannot drift.
+  /// Per-group preamble shared by both execution paths: aggregate
+  /// validation, variant resolution and group compatibility, the union
+  /// upload stride, and the preprocessing the resolved variant needs
+  /// (triangulation / CPU index). One copy, so sharded and single-device
+  /// behavior cannot drift.
   struct QuerySetup {
-    std::size_t weight_column = PointTable::npos;
     JoinVariant variant = JoinVariant::kAuto;
     std::size_t bytes_per_point = 0;
     const TriangleSoup* soup = nullptr;       ///< raster variants
     const GridIndex* cpu_index = nullptr;     ///< kIndexCpu
     const GridIndex* device_index = nullptr;  ///< kIndexDevice (prebuilt)
   };
-  Result<QuerySetup> PrepareQuery(const SpatialAggQuery& query);
+  Result<QuerySetup> PrepareGroup(const std::vector<SpatialAggQuery>& queries);
+
+  /// Whether `query`'s per-shard partials may be read from and stored in
+  /// the result cache.
+  bool ShardCacheable(const SpatialAggQuery& query, JoinVariant variant) const;
 
   /// The query's effective spatial region for shard routing: the polygon
   /// set's extent inflated by one canvas pixel for the raster variants
@@ -348,40 +374,28 @@ class Executor {
   Result<BBox> RoutingRegion(JoinVariant variant,
                              const SpatialAggQuery& query);
 
-  /// Runs one (device, input) pair through the resolved variant — the
-  /// single variant-dispatch switch shared by the single-device path,
-  /// every shard of the scatter path, and the block-source path, so
-  /// per-variant option wiring cannot drift between them. Exactly one of
-  /// `points`/`source` is non-null (the source dispatch threads
-  /// query.enable_block_pruning into the join's block selection). `soup`
-  /// is required for the raster variants, `cpu_index` for kIndexCpu,
-  /// `device_index` is the (optional) prebuilt index for kIndexDevice;
-  /// `ranges_out`/`point_fbo_out` are the bounded variant's optional
-  /// outputs.
-  Result<JoinResult> RunVariant(gpu::Device* device, const PointTable* points,
-                                const data::PointBlockSource* source,
-                                JoinVariant variant,
-                                const SpatialAggQuery& query,
-                                std::size_t weight_column,
-                                const UploadPlan& capped,
-                                const TriangleSoup* soup,
-                                const GridIndex* cpu_index,
-                                const GridIndex* device_index,
-                                ResultRanges* ranges_out,
-                                std::optional<raster::Fbo>* point_fbo_out);
+  /// Runs a group on one (device, input) pair through the resolved
+  /// variant — the single variant-dispatch point shared by the
+  /// single-device path and every shard of the scatter path, so
+  /// per-variant option wiring cannot drift between them. `points` is the
+  /// resident input, or null to scan the executor's block source (with
+  /// the lead's enable_block_pruning). `capped` is the grant-capped batch
+  /// plan; `gather_fbos` exports ranges members' point FBOs instead of
+  /// computing their §5 ranges (the sharded gather).
+  Result<FusedJoinOutput> RunVariant(gpu::Device* device,
+                                     const PointTable* points,
+                                     const QuerySetup& setup,
+                                     const std::vector<SpatialAggQuery>& queries,
+                                     const UploadPlan& capped,
+                                     bool gather_fbos);
 
-  /// The scatter-gather path (sharded executors only). `placement` may be
-  /// null (planned internally).
-  Result<QueryResult> ExecuteSharded(const SpatialAggQuery& query,
-                                     const ShardPlacement* placement);
-
-  /// Scatter-gather for a fusion group: per-shard fused joins, then a
-  /// per-member merge in ascending shard order (plus per-member point-FBO
-  /// gathers for §5 ranges) — the fused mirror of ExecuteSharded.
-  Result<std::vector<QueryResult>> ExecuteFusedSharded(
-      const std::vector<SpatialAggQuery>& queries,
-      const std::vector<FusedMemberSpec>& members, JoinVariant variant,
-      const TriangleSoup* soup);
+  /// The scatter-gather path (sharded executors only): per-shard group
+  /// joins, then a per-member merge in ascending shard order (plus
+  /// per-member point-FBO gathers for §5 ranges). `placement` may be null
+  /// (planned internally).
+  Result<std::vector<QueryResult>> ExecuteSharded(
+      const std::vector<SpatialAggQuery>& queries, const QuerySetup& setup,
+      const ShardPlacement* placement);
 
   /// Points the batch planner sizes against: the whole table, the largest
   /// shard (each device holds at most its shards), or — source-backed —

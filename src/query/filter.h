@@ -134,6 +134,20 @@ class FilterSet {
     return true;
   }
 
+  /// Batch form of Matches over rows [begin, end): match[r] = Matches(
+  /// points, begin + r). The same comparisons, applied one conjunct at a
+  /// time down a contiguous column — branch-free, so the loop vectorizes.
+  template <typename Rows>
+  void MatchRows(const Rows& points, std::size_t begin, std::size_t end,
+                 unsigned char* match) const {
+    const std::size_t n = end - begin;
+    std::fill(match, match + n, static_cast<unsigned char>(1));
+    for (const AttributeFilter& f : filters_) {
+      const float* column = points.attribute(f.column).data() + begin;
+      for (std::size_t r = 0; r < n; ++r) match[r] &= f.Evaluate(column[r]);
+    }
+  }
+
   /// Columns referenced by any conjunct (these are the extra columns that
   /// must be transferred to the device).
   std::vector<std::size_t> ReferencedColumns() const {

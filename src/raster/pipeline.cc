@@ -1,7 +1,6 @@
 #include "raster/pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "raster/conservative.h"
@@ -50,161 +49,108 @@ void ResultArrays::AddFrom(const ResultArrays& other) {
   }
 }
 
-std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
-                         const FilterSet& filters, std::size_t weight_column,
-                         Fbo* fbo, gpu::Counters* counters, ThreadPool* pool) {
-  const std::size_t n = points.size();
-  const bool has_weight = weight_column != PointTable::npos;
-  const std::vector<float>* weights =
-      has_weight ? &points.attribute(weight_column) : nullptr;
-
-  const std::int32_t width = fbo->width();
-  const std::int32_t height = fbo->height();
-
-  std::uint64_t drawn = 0;
-  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
-  if (num_chunks <= 1) {
-    // Sequential path: vertex and fragment stage fused per point.
-    for (std::size_t i = 0; i < n; ++i) {
-      // Vertex stage: filter constraints first — failing points are
-      // positioned outside the viewport by the paper's vertex shader and
-      // clipped; here we just skip them before the transform.
-      if (!filters.Matches(points, i)) continue;
-
-      const Point s = vp.ToScreen(points.At(i));
-      const auto px = static_cast<std::int32_t>(std::floor(s.x));
-      const auto py = static_cast<std::int32_t>(std::floor(s.y));
-      if (px < 0 || px >= width || py < 0 || py >= height) {
-        continue;  // clipped by the pipeline
-      }
-
-      // Fragment stage: additive blend of the partial aggregate.
-      BlendPointFrag(fbo, {px, py, has_weight ? (*weights)[i] : 0.0f},
-                     has_weight);
-      ++drawn;
-    }
-  } else {
-    // Tiled-parallel path. Vertex stage: each chunk filters, transforms and
-    // clips its contiguous slice of the point stream, staging surviving
-    // fragments per row band.
-    BandBinner binner(num_chunks, height, /*expected_frags=*/n);
-    std::vector<std::uint64_t> drawn_per_chunk(num_chunks, 0);
-    pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
-                             std::size_t chunk) {
-      std::uint64_t local_drawn = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (!filters.Matches(points, i)) continue;
-        const Point s = vp.ToScreen(points.At(i));
-        const auto px = static_cast<std::int32_t>(std::floor(s.x));
-        const auto py = static_cast<std::int32_t>(std::floor(s.y));
-        if (px < 0 || px >= width || py < 0 || py >= height) continue;
-        binner.Push(chunk, {px, py, has_weight ? (*weights)[i] : 0.0f});
-        ++local_drawn;
-      }
-      drawn_per_chunk[chunk] = local_drawn;
-    });
-
-    // Fragment stage: each worker owns a contiguous run of row bands and
-    // blends its fragments in sequential point order (see BandBinner).
-    pool->ParallelFor(
-        binner.num_bands(),
-        [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-          binner.ReplayBands(band_begin, band_end, [&](const PointFrag& f) {
-            BlendPointFrag(fbo, f, has_weight);
-          });
-        });
-    for (const std::uint64_t d : drawn_per_chunk) drawn += d;
+void TransformTile(const Viewport& vp, const PointTable& rows,
+                   std::size_t first, std::size_t n, std::int32_t width,
+                   std::int32_t height, std::int32_t* px, std::int32_t* py) {
+  const auto w = static_cast<double>(width);
+  const auto h = static_cast<double>(height);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Point s = vp.ToScreen(rows.At(first + r));
+    // Inside the canvas truncation is the floor, so the clip runs on the
+    // continuous position and no floor is computed.
+    const bool inside = s.x >= 0.0 && s.x < w && s.y >= 0.0 && s.y < h;
+    px[r] = inside ? static_cast<std::int32_t>(s.x) : -1;
+    py[r] = inside ? static_cast<std::int32_t>(s.y) : -1;
   }
-
-  if (counters != nullptr) {
-    counters->AddVerticesProcessed(n);
-    counters->AddFragments(drawn);
-  }
-  return drawn;
 }
 
+namespace {
+
+/// The point pass over rows [begin, end) of `rows`, one tile at a time:
+/// the shared vertex stage (TransformTile), then, per target, the rows
+/// that pass the target's filters and were not clipped are selected
+/// branch-free, and `emit(t, frag)` runs for each of them in row order;
+/// drawn[t] counts them.
+template <typename Emit>
+void ShadeRows(const Viewport& vp, const PointTable& rows, std::size_t begin,
+               std::size_t end, const std::vector<MultiTarget>& targets,
+               const std::vector<const float*>& weights, std::uint64_t* drawn,
+               const Emit& emit) {
+  std::int32_t px[kPointTile] = {};
+  std::int32_t py[kPointTile] = {};
+  unsigned char match[kPointTile] = {};
+  std::uint32_t selected[kPointTile] = {};
+  for (std::size_t tile = begin; tile < end; tile += kPointTile) {
+    const std::size_t n = std::min(end - tile, kPointTile);
+    TransformTile(vp, rows, tile, n, targets[0].fbo->width(),
+                  targets[0].fbo->height(), px, py);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      targets[t].filters->MatchRows(rows, tile, tile + n, match);
+      std::size_t k = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        selected[k] = static_cast<std::uint32_t>(r);
+        k += match[r] & static_cast<unsigned char>(px[r] >= 0);
+      }
+      const float* w = weights[t];
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::uint32_t r = selected[j];
+        emit(t, PointFrag{px[r], py[r], w != nullptr ? w[tile + r] : 0.0f});
+      }
+      drawn[t] += k;
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<std::uint64_t> DrawPointsMulti(
-    const Viewport& vp, const PointTable& points,
-    const std::vector<MultiTarget>& targets, gpu::Counters* counters,
-    ThreadPool* pool) {
-  const std::size_t n = points.size();
+    const Viewport& vp, const PointTable& rows, std::size_t begin,
+    std::size_t end, const std::vector<MultiTarget>& targets,
+    gpu::Counters* counters, ThreadPool* pool) {
+  const std::size_t n = end - begin;
   const std::size_t m = targets.size();
   std::vector<std::uint64_t> drawn(m, 0);
   if (m == 0) return drawn;
 
-  std::vector<const std::vector<float>*> weights(m, nullptr);
+  // Per-target weight column (null: COUNT-only target).
+  std::vector<const float*> weights(m, nullptr);
   for (std::size_t t = 0; t < m; ++t) {
     if (targets[t].weight_column != PointTable::npos) {
-      weights[t] = &points.attribute(targets[t].weight_column);
+      weights[t] = rows.attribute(targets[t].weight_column).data();
     }
   }
 
-  const std::int32_t width = targets[0].fbo->width();
-  const std::int32_t height = targets[0].fbo->height();
-
-  // Shared vertex stage per point: the filter decision is per target, but
-  // the transform+clip runs at most once (it is a pure function of the
-  // point, so reusing it is bit-identical to each target recomputing it).
   const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
   if (num_chunks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      bool transformed = false;
-      bool clipped = false;
-      std::int32_t px = 0;
-      std::int32_t py = 0;
-      for (std::size_t t = 0; t < m; ++t) {
-        if (!targets[t].filters->Matches(points, i)) continue;
-        if (!transformed) {
-          const Point s = vp.ToScreen(points.At(i));
-          px = static_cast<std::int32_t>(std::floor(s.x));
-          py = static_cast<std::int32_t>(std::floor(s.y));
-          clipped = px < 0 || px >= width || py < 0 || py >= height;
-          transformed = true;
-        }
-        if (clipped) continue;
-        BlendPointFrag(targets[t].fbo,
-                       {px, py, weights[t] != nullptr ? (*weights[t])[i] : 0.0f},
-                       weights[t] != nullptr);
-        ++drawn[t];
-      }
-    }
+    // Sequential path: each selected fragment blends straight into its
+    // target's FBO.
+    ShadeRows(vp, rows, begin, end, targets, weights, drawn.data(),
+              [&](std::size_t t, const PointFrag& f) {
+                BlendPointFrag(targets[t].fbo, f, weights[t] != nullptr);
+              });
   } else {
-    // One binner per target: all share the band layout (same height, same
-    // chunk count), so one fragment-stage ParallelFor can replay every
-    // target's run of bands. Targets' FBOs are disjoint, which keeps each
-    // target's per-pixel blend order exactly the sequential point order.
+    // Tiled-parallel path. Vertex stage: each chunk shades its contiguous
+    // slice of the rows, staging fragments per target and row band. All
+    // binners share one band layout, so one fragment-stage ParallelFor
+    // replays every target's run of bands.
     std::vector<BandBinner> binners;
     binners.reserve(m);
     for (std::size_t t = 0; t < m; ++t) {
-      binners.emplace_back(num_chunks, height, /*expected_frags=*/n);
+      binners.emplace_back(num_chunks, targets[0].fbo->height(),
+                           /*expected_frags=*/n);
     }
-    std::vector<std::vector<std::uint64_t>> drawn_per_chunk(
-        m, std::vector<std::uint64_t>(num_chunks, 0));
-    pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
+    std::vector<std::uint64_t> drawn_per_chunk(num_chunks * m, 0);
+    pool->ParallelFor(n, [&](std::size_t chunk_begin, std::size_t chunk_end,
                              std::size_t chunk) {
-      for (std::size_t i = begin; i < end; ++i) {
-        bool transformed = false;
-        bool clipped = false;
-        std::int32_t px = 0;
-        std::int32_t py = 0;
-        for (std::size_t t = 0; t < m; ++t) {
-          if (!targets[t].filters->Matches(points, i)) continue;
-          if (!transformed) {
-            const Point s = vp.ToScreen(points.At(i));
-            px = static_cast<std::int32_t>(std::floor(s.x));
-            py = static_cast<std::int32_t>(std::floor(s.y));
-            clipped = px < 0 || px >= width || py < 0 || py >= height;
-            transformed = true;
-          }
-          if (clipped) continue;
-          binners[t].Push(
-              chunk,
-              {px, py, weights[t] != nullptr ? (*weights[t])[i] : 0.0f});
-          ++drawn_per_chunk[t][chunk];
-        }
-      }
+      ShadeRows(vp, rows, begin + chunk_begin, begin + chunk_end, targets,
+                weights, &drawn_per_chunk[chunk * m],
+                [&](std::size_t t, const PointFrag& f) {
+                  binners[t].Push(chunk, f);
+                });
     });
 
+    // Fragment stage: each worker owns a contiguous run of row bands and
+    // blends its fragments in sequential row order (see BandBinner).
     pool->ParallelFor(
         binners[0].num_bands(),
         [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
@@ -215,8 +161,8 @@ std::vector<std::uint64_t> DrawPointsMulti(
                 });
           }
         });
-    for (std::size_t t = 0; t < m; ++t) {
-      for (const std::uint64_t d : drawn_per_chunk[t]) drawn[t] += d;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      for (std::size_t t = 0; t < m; ++t) drawn[t] += drawn_per_chunk[c * m + t];
     }
   }
 
@@ -229,6 +175,14 @@ std::vector<std::uint64_t> DrawPointsMulti(
     counters->AddFragments(total);
   }
   return drawn;
+}
+
+std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
+                         const FilterSet& filters, std::size_t weight_column,
+                         Fbo* fbo, gpu::Counters* counters, ThreadPool* pool) {
+  return DrawPointsMulti(vp, points, 0, points.size(),
+                         {MultiTarget{&filters, weight_column, fbo}}, counters,
+                         pool)[0];
 }
 
 void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,

@@ -103,49 +103,61 @@ class BandBinner {
   std::vector<std::vector<PointFrag>> buckets_;
 };
 
-/// Procedure DrawPoints (§4.1): renders every point passing `filters` into
-/// `fbo` with additive blending. Channel 0 += 1; channel 1 += weight
-/// attribute (if `weight_column` != npos); channels 2/3 track min/max.
-/// Points outside the viewport are clipped. Returns the number of points
-/// actually drawn (post-filter, post-clip).
-///
-/// When `pool` has more than one worker the call runs tiled-parallel: the
-/// vertex stage splits the point stream across workers, fragments are
-/// staged per row band (BandBinner), and the fragment stage blends each
-/// band on its owning worker. Results are bitwise identical to the
-/// sequential path for any worker count.
-std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
-                         const FilterSet& filters, std::size_t weight_column,
-                         Fbo* fbo, gpu::Counters* counters,
-                         ThreadPool* pool = nullptr);
+/// Rows per tile of the point pass: a tile's staged pixels stay in L1.
+inline constexpr std::size_t kPointTile = 512;
 
-/// One member of a fused point pass (DrawPointsMulti): the member's
-/// filters decide which points it sees, its weight column supplies the
-/// blended attribute, and its FBO receives the fragments. FBOs of a fused
-/// pass must be distinct and share one canvas size.
+/// The point pass's vertex stage for one tile — rows [first, first + n)
+/// of `rows`, n ≤ kPointTile — shared by every consumer of the tile: the
+/// pixel (px[r], py[r]) of each row under `vp` on a width × height canvas,
+/// the floor of its screen position, or px[r] = py[r] = -1 when the row
+/// falls outside the canvas (clipped by the pipeline).
+void TransformTile(const Viewport& vp, const PointTable& rows,
+                   std::size_t first, std::size_t n, std::int32_t width,
+                   std::int32_t height, std::int32_t* px, std::int32_t* py);
+
+/// One target of the point pass (DrawPointsMulti): the target's filters
+/// decide which points it sees, its weight column supplies the blended
+/// attribute, and its FBO receives the fragments. The FBOs of one pass must
+/// be distinct and share one canvas size.
 struct MultiTarget {
   const FilterSet* filters = nullptr;
   std::size_t weight_column = PointTable::npos;
   Fbo* fbo = nullptr;
 };
 
-/// Fused point pass: one scan of `points` feeding every target. Per point
-/// the world→screen transform and clip run once; each target whose filters
-/// match blends the fragment into its own FBO — exactly the operations
-/// DrawPoints would perform for that target alone, in the same order, so
-/// every target's FBO is bitwise identical to a solo DrawPoints call
-/// (per-target FBOs are disjoint, so cross-target order cannot matter).
-/// Returns the per-target drawn counts.
+/// Procedure DrawPoints (§4.1) for a group of targets: one scan of rows
+/// [begin, end) of `rows`, drawn in place, feeding every target. The
+/// vertex stage runs once per point for the whole group — the
+/// world→screen transform and clip, one tile of rows at a time — then
+/// each target selects the tile's rows its filters accept (evaluated
+/// branch-free, FilterSet::MatchRows) and blends them into its own FBO
+/// with additive blending (channel 0 += 1, channel 1 += the weight
+/// attribute, channels 2/3 track min/max). Points outside the viewport are
+/// clipped. Returns the per-target drawn counts (post-filter, post-clip).
 ///
-/// Parallel path: one shared vertex stage stages fragments into one
+/// Every target's FBO is bitwise identical to drawing that target alone:
+/// the shared transform is a pure function of the point, the FBOs are
+/// disjoint, and each target sees its fragments in row order. When `pool`
+/// has more than one worker the pass runs tiled-parallel: the vertex stage
+/// splits the rows across workers and stages fragments per row band, one
 /// BandBinner per target (same band layout — the FBOs share a height), and
-/// one fragment stage replays every target's bands. Counters meter the
-/// shared scan once: vertices += points.size() (not once per target),
-/// fragments += the sum of per-target drawn counts.
+/// the fragment stage blends each band on its owning worker in row order,
+/// so results are also bitwise identical for any worker count.
+///
+/// Counters meter the shared scan once: vertices += end − begin (not once
+/// per target), fragments += the sum of the per-target drawn counts.
 std::vector<std::uint64_t> DrawPointsMulti(
-    const Viewport& vp, const PointTable& points,
-    const std::vector<MultiTarget>& targets, gpu::Counters* counters,
-    ThreadPool* pool = nullptr);
+    const Viewport& vp, const PointTable& rows, std::size_t begin,
+    std::size_t end, const std::vector<MultiTarget>& targets,
+    gpu::Counters* counters, ThreadPool* pool = nullptr);
+
+/// Procedure DrawPoints (§4.1) for one target over the whole table: the
+/// one-target DrawPointsMulti, metered the same way. Returns the number of
+/// points drawn.
+std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
+                         const FilterSet& filters, std::size_t weight_column,
+                         Fbo* fbo, gpu::Counters* counters,
+                         ThreadPool* pool = nullptr);
 
 /// Procedure DrawPolygons (§4.1): rasterizes the triangle soup (world
 /// coordinates) and, for each fragment of polygon i, adds the point FBO's

@@ -359,11 +359,10 @@ void QueryService::DispatchLoop(std::size_t slot) {
 }
 
 void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
+  // Full capacity up front: `head` must stay valid across the push_backs.
+  group->reserve(options_.max_fusion_group_size);
   const Pending& head = group->front();
   Executor* executor = executors_[head.dataset].get();
-  if (executor->source_backed()) {
-    return;  // disk scans stream blocks solo (no shared resident scan)
-  }
   const JoinVariant head_variant = executor->ResolveVariant(head.query);
   if (head_variant != JoinVariant::kBoundedRaster &&
       head_variant != JoinVariant::kAccurateRaster) {
@@ -397,12 +396,18 @@ void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
 }
 
 void QueryService::RunQuery(Pending pending) {
-  QueryStats stats;
-  stats.sequence = pending.sequence;
-  stats.dispatch_order = pending.dispatch_order;
-
   Executor* executor = dataset_executor(pending.dataset);
   // Registration precedes submission validation, so this cannot be null.
+
+  std::vector<QueryStats> stats(1);
+  stats[0].sequence = pending.sequence;
+  stats[0].dispatch_order = pending.dispatch_order;
+  const auto compute = [&]() -> Result<QueryResult> {
+    RJ_ASSIGN_OR_RETURN(
+        std::vector<QueryResult> results,
+        AdmitAndExecute(executor, {pending.query}, {&pending}, &stats));
+    return std::move(results[0]);
+  };
 
   if (cache_ != nullptr && !pending.query.bypass_result_cache) {
     // Cached path. The key is the query's semantic identity (dataset id +
@@ -417,42 +422,26 @@ void QueryService::RunQuery(Pending pending) {
         executor->ResolveVariant(pending.query));
     bool hit = false;
     Result<std::shared_ptr<const QueryResult>> shared = cache_->GetOrCompute(
-        key, [&] { return AdmitAndExecute(executor, pending, &stats); },
-        &hit,
+        key, compute, &hit,
         // Publish guard: a version bump during the flight means the key no
         // longer describes the live dataset — hand the result to this
         // flight's waiters but do not let later lookups hit it.
         [&] { return executor->dataset_version() == key.version; });
     if (!shared.ok()) {
-      Respond(&pending, shared.status(), stats);
-      return;
+      Respond(&pending, shared.status(), stats[0]);
+    } else if (hit) {
+      RespondHit(&pending, *shared.value(), fetch);
+    } else {
+      Respond(&pending, *shared.value(), stats[0]);
     }
-    QueryResult out = *shared.value();
-    if (hit) {
-      // Fresh per-query stats: a hit must not replay the miss's grants,
-      // phase timings, or counter windows (it did none of that work).
-      stats.cache_hit = true;
-      stats.granted_bytes = 0;
-      stats.granted_bytes_per_device.assign(pool_->size(), 0);
-      stats.queue_seconds = pending.queued.ElapsedSeconds();
-      stats.execute_seconds = fetch.ElapsedSeconds();
-      const gpu::CountersSnapshot now = pool_->TotalCounters();
-      stats.device_counters_before = now;
-      stats.device_counters_after = now;
-      out.cache_hit = true;
-      out.timing = PhaseTimer();
-      out.counters = gpu::CountersSnapshot();
-      out.total_seconds = fetch.ElapsedSeconds();
-    }
-    Respond(&pending, std::move(out), stats);
     return;
   }
 
   // Sequence the execution before the call: AdmitAndExecute fills `stats`
   // through the pointer, and function-argument evaluation order would
   // otherwise be free to copy `stats` first.
-  Result<QueryResult> result = AdmitAndExecute(executor, pending, &stats);
-  Respond(&pending, std::move(result), stats);
+  Result<QueryResult> result = compute();
+  Respond(&pending, std::move(result), stats[0]);
 }
 
 void QueryService::RunGroup(std::vector<Pending> group) {
@@ -475,24 +464,7 @@ void QueryService::RunGroup(std::vector<Pending> group) {
           p.dataset, executor->dataset_version(), p.query,
           executor->ResolveVariant(p.query));
       if (std::shared_ptr<const QueryResult> shared = cache_->Lookup(key)) {
-        // Same scrub as the solo hit path: a hit did no device work and
-        // never reports the original miss's grants or counters.
-        QueryStats stats;
-        stats.sequence = p.sequence;
-        stats.dispatch_order = p.dispatch_order;
-        stats.cache_hit = true;
-        stats.granted_bytes_per_device.assign(pool_->size(), 0);
-        stats.queue_seconds = p.queued.ElapsedSeconds();
-        stats.execute_seconds = fetch.ElapsedSeconds();
-        const gpu::CountersSnapshot now = pool_->TotalCounters();
-        stats.device_counters_before = now;
-        stats.device_counters_after = now;
-        QueryResult out = *shared;
-        out.cache_hit = true;
-        out.timing = PhaseTimer();
-        out.counters = gpu::CountersSnapshot();
-        out.total_seconds = fetch.ElapsedSeconds();
-        Respond(&p, std::move(out), stats);
+        RespondHit(&p, *shared, fetch);
         continue;
       }
       misses.push_back(std::move(p));
@@ -535,62 +507,18 @@ void QueryService::RunGroup(std::vector<Pending> group) {
     queries.push_back(misses[leader].query);
   }
 
-  const auto fail_all = [&](const Status& status) {
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-      QueryStats stats;
-      stats.sequence = misses[i].sequence;
-      stats.dispatch_order = misses[i].dispatch_order;
-      stats.fused_group_size = queries.size();
-      stats.queue_seconds = misses[i].queued.ElapsedSeconds();
-      Respond(&misses[i], status, stats);
-    }
-  };
-
-  // --- Phase C: fused admission — ONE grant for the whole group, sized by
-  // the union upload plan (PlanFusedAdmission), instead of N per-member
-  // grants. The group then executes as one shared scan.
-  Result<AdmissionPlan> plan = executor->PlanFusedAdmission(queries);
-  if (!plan.ok()) {
-    fail_all(plan.status());
-    return;
+  // --- Phase C: one admission and one shared scan for the distinct
+  // members — the same path a solo query takes.
+  std::vector<Pending*> waiting;
+  waiting.reserve(misses.size());
+  std::vector<QueryStats> stats(misses.size());
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    waiting.push_back(&misses[i]);
+    stats[i].sequence = misses[i].sequence;
+    stats[i].dispatch_order = misses[i].dispatch_order;
   }
-  const std::vector<std::size_t> hosted = executor->ShardsPerDevice();
-  std::size_t per_shard_grant = 0;
-  Result<gpu::PoolReservation> acquired =
-      AcquireGrant(plan.value(), hosted, &per_shard_grant);
-  if (!acquired.ok()) {
-    fail_all(acquired.status());
-    return;
-  }
-  gpu::PoolReservation grant = std::move(acquired).MoveValueUnsafe();
-  const std::size_t granted_total = grant.total_bytes();
-  std::vector<std::size_t> granted_per_device(pool_->size(), 0);
-  for (std::size_t d = 0; d < pool_->size(); ++d) {
-    granted_per_device[d] = grant.bytes_on(d);
-  }
-
-  for (SpatialAggQuery& q : queries) {
-    q.device_memory_cap_bytes = per_shard_grant;
-  }
-  const gpu::CountersSnapshot before = pool_->TotalCounters();
-  Timer exec;
-  Result<std::vector<QueryResult>> fused = executor->ExecuteFused(queries);
-  const double execute_seconds = exec.ElapsedSeconds();
-  const gpu::CountersSnapshot after = pool_->TotalCounters();
-
-  if (grant.active()) {
-    grant.Release();
-    // Empty critical section pairs with the waiters' locked try/wait cycle
-    // so the notify cannot be lost.
-    { MutexLock lock(mutex_); }
-    cv_capacity_.NotifyAll();
-  }
-
-  if (!fused.ok()) {
-    fail_all(fused.status());
-    return;
-  }
-  std::vector<QueryResult>& results = fused.value();
+  Result<std::vector<QueryResult>> results =
+      AdmitAndExecute(executor, std::move(queries), waiting, &stats);
 
   // --- Phase D: demultiplex. Per-member response and cache insert under
   // the member's own key; group-level grant/counter attribution is
@@ -598,23 +526,38 @@ void QueryService::RunGroup(std::vector<Pending> group) {
   // The version re-check mirrors the single-flight publish guard: a result
   // computed against version V is never published after a bump.
   for (std::size_t i = 0; i < misses.size(); ++i) {
-    QueryResult out = results[slot_of[i]];
-    QueryStats stats;
-    stats.sequence = misses[i].sequence;
-    stats.dispatch_order = misses[i].dispatch_order;
-    stats.fused_group_size = queries.size();
-    stats.queue_seconds = misses[i].queued.ElapsedSeconds();
-    stats.execute_seconds = execute_seconds;
-    stats.granted_bytes = granted_total;
-    stats.granted_bytes_per_device = granted_per_device;
-    stats.device_counters_before = before;
-    stats.device_counters_after = after;
+    if (!results.ok()) {
+      Respond(&misses[i], results.status(), stats[i]);
+      continue;
+    }
+    QueryResult out = results.value()[slot_of[i]];
     if (cacheable[i] && i == slot_leader[slot_of[i]] &&
         executor->dataset_version() == keys[i].version) {
       cache_->Insert(keys[i], out);
     }
-    Respond(&misses[i], std::move(out), stats);
+    Respond(&misses[i], std::move(out), stats[i]);
   }
+}
+
+void QueryService::RespondHit(Pending* pending, QueryResult out,
+                              const Timer& fetch) {
+  // A hit did no device work: it never reports the original miss's
+  // grants, phase timings, or counter windows.
+  QueryStats stats;
+  stats.sequence = pending->sequence;
+  stats.dispatch_order = pending->dispatch_order;
+  stats.cache_hit = true;
+  stats.granted_bytes_per_device.assign(pool_->size(), 0);
+  stats.queue_seconds = pending->queued.ElapsedSeconds();
+  stats.execute_seconds = fetch.ElapsedSeconds();
+  const gpu::CountersSnapshot now = pool_->TotalCounters();
+  stats.device_counters_before = now;
+  stats.device_counters_after = now;
+  out.cache_hit = true;
+  out.timing = PhaseTimer();
+  out.counters = gpu::CountersSnapshot();
+  out.total_seconds = fetch.ElapsedSeconds();
+  Respond(pending, std::move(out), stats);
 }
 
 Result<gpu::PoolReservation> QueryService::AcquireGrant(
@@ -679,12 +622,15 @@ Result<gpu::PoolReservation> QueryService::AcquireGrant(
   }
 }
 
-Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
-                                                  const Pending& pending,
-                                                  QueryStats* stats) {
-  // --- Admission: size and reserve per-device memory grants. -------------
-  Result<AdmissionPlan> plan = executor->PlanAdmission(pending.query);
-  if (!plan.ok()) return plan.status();
+Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
+    Executor* executor, std::vector<SpatialAggQuery> queries,
+    const std::vector<Pending*>& waiting, std::vector<QueryStats>* stats) {
+  for (QueryStats& s : *stats) s.fused_group_size = queries.size();
+
+  // --- Admission: size and reserve per-device memory grants — ONE grant
+  // for the whole group, sized by its union upload plan. ------------------
+  RJ_ASSIGN_OR_RETURN(AdmissionPlan plan,
+                      executor->PlanFusedAdmission(queries));
 
   // Placement before the grant: routing, per-shard cache reuse, and
   // replica-aware device selection decide which shards will actually
@@ -693,40 +639,47 @@ Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
   // reserve nothing (all-or-nothing reservation over the executing devices
   // only). Unsharded executors report the trivial {1} placement, which
   // reduces everything below to the single-budget policy.
-  Result<Executor::ShardPlacement> placed =
-      executor->PlanPlacement(pending.query);
-  if (!placed.ok()) return placed.status();
-  const Executor::ShardPlacement& placement = placed.value();
+  RJ_ASSIGN_OR_RETURN(Executor::ShardPlacement placement,
+                      executor->PlanFusedPlacement(queries));
   if (executor->sharded()) {
-    stats->shards_routed = placement.executed;
-    stats->shards_skipped = placement.skipped;
-    stats->shard_cache_hits = placement.cache_hits;
+    for (QueryStats& s : *stats) {
+      s.shards_routed = placement.executed;
+      s.shards_skipped = placement.skipped;
+      s.shard_cache_hits = placement.cache_hits;
+    }
   }
 
   std::size_t per_shard_grant = 0;
-  Result<gpu::PoolReservation> acquired =
-      AcquireGrant(plan.value(), placement.hosted, &per_shard_grant);
-  if (!acquired.ok()) return acquired.status();
-  gpu::PoolReservation grant = std::move(acquired).MoveValueUnsafe();
-  stats->granted_bytes = grant.total_bytes();
-  stats->granted_bytes_per_device.resize(pool_->size(), 0);
+  RJ_ASSIGN_OR_RETURN(
+      gpu::PoolReservation grant,
+      AcquireGrant(plan, placement.hosted, &per_shard_grant));
+  std::vector<std::size_t> granted_per_device(pool_->size(), 0);
   for (std::size_t d = 0; d < pool_->size(); ++d) {
-    stats->granted_bytes_per_device[d] = grant.bytes_on(d);
+    granted_per_device[d] = grant.bytes_on(d);
   }
 
   // --- Execution, batched to the per-shard grant. -------------------------
-  SpatialAggQuery query = pending.query;
-  query.device_memory_cap_bytes = per_shard_grant;
-  stats->queue_seconds = pending.queued.ElapsedSeconds();
-  stats->device_counters_before = pool_->TotalCounters();
+  for (SpatialAggQuery& q : queries) q.device_memory_cap_bytes = per_shard_grant;
+  for (std::size_t i = 0; i < waiting.size(); ++i) {
+    (*stats)[i].queue_seconds = waiting[i]->queued.ElapsedSeconds();
+  }
+  const gpu::CountersSnapshot before = pool_->TotalCounters();
   Timer exec;
-  // Always the uncached path: with caching on, this runs as the
-  // single-flight leader inside the service's own GetOrCompute — the
+  // Always the uncached path: with caching on, a solo query runs this as
+  // the single-flight leader inside the service's own GetOrCompute — the
   // executor's cache layer must not re-enter it. The placement planned
   // above is reused (the grant stamp changes no routing-relevant field).
-  Result<QueryResult> result = executor->ExecuteUncached(query, &placement);
-  stats->execute_seconds = exec.ElapsedSeconds();
-  stats->device_counters_after = pool_->TotalCounters();
+  Result<std::vector<QueryResult>> results =
+      executor->ExecuteFused(queries, &placement);
+  const double execute_seconds = exec.ElapsedSeconds();
+  const gpu::CountersSnapshot after = pool_->TotalCounters();
+  for (QueryStats& s : *stats) {
+    s.granted_bytes = grant.total_bytes();
+    s.granted_bytes_per_device = granted_per_device;
+    s.execute_seconds = execute_seconds;
+    s.device_counters_before = before;
+    s.device_counters_after = after;
+  }
 
   if (grant.active()) {
     grant.Release();
@@ -736,8 +689,8 @@ Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
     cv_capacity_.NotifyAll();
   }
 
-  if (result.ok()) UpdateShardHeat(executor, placement);
-  return result;
+  if (results.ok()) UpdateShardHeat(executor, placement);
+  return results;
 }
 
 void QueryService::UpdateShardHeat(

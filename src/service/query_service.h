@@ -85,7 +85,9 @@ struct ServiceOptions {
   /// same dataset, same resolved variant, same canvas (ε for bounded,
   /// canvas_dim for accurate); aggregates, columns, and filters are free —
   /// and executes them as ONE fused point scan (Executor::ExecuteFused)
-  /// under ONE admission grant sized by the group's union upload plan.
+  /// under ONE admission grant sized by the group's union upload plan —
+  /// the same admission and execution path a solo query (a group of one)
+  /// takes, on in-memory, disk-resident and sharded datasets alike.
   /// Every member's result stays bitwise identical to running it alone,
   /// and fusion is invisible at the wire level (no new response fields).
   /// See docs/SERVICE.md "Fusion groups" for the policy and the
@@ -163,10 +165,11 @@ struct QueryStats {
   /// response schema is unchanged and fusion is invisible to clients.
   std::size_t fused_group_size = 1;
   /// Sharded executions only (zero otherwise, including whole-query cache
-  /// hits and fused groups): shards that ran a join for this query, shards
-  /// the spatial router pruned, and shards served from the per-shard
-  /// partial cache. routed + skipped + cache hits == the dataset's shard
-  /// count.
+  /// hits): shards that ran a join for this query, shards the spatial
+  /// router pruned, and shards served from the per-shard partial cache.
+  /// routed + skipped + cache hits == the dataset's shard count. Fused
+  /// members report their group's placement (a shard is skipped only when
+  /// no member matches it, cached only when every member's partial is).
   std::size_t shards_routed = 0;
   std::size_t shards_skipped = 0;
   std::size_t shard_cache_hits = 0;
@@ -267,9 +270,8 @@ class QueryService {
   /// (ExecPolicy::block_pruning) and results bitwise identical to an
   /// in-memory registration of the same rows. Each call opens the file
   /// anew and mints a fresh dataset id (an existing `name` is shadowed,
-  /// like re-using a name in RegisterDataset). Fusion groups are never
-  /// formed over disk-resident datasets — members execute as individual
-  /// block scans.
+  /// like re-using a name in RegisterDataset). Fusion groups form over
+  /// disk-resident datasets too: a group streams one block scan.
   Result<std::size_t> RegisterDatasetFromFile(const std::string& path,
                                               const PolygonSet* polys,
                                               std::string name = "");
@@ -394,12 +396,18 @@ class QueryService {
 
   /// Fused execution of a collected group: per-member cache probe (hits
   /// leave the group), in-group dedupe of semantically identical members,
-  /// ONE admission grant sized by Executor::PlanFusedAdmission, one
-  /// ExecuteFused scan, then per-member demux / cache insert / respond.
+  /// AdmitAndExecute of the distinct members — the solo path's admission
+  /// and execution — then per-member demux / cache insert / respond.
   /// Degenerates to RunQuery when one miss remains.
   void RunGroup(std::vector<Pending> group);
 
-  /// The admission try/wait cycle shared by the solo and fused paths:
+  /// Answers `pending` from a cached result with fresh hit stats: a hit
+  /// did no device work, so it never replays the miss's grants, phase
+  /// timings, or counter windows.
+  void RespondHit(Pending* pending, QueryResult out, const Timer& fetch)
+      RJ_EXCLUDES(mutex_);
+
+  /// The admission try/wait cycle of AdmitAndExecute:
   /// places `plan` against the per-device shard counts, waits (bounded)
   /// for pool capacity, and returns the all-or-nothing reservation plus
   /// the uniform per-shard grant (empty reservation and grant 0 when
@@ -409,17 +417,21 @@ class QueryService {
       const AdmissionPlan& plan, const std::vector<std::size_t>& hosted,
       std::size_t* per_shard_grant) RJ_EXCLUDES(mutex_);
 
-  /// The uncached execution path: plans the shard placement (routing /
-  /// per-shard cache / replicas), sizes and reserves the per-device grants
-  /// against exactly the executing devices, executes batched to the
-  /// per-shard grant, releases, then feeds the placement into the shard
-  /// heat tracker. Fills the grant/counter/timing/routing fields of
-  /// `stats`. With caching on, this is the single-flight leader's compute
-  /// function — followers and hits never enter it (cache hits bypass
-  /// admission entirely).
-  Result<QueryResult> AdmitAndExecute(Executor* executor,
-                                      const Pending& pending,
-                                      QueryStats* stats);
+  /// The uncached execution path of a group — one query, or the distinct
+  /// members of a fusion group: plans the group's shard placement
+  /// (routing / per-shard cache / replicas), sizes and reserves ONE set of
+  /// per-device grants (Executor::PlanFusedAdmission, the union upload
+  /// plan) against exactly the executing devices, executes the group
+  /// batched to the per-shard grant (Executor::ExecuteFused), releases,
+  /// then feeds the placement into the shard heat tracker. `waiting` are
+  /// the submissions this execution answers; (*stats)[i] receives the
+  /// group's grant/counter/timing/routing fields and waiting[i]'s queue
+  /// time. With caching on, a solo query runs this as the single-flight
+  /// leader's compute function — followers and hits never enter it (cache
+  /// hits bypass admission entirely).
+  Result<std::vector<QueryResult>> AdmitAndExecute(
+      Executor* executor, std::vector<SpatialAggQuery> queries,
+      const std::vector<Pending*>& waiting, std::vector<QueryStats>* stats);
 
   /// EWMA heat update from one executed placement; every
   /// replica_update_interval-th execution of a dataset re-derives its

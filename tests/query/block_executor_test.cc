@@ -2,8 +2,8 @@
 /// \brief Executor over a PointBlockSource (the disk-resident registration
 /// path): every variant must be bitwise identical to an in-memory executor
 /// over the materialized rows, admission must be sized by the block
-/// capacity, the pruning knob must stay outside query identity, and fused
-/// execution must degenerate to per-member runs.
+/// capacity, the pruning knob must stay outside query identity, and a
+/// fused group must match per-member runs from one block scan.
 #include "query/executor.h"
 
 #include <gtest/gtest.h>
@@ -233,15 +233,26 @@ TEST_F(BlockExecutorTest, FusedExecutionMatchesIndividualRuns) {
   sum.aggregate_column = 0;
   sum.with_result_ranges = true;
 
+  const gpu::Counters& counters = src_device_->counters();
+  const gpu::CountersSnapshot before_fused = counters.Snapshot();
   auto fused = src_executor_->ExecuteFused({count, sum});
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   ASSERT_EQ(fused.value().size(), 2u);
+  const gpu::CountersSnapshot fused_delta =
+      counters.Snapshot().DeltaSince(before_fused);
+
+  const gpu::CountersSnapshot before_solo = counters.Snapshot();
   auto solo_count = src_executor_->ExecuteUncached(count);
+  const gpu::CountersSnapshot solo_delta =
+      counters.Snapshot().DeltaSince(before_solo);
   auto solo_sum = src_executor_->ExecuteUncached(sum);
   ASSERT_TRUE(solo_count.ok());
   ASSERT_TRUE(solo_sum.ok());
   ExpectIdentical(solo_count.value(), fused.value()[0]);
   ExpectIdentical(solo_sum.value(), fused.value()[1]);
+  // The group streams the block scan once, not once per member.
+  EXPECT_GT(solo_delta.blocks_scanned, 0u);
+  EXPECT_EQ(fused_delta.blocks_scanned, solo_delta.blocks_scanned);
 }
 
 }  // namespace

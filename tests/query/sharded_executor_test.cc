@@ -367,6 +367,32 @@ TEST(ShardedRoutingTest, QuarterExtentQueriesSkipHalfTheShardsBitwise) {
           EXPECT_EQ(full.value().counters.shards_routed, shards);
           ExpectIdenticalResults(expected[q], full.value());
           ExpectIdenticalResults(routed.value(), full.value());
+
+          // The same query fused with a second member (different
+          // aggregate, same canvas) routes too: a shard is skipped only
+          // when no member can match it, and each member stays bitwise
+          // equal to its unrouted solo run.
+          if (workload[q].variant != JoinVariant::kBoundedRaster &&
+              workload[q].variant != JoinVariant::kAccurateRaster) {
+            continue;  // index variants have no raster pass to fuse
+          }
+          SpatialAggQuery partner = workload[q];
+          partner.aggregate = AggregateKind::kMax;
+          partner.aggregate_column = 0;
+          partner.with_result_ranges = false;
+          auto fused = executor.ExecuteFused({workload[q], partner});
+          ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+          ASSERT_EQ(fused.value().size(), 2u);
+          EXPECT_GT(fused.value()[0].counters.shards_skipped, 0u);
+          EXPECT_EQ(fused.value()[0].counters.shards_routed +
+                        fused.value()[0].counters.shards_skipped,
+                    shards);
+          SpatialAggQuery unrouted_partner = partner;
+          unrouted_partner.enable_shard_routing = false;
+          auto partner_full = executor.Execute(unrouted_partner);
+          ASSERT_TRUE(partner_full.ok()) << partner_full.status().ToString();
+          ExpectIdenticalResults(full.value(), fused.value()[0]);
+          ExpectIdenticalResults(partner_full.value(), fused.value()[1]);
         }
       }
     }

@@ -172,7 +172,7 @@ TEST(DiskDatasetTest, ListDatasetsAndWireReportResidency) {
   std::remove(path.c_str());
 }
 
-TEST(DiskDatasetTest, FusionIsNeverFormedOverDiskDatasets) {
+TEST(DiskDatasetTest, QueuedQueriesFuseOverDiskDatasets) {
   Dataset data = MakeDataset(6, 8000, 53);
   const std::string path = WriteBlockFile(data, "disk_fusion.rjb", 1024);
 
@@ -186,7 +186,7 @@ TEST(DiskDatasetTest, FusionIsNeverFormedOverDiskDatasets) {
 
   // A slow head query occupies the single dispatcher while four
   // fusion-compatible queries queue behind it — the shape that fuses for
-  // in-memory datasets must execute member by member here.
+  // in-memory datasets fuses over the block scan too.
   SpatialAggQuery warmup;
   warmup.variant = JoinVariant::kAccurateRaster;
   warmup.accurate_canvas_dim = 1024;
@@ -218,7 +218,7 @@ TEST(DiskDatasetTest, FusionIsNeverFormedOverDiskDatasets) {
     ServiceResponse response = futures[i].get();
     ASSERT_TRUE(response.result.ok())
         << response.result.status().ToString();
-    EXPECT_EQ(response.stats.fused_group_size, 1u) << "member " << i;
+    EXPECT_GT(response.stats.fused_group_size, 1u) << "member " << i;
     auto solo = executor->ExecuteUncached(group[i]);
     ASSERT_TRUE(solo.ok());
     ExpectIdenticalResults(solo.value(), response.result.value());
