@@ -36,14 +36,14 @@ int main() {
     // Count marked boundary pixels at the accurate join's resolution.
     const std::int32_t dim = 2048;
     raster::Viewport vp(world, dim, dim);
-    raster::Fbo boundary(dim, dim);
+    raster::BoundaryMask boundary(dim, dim);
     Timer t_outline;
     raster::DrawBoundaries(vp, polys, conservative, &boundary, nullptr);
     const double outline_ms = t_outline.ElapsedMillis();
     std::size_t marked = 0;
     for (std::int32_t y = 0; y < dim; ++y) {
       for (std::int32_t x = 0; x < dim; ++x) {
-        marked += raster::IsBoundaryPixel(boundary, x, y) ? 1 : 0;
+        marked += boundary.IsMarked(x, y) ? 1 : 0;
       }
     }
 
@@ -55,8 +55,8 @@ int main() {
     Timer t_join;
     // Step 2: points.
     std::uint64_t boundary_pts = 0;
-    auto index =
-        GridIndex::Build(polys, world, 1024, GridAssignMode::kMbr);
+    auto index = GridIndex::Build(polys, world, kDefaultGridResolution,
+                                  GridAssignMode::kMbr);
     if (!index.ok()) return 1;
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point p = points.At(i);
@@ -64,7 +64,7 @@ int main() {
       const auto px = static_cast<std::int32_t>(std::floor(s.x));
       const auto py = static_cast<std::int32_t>(std::floor(s.y));
       if (px < 0 || px >= dim || py < 0 || py >= dim) continue;
-      if (raster::IsBoundaryPixel(boundary, px, py)) {
+      if (boundary.IsMarked(px, py)) {
         ++boundary_pts;
         auto [cb, ce] = index.value().Candidates(p);
         for (const std::int32_t* c = cb; c != ce; ++c) {

@@ -105,7 +105,7 @@ int main() {
   // Warm the preprocessing caches so cold-vs-warm isolates the *result*
   // cache, not first-query triangulation.
   (void)executor->GetTriangulation();
-  (void)executor->GetCpuIndex(1024);
+  (void)executor->GetCpuIndex(kDefaultGridResolution);
 
   // Uncached ground truth through the very same executor.
   std::vector<std::vector<double>> expected;
@@ -196,7 +196,8 @@ int main() {
     service::QueryService sweep_service(&sweep_device, sopts);
     const std::size_t ds = sweep_service.RegisterDataset(&points, &polys);
     (void)sweep_service.dataset_executor(ds)->GetTriangulation();
-    (void)sweep_service.dataset_executor(ds)->GetCpuIndex(1024);
+    (void)sweep_service.dataset_executor(ds)->GetCpuIndex(
+        kDefaultGridResolution);
 
     Rng rng(12345 + static_cast<std::uint64_t>(p * 100));
     std::size_t next_distinct = 0;

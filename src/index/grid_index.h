@@ -17,6 +17,11 @@
 
 namespace rj {
 
+/// Grid resolution (cells per side) of every polygon index the joins build
+/// by default — the paper's 1024² (§6.1). One constant, so the accurate
+/// join's index and the device index join's cached index are one index.
+inline constexpr std::int32_t kDefaultGridResolution = 1024;
+
 /// How polygons are assigned to grid cells.
 enum class GridAssignMode {
   /// Assign to every cell intersecting the polygon's MBR (paper's GPU

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "geometry/pip.h"
-#include "index/grid_index.h"
 #include "join/batch_pipeline.h"
 #include "raster/fbo_pool.h"
 #include "raster/pipeline.h"
@@ -97,13 +96,12 @@ ScanPlan PlanBlockScan(gpu::Device* device,
 
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
     gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
+    const TriangleSoup& soup, const BBox& world, double epsilon,
     const std::vector<FusedMemberSpec>& members,
     BoundedRasterJoinStats* stats) {
   RJ_RETURN_NOT_OK(
       ValidateMembers(scan.source->num_attributes(), polys, members));
-  if (options.epsilon <= 0.0) {
+  if (epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
   const std::size_t m = members.size();
@@ -112,7 +110,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
   // Plan the canvas tiling for the requested ε (Fig. 5).
   RJ_ASSIGN_OR_RETURN(
       std::vector<raster::CanvasTile> tiles,
-      raster::PlanCanvas(world, options.epsilon, device->options().max_fbo_dim));
+      raster::PlanCanvas(world, epsilon, device->options().max_fbo_dim));
   for (const FusedMemberSpec& member : members) {
     if ((member.compute_result_ranges || member.export_point_fbo) &&
         tiles.size() != 1) {
@@ -194,7 +192,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
       {
         ScopedPhase sp(&out.timing, phase::kProcessing);
         raster::ResultArrays tile_result(polys.size());
-        raster::DrawPolygons(vp, soup, point_fbo, /*boundary_fbo=*/nullptr,
+        raster::DrawPolygons(vp, soup, point_fbo, /*boundary=*/nullptr,
                              &tile_result, &device->counters(),
                              &device->pool());
         out.arrays[i].AddFrom(tile_result);
@@ -225,8 +223,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
 
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
     gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
+    const TriangleSoup& soup, const AccurateCanvas& canvas,
     const std::vector<FusedMemberSpec>& members,
     AccurateRasterJoinStats* stats) {
   RJ_RETURN_NOT_OK(
@@ -237,40 +234,16 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
           "result ranges / point-FBO export are bounded-variant features");
     }
   }
+  // The per-member point canvases are device FBOs at the canvas size.
+  RJ_ASSIGN_OR_RETURN(const std::int32_t dim,
+                      ResolveAccurateCanvasDim(canvas.dim, *device));
   const std::size_t m = members.size();
 
-  const std::int32_t dim = options.canvas_dim > 0
-                               ? options.canvas_dim
-                               : device->options().max_fbo_dim;
-  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
-  if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
-    return Status::InvalidArgument("world extent is empty");
-  }
-
   FusedJoinOutput out = MakeOutput(m, polys.size());
-  raster::Viewport vp(world, dim, dim);
-
-  // --- Step 1: draw polygon outlines (conservative rasterization). The
-  // boundary FBO and grid index depend only on the polygons and the
-  // canvas — member-independent, built once for the group.
-  raster::FboLease boundary_lease = raster::FboPool::Shared().Acquire(dim, dim);
-  raster::Fbo& boundary_fbo = *boundary_lease;
-  {
-    ScopedPhase sp(&out.timing, phase::kProcessing);
-    raster::DrawBoundaries(vp, polys, /*conservative=*/true, &boundary_fbo,
-                           &device->counters(), &device->pool());
-  }
-
-  // Build the grid index on the device, on the fly (§6.1 "Polygon Index").
-  RJ_ASSIGN_OR_RETURN(
-      GridIndex index,
-      [&]() {
-        Timer t;
-        auto r = GridIndex::Build(polys, world, options.index_resolution,
-                                  GridAssignMode::kMbr);
-        out.timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
-        return r;
-      }());
+  raster::Viewport vp(canvas.world, dim, dim);
+  // Step 1's products, shared read-only (see AccurateCanvas).
+  const raster::BoundaryMask& boundary_mask = canvas.boundary;
+  const GridIndex& index = *canvas.index;
 
   // Pooled per-member point canvases (see fbo_pool.h).
   std::vector<raster::FboLease> point_leases;
@@ -352,8 +325,8 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
         contained.clear();
         for (std::size_t r = 0; r < n; ++r) {
           ids_begin[r] = static_cast<std::uint32_t>(contained.size());
-          on_boundary[r] = accepted[r] != 0 &&
-                           raster::IsBoundaryPixel(boundary_fbo, px[r], py[r]);
+          on_boundary[r] =
+              accepted[r] != 0 && boundary_mask.IsMarked(px[r], py[r]);
           if (accepted[r] == 0) continue;
           if (!on_boundary[r]) {
             ++*interior;
@@ -471,7 +444,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   for (std::size_t t = 0; t < m; ++t) {
     ScopedPhase sp(&out.timing, phase::kProcessing);
     raster::ResultArrays poly_pass(polys.size());
-    raster::DrawPolygons(vp, soup, *point_leases[t], &boundary_fbo,
+    raster::DrawPolygons(vp, soup, *point_leases[t], &boundary_mask,
                          &poly_pass, &device->counters(), &device->pool());
     out.arrays[t].AddFrom(poly_pass);
     device->counters().AddRenderPasses(1);

@@ -17,7 +17,10 @@
 /// Compatibility is structural: members must agree on everything that shapes
 /// the shared scan — the dataset, the variant, and the canvas (ε for
 /// bounded, canvas_dim for accurate). Aggregates, weight columns, filters,
-/// and §5 range requests are free per member.
+/// and §5 range requests are free per member. The accurate core's
+/// polygon-side state (boundary mask and grid index, AccurateCanvas) is
+/// not even per group: the caller prepares it, and the Executor shares one
+/// per canvas size across every shard, member and query.
 ///
 /// Determinism contract: every member's arrays / ranges / exported FBO are
 /// bitwise identical to running that member alone with any batch size,
@@ -64,18 +67,6 @@ struct FusedMemberSpec {
   /// partials), letting the Executor recompute §5 ranges bitwise-identically
   /// across any shard count (docs/SERVICE.md).
   bool export_point_fbo = false;
-};
-
-/// The group-wide half: what every member must share.
-struct FusedJoinOptions {
-  /// Hausdorff bound ε (bounded variant; defines the shared canvas).
-  double epsilon = 10.0;
-
-  /// Canvas resolution (accurate variant; 0 = device max_fbo_dim).
-  std::int32_t canvas_dim = 0;
-
-  /// Grid-index resolution for boundary points (accurate variant).
-  std::int32_t index_resolution = 1024;
 };
 
 /// What one execution produces: slot i belongs to the i-th member.
@@ -128,27 +119,31 @@ ScanPlan PlanBlockScan(gpu::Device* device,
 std::vector<std::size_t> FusedUploadColumns(
     const std::vector<FusedMemberSpec>& members);
 
-/// Bounded raster join (§4.1–4.2) for a group: one triangle-VBO upload,
-/// one BatchPipeline scan, one DrawPointsMulti per tile/batch, then a
+/// Bounded raster join (§4.1–4.2) for a group sharing the Hausdorff bound
+/// `epsilon` (which defines the canvas): one triangle-VBO upload, one
+/// BatchPipeline scan, one DrawPointsMulti per tile/batch, then a
 /// per-member DrawPolygons + optional §5 ranges. `stats` (optional)
 /// receives group-level diagnostics; points_drawn sums the members' draws.
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
     gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
+    const TriangleSoup& soup, const BBox& world, double epsilon,
     const std::vector<FusedMemberSpec>& members,
     BoundedRasterJoinStats* stats = nullptr);
 
-/// Accurate raster join (§4.3) for a group: the boundary FBO and grid index
-/// are member-independent and built once; each boundary point's containing
-/// polygons are resolved once and accumulated into every matching member.
-/// PIP tests — and the boundary/interior point counts in `stats` — are
-/// metered once per point (not per member): shared work is the point of
-/// fusion, and the counters reflect the work actually executed.
+/// Accurate raster join (§4.3) for a group on a prepared canvas (Step 1's
+/// boundary mask and the grid index — PrepareAccurateCanvas); the core
+/// reads it and builds nothing, so any number of concurrent joins may
+/// share one. Steps 2 and 3 run here: one shared scan classifies each
+/// point against the mask, each boundary point's containing polygons are
+/// resolved once and accumulated into every matching member, and each
+/// member's polygon pass skips the marked pixels. PIP tests — and the
+/// boundary/interior point counts in `stats` — are metered once per point
+/// (not per member): shared work is the point of fusion, and the counters
+/// reflect the work actually executed. The canvas must fit the device
+/// (ResolveAccurateCanvasDim).
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
     gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
+    const TriangleSoup& soup, const AccurateCanvas& canvas,
     const std::vector<FusedMemberSpec>& members,
     AccurateRasterJoinStats* stats = nullptr);
 

@@ -18,7 +18,7 @@
 namespace rj {
 
 struct IndexJoinOptions {
-  std::int32_t index_resolution = 1024;
+  std::int32_t index_resolution = kDefaultGridResolution;
   /// Cell-assignment mode; the CPU baseline uses exact geometry (§7.1),
   /// the device baseline MBRs (§6.1).
   GridAssignMode assign_mode = GridAssignMode::kMbr;

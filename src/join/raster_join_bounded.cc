@@ -32,12 +32,10 @@ Result<JoinResult> RunSolo(gpu::Device* device, ScanPlan scan,
   if (options.compute_result_ranges && ranges_out == nullptr) {
     return Status::InvalidArgument("compute_result_ranges requires ranges_out");
   }
-  FusedJoinOptions group;
-  group.epsilon = options.epsilon;
   RJ_ASSIGN_OR_RETURN(FusedJoinOutput out,
                       FusedBoundedRasterJoin(device, std::move(scan), polys,
-                                             soup, world, group, member,
-                                             stats));
+                                             soup, world, options.epsilon,
+                                             member, stats));
   JoinResult result;
   result.arrays = std::move(out.arrays[0]);
   result.timing = std::move(out.timing);

@@ -171,27 +171,17 @@ StreamingAccurateJoin::~StreamingAccurateJoin() = default;
 Status StreamingAccurateJoin::Init() {
   if (initialized_) return Status::Internal("Init() called twice");
   RJ_RETURN_NOT_OK(ValidatePolygonIds(*polys_));
-  dim_ = options_.canvas_dim > 0 ? options_.canvas_dim
-                                 : device_->options().max_fbo_dim;
-  if (world_.IsEmpty() || world_.Width() <= 0 || world_.Height() <= 0) {
-    return Status::InvalidArgument("world extent is empty");
-  }
+  RJ_ASSIGN_OR_RETURN(const std::int32_t dim,
+                      ResolveAccurateCanvasDim(options_.canvas_dim, *device_));
   result_ = JoinResult(polys_->size());
-  vp_ = std::make_unique<raster::Viewport>(world_, dim_, dim_);
-  boundary_fbo_ = std::make_unique<raster::Fbo>(dim_, dim_);
-  point_fbo_ = std::make_unique<raster::Fbo>(dim_, dim_);
-  {
-    ScopedPhase sp(&result_.timing, phase::kProcessing);
-    raster::DrawBoundaries(*vp_, *polys_, /*conservative=*/true,
-                           boundary_fbo_.get(), &device_->counters());
-  }
-  Timer t;
   RJ_ASSIGN_OR_RETURN(
-      GridIndex index,
-      GridIndex::Build(*polys_, world_, options_.index_resolution,
-                       GridAssignMode::kMbr));
-  index_ = std::make_unique<GridIndex>(std::move(index));
-  result_.timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
+      AccurateCanvas canvas,
+      PrepareAccurateCanvas(*polys_, world_, dim, options_.index_resolution,
+                            &device_->counters(), &device_->pool(),
+                            &result_.timing));
+  canvas_ = std::make_unique<AccurateCanvas>(std::move(canvas));
+  vp_ = std::make_unique<raster::Viewport>(world_, dim, dim);
+  point_fbo_ = std::make_unique<raster::Fbo>(dim, dim);
   pipeline_ = std::make_unique<join::BatchPipeline>(
       device_, UploadColumns(options_.filters, options_.weight_column),
       join::BatchPipelineOptions{options_.overlap_transfers});
@@ -212,13 +202,15 @@ void StreamingAccurateJoin::ProcessBatch(const PointTable& batch) {
     const Point s = vp_->ToScreen(p);
     const auto px = static_cast<std::int32_t>(std::floor(s.x));
     const auto py = static_cast<std::int32_t>(std::floor(s.y));
-    if (px < 0 || px >= dim_ || py < 0 || py >= dim_) continue;
+    if (px < 0 || px >= canvas_->dim || py < 0 || py >= canvas_->dim) {
+      continue;
+    }
 
     const float w =
         has_weight ? batch.attribute(options_.weight_column)[i] : 0.0f;
-    if (raster::IsBoundaryPixel(*boundary_fbo_, px, py)) {
+    if (canvas_->boundary.IsMarked(px, py)) {
       ++boundary_points_;
-      auto [cb, ce] = index_->Candidates(p);
+      auto [cb, ce] = canvas_->index->Candidates(p);
       for (const std::int32_t* c = cb; c != ce; ++c) {
         const Polygon& poly = (*polys_)[static_cast<std::size_t>(*c)];
         if (!poly.Contains(p)) continue;
@@ -291,11 +283,11 @@ Result<JoinResult> StreamingAccurateJoin::Finish() {
   RJ_RETURN_NOT_OK(pipeline_->Drain(&result_.timing));
   ScopedPhase sp(&result_.timing, phase::kProcessing);
   raster::ResultArrays poly_pass(polys_->size());
-  raster::DrawPolygons(*vp_, *soup_, *point_fbo_, boundary_fbo_.get(),
+  raster::DrawPolygons(*vp_, *soup_, *point_fbo_, &canvas_->boundary,
                        &poly_pass, &device_->counters());
   result_.arrays.AddFrom(poly_pass);
   device_->counters().AddRenderPasses(1);
-  boundary_fbo_.reset();
+  canvas_.reset();
   point_fbo_.reset();
   return std::move(result_);
 }

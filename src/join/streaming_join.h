@@ -99,9 +99,10 @@ class StreamingBoundedJoin {
   bool finished_ = false;
 };
 
-/// Streaming accurate raster join: boundary FBO and grid index built once
-/// in Init(); AddBatch() classifies points (fast raster path vs exact PIP
-/// path); Finish() runs the polygon pass.
+/// Streaming accurate raster join: Init() prepares the canvas (boundary
+/// mask and grid index, PrepareAccurateCanvas) once; AddBatch() classifies
+/// points (fast raster path vs exact PIP path); Finish() runs the polygon
+/// pass.
 class StreamingAccurateJoin {
  public:
   StreamingAccurateJoin(gpu::Device* device, const PolygonSet* polys,
@@ -135,11 +136,9 @@ class StreamingAccurateJoin {
   BBox world_;
   AccurateRasterJoinOptions options_;
 
-  std::int32_t dim_ = 0;
+  std::unique_ptr<AccurateCanvas> canvas_;
   std::unique_ptr<raster::Viewport> vp_;
-  std::unique_ptr<raster::Fbo> boundary_fbo_;
   std::unique_ptr<raster::Fbo> point_fbo_;
-  std::unique_ptr<GridIndex> index_;
   std::unique_ptr<join::BatchPipeline> pipeline_;
   std::atomic<std::uint64_t>* version_counter_ = nullptr;
   JoinResult result_;

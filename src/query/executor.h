@@ -2,9 +2,13 @@
 /// \brief Query executor: prepares polygon data, dispatches to the chosen
 /// join operator, and finalizes the aggregate.
 ///
-/// Owns the per-query polygon processing the paper measures in Table 1
-/// (triangulation for the raster variants, grid-index construction for the
-/// baselines) and the device(s) it executes on. Every execution is a group
+/// Owns the polygon processing the paper measures in Table 1
+/// (triangulation for the raster variants, grid-index construction) and
+/// the device(s) it executes on. Polygon-side structures depend only on
+/// the immutable polygon set and the canvas, so each is built once and
+/// shared by every query: the triangulation, the grid indexes, and the
+/// accurate variant's canvases (boundary mask + MBR grid index, one per
+/// canvas size, GetAccurateCanvas). Every execution is a group
 /// (ExecuteFused): a solo query is a group of one, and a fusion group of
 /// compatible raster queries shares one point scan through the same path —
 /// one admission plan (PlanFusedAdmission), one placement
@@ -35,10 +39,11 @@
 ///
 /// Thread-safety contract (docs/SERVICE.md): one Executor may serve
 /// concurrent Execute() calls from many threads. The preprocessing caches
-/// (triangulation, CPU grid indexes) are built once under an internal
-/// mutex and then shared read-only; everything else in Execute() works on
-/// per-call state. Mutating cost_params() while queries are in flight is
-/// not synchronized — configure it before serving traffic.
+/// (triangulation and CPU grid indexes under one mutex; the device grid
+/// indexes and accurate canvases under another) are built once and then
+/// shared read-only; everything else in Execute() works on per-call state.
+/// Mutating cost_params() while queries are in flight is not synchronized
+/// — configure it before serving traffic.
 #pragma once
 
 #include <atomic>
@@ -98,9 +103,11 @@ struct AdmissionPlan {
 };
 
 /// Executes spatial aggregation queries against one (points, polygons)
-/// pair. Polygon preprocessing (triangulation; CPU index) is computed
-/// lazily and cached across queries, mirroring the paper's setup where
-/// CPU indexes are pre-built but device structures are per-query.
+/// pair. Polygon preprocessing (triangulation, grid indexes, accurate
+/// canvases) is computed lazily on first use and cached across queries:
+/// the paper pre-builds CPU indexes and rebuilds the device structures per
+/// query, but both are pure functions of the immutable polygon set, so
+/// one build gives every query the same bits.
 class Executor {
  public:
   /// Single-device executor. Neither `points` nor `polys` are copied; both
@@ -298,13 +305,32 @@ class Executor {
   [[nodiscard]] Result<const GridIndex*> GetCpuIndex(std::int32_t resolution)
       RJ_EXCLUDES(prep_mutex_);
 
-  /// Cached MBR-mode grid index for the device index-join variant. The
-  /// paper's §6.2 baseline rebuilds this per query; caching it across
-  /// queries (it is a pure function of the immutable polygon set, world,
-  /// and resolution) removes the rebuild from repeated traffic without
-  /// changing results — IndexJoinDevice consumes it as a prebuilt index.
+  /// Cached MBR-mode grid index over world() at `resolution`, for the
+  /// device index-join variant and (at kDefaultGridResolution) every
+  /// accurate canvas — one object, shared. The paper's §6.2 baseline
+  /// rebuilds this per query; caching it across queries (it is a pure
+  /// function of the immutable polygon set, world, and resolution) removes
+  /// the rebuild from repeated traffic without changing results —
+  /// IndexJoinDevice consumes it as a prebuilt index.
   [[nodiscard]] Result<const GridIndex*> GetDeviceIndex(
-      std::int32_t resolution) RJ_EXCLUDES(prep_mutex_);
+      std::int32_t resolution) RJ_EXCLUDES(canvas_mutex_);
+
+  /// The accurate variant's polygon-side state (join/raster_join_accurate.h
+  /// AccurateCanvas) for a query's `canvas_dim`, resolved against the
+  /// device (ResolveAccurateCanvasDim: 0 and an explicit max_fbo_dim are
+  /// one canvas; above max_fbo_dim is InvalidArgument). Built on first use
+  /// — the boundary pass runs on device() and meters its fragments there,
+  /// once — around GetDeviceIndex(kDefaultGridResolution), then shared
+  /// read-only by every shard, fusion member and later query on that
+  /// canvas. The most recent kMaxAccurateCanvases sizes stay cached
+  /// (least recently used evicted first); an in-flight query keeps its
+  /// canvas alive through the returned pointer. Thread-safe; concurrent
+  /// first uses build once.
+  [[nodiscard]] Result<std::shared_ptr<const AccurateCanvas>>
+  GetAccurateCanvas(std::int32_t canvas_dim) RJ_EXCLUDES(canvas_mutex_);
+
+  /// Accurate canvas sizes GetAccurateCanvas keeps at once.
+  static constexpr std::size_t kMaxAccurateCanvases = 4;
 
   /// Cost-model parameters for the kAuto variant. Not synchronized:
   /// configure before serving concurrent queries.
@@ -350,12 +376,14 @@ class Executor {
   /// Per-group preamble shared by both execution paths: aggregate
   /// validation, variant resolution and group compatibility, the union
   /// upload stride, and the preprocessing the resolved variant needs
-  /// (triangulation / CPU index). One copy, so sharded and single-device
-  /// behavior cannot drift.
+  /// (triangulation / accurate canvas / index). One copy, so sharded and
+  /// single-device behavior cannot drift.
   struct QuerySetup {
     JoinVariant variant = JoinVariant::kAuto;
     std::size_t bytes_per_point = 0;
     const TriangleSoup* soup = nullptr;       ///< raster variants
+    /// kAccurateRaster: the group's canvas, held for the execution.
+    std::shared_ptr<const AccurateCanvas> canvas;
     const GridIndex* cpu_index = nullptr;     ///< kIndexCpu
     const GridIndex* device_index = nullptr;  ///< kIndexDevice (prebuilt)
   };
@@ -377,7 +405,8 @@ class Executor {
   /// Runs a group on one (device, input) pair through the resolved
   /// variant — the single variant-dispatch point shared by the
   /// single-device path and every shard of the scatter path, so
-  /// per-variant option wiring cannot drift between them. `points` is the
+  /// per-variant option wiring cannot drift between them; every shard
+  /// reads the setup's one accurate canvas. `points` is the
   /// resident input, or null to scan the executor's block source (with
   /// the lead's enable_block_pruning). `capped` is the grant-capped batch
   /// plan; `gather_fbos` exports ranges members' point FBOs instead of
@@ -396,6 +425,11 @@ class Executor {
   Result<std::vector<QueryResult>> ExecuteSharded(
       const std::vector<SpatialAggQuery>& queries, const QuerySetup& setup,
       const ShardPlacement* placement);
+
+  /// The cached MBR-mode index at `resolution` (GetDeviceIndex), built
+  /// on first use.
+  Result<std::shared_ptr<const GridIndex>> DeviceIndexLocked(
+      std::int32_t resolution) RJ_REQUIRES(canvas_mutex_);
 
   /// Points the batch planner sizes against: the whole table, the largest
   /// shard (each device holds at most its shards), or — source-backed —
@@ -425,21 +459,32 @@ class Executor {
   /// resolution O(1) on the per-query dispatch path.
   CostModelInputs cost_inputs_;
 
-  /// Guards the lazily-built caches below. Once built they are immutable
-  /// (indexes are per-resolution map entries with stable addresses), so
-  /// the pointers Get* return under the lock stay valid — and safely
-  /// readable without it — for the Executor's lifetime. The analysis
-  /// cannot see that build-once contract, which is why the escaping
-  /// pointers (not the guarded containers) are handed to callers.
+  /// Guards the lazily-built triangulation and CPU indexes. Once built
+  /// they are immutable (indexes are per-resolution map entries with
+  /// stable addresses), so the pointers Get* return under the lock stay
+  /// valid — and safely readable without it — for the Executor's
+  /// lifetime. The analysis cannot see that build-once contract, which is
+  /// why the escaping pointers (not the guarded containers) are handed to
+  /// callers.
   Mutex prep_mutex_;
   bool soup_built_ RJ_GUARDED_BY(prep_mutex_) = false;
   TriangleSoup soup_ RJ_GUARDED_BY(prep_mutex_);
   double triangulation_seconds_ RJ_GUARDED_BY(prep_mutex_) = 0.0;
   std::map<std::int32_t, std::unique_ptr<GridIndex>> cpu_indexes_
       RJ_GUARDED_BY(prep_mutex_);
-  /// MBR-mode indexes for the device variant, cached like cpu_indexes_.
-  std::map<std::int32_t, std::unique_ptr<GridIndex>> device_indexes_
-      RJ_GUARDED_BY(prep_mutex_);
+
+  /// Guards the device indexes and accurate canvases — a mutex of their
+  /// own, so building a canvas (tens of milliseconds at 1024²) never
+  /// stalls queries waiting in GetTriangulation. Device indexes are never
+  /// evicted (stable addresses, like cpu_indexes_); canvases are handed
+  /// out as shared pointers, so eviction never frees one in use.
+  Mutex canvas_mutex_;
+  std::map<std::int32_t, std::shared_ptr<const GridIndex>> device_indexes_
+      RJ_GUARDED_BY(canvas_mutex_);
+  /// Accurate canvases, most recently used first (at most
+  /// kMaxAccurateCanvases; each knows its own dim).
+  std::vector<std::shared_ptr<const AccurateCanvas>> canvases_
+      RJ_GUARDED_BY(canvas_mutex_);
 
   /// Guards the replica map (written by QueryService's heat tracker while
   /// queries are in flight; read by every PlanPlacement).

@@ -186,7 +186,7 @@ std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
 }
 
 void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
-                  const Fbo& point_fbo, const Fbo* boundary_fbo,
+                  const Fbo& point_fbo, const BoundaryMask* boundary,
                   ResultArrays* result, gpu::Counters* counters,
                   ThreadPool* pool) {
   const bool min_max_tracked = !result->min.empty();
@@ -210,7 +210,7 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
         a, b, c, point_fbo.width(), point_fbo.height(),
         [&](std::int32_t x, std::int32_t y) {
           ++meter->fragments;
-          if (boundary_fbo != nullptr && IsBoundaryPixel(*boundary_fbo, x, y)) {
+          if (boundary != nullptr && boundary->IsMarked(x, y)) {
             // Accurate variant: boundary pixels were handled point-by-point.
             return;
           }
@@ -261,10 +261,10 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
 }
 
 void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
-                    bool conservative, Fbo* boundary_fbo,
+                    bool conservative, BoundaryMask* boundary,
                     gpu::Counters* counters, ThreadPool* pool) {
-  const std::int32_t width = boundary_fbo->width();
-  const std::int32_t height = boundary_fbo->height();
+  const std::int32_t width = boundary->width();
+  const std::int32_t height = boundary->height();
 
   // Rasterizes one polygon's rings, invoking `mark(x, y)` per fragment.
   const auto draw_polygon = [&](const Polygon& poly, const auto& mark) {
@@ -290,17 +290,18 @@ void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
   if (num_chunks <= 1) {
     for (const Polygon& poly : polys) {
       draw_polygon(poly, [&](std::int32_t x, std::int32_t y) {
-        boundary_fbo->Set(x, y, kChannelCount, 1.0f);
+        boundary->Mark(x, y);
         ++fragments;
       });
     }
   } else {
     // Parallel path: each chunk rasterizes its polygons into per-band
-    // fragment buckets; each band's owner then sets the pixels. The mark
-    // is an idempotent Set(…, 1), so replay order within a band cannot
-    // matter — bitwise identity with the sequential pass is free. The
-    // fragment meter is counted at staging time so duplicates are counted
-    // exactly as the sequential loop counts them.
+    // fragment buckets; each band's owner then marks the pixels. A band
+    // owns whole rows, and the mask pads rows to whole words, so owners
+    // never write one word; the mark is idempotent, so replay order within
+    // a band cannot matter — bitwise identity with the sequential pass is
+    // free. The fragment meter is counted at staging time so duplicates
+    // are counted exactly as the sequential loop counts them.
     BandBinner binner(num_chunks, height);
     std::vector<std::uint64_t> frags_per_chunk(num_chunks, 0);
     pool->ParallelFor(polys.size(), [&](std::size_t begin, std::size_t end,
@@ -318,7 +319,7 @@ void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
         binner.num_bands(),
         [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
           binner.ReplayBands(band_begin, band_end, [&](const PointFrag& f) {
-            boundary_fbo->Set(f.x, f.y, kChannelCount, 1.0f);
+            boundary->Mark(f.x, f.y);
           });
         });
     for (const std::uint64_t f : frags_per_chunk) fragments += f;

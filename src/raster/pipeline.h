@@ -15,6 +15,7 @@
 #include "data/point_table.h"
 #include "gpu/counters.h"
 #include "query/filter.h"
+#include "raster/boundary_mask.h"
 #include "raster/fbo.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
@@ -162,7 +163,7 @@ std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
 /// Procedure DrawPolygons (§4.1): rasterizes the triangle soup (world
 /// coordinates) and, for each fragment of polygon i, adds the point FBO's
 /// partial aggregates at that pixel into `result` slot i.
-/// If `boundary_fbo` is non-null, fragments on boundary pixels are skipped
+/// If `boundary` is non-null, fragments on its marked pixels are skipped
 /// (Procedure AccuratePolygons, §4.3).
 ///
 /// When `pool` has more than one worker, triangles are split across
@@ -171,27 +172,24 @@ std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
 /// merged per worker, so it matches the sequential result exactly whenever
 /// the partial sums are exactly representable (e.g. integer weights).
 void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
-                  const Fbo& point_fbo, const Fbo* boundary_fbo,
+                  const Fbo& point_fbo, const BoundaryMask* boundary,
                   ResultArrays* result, gpu::Counters* counters,
                   ThreadPool* pool = nullptr);
 
-/// Step 1 of the accurate variant (§4.3): renders all polygon outlines into
-/// `boundary_fbo` (channel 0 = 1 marks a boundary pixel). Conservative
-/// rasterization guarantees no partially-covered pixel is missed.
+/// Step 1 of the accurate variant (§4.3): marks every pixel of all polygon
+/// outlines (outer rings and holes) in `boundary`, whose size is the
+/// canvas. Conservative rasterization guarantees no partially-covered
+/// pixel is missed.
 ///
 /// When `pool` has more than one worker, polygons are split across workers
 /// with their outline fragments staged per row band (BandBinner) and each
-/// band's pixels set by its owning worker — the marks are idempotent
-/// (Set(…, 1)), so the FBO is bitwise identical to the sequential pass and
-/// the fragment meter counts every mark exactly as the sequential loop.
+/// band's pixels marked by its owning worker — bands own whole rows and
+/// rows own whole words, so no two workers write one word, and the marks
+/// are idempotent, so the mask is bitwise identical to the sequential
+/// pass and the fragment meter counts every mark exactly as the
+/// sequential loop.
 void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
-                    bool conservative, Fbo* boundary_fbo,
+                    bool conservative, BoundaryMask* boundary,
                     gpu::Counters* counters, ThreadPool* pool = nullptr);
-
-/// True if the boundary FBO marks pixel (x, y) as a polygon boundary.
-inline bool IsBoundaryPixel(const Fbo& boundary_fbo, std::int32_t x,
-                            std::int32_t y) {
-  return boundary_fbo.At(x, y, kChannelCount) != 0.0f;
-}
 
 }  // namespace rj::raster

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "data/block_file.h"
+#include "join/raster_join_accurate.h"
 
 namespace rj::service {
 
@@ -89,6 +90,19 @@ std::size_t FindDatasetLocked(
     }
   }
   return static_cast<std::size_t>(-1);
+}
+
+/// Submit-time canvas check: an accurate query's canvas must fit the
+/// device's FBO limit (ResolveAccurateCanvasDim). Other variants ignore
+/// canvas_dim.
+Status ValidateQueryCanvas(const Executor& executor,
+                           const SpatialAggQuery& query) {
+  if (executor.ResolveVariant(query) != JoinVariant::kAccurateRaster) {
+    return Status::OK();
+  }
+  return ResolveAccurateCanvasDim(query.accurate_canvas_dim,
+                                  *executor.device())
+      .status();
 }
 }  // namespace
 
@@ -280,6 +294,11 @@ std::future<ServiceResponse> QueryService::Enqueue(
       // Submit-time validation: bad column references are a structured
       // per-query error, resolved through the future before admission.
       invalid = std::move(columns);
+    } else if (Status canvas =
+                   ValidateQueryCanvas(*executors_[dataset_id], query);
+               !canvas.ok()) {
+      // Likewise an accurate canvas larger than the device's FBO limit.
+      invalid = std::move(canvas);
     } else if (stop_) {
       invalid = Status::CapacityError("query service is shutting down");
     } else if (!blocking &&

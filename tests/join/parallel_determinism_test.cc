@@ -162,23 +162,23 @@ TEST(ParallelDeterminismTest, DrawPointsBitwiseIdentical) {
 TEST(ParallelDeterminismTest, DrawBoundariesBitwiseIdentical) {
   // The boundary pass stages outline fragments per row band; marks are
   // idempotent sets, so any worker count must produce a bitwise-identical
-  // FBO and the exact sequential fragment count.
+  // mask and the exact sequential fragment count.
   JoinSetup s = MakeSetup(12, 0, 16);
   raster::Viewport vp(s.world, 640, 480);
 
   for (const bool conservative : {false, true}) {
     gpu::Counters seq_counters;
-    raster::Fbo seq_fbo(640, 480);
-    raster::DrawBoundaries(vp, s.polys, conservative, &seq_fbo,
+    raster::BoundaryMask seq_mask(640, 480);
+    raster::DrawBoundaries(vp, s.polys, conservative, &seq_mask,
                            &seq_counters);
 
     for (const std::size_t workers : {2, 8}) {
       ThreadPool pool(workers);
       gpu::Counters par_counters;
-      raster::Fbo par_fbo(640, 480);
-      raster::DrawBoundaries(vp, s.polys, conservative, &par_fbo,
+      raster::BoundaryMask par_mask(640, 480);
+      raster::DrawBoundaries(vp, s.polys, conservative, &par_mask,
                              &par_counters, &pool);
-      EXPECT_EQ(seq_fbo.data(), par_fbo.data())
+      EXPECT_EQ(seq_mask.words(), par_mask.words())
           << "conservative=" << conservative << " workers=" << workers;
       EXPECT_EQ(seq_counters.fragments(), par_counters.fragments());
     }

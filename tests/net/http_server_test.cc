@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,6 +231,44 @@ TEST(HttpServerTest, ErrorMappingFollowsTheStatusContract) {
   EXPECT_EQ(invalid.value().status, 400);
   EXPECT_NE(invalid.value().body.find("does not exist"), std::string::npos)
       << invalid.value().body;
+}
+
+TEST(HttpServerTest, OversizedCanvasIs400AndTheServerKeepsServing) {
+  // The v1 codec accepts any positive canvas_dim; one above the device's
+  // max_fbo_dim (1024 here) must be a 400, not a crash — and the next
+  // request on the same connection is served.
+  Dataset data = MakeDataset(4, 2000, 13);
+  Stack stack(&data);
+  HttpClient client("127.0.0.1", stack.server->port());
+
+  for (const std::int32_t dim :
+       {std::int32_t{1} << 20, std::numeric_limits<std::int32_t>::max()}) {
+    QuerySpec huge = QuerySpecBuilder().Dataset("taxi").Count()
+                         .Variant(JoinVariant::kAccurateRaster)
+                         .CanvasDim(dim).Build().value();
+    Result<HttpClientResponse> rejected =
+        client.Post("/v1/query", PostBody(huge));
+    ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+    EXPECT_EQ(rejected.value().status, 400);
+    EXPECT_NE(rejected.value().body.find("max_fbo_dim"), std::string::npos)
+        << rejected.value().body;
+  }
+
+  QuerySpec fits = QuerySpecBuilder().Dataset("taxi").Count()
+                       .Variant(JoinVariant::kAccurateRaster)
+                       .CanvasDim(1024).Build().value();
+  Result<HttpClientResponse> served = client.Post("/v1/query", PostBody(fits));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served.value().status, 200) << served.value().body;
+  Result<DecodedQueryResponse> decoded =
+      ParseQueryResponse(served.value().body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  Result<QueryResult> expected =
+      stack.service.dataset_executor(stack.dataset)
+          ->ExecuteUncached(fits.ToQuery());
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectBitwiseEqual(expected.value(), decoded.value());
+  EXPECT_EQ(stack.server->http_stats().connections_accepted, 1u);
 }
 
 TEST(HttpServerTest, PerClientRateLimiting) {

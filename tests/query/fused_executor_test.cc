@@ -17,6 +17,7 @@
 #include "data/datasets.h"
 #include "data/sharded_table.h"
 #include "gpu/device_pool.h"
+#include "join/raster_join_accurate.h"
 #include "query/executor.h"
 
 namespace rj {
@@ -242,6 +243,54 @@ INSTANTIATE_TEST_SUITE_P(Workers, FusedDeterminismTest,
                          [](const auto& info) {
                            return "Workers" + std::to_string(info.param);
                          });
+
+/// Every member of a fused accurate group reads the executor's one shared
+/// canvas: each equals a direct AccurateRasterJoin of that member — which
+/// prepares its own canvas — for groups of 1–4 members over 1, 2 and 4
+/// shards, with canvas_dim 0 and an explicit max_fbo_dim.
+TEST(FusedExecutorTest, AccurateGroupsOnTheSharedCanvasMatchPerCallJoins) {
+  const JoinSetup s = MakeSetup(6, 9000, 40);
+  auto soup = TriangulatePolygonSet(s.polys);
+  ASSERT_TRUE(soup.ok());
+  gpu::Device reference_device(DevOptions(1));
+  const BBox world =
+      Executor(&reference_device, &s.points, &s.polys).world();
+
+  for (const std::int32_t dim : {0, kFboDim}) {
+    std::vector<SpatialAggQuery> group = AccurateGroup();
+    std::vector<QueryResult> expected;
+    for (SpatialAggQuery& q : group) {
+      q.accurate_canvas_dim = dim;
+      AccurateRasterJoinOptions options;
+      options.canvas_dim = dim;
+      options.weight_column = q.EffectiveAggregateColumn();
+      options.filters = q.filters;
+      auto join = AccurateRasterJoin(&reference_device, s.points, s.polys,
+                                     soup.value(), world, options);
+      ASSERT_TRUE(join.ok()) << join.status().ToString();
+      QueryResult r;
+      r.arrays = join.value().arrays;
+      r.values = FinalizeAggregate(q.aggregate, r.arrays);
+      expected.push_back(std::move(r));
+    }
+
+    for (const std::size_t shards : {1, 2, 4}) {
+      data::ShardingOptions sharding;
+      sharding.num_shards = shards;
+      auto table = data::ShardedTable::Partition(s.points, sharding);
+      ASSERT_TRUE(table.ok());
+      gpu::DevicePoolOptions pool_options;
+      pool_options.num_devices = shards;
+      pool_options.device = DevOptions(2);
+      gpu::DevicePool pool(pool_options);
+      Executor executor(&pool, &table.value(), &s.polys);
+
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " shards=" + std::to_string(shards));
+      ExpectFusedMatchesBaseline(executor, group, expected);
+    }
+  }
+}
 
 TEST(FusedExecutorTest, GrantCappedFusionStaysIdentical) {
   // A tiny shared grant forces multi-batch out-of-core fused scans;

@@ -8,16 +8,22 @@
 /// exact unconditionally.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "data/sharded_table.h"
 #include "gpu/device_pool.h"
+#include "join/raster_join_accurate.h"
 #include "query/executor.h"
 #include "query/result_cache.h"
+#include "raster/pipeline.h"
 
 namespace rj {
 namespace {
@@ -484,6 +490,302 @@ TEST(ShardedRoutingTest, PerShardCacheServesRepeatsBitwise) {
   auto plan_bumped = executor.PlanPlacement(query);
   ASSERT_TRUE(plan_bumped.ok());
   EXPECT_EQ(plan_bumped.value().cache_hits, 0u);
+}
+
+/// The per-call reference for an accurate query: a direct
+/// AccurateRasterJoin over the whole table on one device, which prepares
+/// its own canvas, on the executor's world.
+QueryResult DirectAccurate(const JoinSetup& s, const BBox& world,
+                           const SpatialAggQuery& q) {
+  gpu::Device device(DevOptions(1));
+  auto soup = TriangulatePolygonSet(s.polys);
+  EXPECT_TRUE(soup.ok());
+  AccurateRasterJoinOptions options;
+  options.canvas_dim = q.accurate_canvas_dim;
+  options.weight_column = q.EffectiveAggregateColumn();
+  options.filters = q.filters;
+  auto join = AccurateRasterJoin(&device, s.points, s.polys, soup.value(),
+                                 world, options);
+  EXPECT_TRUE(join.ok()) << join.status().ToString();
+  QueryResult r;
+  r.arrays = join.value().arrays;
+  r.values = FinalizeAggregate(q.aggregate, r.arrays);
+  return r;
+}
+
+SpatialAggQuery Accurate(std::int32_t canvas_dim, AggregateKind aggregate) {
+  SpatialAggQuery q;
+  q.variant = JoinVariant::kAccurateRaster;
+  q.accurate_canvas_dim = canvas_dim;
+  q.aggregate = aggregate;
+  if (aggregate != AggregateKind::kCount) q.aggregate_column = 0;
+  return q;
+}
+
+/// Fragments the boundary pass of a dim × dim canvas over `world` meters.
+std::uint64_t BoundaryPassFragments(const PolygonSet& polys, const BBox& world,
+                                    std::int32_t dim) {
+  gpu::Counters counters;
+  raster::BoundaryMask mask(dim, dim);
+  raster::DrawBoundaries(raster::Viewport(world, dim, dim), polys,
+                         /*conservative=*/true, &mask, &counters);
+  return counters.fragments();
+}
+
+/// Every shard of a scatter reads the executor's one canvas: results equal
+/// a direct AccurateRasterJoin that prepares its own, for 1, 2 and 4
+/// shards, and canvas_dim 0 resolves to the same canvas as an explicit
+/// max_fbo_dim.
+TEST(SharedCanvasTest, ShardedQueriesMatchPerCallAccurateJoin) {
+  const JoinSetup s = MakeSetup(8, 12000, 41);
+  for (const std::size_t shards : {1, 2, 4}) {
+    data::ShardingOptions sharding;
+    sharding.num_shards = shards;
+    sharding.policy = data::ShardPolicy::kHilbert;
+    auto table = data::ShardedTable::Partition(s.points, sharding);
+    ASSERT_TRUE(table.ok());
+    gpu::DevicePoolOptions pool_options;
+    pool_options.num_devices = shards;
+    pool_options.device = DevOptions(2);
+    gpu::DevicePool pool(pool_options);
+    Executor executor(&pool, &table.value(), &s.polys);
+
+    for (const std::int32_t dim : {0, kFboDim}) {
+      for (const AggregateKind aggregate :
+           {AggregateKind::kCount, AggregateKind::kSum,
+            AggregateKind::kMax}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " dim=" + std::to_string(dim));
+        const SpatialAggQuery q = Accurate(dim, aggregate);
+        auto r = executor.ExecuteUncached(q);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ExpectIdenticalResults(DirectAccurate(s, executor.world(), q),
+                               r.value());
+      }
+    }
+    auto by_default = executor.GetAccurateCanvas(0);
+    auto by_limit = executor.GetAccurateCanvas(kFboDim);
+    ASSERT_TRUE(by_default.ok() && by_limit.ok());
+    EXPECT_EQ(by_default.value(), by_limit.value());
+    EXPECT_EQ(by_default.value()->dim, kFboDim);
+    // The canvas's index is the executor's one device index.
+    auto device_index = executor.GetDeviceIndex(kDefaultGridResolution);
+    ASSERT_TRUE(device_index.ok());
+    EXPECT_EQ(by_default.value()->index.get(), device_index.value());
+  }
+}
+
+/// The canvas is built once: a repeat of the same query does exactly the
+/// first run's work minus the boundary pass — PIP tests and atomic adds
+/// repeat exactly.
+TEST(SharedCanvasTest, RepeatQueryReusesTheCanvas) {
+  const JoinSetup s = MakeSetup(8, 12000, 43);
+  data::ShardingOptions sharding;
+  sharding.num_shards = 2;
+  sharding.policy = data::ShardPolicy::kHilbert;
+  auto table = data::ShardedTable::Partition(s.points, sharding);
+  ASSERT_TRUE(table.ok());
+  gpu::DevicePoolOptions pool_options;
+  pool_options.num_devices = 2;
+  pool_options.device = DevOptions(1);
+  gpu::DevicePool pool(pool_options);
+  Executor executor(&pool, &table.value(), &s.polys);
+
+  const SpatialAggQuery q = Accurate(512, AggregateKind::kSum);
+  const std::uint64_t boundary_fragments =
+      BoundaryPassFragments(s.polys, executor.world(), 512);
+  ASSERT_GT(boundary_fragments, 0u);
+
+  std::vector<QueryResult> results;
+  std::vector<gpu::CountersSnapshot> deltas;
+  for (int run = 0; run < 2; ++run) {
+    const gpu::CountersSnapshot before = pool.TotalCounters();
+    auto r = executor.ExecuteUncached(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    deltas.push_back(pool.TotalCounters().DeltaSince(before));
+    results.push_back(std::move(r).MoveValueUnsafe());
+  }
+  EXPECT_EQ(deltas[0].fragments - deltas[1].fragments, boundary_fragments);
+  EXPECT_EQ(deltas[0].pip_tests, deltas[1].pip_tests);
+  EXPECT_GT(deltas[1].pip_tests, 0u);
+  EXPECT_EQ(deltas[0].atomic_adds, deltas[1].atomic_adds);
+  ExpectIdenticalResults(results[0], results[1]);
+}
+
+/// Eight threads use one canvas for the first time at once, on a fresh
+/// executor: every result equals the sequential one, and the pool meters
+/// the boundary pass exactly once.
+TEST(SharedCanvasTest, ConcurrentFirstUseBuildsOneCanvas) {
+  const JoinSetup s = MakeSetup(8, 12000, 44);
+  data::ShardingOptions sharding;
+  sharding.num_shards = 2;
+  sharding.policy = data::ShardPolicy::kHilbert;
+  auto table = data::ShardedTable::Partition(s.points, sharding);
+  ASSERT_TRUE(table.ok());
+  gpu::DevicePoolOptions pool_options;
+  pool_options.num_devices = 2;
+  pool_options.device = DevOptions(2);
+
+  std::vector<SpatialAggQuery> queries;
+  for (const AggregateKind aggregate :
+       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+        AggregateKind::kMax}) {
+    queries.push_back(Accurate(512, aggregate));
+    SpatialAggQuery filtered = Accurate(512, aggregate);
+    ASSERT_TRUE(
+        filtered.filters.Add({0, FilterOp::kGreaterEqual, 40.0f}).ok());
+    queries.push_back(filtered);
+  }
+
+  // Sequential reference, and each query's work on a warm canvas.
+  gpu::DevicePool seq_pool(pool_options);
+  Executor seq(&seq_pool, &table.value(), &s.polys);
+  std::vector<QueryResult> expected;
+  std::uint64_t warm_fragments = 0;
+  for (const SpatialAggQuery& q : queries) {
+    ASSERT_TRUE(seq.GetAccurateCanvas(q.accurate_canvas_dim).ok());
+    const gpu::CountersSnapshot before = seq_pool.TotalCounters();
+    auto r = seq.ExecuteUncached(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    warm_fragments += seq_pool.TotalCounters().DeltaSince(before).fragments;
+    expected.push_back(std::move(r).MoveValueUnsafe());
+  }
+
+  gpu::DevicePool pool(pool_options);
+  Executor executor(&pool, &table.value(), &s.polys);
+  std::vector<Result<QueryResult>> got(queries.size(),
+                                       Status::Internal("not run"));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      got[i] = executor.ExecuteUncached(queries[i]);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query=" + std::to_string(i));
+    ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+    ExpectIdenticalResults(expected[i], got[i].value());
+  }
+  EXPECT_EQ(pool.TotalCounters().fragments,
+            warm_fragments +
+                BoundaryPassFragments(s.polys, executor.world(), 512));
+}
+
+/// More canvas sizes than the cache holds, cycled by concurrent clients:
+/// entries are evicted while other queries still run on them, and every
+/// result stays equal to the per-call join. A canvas held by a caller
+/// outlives its eviction.
+TEST(SharedCanvasTest, EvictionUnderConcurrentTrafficStaysCorrect) {
+  const JoinSetup s = MakeSetup(6, 6000, 45);
+  data::ShardingOptions sharding;
+  sharding.num_shards = 2;
+  auto table = data::ShardedTable::Partition(s.points, sharding);
+  ASSERT_TRUE(table.ok());
+  gpu::DevicePoolOptions pool_options;
+  pool_options.num_devices = 2;
+  pool_options.device = DevOptions(1);
+  gpu::DevicePool pool(pool_options);
+  Executor executor(&pool, &table.value(), &s.polys);
+
+  const std::vector<std::int32_t> dims = {64, 96, 128, 160, 192, 224};
+  ASSERT_GT(dims.size(), Executor::kMaxAccurateCanvases);
+  std::vector<QueryResult> expected;
+  for (const std::int32_t dim : dims) {
+    expected.push_back(DirectAccurate(
+        s, executor.world(), Accurate(dim, AggregateKind::kSum)));
+  }
+  auto held = executor.GetAccurateCanvas(dims[0]);
+  ASSERT_TRUE(held.ok());
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRounds = 2;
+  std::vector<std::vector<Result<QueryResult>>> got(kClients);
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (std::size_t k = 0; k < kRounds * dims.size(); ++k) {
+        const std::int32_t dim = dims[(k + c) % dims.size()];
+        got[c].push_back(
+            executor.ExecuteUncached(Accurate(dim, AggregateKind::kSum)));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t k = 0; k < got[c].size(); ++k) {
+      SCOPED_TRACE("client=" + std::to_string(c) + " k=" + std::to_string(k));
+      ASSERT_TRUE(got[c][k].ok()) << got[c][k].status().ToString();
+      ExpectIdenticalResults(expected[(k + c) % dims.size()],
+                             got[c][k].value());
+    }
+  }
+
+  // Four other sizes since: dims[0] is rebuilt, bitwise equal to the
+  // evicted copy its holder still reads.
+  for (std::size_t i = 1; i <= Executor::kMaxAccurateCanvases; ++i) {
+    ASSERT_TRUE(executor.GetAccurateCanvas(dims[i]).ok());
+  }
+  auto rebuilt = executor.GetAccurateCanvas(dims[0]);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_NE(rebuilt.value(), held.value());
+  EXPECT_EQ(rebuilt.value()->boundary.words(),
+            held.value()->boundary.words());
+}
+
+/// A canvas above the device's max_fbo_dim is an InvalidArgument at every
+/// layer that resolves it — never an allocation failure — and the
+/// executor keeps serving.
+TEST(SharedCanvasTest, OversizedCanvasIsInvalidArgument) {
+  const JoinSetup s = MakeSetup(4, 2000, 46);
+  gpu::DeviceOptions options = DevOptions(1);
+  options.max_fbo_dim = 4096;
+  data::ShardingOptions sharding;
+  sharding.num_shards = 2;
+  auto table = data::ShardedTable::Partition(s.points, sharding);
+  ASSERT_TRUE(table.ok());
+  gpu::Device device(options);
+  gpu::DevicePoolOptions pool_options;
+  pool_options.num_devices = 2;
+  pool_options.device = options;
+  gpu::DevicePool pool(pool_options);
+  Executor single(&device, &s.points, &s.polys);
+  Executor sharded(&pool, &table.value(), &s.polys);
+
+  for (const std::int32_t dim :
+       {std::int32_t{1} << 20, std::numeric_limits<std::int32_t>::max()}) {
+    const SpatialAggQuery q = Accurate(dim, AggregateKind::kCount);
+    for (Executor* executor : {&single, &sharded}) {
+      auto r = executor->ExecuteUncached(q);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+    auto placement = sharded.PlanPlacement(q);  // routing region
+    ASSERT_FALSE(placement.ok());
+    EXPECT_EQ(placement.status().code(), StatusCode::kInvalidArgument);
+
+    auto soup = TriangulatePolygonSet(s.polys);
+    ASSERT_TRUE(soup.ok());
+    AccurateRasterJoinOptions direct;
+    direct.canvas_dim = dim;
+    auto join = AccurateRasterJoin(&device, s.points, s.polys, soup.value(),
+                                   single.world(), direct);
+    ASSERT_FALSE(join.ok());
+    EXPECT_EQ(join.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  const SpatialAggQuery fits = Accurate(256, AggregateKind::kCount);
+  for (Executor* executor : {&single, &sharded}) {
+    auto r = executor->ExecuteUncached(fits);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectIdenticalResults(DirectAccurate(s, executor->world(), fits),
+                           r.value());
+  }
 }
 
 TEST(ShardedExecutorTest, PlanAdmissionIsPerShard) {

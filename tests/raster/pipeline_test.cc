@@ -106,12 +106,28 @@ TEST(DrawPolygonsTest, BoundarySkippedWhenBoundaryFboGiven) {
   point_fbo.Set(1, 1, kChannelCount, 5.0f);
   point_fbo.Set(2, 2, kChannelCount, 3.0f);
 
-  Fbo boundary(4, 4);
-  boundary.Set(1, 1, kChannelCount, 1.0f);  // mark (1,1) as boundary
+  BoundaryMask boundary(4, 4);
+  boundary.Mark(1, 1);  // mark (1,1) as boundary
 
   ResultArrays result(1);
   DrawPolygons(vp, soup.value(), point_fbo, &boundary, &result, nullptr);
   EXPECT_DOUBLE_EQ(result.count[0], 3.0);  // (1,1) skipped
+}
+
+TEST(BoundaryMaskTest, RowsArePaddedToWholeWords) {
+  // 65 pixels take two words per row, so the last pixel of one row and the
+  // first of the next never share a word (parallel row-band owners write
+  // disjoint words).
+  BoundaryMask mask(65, 3);
+  ASSERT_EQ(mask.words().size(), 6u);
+  mask.Mark(64, 0);
+  mask.Mark(0, 1);
+  EXPECT_TRUE(mask.IsMarked(64, 0));
+  EXPECT_FALSE(mask.IsMarked(63, 0));
+  EXPECT_TRUE(mask.IsMarked(0, 1));
+  EXPECT_FALSE(mask.IsMarked(0, 0));
+  EXPECT_EQ(mask.words()[1], 1u);  // row 0, second word, bit 0
+  EXPECT_EQ(mask.words()[2], 1u);  // row 1, first word, bit 0
 }
 
 TEST(DrawBoundariesTest, OutlinePixelsMarked) {
@@ -121,17 +137,17 @@ TEST(DrawBoundariesTest, OutlinePixelsMarked) {
   ASSERT_TRUE(polys[0].Normalize().ok());
 
   Viewport vp(BBox(0, 0, 8, 8), 8, 8);
-  Fbo boundary(8, 8);
+  BoundaryMask boundary(8, 8);
   DrawBoundaries(vp, polys, /*conservative=*/true, &boundary, nullptr);
 
   // Outline pixels marked; the deep interior stays unmarked. (Pixels
   // whose square merely touches the outline at a corner — like (0,0)
   // touching the outline corner (1,1) — are legitimately marked by
   // conservative rasterization, so they are not asserted either way.)
-  EXPECT_TRUE(IsBoundaryPixel(boundary, 1, 1));
-  EXPECT_TRUE(IsBoundaryPixel(boundary, 4, 1));
-  EXPECT_TRUE(IsBoundaryPixel(boundary, 7, 4));
-  EXPECT_FALSE(IsBoundaryPixel(boundary, 4, 4));  // interior
+  EXPECT_TRUE(boundary.IsMarked(1, 1));
+  EXPECT_TRUE(boundary.IsMarked(4, 1));
+  EXPECT_TRUE(boundary.IsMarked(7, 4));
+  EXPECT_FALSE(boundary.IsMarked(4, 4));  // interior
 }
 
 TEST(DrawBoundariesTest, HoleOutlinesAlsoMarked) {
@@ -142,10 +158,10 @@ TEST(DrawBoundariesTest, HoleOutlinesAlsoMarked) {
   ASSERT_TRUE(polys[0].Normalize().ok());
 
   Viewport vp(BBox(0, 0, 8, 8), 8, 8);
-  Fbo boundary(8, 8);
+  BoundaryMask boundary(8, 8);
   DrawBoundaries(vp, polys, true, &boundary, nullptr);
-  EXPECT_TRUE(IsBoundaryPixel(boundary, 3, 3));  // hole corner
-  EXPECT_FALSE(IsBoundaryPixel(boundary, 1, 1));  // solid interior
+  EXPECT_TRUE(boundary.IsMarked(3, 3));  // hole corner
+  EXPECT_FALSE(boundary.IsMarked(1, 1));  // solid interior
 }
 
 TEST(ResultArraysTest, MergeAddsCountsAndSumsKeepsMinMax) {

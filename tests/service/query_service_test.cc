@@ -363,6 +363,38 @@ TEST(QueryServiceTest, UnknownDatasetResolvesFutureWithError) {
   EXPECT_FALSE(response.result.status().retryable());
 }
 
+TEST(QueryServiceTest, OversizedCanvasResolvesFutureWithInvalidArgument) {
+  // An accurate canvas above the device's max_fbo_dim is rejected at
+  // submit, like a bad column, and the service keeps serving. Variants
+  // that do not render the accurate canvas ignore canvas_dim.
+  Dataset data = MakeDataset(4, 2000, 26);
+  gpu::Device device(DeviceConfig(16 << 20, 1));
+  QueryService service(&device, {});
+  const std::size_t id = service.RegisterDataset(&data.points, &data.polys);
+
+  SpatialAggQuery accurate;
+  accurate.variant = JoinVariant::kAccurateRaster;
+  accurate.accurate_canvas_dim = 1 << 20;
+  ServiceResponse rejected = service.Submit(id, accurate).get();
+  ASSERT_FALSE(rejected.result.ok());
+  EXPECT_EQ(rejected.result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(rejected.result.status().retryable());
+
+  SpatialAggQuery bounded;
+  bounded.variant = JoinVariant::kBoundedRaster;
+  bounded.accurate_canvas_dim = 1 << 20;
+  ServiceResponse served = service.Submit(id, bounded).get();
+  EXPECT_TRUE(served.result.ok()) << served.result.status().ToString();
+
+  accurate.accurate_canvas_dim = 256;
+  served = service.Submit(id, accurate).get();
+  ASSERT_TRUE(served.result.ok()) << served.result.status().ToString();
+  Result<QueryResult> expected =
+      service.dataset_executor(id)->ExecuteUncached(accurate);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(served.result.value().values, expected.value().values);
+}
+
 TEST(QueryServiceTest, DestructorDrainsAcceptedQueries) {
   Dataset data = MakeDataset(6, 20000, 27);
   gpu::Device device(DeviceConfig(4 << 20, 1));
