@@ -158,8 +158,8 @@ int main() {
       "Accurate beats the index baseline (PIP only on boundary pixels);\n"
       "all scale ~linearly with input size. NOTE: this host exposes %d\n"
       "hardware thread(s), so CPU-parallel speedups compress toward 1x —\n"
-      "the variant ordering is the machine-independent signal (see\n"
-      "DESIGN.md section 2).\n",
+      "the variant ordering is the machine-independent signal (the\n"
+      "device is simulated on host cores; see README.md).\n",
       hw);
   return 0;
 }

@@ -33,7 +33,7 @@ void Row(const char* name, const PolygonSet& polys, const BBox& extent,
 
   // CPU index builds (exact-geometry assignment — §7.1). The multi-CPU
   // build parallelizes per-polygon assignment; on a single-core host the
-  // two columns coincide (see DESIGN.md §2 machine note).
+  // two columns coincide (the parallelism is real host threads).
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   double multi_cpu_s;
   {

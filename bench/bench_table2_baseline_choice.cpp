@@ -10,7 +10,8 @@
 /// the device-structural costs carry that story: bytes written to the
 /// device, the join-sized allocation, and the hard memory ceiling. Wall
 /// clock on a single CPU core reflects compute only, where the two are
-/// comparable (see DESIGN.md §2 and EXPERIMENTS.md).
+/// comparable (the simulated device charges wall time only for
+/// host→device transfers).
 #include "bench_common.h"
 #include "join/index_join.h"
 #include "join/materializing_join.h"

@@ -1,8 +1,8 @@
 /// \file rng.h
 /// \brief Deterministic pseudo-random number generation (xoshiro256++).
 ///
-/// All data generators take explicit seeds so every experiment in
-/// EXPERIMENTS.md is exactly reproducible. xoshiro256++ is used instead of
+/// All data generators take explicit seeds so every bench and test run is
+/// exactly reproducible. xoshiro256++ is used instead of
 /// std::mt19937 for speed and cross-platform determinism of the raw stream.
 #pragma once
 

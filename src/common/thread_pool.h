@@ -5,7 +5,7 @@
 /// the primitive stream across pool workers. On a many-core host this gives
 /// real parallel speedups analogous to the GPU's; on a single-core host the
 /// pool degrades gracefully to sequential execution (the paper-shape metrics
-/// in bench output are work-proportional, see DESIGN.md §2).
+/// in bench output are work counters, independent of the core count).
 #pragma once
 
 #include <cstddef>

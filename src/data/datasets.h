@@ -2,9 +2,10 @@
 /// \brief Preset data sets matching the paper's experimental setup (§7.1).
 ///
 /// Table 1 of the paper uses two polygon sets — NYC neighborhoods (260
-/// polygons) and US counties (3945 polygons). DESIGN.md §2 substitutes the
-/// §7.4 Voronoi-merge generator at the same counts and extents; these
-/// presets pin the seeds so every bench and test sees identical geometry.
+/// polygons) and US counties (3945 polygons). Those boundary files are not
+/// bundled, so the §7.4 Voronoi-merge generator stands in at the same
+/// counts and extents; these presets pin the seeds so every bench and test
+/// sees identical geometry.
 #pragma once
 
 #include "common/status.h"

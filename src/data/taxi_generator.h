@@ -1,5 +1,6 @@
 /// \file taxi_generator.h
-/// \brief Synthetic NYC-taxi-like point data set (DESIGN.md §2 substitute).
+/// \brief Synthetic NYC-taxi-like point data set (stands in for the real
+/// trip records).
 ///
 /// The real data set (868M yellow-cab trips, 2009–2013) is proprietary-
 /// scale; this generator reproduces the properties the experiments depend

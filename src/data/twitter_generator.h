@@ -1,6 +1,6 @@
 /// \file twitter_generator.h
 /// \brief Synthetic geo-tagged-Twitter-like point data set over a
-/// continental-US-scale extent (DESIGN.md §2 substitute).
+/// continental-US-scale extent (stands in for the real tweets).
 ///
 /// Reproduces the relevant property of the real 2.29B-tweet feed: "a
 /// denser concentration of tweets around large cities" (§7.1), with a

@@ -27,8 +27,8 @@ inline bool RingContains(const Ring& ring, const Point& p) {
   return TestPointInRing(ring, p) != PipResult::kOutside;
 }
 
-/// Global counter of PIP tests executed (work-proportional metric used by
-/// the benches; see DESIGN.md §2). Thread-safe.
+/// Global counter of PIP tests executed (a work metric the benches report
+/// independently of host speed). Thread-safe.
 void ResetPipTestCounter();
 std::size_t GetPipTestCount();
 

@@ -2,7 +2,7 @@
 /// \brief Simulated graphics device: bounded memory, metered transfers,
 /// a worker pool standing in for SIMT parallelism.
 ///
-/// DESIGN.md §2 documents this substitution. The device enforces the two
+/// It stands in for the paper's GPU (README.md). The device enforces the two
 /// GPU constraints the paper's algorithms are designed around:
 ///  1. bounded device memory → out-of-core point batching (§5), and
 ///  2. a maximum FBO resolution → multi-canvas tiling for small ε (Fig. 5).

@@ -1,8 +1,8 @@
 #include "join/batch_pipeline.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <utility>
 
 namespace rj::join {
 
@@ -52,64 +52,25 @@ class StagingPool {
 };
 }  // namespace
 
-BatchPipeline::BatchPipeline(gpu::Device* device,
-                             const data::PointBlockSource* source,
-                             std::vector<std::size_t> blocks,
-                             std::vector<std::size_t> columns,
-                             BatchPipelineOptions options)
-    : device_(device),
-      source_(source),
-      blocks_(std::move(blocks)),
-      columns_(std::move(columns)),
-      mode_(Mode::kPull) {
-  num_batches_ = blocks_.size();
+BatchPipeline::BatchPipeline(gpu::Device* device, ScanPlan scan,
+                             std::vector<std::size_t> columns)
+    : device_(device), scan_(std::move(scan)), columns_(std::move(columns)) {
+  num_batches_ = scan_.blocks.size();
   // A single batch has nothing to prefetch behind it; stay serialized and
   // keep the working set at one buffer (full_bytes in the admission plan).
-  overlap_ = options.overlap_transfers && num_batches_ > 1;
+  overlap_ = scan_.overlap_transfers && num_batches_ > 1;
   // Disk-resident sources add the third stage: a reader thread
   // materializes block b+2 while block b+1 uploads and block b draws. The
   // extra slot never holds a device buffer while loading, so the resident
   // VBO count stays ≤ 2 — the same working set the admission plan
   // reserves for plain double buffering.
-  disk_staged_ = overlap_ && source_->disk_resident();
+  disk_staged_ = overlap_ && scan_.source->disk_resident();
   slots_.resize(disk_staged_ ? 3 : (overlap_ ? 2 : 1));
   if (overlap_) {
-    thread_ = std::thread([this] { TransferLoopPull(); });
+    thread_ = std::thread([this] { TransferLoop(); });
   }
   if (disk_staged_) {
-    reader_thread_ = std::thread([this] { ReaderLoopPull(); });
-  }
-}
-
-BatchPipeline::BatchPipeline(gpu::Device* device, const PointTable* points,
-                             std::vector<std::size_t> columns,
-                             std::size_t batch_size,
-                             BatchPipelineOptions options)
-    : device_(device), columns_(std::move(columns)), mode_(Mode::kPull) {
-  // The table path is the block path over an in-memory adapter whose
-  // blocks are exactly the old fixed-size slices: one core loop, bitwise
-  // identical batching.
-  owned_source_ = std::make_unique<data::TableBlockSource>(
-      points, std::max<std::size_t>(batch_size, 1));
-  source_ = owned_source_.get();
-  blocks_.resize(source_->num_blocks());
-  for (std::size_t b = 0; b < blocks_.size(); ++b) blocks_[b] = b;
-  num_batches_ = blocks_.size();
-  overlap_ = options.overlap_transfers && num_batches_ > 1;
-  slots_.resize(overlap_ ? 2 : 1);
-  if (overlap_) {
-    thread_ = std::thread([this] { TransferLoopPull(); });
-  }
-}
-
-BatchPipeline::BatchPipeline(gpu::Device* device,
-                             std::vector<std::size_t> columns,
-                             BatchPipelineOptions options)
-    : device_(device), columns_(std::move(columns)), mode_(Mode::kPush) {
-  overlap_ = options.overlap_transfers;
-  slots_.resize(overlap_ ? 2 : 1);
-  if (overlap_) {
-    thread_ = std::thread([this] { TransferLoopPush(); });
+    reader_thread_ = std::thread([this] { ReaderLoop(); });
   }
 }
 
@@ -143,28 +104,28 @@ Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
       if (canceled_) return vbo;
       bool ours_resident = false;
       for (const Slot& s : slots_) {
-        if (&s != slot && (s.state == Slot::State::kReady ||
-                           s.state == Slot::State::kDrawing)) {
+        if (&s != slot && s.state == Slot::State::kReady) {
           ours_resident = true;
           break;
         }
       }
       if (ours_resident) {
         // Wait on the free *generation*, not on the neighbor slot reaching
-        // kFree: the consumer frees the buffer and may re-queue the slot
-        // (kDrawing → kFree → kQueued) in two separate critical sections,
-        // so a state predicate can miss the kFree window entirely and wait
-        // forever while the consumer blocks on this very upload. The
-        // counter only moves forward, so the freed buffer is observed no
-        // matter how far the state has moved on.
+        // kFree: once the consumer frees the buffer, the disk reader may
+        // take the slot for the next block (kFree → kLoading) before this
+        // waiter re-acquires the mutex, so a state predicate can miss the
+        // kFree window entirely and wait forever while the consumer blocks
+        // on this very upload. The counter only moves forward, so the
+        // freed buffer is observed no matter how far the state has moved
+        // on.
         const std::uint64_t observed = frees_;
         while (!canceled_ && frees_ <= observed) cv_producer_.Wait(lock);
         if (canceled_) return vbo;
         transient_retries = 0;
         continue;
       }
-      // None of our buffers is resident — the neighbor slot is empty or
-      // merely queued behind this very upload — so no consumer progress
+      // None of our buffers is resident — the neighbor slots are empty or
+      // merely loading behind this very upload — so no consumer progress
       // can return memory to us. The pressure is a concurrent query on a
       // shared device: retry with a bounded backoff so a transient
       // neighbor allocation degrades throughput instead of failing the
@@ -179,8 +140,7 @@ Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
   }
 }
 
-Status BatchPipeline::UploadSlot(Slot* slot, const PointTable& table,
-                                 std::size_t begin, std::size_t end) {
+Status BatchPipeline::UploadSlot(Slot* slot) {
   Timer timer;
   // Stride from the layout's single definition, so the packed/metered
   // bytes can never drift from what PlanUpload/PlanAdmission reserve.
@@ -188,9 +148,10 @@ Status BatchPipeline::UploadSlot(Slot* slot, const PointTable& table,
   if (slot->staging.capacity() == 0) {
     slot->staging = StagingPool::Shared().Acquire();
   }
-  slot->staging.resize((end - begin) * stride);
+  const PointTable& table = *slot->rows;
+  slot->staging.resize((slot->end - slot->begin) * stride);
   float* out = slot->staging.data();
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = slot->begin; i < slot->end; ++i) {
     *out++ = static_cast<float>(table.xs()[i]);
     *out++ = static_cast<float>(table.ys()[i]);
     for (const std::size_t c : columns_) *out++ = table.attribute(c)[i];
@@ -223,11 +184,11 @@ Status BatchPipeline::UploadSlot(Slot* slot, const PointTable& table,
 Status BatchPipeline::ReadBlockInto(Slot* slot, std::size_t ordinal) {
   Timer timer;
   Result<data::BlockRef> ref =
-      source_->ReadBlock(blocks_[ordinal], &slot->table);
+      scan_.source->ReadBlock(scan_.blocks[ordinal], &slot->table);
   // Transfer time and disk time are separate phases: only disk-resident
   // sources spend wall time here worth reporting (the in-memory adapter's
   // ReadBlock is a pointer assignment).
-  if (source_->disk_resident()) {
+  if (scan_.source->disk_resident()) {
     MutexLock lock(mutex_);
     disk_seconds_ += timer.ElapsedSeconds();
   }
@@ -239,7 +200,7 @@ Status BatchPipeline::ReadBlockInto(Slot* slot, std::size_t ordinal) {
   return Status::OK();
 }
 
-void BatchPipeline::ReaderLoopPull() {
+void BatchPipeline::ReaderLoop() {
   for (std::size_t pass = 0;; ++pass) {
     for (std::size_t b = 0; b < num_batches_; ++b) {
       Slot& slot = slots_[b % slots_.size()];
@@ -276,7 +237,7 @@ void BatchPipeline::ReaderLoopPull() {
   }
 }
 
-void BatchPipeline::TransferLoopPull() {
+void BatchPipeline::TransferLoop() {
   for (std::size_t pass = 0;; ++pass) {
     for (std::size_t b = 0; b < num_batches_; ++b) {
       Slot& slot = slots_[b % slots_.size()];
@@ -307,8 +268,7 @@ void BatchPipeline::TransferLoopPull() {
           return;
         }
       }
-      const Status status =
-          UploadSlot(&slot, *slot.rows, slot.begin, slot.end);
+      const Status status = UploadSlot(&slot);
       {
         MutexLock lock(mutex_);
         if (!status.ok()) {
@@ -331,38 +291,7 @@ void BatchPipeline::TransferLoopPull() {
   }
 }
 
-void BatchPipeline::TransferLoopPush() {
-  for (std::size_t b = 0;; ++b) {
-    Slot* slot = nullptr;
-    {
-      MutexLock lock(mutex_);
-      while (!canceled_ && b >= pushed_ && !flushed_) {
-        cv_producer_.Wait(lock);
-      }
-      if (canceled_) return;
-      if (b >= pushed_) return;  // flushed: no further batches will arrive
-      slot = &slots_[b % slots_.size()];
-      assert(slot->state == Slot::State::kQueued && slot->batch_index == b);
-    }
-    // The slot's table is private to this thread until the state flips to
-    // kReady below: the caller re-uses the slot only two pushes later, and
-    // only after this batch was returned for drawing.
-    const Status status = UploadSlot(slot, slot->table, 0, slot->table.size());
-    {
-      MutexLock lock(mutex_);
-      if (!status.ok()) {
-        error_ = status;
-        cv_consumer_.NotifyAll();
-        return;
-      }
-      slot->state = Slot::State::kReady;
-      cv_consumer_.NotifyAll();
-    }
-  }
-}
-
 Result<std::optional<BatchPipeline::BatchView>> BatchPipeline::Acquire() {
-  assert(mode_ == Mode::kPull);
   // Holding a view starves AllocateWithBackoff when the budget fits only
   // one batch: the prefetcher waits for a free only Release can produce.
   assert(!view_outstanding_ && "Release the previous batch before Acquire");
@@ -373,7 +302,7 @@ Result<std::optional<BatchPipeline::BatchView>> BatchPipeline::Acquire() {
   if (!overlap_) {
     assert(slot.state == Slot::State::kFree && "Release the previous batch");
     RJ_RETURN_NOT_OK(ReadBlockInto(&slot, next_acquire_));
-    RJ_RETURN_NOT_OK(UploadSlot(&slot, *slot.rows, slot.begin, slot.end));
+    RJ_RETURN_NOT_OK(UploadSlot(&slot));
     slot.batch_index = next_acquire_;
     slot.state = Slot::State::kReady;
     view_outstanding_ = true;
@@ -399,7 +328,6 @@ Result<std::optional<BatchPipeline::BatchView>> BatchPipeline::Acquire() {
 }
 
 void BatchPipeline::Release(const BatchView& view) {
-  assert(mode_ == Mode::kPull);
   view_outstanding_ = false;
   Slot& slot = slots_[view.index % slots_.size()];
   // Free before flipping the state: the prefetcher touches the slot only
@@ -419,7 +347,6 @@ void BatchPipeline::Release(const BatchView& view) {
 }
 
 Status BatchPipeline::Rewind() {
-  assert(mode_ == Mode::kPull);
   assert(next_acquire_ >= num_batches_ && "Rewind mid-pass");
   assert(!view_outstanding_ && "Release the final batch before Rewind");
   next_acquire_ = 0;
@@ -431,102 +358,16 @@ Status BatchPipeline::Rewind() {
   return Status::OK();
 }
 
-Status BatchPipeline::UploadSerialized(const PointTable& batch) {
-  assert(mode_ == Mode::kPush && !overlap_);
-  Slot& slot = slots_[0];
-  RJ_RETURN_NOT_OK(UploadSlot(&slot, batch, 0, batch.size()));
-  // Serialized: one buffer in flight, freed right after the metered
-  // upload (the draw reads the caller's table) — the pre-pipeline
-  // streaming timing, with no batch copy.
-  if (slot.vbo != nullptr) {
-    device_->Free(slot.vbo);
-    slot.vbo.reset();
-  }
-  // Serialized mode is single-threaded, but pushed_ is mutex-guarded for
-  // the overlap path; take the (uncontended) lock to keep one discipline.
-  MutexLock lock(mutex_);
-  ++pushed_;
-  return Status::OK();
-}
-
-Result<std::optional<PointTable>> BatchPipeline::Push(PointTable batch) {
-  assert(mode_ == Mode::kPush && overlap_);
-  ReleaseDrawn();
-  std::size_t pushed_now = 0;
-  {
-    MutexLock lock(mutex_);
-    if (!error_.ok()) return error_;
-    Slot& slot = slots_[pushed_ % slots_.size()];
-    assert(slot.state == Slot::State::kFree);
-    slot.table = std::move(batch);
-    slot.batch_index = pushed_;
-    slot.state = Slot::State::kQueued;
-    pushed_now = ++pushed_;
-    cv_producer_.NotifyAll();
-  }
-  if (pushed_now == 1) return std::optional<PointTable>();  // nothing ready yet
-  return WaitUploaded(pushed_now - 2);
-}
-
-Result<std::optional<PointTable>> BatchPipeline::Flush() {
-  assert(mode_ == Mode::kPush);
-  ReleaseDrawn();
-  std::size_t pushed_now = 0;
-  {
-    MutexLock lock(mutex_);
-    flushed_ = true;
-    cv_producer_.NotifyAll();
-    if (!error_.ok()) return error_;
-    pushed_now = pushed_;
-  }
-  if (!overlap_ || pushed_now == 0) return std::optional<PointTable>();
-  return WaitUploaded(pushed_now - 1);
-}
-
-Result<std::optional<PointTable>> BatchPipeline::WaitUploaded(
-    std::size_t index) {
-  Slot& slot = slots_[index % slots_.size()];
-  MutexLock lock(mutex_);
-  while (error_.ok() &&
-         !(slot.state == Slot::State::kReady && slot.batch_index == index)) {
-    cv_consumer_.Wait(lock);
-  }
-  // Prefer an uploaded batch over a later-latched error (see Acquire).
-  if (slot.state == Slot::State::kReady && slot.batch_index == index) {
-    slot.state = Slot::State::kDrawing;
-    drawn_slot_ = index % slots_.size();
-    return std::optional<PointTable>(std::move(slot.table));
-  }
-  return error_;
-}
-
-void BatchPipeline::ReleaseDrawn() {
-  if (!drawn_slot_.has_value()) return;
-  Slot& slot = slots_[*drawn_slot_];
-  drawn_slot_.reset();
-  if (slot.vbo != nullptr) {
-    device_->Free(slot.vbo);
-    slot.vbo.reset();
-  }
-  slot.table = PointTable();
-  MutexLock lock(mutex_);
-  slot.state = Slot::State::kFree;
-  ++frees_;
-  cv_producer_.NotifyAll();
-}
-
 Status BatchPipeline::Drain(PhaseTimer* timing) {
   {
     MutexLock lock(mutex_);
     canceled_ = true;
-    flushed_ = true;
     cv_producer_.NotifyAll();
   }
   if (thread_.joinable()) thread_.join();
   if (reader_thread_.joinable()) reader_thread_.join();
   // Free whatever is still resident: a prefetched-but-unconsumed batch, or
   // the buffer of a batch the consumer abandoned mid-draw.
-  drawn_slot_.reset();
   for (Slot& slot : slots_) {
     if (slot.vbo != nullptr) {
       device_->Free(slot.vbo);

@@ -22,31 +22,24 @@
 /// flight, uploads inline), which the paper-shape breakdown benches use as
 /// the comparison baseline.
 ///
-/// Two modes:
-///  * pull (block scan): the pipeline streams the selected blocks of a
-///    data::PointBlockSource — one device batch per block — and the
-///    consumer loops Acquire()/Release() until Acquire returns nullopt,
-///    then calls Rewind() to re-stream every block for the next tile pass
-///    (the threads and staging buffers survive across passes) or Drain()
-///    when done. The PointTable convenience ctor wraps the table in an
-///    in-memory adapter (data::TableBlockSource) whose blocks are exactly
-///    the old fixed-size slices, so in-memory scans are unchanged.
-///    When the source is disk-resident and transfers overlap, the scan
-///    runs three-staged: a reader thread materializes block b+2 from disk
-///    (metered under phase::kDiskRead) while the transfer thread packs and
-///    uploads block b+1 and the consumer draws block b. Three slots cover
-///    the three stages, but a loading slot holds no device buffer yet, so
-///    at most two VBOs are ever resident — the same 2× stride the
-///    admission plan reserves for plain double buffering.
-///  * push (streaming): the caller feeds externally-sized batches
-///    (Streaming*Join::AddBatch). Push(b) starts the upload of batch b and
-///    returns batch b-1 — whose upload has completed — for drawing;
-///    Flush() returns the final batch, then Drain() joins the thread.
+/// The pipeline streams the blocks of a ScanPlan (join_common.h) — one
+/// device batch per block — and the consumer loops Acquire()/Release()
+/// until Acquire returns nullopt, then calls Rewind() to re-stream every
+/// block for the next tile pass (the threads and staging buffers survive
+/// across passes) or Drain() when done. A resident table is scanned through
+/// the plan's in-memory adapter (data::TableBlockSource), whose blocks are
+/// the planned batch slices. When the source is disk-resident and
+/// transfers overlap, the scan runs three-staged: a reader thread
+/// materializes block b+2 from disk (metered under phase::kDiskRead) while
+/// the transfer thread packs and uploads block b+1 and the consumer draws
+/// block b. Three slots cover the three stages, but a loading slot holds no
+/// device buffer yet, so at most two VBOs are ever resident — the same 2×
+/// stride the admission plan reserves for plain double buffering.
 ///
 /// Error handling: the first failure (device allocation, upload) is
 /// latched; batches that already made it to the device are still handed
-/// out in order, and the error surfaces from Acquire/Push/Flush when the
-/// consumer reaches the batch that never became ready (and from Drain).
+/// out in order, and the error surfaces from Acquire when the consumer
+/// reaches the batch that never became ready (and from Drain).
 /// Memory pressure is not an error: when the budget cannot hold two
 /// batches, the prefetcher waits for the in-flight batch to be drawn and
 /// freed before allocating (AllocateWithBackoff) — double-buffering
@@ -79,51 +72,29 @@
 
 namespace rj::join {
 
-struct BatchPipelineOptions {
-  /// Prefetch batch b+1 on the transfer thread while batch b draws. Off
-  /// reproduces the serialized transfer→draw loop (and halves the device
-  /// working set: one buffer in flight instead of two).
-  bool overlap_transfers = true;
-};
-
 class BatchPipeline {
  public:
   /// One uploaded batch, resident on the device until Release()d. The
   /// batch's rows are rows [begin, end) of `*rows`: for in-memory table
   /// scans `rows` is the scanned table itself (begin/end are global row
-  /// indices, exactly the pre-block contract); for disk sources `rows` is
-  /// a pipeline-owned scratch holding just this block. Valid until
-  /// Release().
+  /// indices); for disk sources `rows` is a pipeline-owned scratch holding
+  /// just this block. Valid until Release().
   struct BatchView {
     std::size_t index = 0;  ///< batch ordinal (ascending)
-    std::size_t begin = 0;  ///< first point row (pull mode)
-    std::size_t end = 0;    ///< one past the last point row (pull mode)
+    std::size_t begin = 0;  ///< first point row
+    std::size_t end = 0;    ///< one past the last point row
     const PointTable* rows = nullptr;  ///< table the rows live in
   };
 
-  /// Pull mode over a block source: streams blocks `blocks` (ordinals into
-  /// `source`, ascending — the zone-map-selected scan list) as one device
-  /// batch each. Neither is copied; `source` must outlive the pipeline.
-  /// Starts the transfer thread when overlap is enabled and there is more
-  /// than one batch, plus the disk reader thread for disk-resident
-  /// sources.
-  BatchPipeline(gpu::Device* device, const data::PointBlockSource* source,
-                std::vector<std::size_t> blocks,
-                std::vector<std::size_t> columns,
-                BatchPipelineOptions options);
-
-  /// Pull mode over a resident table: scans `points` (not copied; must
-  /// outlive the pipeline) in `batch_size`-point slices via an internal
-  /// in-memory adapter. BatchView row ranges are global indices into
-  /// `*points`.
-  BatchPipeline(gpu::Device* device, const PointTable* points,
-                std::vector<std::size_t> columns, std::size_t batch_size,
-                BatchPipelineOptions options);
-
-  /// Push mode: batch sizes are unknown up front; the caller feeds them
-  /// through Push()/Flush().
-  BatchPipeline(gpu::Device* device, std::vector<std::size_t> columns,
-                BatchPipelineOptions options);
+  /// Streams `scan.blocks` (ordinals into `scan.source`, ascending — the
+  /// zone-map-selected scan list) as one device batch each, packing
+  /// `columns` after x and y. The plan moves in, together with the table
+  /// adapter it may own; a source it does not own must outlive the
+  /// pipeline. Starts the transfer thread when `scan.overlap_transfers` is
+  /// set and there is more than one batch, plus the disk reader thread for
+  /// disk-resident sources.
+  BatchPipeline(gpu::Device* device, ScanPlan scan,
+                std::vector<std::size_t> columns);
 
   /// Cancels and joins the transfer thread, freeing any slot buffers.
   ~BatchPipeline();
@@ -131,51 +102,28 @@ class BatchPipeline {
   BatchPipeline(const BatchPipeline&) = delete;
   BatchPipeline& operator=(const BatchPipeline&) = delete;
 
-  /// Planned batch count (pull mode).
+  /// Planned batch count per pass.
   std::size_t num_batches() const { return num_batches_; }
 
-  /// Pull mode: blocks until the next batch is resident on the device and
-  /// returns its row range; nullopt once every batch has been consumed.
-  /// The caller must Release() the previous batch before the next
-  /// Acquire(): under memory pressure the prefetcher waits for that free
+  /// Blocks until the next batch is resident on the device and returns its
+  /// row range; nullopt once every batch has been consumed. The caller
+  /// must Release() the previous batch before the next Acquire(): under
+  /// memory pressure the prefetcher waits for that free
   /// (AllocateWithBackoff), so holding a view while acquiring the next
   /// batch would deadlock when the budget fits only one batch. Asserted.
   [[nodiscard]] Result<std::optional<BatchView>> Acquire()
       RJ_EXCLUDES(mutex_);
 
-  /// Pull mode: marks the batch drawn; its slot becomes available to the
-  /// prefetcher.
+  /// Marks the batch drawn; its slot becomes available to the prefetcher.
   void Release(const BatchView& view) RJ_EXCLUDES(mutex_);
 
-  /// Pull mode: restarts the scan from batch 0 for the next tile pass,
-  /// once every batch of the current pass has been consumed and released.
-  /// Keeps the transfer thread and the slots' staging buffers alive —
-  /// multi-tile joins re-stream the points without paying a thread spawn
-  /// and two batch-sized staging allocations per tile. Returns the
-  /// latched pipeline error, if any.
+  /// Restarts the scan from batch 0 for the next tile pass, once every
+  /// batch of the current pass has been consumed and released. Keeps the
+  /// transfer thread and the slots' staging buffers alive — multi-tile
+  /// joins re-stream the points without paying a thread spawn and two
+  /// batch-sized staging allocations per tile. Returns the latched
+  /// pipeline error, if any.
   Status Rewind() RJ_EXCLUDES(mutex_);
-
-  /// Whether this pipeline prefetches on a transfer thread. Push-mode
-  /// callers branch on this: overlapping pipelines take Push() (which
-  /// must retain a copy of the batch across calls), serialized ones take
-  /// UploadSerialized() and draw the caller's own table copy-free.
-  bool overlapping() const { return overlap_; }
-
-  /// Push mode, overlapping pipelines only: retains a copy of `batch`,
-  /// starts its upload, and returns the *previous* batch (upload
-  /// complete, ready to draw) — nullopt on the first push.
-  [[nodiscard]] Result<std::optional<PointTable>> Push(PointTable batch)
-      RJ_EXCLUDES(mutex_);
-
-  /// Push mode, serialized pipelines only: packs and uploads `batch`
-  /// inline (one buffer in flight, freed after the metered upload). The
-  /// caller draws `batch` itself afterwards — no copy is made.
-  Status UploadSerialized(const PointTable& batch) RJ_EXCLUDES(mutex_);
-
-  /// Push mode: returns the final batch once its upload completes
-  /// (nullopt when nothing is pending or the pipeline is serialized).
-  [[nodiscard]] Result<std::optional<PointTable>> Flush()
-      RJ_EXCLUDES(mutex_);
 
   /// Joins the transfer thread, folds the accumulated transfer wall time
   /// into `timing` under phase::kTransfer (once; pass nullptr to skip),
@@ -183,8 +131,6 @@ class BatchPipeline {
   Status Drain(PhaseTimer* timing) RJ_EXCLUDES(mutex_);
 
  private:
-  enum class Mode { kPull, kPush };
-
   struct Slot {
     /// Persistent staging buffer: drawn from a process-wide pool on the
     /// slot's first upload and parked again when the pipeline is destroyed,
@@ -193,21 +139,18 @@ class BatchPipeline {
     /// applies to canvases).
     std::vector<float> staging;
     std::shared_ptr<gpu::Buffer> vbo;
-    /// Push mode: retained copy of the pushed batch. Pull mode over a
-    /// disk source: the scratch the block is materialized into (persists
+    /// Disk sources: the scratch the block is materialized into (persists
     /// across passes, like `staging`).
     PointTable table;
-    const PointTable* rows = nullptr;  ///< pull: table the rows live in
+    const PointTable* rows = nullptr;  ///< table the rows live in
     std::size_t batch_index = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
     enum class State {
-      kFree,     ///< available to the reader / prefetcher / the next Push
-      kLoading,  ///< pull, disk: reader thread materializing the block
-      kLoaded,   ///< pull, disk: rows resident in host RAM, upload pending
-      kQueued,   ///< push mode: table set, awaiting upload
-      kReady,    ///< upload complete, awaiting the consumer
-      kDrawing,  ///< push mode: returned to the caller, draw in progress
+      kFree,     ///< available to the reader / prefetcher
+      kLoading,  ///< disk-staged: reader thread materializing the block
+      kLoaded,   ///< disk-staged: rows resident in host RAM, upload pending
+      kReady,    ///< upload complete, awaiting (or drawn by) the consumer
     } state = State::kFree;
   };
 
@@ -220,11 +163,10 @@ class BatchPipeline {
                                                            std::size_t bytes)
       RJ_EXCLUDES(mutex_);
 
-  /// Packs rows [begin, end) of `table` and uploads them, accumulating the
+  /// Packs the slot's rows [begin, end) and uploads them, accumulating the
   /// elapsed wall time into transfer_seconds_. Runs on the transfer thread
   /// (overlap) or the caller (serialized).
-  Status UploadSlot(Slot* slot, const PointTable& table, std::size_t begin,
-                    std::size_t end) RJ_EXCLUDES(mutex_);
+  Status UploadSlot(Slot* slot) RJ_EXCLUDES(mutex_);
 
   /// Materializes block ordinal `ordinal` of the scan list into `slot`
   /// (setting rows/begin/end), accumulating disk wall time for
@@ -232,31 +174,17 @@ class BatchPipeline {
   /// transfer thread (two-stage), or the caller (serialized).
   Status ReadBlockInto(Slot* slot, std::size_t ordinal) RJ_EXCLUDES(mutex_);
 
-  void TransferLoopPull() RJ_EXCLUDES(mutex_);
-  void TransferLoopPush() RJ_EXCLUDES(mutex_);
+  /// Upload stage: packs and uploads each block ahead of the consumer.
+  void TransferLoop() RJ_EXCLUDES(mutex_);
 
-  /// Disk stage of the three-stage pull pipeline: materializes blocks from
-  /// the source into free slots ahead of the transfer thread.
-  void ReaderLoopPull() RJ_EXCLUDES(mutex_);
-
-  /// Blocks until batch `index`'s upload completes and moves its table out
-  /// (push mode).
-  Result<std::optional<PointTable>> WaitUploaded(std::size_t index)
-      RJ_EXCLUDES(mutex_);
-
-  /// Frees the buffer of the batch previously returned for drawing (its
-  /// draw finished: the caller came back for the next batch). Push mode.
-  void ReleaseDrawn() RJ_EXCLUDES(mutex_);
+  /// Disk stage of the three-stage pipeline: materializes blocks from the
+  /// source into free slots ahead of the transfer thread.
+  void ReaderLoop() RJ_EXCLUDES(mutex_);
 
   gpu::Device* device_;
-  const data::PointBlockSource* source_ = nullptr;  ///< pull mode source
-  std::vector<std::size_t> blocks_;  ///< pull: scan list (block ordinals)
-  /// Backing adapter for the PointTable convenience ctor; source_ points
-  /// at it.
-  std::unique_ptr<data::TableBlockSource> owned_source_;
+  ScanPlan scan_;  ///< source, scan list (block ordinals), overlap request
   std::vector<std::size_t> columns_;
   std::size_t num_batches_ = 0;
-  Mode mode_;
   bool overlap_ = false;
   bool disk_staged_ = false;  ///< three-stage: dedicated disk reader thread
 
@@ -270,24 +198,21 @@ class BatchPipeline {
   /// express per-element ownership, so the protocol is enforced by the
   /// asserts in the .cc and TSan instead.
   std::vector<Slot> slots_;
-  std::size_t next_acquire_ = 0;              ///< pull consumer cursor
-  bool view_outstanding_ = false;  ///< pull consumer-private: unreleased view
-  std::size_t pushed_ RJ_GUARDED_BY(mutex_) = 0;  ///< push producer cursor
-  std::optional<std::size_t> drawn_slot_;     ///< push: slot pending free
+  std::size_t next_acquire_ = 0;   ///< consumer cursor
+  bool view_outstanding_ = false;  ///< consumer-private: unreleased view
   /// Free generation: bumped (under mutex_) whenever the consumer returns
-  /// a slot's device buffer (Release / ReleaseDrawn). AllocateWithBackoff
-  /// waits for this to advance rather than for a slot to *be* kFree — the
-  /// consumer may re-queue the slot before the waiter re-acquires the
-  /// mutex, but a counter advance can never be un-observed.
+  /// a slot's device buffer (Release). AllocateWithBackoff waits for this
+  /// to advance rather than for a slot to *be* kFree — the reader may
+  /// reload the slot before the waiter re-acquires the mutex, but a
+  /// counter advance can never be un-observed.
   std::uint64_t frees_ RJ_GUARDED_BY(mutex_) = 0;
-  /// Pull: completed-pass rewind count.
+  /// Completed-pass rewind count.
   std::size_t rewinds_ RJ_GUARDED_BY(mutex_) = 0;
-  bool flushed_ RJ_GUARDED_BY(mutex_) = false;
   bool canceled_ RJ_GUARDED_BY(mutex_) = false;
   bool drained_ RJ_GUARDED_BY(mutex_) = false;
 
   mutable Mutex mutex_;
-  CondVar cv_producer_;  ///< transfer thread: slot freed/queued
+  CondVar cv_producer_;  ///< reader / transfer threads: slot freed or loaded
   CondVar cv_consumer_;  ///< consumer: upload finished/error
   Status error_ RJ_GUARDED_BY(mutex_) = Status::OK();
   double transfer_seconds_ RJ_GUARDED_BY(mutex_) = 0.0;
@@ -295,7 +220,7 @@ class BatchPipeline {
   double disk_seconds_ RJ_GUARDED_BY(mutex_) = 0.0;
 
   std::thread thread_;
-  std::thread reader_thread_;  ///< disk-staged pull only
+  std::thread reader_thread_;  ///< disk-staged only
 };
 
 }  // namespace rj::join

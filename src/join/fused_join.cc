@@ -1,7 +1,7 @@
 #include "join/fused_join.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "geometry/pip.h"
 #include "join/batch_pipeline.h"
@@ -52,48 +52,6 @@ std::vector<std::size_t> FusedUploadColumns(
   return columns;
 }
 
-ScanPlan PlanTableScan(const gpu::Device& device, const PointTable& points,
-                       std::size_t bytes_per_point, std::size_t batch_size,
-                       bool overlap_transfers) {
-  ScanPlan scan;
-  scan.overlap_transfers = overlap_transfers;
-  if (batch_size == 0) {
-    const UploadPlan plan = PlanUpload(device.bytes_free(), bytes_per_point,
-                                       points.size(), overlap_transfers);
-    batch_size = plan.batch_size;
-    scan.overlap_transfers = plan.overlap_transfers;
-  }
-  // The adapter's blocks are exactly the planned batch slices, and its
-  // blocks are views into `points`: batches draw in place.
-  scan.table = std::make_unique<data::TableBlockSource>(
-      &points, std::max<std::size_t>(batch_size, 1));
-  scan.source = scan.table.get();
-  scan.blocks.resize(scan.table->num_blocks());
-  std::iota(scan.blocks.begin(), scan.blocks.end(), std::size_t{0});
-  return scan;
-}
-
-ScanPlan PlanBlockScan(gpu::Device* device,
-                       const data::PointBlockSource& source,
-                       const std::vector<FusedMemberSpec>& members,
-                       const BBox& world, bool enable_pruning,
-                       bool overlap_transfers) {
-  std::vector<const FilterSet*> filters;
-  filters.reserve(members.size());
-  for (const FusedMemberSpec& member : members) {
-    filters.push_back(&member.filters);
-  }
-  BlockSelection sel = SelectBlocks(source, filters, &world, enable_pruning);
-  device->counters().AddBlocksScanned(sel.scanned);
-  device->counters().AddBlocksPruned(sel.pruned);
-  ScanPlan scan;
-  scan.source = &source;
-  scan.blocks = std::move(sel.blocks);
-  scan.overlap_transfers = overlap_transfers;
-  scan.blocks_pruned = sel.pruned;
-  return scan;
-}
-
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
     gpu::Device* device, ScanPlan scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world, double epsilon,
@@ -134,12 +92,12 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
   // across tiles (Rewind re-streams the blocks per pass), instead of
   // paying a thread spawn and two batch-sized staging allocations per
   // tile. The columns shipped are every member's filter and aggregated
-  // columns (the pipeline reads from the host rows directly; the upload is
-  // for transfer-cost fidelity — see DESIGN.md §2).
-  const std::size_t num_batches = scan.blocks.size();
-  join::BatchPipeline pipeline(device, scan.source, std::move(scan.blocks),
-                               FusedUploadColumns(members),
-                               {scan.overlap_transfers});
+  // columns (the draw reads the host rows directly; the upload is there so
+  // the simulated device meters the transfer the paper's cost model
+  // charges).
+  const std::size_t blocks_pruned = scan.blocks_pruned;
+  join::BatchPipeline pipeline(device, std::move(scan),
+                               FusedUploadColumns(members));
   std::uint64_t drawn_total = 0;
 
   for (std::size_t t = 0; t < tiles.size(); ++t) {
@@ -214,9 +172,9 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
 
   if (stats != nullptr) {
     stats->num_tiles = tiles.size();
-    stats->num_batches = num_batches * tiles.size();
+    stats->num_batches = pipeline.num_batches() * tiles.size();
     stats->points_drawn = drawn_total;
-    stats->blocks_pruned = scan.blocks_pruned;
+    stats->blocks_pruned = blocks_pruned;
   }
   return out;
 }
@@ -264,11 +222,9 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   // host→device transfer runs on the pipeline's prefetch thread while this
   // loop processes batch b (plus, for disk sources, the reader thread
   // materializing batch b+2).
-  const std::size_t num_batches = scan.blocks.size();
-  join::BatchPipeline upload_pipeline(device, scan.source,
-                                      std::move(scan.blocks),
-                                      FusedUploadColumns(members),
-                                      {scan.overlap_transfers});
+  const std::size_t blocks_pruned = scan.blocks_pruned;
+  join::BatchPipeline upload_pipeline(device, std::move(scan),
+                                      FusedUploadColumns(members));
   std::vector<const float*> weights(m, nullptr);
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
@@ -457,8 +413,8 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     stats->boundary_points = boundary_points;
     stats->interior_points = interior_points;
     stats->pip_tests = pips;
-    stats->num_batches = num_batches;
-    stats->blocks_pruned = scan.blocks_pruned;
+    stats->num_batches = upload_pipeline.num_batches();
+    stats->blocks_pruned = blocks_pruned;
   }
   return out;
 }

@@ -12,7 +12,8 @@
 /// the member's own FBO. A solo query is a group of one: BoundedRasterJoin
 /// and AccurateRasterJoin plan their scan and run these cores with one
 /// member, and the Executor runs every query — solo or fused — through
-/// them.
+/// them. Each core streams the ScanPlan it is given (join_common.h:
+/// PlanTableScan for a resident table, PlanBlockScan for a block source).
 ///
 /// Compatibility is structural: members must agree on everything that shapes
 /// the shared scan — the dataset, the variant, and the canvas (ε for
@@ -34,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -78,39 +78,6 @@ struct FusedJoinOutput {
   std::vector<std::optional<raster::Fbo>> point_fbos;
   PhaseTimer timing;
 };
-
-/// The scan a core streams: blocks `blocks` (ascending ordinals) of
-/// `*source`, one device batch per block, with transfers overlapping the
-/// draw when `overlap_transfers`.
-struct ScanPlan {
-  const data::PointBlockSource* source = nullptr;
-  std::vector<std::size_t> blocks;
-  bool overlap_transfers = true;
-  /// Blocks the zone maps pruned (block-source scans only).
-  std::size_t blocks_pruned = 0;
-  /// Resident-table scans: the adapter whose blocks are the planned batch
-  /// slices (`source` points at it).
-  std::unique_ptr<data::TableBlockSource> table;
-};
-
-/// Plans the scan of a resident table: `points` in batch slices of
-/// `batch_size` points, or — when `batch_size` is 0 — sized by PlanUpload
-/// so the pipeline's in-flight buffers (2 when transfers overlap the draw)
-/// fit the device's free bytes at `bytes_per_point`.
-ScanPlan PlanTableScan(const gpu::Device& device, const PointTable& points,
-                       std::size_t bytes_per_point, std::size_t batch_size,
-                       bool overlap_transfers);
-
-/// Plans the scan of a block source: the blocks any member may match
-/// within `world` (SelectBlocks over every member's filters; everything
-/// when `enable_pruning` is off). The block capacity is the batch size.
-/// Meters the scanned/pruned decisions into `device`'s counters once for
-/// the whole group.
-ScanPlan PlanBlockScan(gpu::Device* device,
-                       const data::PointBlockSource& source,
-                       const std::vector<FusedMemberSpec>& members,
-                       const BBox& world, bool enable_pruning,
-                       bool overlap_transfers);
 
 /// Columns of the group's upload: the union of every member's
 /// UploadColumns, ascending. The single definition shared by the cores and

@@ -46,21 +46,17 @@ void JoinPointRange(const Rows& points, const PolygonSet& polys,
   }
 }
 
-/// The one device-flavour execution core both public overloads reach (see
-/// raster_join_bounded.cc for the pattern).
-Result<JoinResult> IndexDeviceBlockJoin(gpu::Device* device,
-                                        const data::PointBlockSource& source,
-                                        std::vector<std::size_t> scan,
-                                        const PolygonSet& polys,
-                                        const BBox& world,
-                                        const IndexJoinOptions& options,
-                                        bool overlap) {
+}  // namespace
+
+Result<JoinResult> IndexJoinDevice(gpu::Device* device, ScanPlan scan,
+                                   const PolygonSet& polys, const BBox& world,
+                                   const IndexJoinOptions& options) {
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   RJ_RETURN_NOT_OK(
-      ValidateWeightColumnCount(source.num_attributes(),
+      ValidateWeightColumnCount(scan.source->num_attributes(),
                                 options.weight_column));
   RJ_RETURN_NOT_OK(
-      ValidateFiltersCount(source.num_attributes(), options.filters));
+      ValidateFiltersCount(scan.source->num_attributes(), options.filters));
 
   JoinResult result(polys.size());
 
@@ -84,15 +80,14 @@ Result<JoinResult> IndexDeviceBlockJoin(gpu::Device* device,
   // Out-of-core batching: transfer each batch once (batch b+1 prefetched
   // by the pipeline while batch b's PIP stage runs), then run the PIP
   // compute stage over it.
-  const std::vector<std::size_t> columns =
+  std::vector<std::size_t> columns =
       UploadColumns(options.filters, options.weight_column);
 
   // Per-thread metering window (see pip.h): a global-counter window would
   // absorb concurrent queries' tests on a shared device.
   std::uint64_t worker_pips = 0;
   const std::size_t pip_before = GetThreadPipTestCount();
-  join::BatchPipeline pipeline(device, &source, std::move(scan), columns,
-                               {overlap});
+  join::BatchPipeline pipeline(device, std::move(scan), std::move(columns));
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         pipeline.Acquire());
@@ -138,28 +133,15 @@ Result<JoinResult> IndexDeviceBlockJoin(gpu::Device* device,
   return result;
 }
 
-}  // namespace
-
 Result<JoinResult> IndexJoinDevice(gpu::Device* device,
                                    const PointTable& points,
                                    const PolygonSet& polys, const BBox& world,
                                    const IndexJoinOptions& options) {
-  const std::size_t bytes_per_point =
-      UploadBytesPerPoint(options.filters, options.weight_column);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
-    const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
-  }
-
-  data::TableBlockSource adapter(&points, std::max<std::size_t>(batch, 1));
-  std::vector<std::size_t> scan(adapter.num_blocks());
-  for (std::size_t b = 0; b < scan.size(); ++b) scan[b] = b;
-  return IndexDeviceBlockJoin(device, adapter, std::move(scan), polys, world,
-                              options, overlap);
+  ScanPlan scan = PlanTableScan(
+      *device, points,
+      UploadBytesPerPoint(options.filters, options.weight_column),
+      options.batch_size, options.overlap_transfers);
+  return IndexJoinDevice(device, std::move(scan), polys, world, options);
 }
 
 Result<JoinResult> IndexJoinDevice(gpu::Device* device,
@@ -168,12 +150,10 @@ Result<JoinResult> IndexJoinDevice(gpu::Device* device,
                                    const IndexJoinOptions& options) {
   // Pruning against `world` is exact for this variant: the index is built
   // over `world`, and Candidates yields nothing outside its extent.
-  BlockSelection sel = SelectBlocks(source, options.filters, &world,
-                                    options.enable_block_pruning);
-  device->counters().AddBlocksScanned(sel.scanned);
-  device->counters().AddBlocksPruned(sel.pruned);
-  return IndexDeviceBlockJoin(device, source, std::move(sel.blocks), polys,
-                              world, options, options.overlap_transfers);
+  ScanPlan scan =
+      PlanBlockScan(device, source, {&options.filters}, world,
+                    options.enable_block_pruning, options.overlap_transfers);
+  return IndexJoinDevice(device, std::move(scan), polys, world, options);
 }
 
 Result<JoinResult> IndexJoinCpu(const PointTable& points,
@@ -181,34 +161,11 @@ Result<JoinResult> IndexJoinCpu(const PointTable& points,
                                 const GridIndex& index,
                                 const IndexJoinOptions& options,
                                 int num_threads) {
-  RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
-  RJ_RETURN_NOT_OK(ValidateWeightColumn(points, options.weight_column));
-  RJ_RETURN_NOT_OK(ValidateFilters(points, options.filters));
-  if (num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-
-  JoinResult result(polys.size());
-  ScopedPhase sp(&result.timing, phase::kProcessing);
-
-  if (num_threads == 1) {
-    JoinPointRange(points, polys, index, options, 0, points.size(),
-                   &result.arrays);
-    return result;
-  }
-
-  // Parallel version: per-thread accumulators merged at the end, mirroring
-  // the paper's OpenMP implementation with thread-local aggregates (§7.1).
-  ThreadPool pool(static_cast<std::size_t>(num_threads));
-  std::vector<raster::ResultArrays> partials(
-      pool.num_threads(), raster::ResultArrays(polys.size()));
-  pool.ParallelFor(points.size(), [&](std::size_t begin, std::size_t end,
-                                      std::size_t worker) {
-    JoinPointRange(points, polys, index, options, begin, end,
-                   &partials[worker]);
-  });
-  for (const auto& partial : partials) result.arrays.AddFrom(partial);
-  return result;
+  // One block holding every row: the same thread split and merge order as
+  // a loop over the table, with no zone map to prune by.
+  const data::TableBlockSource whole(&points,
+                                     std::max<std::size_t>(points.size(), 1));
+  return IndexJoinCpu(whole, polys, index, options, num_threads);
 }
 
 Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
@@ -247,9 +204,10 @@ Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
   for (const std::size_t b : sel.blocks) {
     RJ_ASSIGN_OR_RETURN(data::BlockView view, source.ViewBlock(b, &scratch));
     if (pool.has_value()) {
-      // Per-block merge in ascending worker order: deterministic for any
-      // thread count (and exact for the integer-valued weights the repo's
-      // determinism suite uses).
+      // Per-thread accumulators merged per block in ascending worker order,
+      // mirroring the paper's OpenMP implementation with thread-local
+      // aggregates (§7.1): deterministic for any thread count (and exact
+      // for the integer-valued weights the repo's determinism suite uses).
       std::vector<raster::ResultArrays> partials(
           pool->num_threads(), raster::ResultArrays(polys.size()));
       pool->ParallelFor(view.size,

@@ -57,16 +57,24 @@ struct IndexJoinBlockStats {
   std::size_t blocks_pruned = 0;
 };
 
-/// Device (GPU-baseline) flavour; builds the index on the fly and meters
-/// transfers, mirroring IndexJoin of §6.2.
+/// Device (GPU-baseline) flavour over a planned scan (join_common.h):
+/// builds the index on the fly and meters transfers, mirroring IndexJoin
+/// of §6.2. The plan fixes the batching and the overlap, so
+/// options.batch_size, overlap_transfers and enable_block_pruning are not
+/// read here.
+Result<JoinResult> IndexJoinDevice(gpu::Device* device, ScanPlan scan,
+                                   const PolygonSet& polys, const BBox& world,
+                                   const IndexJoinOptions& options);
+
+/// Plans the scan of a resident table (PlanTableScan), then runs the core.
 Result<JoinResult> IndexJoinDevice(gpu::Device* device,
                                    const PointTable& points,
                                    const PolygonSet& polys, const BBox& world,
                                    const IndexJoinOptions& options);
 
-/// Block-source execution (see the BoundedRasterJoin overload): streams
-/// the zone-map-selected blocks; bitwise identical to the in-memory
-/// overload on the materialized source.
+/// Plans the scan of a block source (PlanBlockScan over `world`), then
+/// runs the core; bitwise identical to the in-memory overload on the
+/// materialized source.
 Result<JoinResult> IndexJoinDevice(gpu::Device* device,
                                    const data::PointBlockSource& source,
                                    const PolygonSet& polys, const BBox& world,
@@ -74,7 +82,8 @@ Result<JoinResult> IndexJoinDevice(gpu::Device* device,
 
 /// CPU flavour with a caller-provided (pre-built) index; set
 /// `num_threads` = 1 for the single-core baseline the paper normalizes
-/// speedups against, or > 1 for the OpenMP-style parallel version.
+/// speedups against, or > 1 for the OpenMP-style parallel version. Scans
+/// the table as one whole-table block of the source overload.
 Result<JoinResult> IndexJoinCpu(const PointTable& points,
                                 const PolygonSet& polys,
                                 const GridIndex& index,
@@ -83,8 +92,9 @@ Result<JoinResult> IndexJoinCpu(const PointTable& points,
 
 /// CPU flavour over a block source: scans the zone-map-selected blocks
 /// one at a time (the working set is one block, not the table), pruning
-/// against the filters and the index extent. `stats` (optional) receives
-/// the scan/prune counts.
+/// against the filters and the index extent. Each block's rows are split
+/// across the threads and the per-thread partials merged in ascending
+/// thread order. `stats` (optional) receives the scan/prune counts.
 Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
                                 const PolygonSet& polys,
                                 const GridIndex& index,

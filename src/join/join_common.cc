@@ -1,6 +1,8 @@
 #include "join/join_common.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 namespace rj {
 
@@ -29,6 +31,43 @@ std::vector<std::size_t> UploadColumns(const FilterSet& filters,
     if (!present) columns.push_back(weight_column);
   }
   return columns;
+}
+
+ScanPlan PlanTableScan(const gpu::Device& device, const PointTable& points,
+                       std::size_t bytes_per_point, std::size_t batch_size,
+                       bool overlap_transfers) {
+  ScanPlan scan;
+  scan.overlap_transfers = overlap_transfers;
+  if (batch_size == 0) {
+    const UploadPlan plan = PlanUpload(device.bytes_free(), bytes_per_point,
+                                       points.size(), overlap_transfers);
+    batch_size = plan.batch_size;
+    scan.overlap_transfers = plan.overlap_transfers;
+  }
+  // The adapter's blocks are exactly the planned batch slices, and its
+  // blocks are views into `points`: batches draw in place.
+  scan.table = std::make_unique<data::TableBlockSource>(
+      &points, std::max<std::size_t>(batch_size, 1));
+  scan.source = scan.table.get();
+  scan.blocks.resize(scan.table->num_blocks());
+  std::iota(scan.blocks.begin(), scan.blocks.end(), std::size_t{0});
+  return scan;
+}
+
+ScanPlan PlanBlockScan(gpu::Device* device,
+                       const data::PointBlockSource& source,
+                       const std::vector<const FilterSet*>& filters,
+                       const BBox& world, bool enable_pruning,
+                       bool overlap_transfers) {
+  BlockSelection sel = SelectBlocks(source, filters, &world, enable_pruning);
+  device->counters().AddBlocksScanned(sel.scanned);
+  device->counters().AddBlocksPruned(sel.pruned);
+  ScanPlan scan;
+  scan.source = &source;
+  scan.blocks = std::move(sel.blocks);
+  scan.overlap_transfers = overlap_transfers;
+  scan.blocks_pruned = sel.pruned;
+  return scan;
 }
 
 bool ZoneMapCanMatch(const data::BlockZoneMap& zone, const FilterSet& filters,

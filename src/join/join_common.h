@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -193,12 +194,45 @@ inline BlockSelection SelectBlocks(const data::PointBlockSource& source,
                       canvas_world, enable_pruning);
 }
 
+/// The scan a join streams through join::BatchPipeline: blocks `blocks`
+/// (ascending ordinals) of `*source`, one device batch per block, with
+/// transfers overlapping the draw when `overlap_transfers`. Every join —
+/// raster or index, over a resident table or a disk file — gets its points
+/// this one way.
+struct ScanPlan {
+  const data::PointBlockSource* source = nullptr;
+  std::vector<std::size_t> blocks;
+  bool overlap_transfers = true;
+  /// Blocks the zone maps pruned (block-source scans only).
+  std::size_t blocks_pruned = 0;
+  /// Resident-table scans: the adapter whose blocks are the planned batch
+  /// slices (`source` points at it).
+  std::unique_ptr<data::TableBlockSource> table;
+};
+
+/// Plans the scan of a resident table: `points` in batch slices of
+/// `batch_size` points, or — when `batch_size` is 0 — sized by PlanUpload
+/// so the pipeline's in-flight buffers (2 when transfers overlap the draw)
+/// fit the device's free bytes at `bytes_per_point`.
+ScanPlan PlanTableScan(const gpu::Device& device, const PointTable& points,
+                       std::size_t bytes_per_point, std::size_t batch_size,
+                       bool overlap_transfers);
+
+/// Plans the scan of a block source for a group of queries, one filter
+/// set each: the blocks any of them may match within `world`
+/// (SelectBlocks; everything when `enable_pruning` is off). The block
+/// capacity is the batch size. Meters the scanned/pruned decisions into
+/// `device`'s counters once for the whole group.
+ScanPlan PlanBlockScan(gpu::Device* device,
+                       const data::PointBlockSource& source,
+                       const std::vector<const FilterSet*>& filters,
+                       const BBox& world, bool enable_pruning,
+                       bool overlap_transfers);
+
 /// Ships and meters the bounded join's triangle VBO exactly once per
 /// query (allocate → zero-fill upload → free, timed under
-/// phase::kTransfer). Shared by BoundedRasterJoin and
-/// StreamingBoundedJoin::Finish so the two cannot drift in what they
-/// meter — TriangleVboBytes keeps them aligned with PlanAdmission's
-/// fixed_bytes.
+/// phase::kTransfer). TriangleVboBytes keeps what it meters aligned with
+/// PlanAdmission's fixed_bytes.
 Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,
                          PhaseTimer* timing);
 

@@ -134,12 +134,11 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const BBox& world,
                                       const AccurateRasterJoinOptions& options,
                                       AccurateRasterJoinStats* stats) {
-  const std::vector<FusedMemberSpec> member = SoloMember(options);
   ScanPlan scan =
-      PlanBlockScan(device, source, member, world,
+      PlanBlockScan(device, source, {&options.filters}, world,
                     options.enable_block_pruning, options.overlap_transfers);
-  return RunSolo(device, std::move(scan), member, polys, soup, world, options,
-                 stats);
+  return RunSolo(device, std::move(scan), SoloMember(options), polys, soup,
+                 world, options, stats);
 }
 
 }  // namespace rj

@@ -76,13 +76,12 @@ Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      BoundedRasterJoinStats* stats,
                                      ResultRanges* ranges_out,
                                      std::optional<raster::Fbo>* point_fbo_out) {
-  const std::vector<FusedMemberSpec> member =
-      SoloMember(options, point_fbo_out != nullptr);
   ScanPlan scan =
-      PlanBlockScan(device, source, member, world,
+      PlanBlockScan(device, source, {&options.filters}, world,
                     options.enable_block_pruning, options.overlap_transfers);
-  return RunSolo(device, std::move(scan), member, polys, soup, world, options,
-                 stats, ranges_out, point_fbo_out);
+  return RunSolo(device, std::move(scan),
+                 SoloMember(options, point_fbo_out != nullptr), polys, soup,
+                 world, options, stats, ranges_out, point_fbo_out);
 }
 
 }  // namespace rj

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 namespace rj::net {
@@ -93,6 +94,26 @@ Status ParseHead(const std::string& buf, std::size_t head_end,
   return Status::OK();
 }
 
+// The body length a request declares: Content-Length is 1*DIGIT (RFC 9110
+// §8.6), and a repeated header must repeat the same value; anything else is
+// a malformed request (RFC 9112 §6.3). nullopt when no header is present.
+Result<std::optional<unsigned long long>> DeclaredContentLength(
+    const HttpRequest& request) {
+  std::optional<unsigned long long> length;
+  for (const auto& [name, value] : request.headers) {
+    if (name != "content-length") continue;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos ||
+        errno != 0 || (length.has_value() && *length != v)) {
+      return Status::InvalidArgument("http: bad Content-Length");
+    }
+    length = v;
+  }
+  return length;
+}
+
 }  // namespace
 
 const std::string* HttpRequest::FindHeader(
@@ -152,19 +173,15 @@ Result<ReadOutcome> ReadHttpRequest(int fd, const HttpLimits& limits,
       if (head_end != std::string::npos) {
         RJ_RETURN_NOT_OK(ParseHead(buf, head_end + 2, out));
         head_parsed = true;
-        if (const std::string* cl = out->FindHeader("content-length")) {
-          char* end = nullptr;
-          errno = 0;
-          unsigned long long v = std::strtoull(cl->c_str(), &end, 10);
-          if (errno != 0 || end == cl->c_str() || *end != '\0') {
-            return Status::InvalidArgument("http: bad Content-Length");
-          }
-          body_len = static_cast<std::size_t>(v);
-          if (body_len > limits.max_body_bytes) {
+        RJ_ASSIGN_OR_RETURN(const std::optional<unsigned long long> length,
+                            DeclaredContentLength(*out));
+        if (length.has_value()) {
+          if (*length > limits.max_body_bytes) {
             return Status::CapacityError(
                 "http: body exceeds limit of " +
                 std::to_string(limits.max_body_bytes) + " bytes");
           }
+          body_len = static_cast<std::size_t>(*length);
         } else if (out->FindHeader("transfer-encoding") != nullptr) {
           return Status::InvalidArgument(
               "http: chunked transfer encoding is not supported");

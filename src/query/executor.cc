@@ -328,26 +328,6 @@ Result<FusedJoinOutput> Executor::RunVariant(
     const std::vector<SpatialAggQuery>& queries, const UploadPlan& capped,
     bool gather_fbos) {
   const SpatialAggQuery& lead = queries[0];
-  if (setup.variant == JoinVariant::kBoundedRaster ||
-      setup.variant == JoinVariant::kAccurateRaster) {
-    const std::vector<FusedMemberSpec> members =
-        FusedMembers(queries, setup.variant, gather_fbos);
-    ScanPlan scan =
-        points != nullptr
-            ? PlanTableScan(*device, *points, setup.bytes_per_point,
-                            capped.batch_size, capped.overlap_transfers)
-            : PlanBlockScan(device, *source_, members, world_,
-                            lead.enable_block_pruning,
-                            capped.overlap_transfers);
-    return setup.variant == JoinVariant::kBoundedRaster
-               ? FusedBoundedRasterJoin(device, std::move(scan), *polys_,
-                                        *setup.soup, world_, lead.epsilon,
-                                        members)
-               : FusedAccurateRasterJoin(device, std::move(scan), *polys_,
-                                         *setup.soup, *setup.canvas,
-                                         members);
-  }
-
   // The index baselines have no raster pass to share: PrepareGroup admits
   // them only as groups of one.
   IndexJoinOptions options;
@@ -355,20 +335,41 @@ Result<FusedJoinOutput> Executor::RunVariant(
   options.filters = lead.filters;
   options.enable_block_pruning = lead.enable_block_pruning;
   Result<JoinResult> join = Status::Internal("kAuto should have been resolved");
-  if (setup.variant == JoinVariant::kIndexDevice) {
-    options.batch_size = capped.batch_size;
-    options.overlap_transfers = capped.overlap_transfers;
-    options.prebuilt_index = setup.device_index;
-    join = points != nullptr
-               ? IndexJoinDevice(device, *points, *polys_, world_, options)
-               : IndexJoinDevice(device, *source_, *polys_, world_, options);
-  } else if (setup.variant == JoinVariant::kIndexCpu) {
+  if (setup.variant == JoinVariant::kIndexCpu) {
     options.assign_mode = GridAssignMode::kExactGeometry;
     join = points != nullptr
                ? IndexJoinCpu(*points, *polys_, *setup.cpu_index, options,
                               lead.cpu_threads)
                : IndexJoinCpu(*source_, *polys_, *setup.cpu_index, options,
                               lead.cpu_threads);
+  } else {
+    // Every device variant streams one planned scan.
+    const std::vector<FusedMemberSpec> members =
+        FusedMembers(queries, setup.variant, gather_fbos);
+    std::vector<const FilterSet*> filters;
+    for (const FusedMemberSpec& member : members) {
+      filters.push_back(&member.filters);
+    }
+    ScanPlan scan =
+        points != nullptr
+            ? PlanTableScan(*device, *points, setup.bytes_per_point,
+                            capped.batch_size, capped.overlap_transfers)
+            : PlanBlockScan(device, *source_, filters, world_,
+                            lead.enable_block_pruning,
+                            capped.overlap_transfers);
+    if (setup.variant == JoinVariant::kBoundedRaster) {
+      return FusedBoundedRasterJoin(device, std::move(scan), *polys_,
+                                    *setup.soup, world_, lead.epsilon, members);
+    }
+    if (setup.variant == JoinVariant::kAccurateRaster) {
+      return FusedAccurateRasterJoin(device, std::move(scan), *polys_,
+                                     *setup.soup, *setup.canvas, members);
+    }
+    if (setup.variant == JoinVariant::kIndexDevice) {
+      options.prebuilt_index = setup.device_index;
+      join = IndexJoinDevice(device, std::move(scan), *polys_, world_,
+                             options);
+    }
   }
   if (!join.ok()) return join.status();
   FusedJoinOutput out;
@@ -467,8 +468,8 @@ Result<QueryResult> Executor::Execute(const SpatialAggQuery& query) {
       result_cache_->GetOrCompute(
           key, [&] { return ExecuteUncached(query); }, &hit,
           // Publish guard: never cache a result whose key version was
-          // outrun by a concurrent dataset bump (streaming append,
-          // re-registration) while the flight computed.
+          // outrun by a concurrent BumpDatasetVersion while the flight
+          // computed.
           [&] { return dataset_version() == key.version; }));
   QueryResult out = *shared;
   if (hit) {

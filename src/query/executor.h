@@ -348,23 +348,16 @@ class Executor {
   query::ResultCache* result_cache() const { return result_cache_; }
   std::uint64_t dataset_cache_key() const { return dataset_cache_key_; }
 
-  /// Monotone dataset version, part of every cache key: bump it whenever
-  /// the underlying data changes (streaming appends, re-registration) and
-  /// all prior cached results become unreachable (they age out of the
-  /// LRU). BumpDatasetVersion also drops the memoized admission/batch
-  /// plans, whose full-working-set term depends on the point count.
-  /// Thread-safe.
+  /// Monotone dataset version, part of every cache key: BumpDatasetVersion
+  /// is the one way to mark the underlying data changed (re-registration,
+  /// QueryService::InvalidateDataset), and all prior cached results become
+  /// unreachable (they age out of the LRU). It also drops the memoized
+  /// admission/batch plans, whose full-working-set term depends on the
+  /// point count. Thread-safe.
   std::uint64_t dataset_version() const {
     return dataset_version_.load(std::memory_order_acquire);
   }
   void BumpDatasetVersion();
-  /// The raw counter, for wiring into mutators that must invalidate on
-  /// write (Streaming*Join::set_version_counter). Streaming appends don't
-  /// change the registered table the plan cache is sized against, so the
-  /// bare-counter bump (no plan-cache clear) is sufficient there.
-  std::atomic<std::uint64_t>* dataset_version_counter() {
-    return &dataset_version_;
-  }
 
   /// Plan-cache counters (admission/batch-plan memoization hits).
   query::PlanCacheStats plan_cache_stats() const;

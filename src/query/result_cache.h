@@ -23,9 +23,9 @@
 ///    once: the first becomes the leader and computes, the rest block on
 ///    the in-flight entry and share the leader's result (or its error);
 ///  * **invalidation** — the key carries a per-dataset version counter
-///    (bumped by Streaming*Join::AddBatch and dataset re-registration), so
-///    mutated datasets miss naturally; stale-version entries age out of
-///    the LRU.
+///    (Executor::BumpDatasetVersion: dataset re-registration and
+///    QueryService::InvalidateDataset), so mutated datasets miss naturally;
+///    stale-version entries age out of the LRU.
 ///
 /// PlanCache is the sibling layer for query *planning*: it memoizes
 /// Executor::PlanAdmission footprints per (variant, upload stride, overlap)

@@ -294,9 +294,7 @@ class QueryService {
 
   /// Bumps `dataset_id`'s version: cached results stop matching and the
   /// next query of each shape re-executes. For out-of-band mutations the
-  /// service cannot observe (no-op on an unknown id). Streaming appends
-  /// invalidate automatically when the join is wired to the executor's
-  /// version counter (Streaming*Join::set_version_counter).
+  /// service cannot observe (no-op on an unknown id).
   void InvalidateDataset(std::size_t dataset_id);
 
   /// The cached executor for a registered dataset (e.g. to warm caches or

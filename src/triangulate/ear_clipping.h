@@ -4,7 +4,7 @@
 /// The paper's implementation uses clip2tri (Clipper + poly2tri constrained
 /// Delaunay). Raster-join correctness only requires that the triangulation
 /// cover exactly the polygon interior; ear clipping provides that with a
-/// simpler, dependency-free implementation (DESIGN.md §2). A Delaunay-ish
+/// simpler, dependency-free implementation. A Delaunay-ish
 /// quality pass is unnecessary because rasterization quality is independent
 /// of triangle aspect ratio under the pixel-center rule.
 #pragma once

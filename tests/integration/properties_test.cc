@@ -1,4 +1,6 @@
-/// Parameterized property sweeps over the DESIGN.md §5 invariants.
+/// Parameterized property sweeps over the joins' invariants: exact variants
+/// match the reference, bounded error shrinks with ε, and batching and
+/// tiling never change a result.
 #include <gtest/gtest.h>
 
 #include <cmath>

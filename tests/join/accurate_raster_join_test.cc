@@ -48,7 +48,7 @@ gpu::Device MakeDevice(std::size_t budget = 64 << 20) {
 }
 
 TEST(AccurateRasterJoinTest, ExactlyMatchesReferenceCount) {
-  // DESIGN.md invariant 1: accurate == brute-force reference, exactly.
+  // Invariant: accurate == brute-force reference, exactly.
   JoinSetup s = MakeSetup(8, 10000, 21);
   gpu::Device device = MakeDevice();
   AccurateRasterJoinOptions options;

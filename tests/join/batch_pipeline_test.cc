@@ -1,7 +1,7 @@
 /// \file batch_pipeline_test.cc
 /// \brief Tests for the double-buffered upload pipeline
 /// (join::BatchPipeline): overlap on/off must be bitwise identical for any
-/// worker count, streaming and one-shot joins must meter identical bytes,
+/// worker count, a join must meter exactly the bytes its batches ship,
 /// and pipeline errors must propagate cleanly (drain-on-error).
 #include "join/batch_pipeline.h"
 
@@ -15,7 +15,6 @@
 #include "join/index_join.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
-#include "join/streaming_join.h"
 #include "triangulate/triangulation.h"
 
 namespace rj {
@@ -69,13 +68,16 @@ void ExpectIdenticalArrays(const raster::ResultArrays& a,
   }
 }
 
-// --- Pull mode: plain pipeline mechanics. --------------------------------
+// --- Plain pipeline mechanics. -------------------------------------------
 
 TEST(BatchPipelineTest, PullModeCoversEveryRowInOrder) {
   JoinSetup s = MakeSetup(4, 5000, 91);
   for (const bool overlap : {false, true}) {
     gpu::Device device = MakeDevice();
-    join::BatchPipeline pipeline(&device, &s.points, {0}, 777, {overlap});
+    join::BatchPipeline pipeline(
+        &device,
+        PlanTableScan(device, s.points, /*bytes_per_point=*/0, 777, overlap),
+        {0});
     EXPECT_EQ(pipeline.num_batches(), (5000 + 776) / 777);
     std::size_t expected_begin = 0;
     std::size_t index = 0;
@@ -104,8 +106,11 @@ TEST(BatchPipelineTest, OverlapKeepsAtMostTwoBatchesResident) {
   JoinSetup s = MakeSetup(4, 4096, 92);
   gpu::Device device = MakeDevice();
   const std::size_t stride_bytes = 3 * sizeof(float);
-  join::BatchPipeline pipeline(&device, &s.points, {0}, 1024,
-                               {/*overlap_transfers=*/true});
+  join::BatchPipeline pipeline(
+      &device,
+      PlanTableScan(device, s.points, /*bytes_per_point=*/0, 1024,
+                    /*overlap_transfers=*/true),
+      {0});
   for (;;) {
     auto view = pipeline.Acquire();
     ASSERT_TRUE(view.ok());
@@ -125,7 +130,10 @@ TEST(BatchPipelineTest, RewindRestreamsEveryBatchPerTilePass) {
   constexpr std::size_t kPasses = 3;
   for (const bool overlap : {false, true}) {
     gpu::Device device = MakeDevice();
-    join::BatchPipeline pipeline(&device, &s.points, {0}, 777, {overlap});
+    join::BatchPipeline pipeline(
+        &device,
+        PlanTableScan(device, s.points, /*bytes_per_point=*/0, 777, overlap),
+        {0});
     for (std::size_t pass = 0; pass < kPasses; ++pass) {
       if (pass > 0) {
         ASSERT_TRUE(pipeline.Rewind().ok());
@@ -235,74 +243,31 @@ TEST(BatchPipelineTest, AccurateAndIndexJoinsOverlapBitwiseIdentical) {
   EXPECT_EQ(d3.counters().pip_tests(), d4.counters().pip_tests());
 }
 
-TEST(BatchPipelineTest, StreamingJoinsOverlapBitwiseIdentical) {
-  JoinSetup s = MakeSetup(8, 9000, 95);
-  BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;
-  options.weight_column = 0;
+// --- Metering: the bytes a join ships. ----------------------------------
 
-  raster::ResultArrays arrays[2] = {raster::ResultArrays(0),
-                                    raster::ResultArrays(0)};
-  for (const bool overlap : {false, true}) {
-    options.overlap_transfers = overlap;
-    gpu::Device device = MakeDevice();
-    StreamingBoundedJoin streaming(&device, &s.polys, &s.soup, s.world,
-                                   options);
-    ASSERT_TRUE(streaming.Init().ok());
-    for (std::size_t b = 0; b < s.points.size(); b += 1234) {
-      ASSERT_TRUE(
-          streaming
-              .AddBatch(s.points.Slice(b, std::min(s.points.size(), b + 1234)))
-              .ok());
-    }
-    auto result = streaming.Finish();
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(streaming.points_drawn(), s.points.size());
-    arrays[overlap ? 1 : 0] = std::move(result.value().arrays);
-  }
-  ExpectIdenticalArrays(arrays[0], arrays[1]);
-}
-
-// --- Satellite: streaming and one-shot joins meter identical bytes. ------
-
-TEST(BatchPipelineTest, StreamingBytesMatchOneShotBounded) {
+TEST(BatchPipelineTest, BoundedJoinShipsAFilteredWeightColumnOnce) {
   JoinSetup s = MakeSetup(8, 9000, 96);
   BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;  // single 118² tile: same tile-pass structure
+  options.epsilon = 12.0;  // single 118² tile: one pass over the batches
   options.weight_column = 0;
   // The weight column is also a filter column: the upload plan must ship
-  // it once, not twice (the old streaming path double-counted it).
+  // it once, not twice.
   ASSERT_TRUE(options.filters.Add({0, FilterOp::kLess, 80.0f}).ok());
 
   constexpr std::size_t kBatch = 1234;
-  gpu::Device d1 = MakeDevice();
+  gpu::Device device = MakeDevice();
   options.batch_size = kBatch;
-  auto whole = BoundedRasterJoin(&d1, s.points, s.polys, s.soup, s.world,
+  auto whole = BoundedRasterJoin(&device, s.points, s.polys, s.soup, s.world,
                                  options);
   ASSERT_TRUE(whole.ok());
 
-  gpu::Device d2 = MakeDevice();
-  StreamingBoundedJoin streaming(&d2, &s.polys, &s.soup, s.world, options);
-  ASSERT_TRUE(streaming.Init().ok());
-  for (std::size_t b = 0; b < s.points.size(); b += kBatch) {
-    ASSERT_TRUE(
-        streaming
-            .AddBatch(s.points.Slice(b, std::min(s.points.size(), b + kBatch)))
-            .ok());
-  }
-  auto result = streaming.Finish();
-  ASSERT_TRUE(result.ok());
-
-  // Counters-level invariant: k streamed batches ship exactly the bytes of
-  // the one-shot join with the same batch size — points exactly once at
-  // the deduped stride, the triangle VBO exactly once per query.
-  EXPECT_EQ(d1.counters().bytes_transferred(),
-            d2.counters().bytes_transferred());
-  EXPECT_EQ(d1.counters().batches(), d2.counters().batches());
+  // Points exactly once at the deduped stride, the triangle VBO exactly
+  // once per query, one batch per kBatch-point slice.
   const std::size_t expected =
       s.points.size() * 3 * sizeof(float) + TriangleVboBytes(s.soup.size());
-  EXPECT_EQ(d1.counters().bytes_transferred(), expected);
-  ExpectIdenticalArrays(whole.value().arrays, result.value().arrays);
+  EXPECT_EQ(device.counters().bytes_transferred(), expected);
+  EXPECT_EQ(device.counters().batches(),
+            (s.points.size() + kBatch - 1) / kBatch);
 }
 
 // --- Error propagation / drain-on-error. ---------------------------------
@@ -315,8 +280,11 @@ TEST(BatchPipelineTest, GenuineAllocationFailurePropagatesCleanly) {
   // return every device byte (no leaked thread, no leaked buffer).
   gpu::Device device = MakeDevice(1, /*budget=*/2000);
   {
-    join::BatchPipeline pipeline(&device, &s.points, {}, 400,
-                                 {/*overlap_transfers=*/true});
+    join::BatchPipeline pipeline(
+        &device,
+        PlanTableScan(device, s.points, /*bytes_per_point=*/0, 400,
+                      /*overlap_transfers=*/true),
+        {});
     auto first = pipeline.Acquire();
     ASSERT_FALSE(first.ok());
     EXPECT_EQ(first.status().code(), StatusCode::kCapacityError);
@@ -348,45 +316,6 @@ TEST(BatchPipelineTest, PrefetchBacksOffToSerializedUnderMemoryPressure) {
   ExpectIdenticalArrays(serial.value().arrays, overlapped.value().arrays);
   EXPECT_EQ(serial_device.counters().bytes_transferred(),
             overlap_device.counters().bytes_transferred());
-}
-
-TEST(BatchPipelineTest, PushModeBacksOffToSerializedUnderMemoryPressure) {
-  JoinSetup s = MakeSetup(4, 8000, 99);
-  // One 400-point batch at the (x, y, w) stride is 4800 B; the 6000-byte
-  // budget holds one buffer in flight, never two, so every prefetch after
-  // the first backs off while the consumer is blocked inside Push on that
-  // very upload. This is the lost-wakeup regression shape: the consumer
-  // frees the drawn buffer and immediately re-queues the slot
-  // (kDrawing → kFree → kQueued) in two critical sections, so a waiter
-  // watching for the slot's kFree state could miss the window and hang
-  // both threads. 20 batches give the race plenty of chances; the stream
-  // must complete serialized, within budget, bitwise equal to overlap-off.
-  BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;
-  options.weight_column = 0;
-
-  raster::ResultArrays arrays[2] = {raster::ResultArrays(0),
-                                    raster::ResultArrays(0)};
-  for (const bool overlap : {false, true}) {
-    options.overlap_transfers = overlap;
-    gpu::Device device = MakeDevice(1, /*budget=*/6000);
-    StreamingBoundedJoin streaming(&device, &s.polys, &s.soup, s.world,
-                                   options);
-    ASSERT_TRUE(streaming.Init().ok());
-    for (std::size_t b = 0; b < s.points.size(); b += 400) {
-      ASSERT_TRUE(
-          streaming
-              .AddBatch(s.points.Slice(b, std::min(s.points.size(), b + 400)))
-              .ok());
-    }
-    auto result = streaming.Finish();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(streaming.points_drawn(), s.points.size());
-    EXPECT_LE(device.peak_bytes_allocated(), 6000u);
-    EXPECT_EQ(device.bytes_allocated(), 0u);
-    arrays[overlap ? 1 : 0] = std::move(result.value().arrays);
-  }
-  ExpectIdenticalArrays(arrays[0], arrays[1]);
 }
 
 TEST(BatchPipelineTest, DerivedBatchSizeCoversDoubleBufferWithinBudget) {

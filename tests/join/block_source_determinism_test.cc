@@ -19,7 +19,6 @@
 #include "join/join_common.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
-#include "join/streaming_join.h"
 #include "triangulate/triangulation.h"
 
 namespace rj {
@@ -342,66 +341,40 @@ TEST(BlockSourceDeterminism, SelectiveCanvasPrunesMostClusteredBlocks) {
   std::remove(path.c_str());
 }
 
-// --- Streaming joins: AddSource == AddBatch == one-shot. -----------------
+// --- The three-stage disk scan under a one-block budget. ----------------
 
-TEST(BlockSourceDeterminism, StreamingAddSourceMatchesAddBatchAndOneShot) {
-  JoinSetup s = MakeSetup(8, 9000, 47);
-  const std::string path = TempPath("det_stream.rjb");
-  auto source = WriteAndOpen(s.points, path, 1234);
+TEST(BlockSourceDeterminism, DiskStagedScanBacksOffUnderMemoryPressure) {
+  // 20 blocks of 400 rows at the (x, y, w) stride of 12 B: 4,800 B per
+  // block VBO. The 6,000-byte budget holds one block, never two, so with
+  // overlap on every upload after the first backs off (AllocateWithBackoff)
+  // while the reader thread keeps loading the next block into the slot
+  // the consumer just freed. The scan must complete serialized, within
+  // budget, with every byte returned and bitwise equal to overlap off.
+  JoinSetup s = MakeSetup(4, 8000, 48);
+  const std::string path = TempPath("det_backoff.rjb");
+  auto source = WriteAndOpen(s.points, path, 400);
   ASSERT_NE(source, nullptr);
-  auto rows = data::MaterializeBlocks(*source);
-  ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(source->disk_resident());
+  ASSERT_EQ(source->num_blocks(), 20u);
 
   BoundedRasterJoinOptions options;
   options.epsilon = 12.0;
   options.weight_column = 0;
 
-  // One-shot block-source execution.
-  gpu::Device d1 = MakeDevice();
-  auto one_shot = BoundedRasterJoin(&d1, *source, s.polys, s.soup, s.world,
-                                    options);
-  ASSERT_TRUE(one_shot.ok());
-
-  // Streaming via AddSource.
-  gpu::Device d2 = MakeDevice();
-  StreamingBoundedJoin via_source(&d2, &s.polys, &s.soup, s.world, options);
-  ASSERT_TRUE(via_source.Init().ok());
-  ASSERT_TRUE(via_source.AddSource(*source).ok());
-  auto from_source = via_source.Finish();
-  ASSERT_TRUE(from_source.ok());
-
-  // Streaming the materialized rows by hand, block-sized batches.
-  gpu::Device d3 = MakeDevice();
-  StreamingBoundedJoin via_batches(&d3, &s.polys, &s.soup, s.world, options);
-  ASSERT_TRUE(via_batches.Init().ok());
-  for (std::size_t b = 0; b < rows.value().size(); b += 1234) {
-    ASSERT_TRUE(via_batches
-                    .AddBatch(rows.value().Slice(
-                        b, std::min(rows.value().size(), b + 1234)))
-                    .ok());
+  raster::ResultArrays arrays[2] = {raster::ResultArrays(0),
+                                    raster::ResultArrays(0)};
+  for (const bool overlap : {false, true}) {
+    options.overlap_transfers = overlap;
+    gpu::Device device = MakeDevice(1, /*budget=*/6000);
+    auto result = BoundedRasterJoin(&device, *source, s.polys, s.soup,
+                                    s.world, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString()
+                             << " overlap=" << overlap;
+    EXPECT_LE(device.peak_bytes_allocated(), 6000u) << "overlap=" << overlap;
+    EXPECT_EQ(device.bytes_allocated(), 0u) << "overlap=" << overlap;
+    arrays[overlap ? 1 : 0] = std::move(result.value().arrays);
   }
-  auto from_batches = via_batches.Finish();
-  ASSERT_TRUE(from_batches.ok());
-
-  ExpectIdenticalArrays(one_shot.value().arrays, from_source.value().arrays);
-  ExpectIdenticalArrays(one_shot.value().arrays, from_batches.value().arrays);
-
-  // The accurate streaming variant gets the same treatment.
-  AccurateRasterJoinOptions acc;
-  acc.weight_column = 0;
-  acc.canvas_dim = 256;
-  gpu::Device d4 = MakeDevice();
-  auto acc_one_shot = AccurateRasterJoin(&d4, *source, s.polys, s.soup,
-                                         s.world, acc);
-  ASSERT_TRUE(acc_one_shot.ok());
-  gpu::Device d5 = MakeDevice();
-  StreamingAccurateJoin acc_stream(&d5, &s.polys, &s.soup, s.world, acc);
-  ASSERT_TRUE(acc_stream.Init().ok());
-  ASSERT_TRUE(acc_stream.AddSource(*source).ok());
-  auto acc_from_source = acc_stream.Finish();
-  ASSERT_TRUE(acc_from_source.ok());
-  ExpectIdenticalArrays(acc_one_shot.value().arrays,
-                        acc_from_source.value().arrays);
+  ExpectIdenticalArrays(arrays[0], arrays[1]);
   std::remove(path.c_str());
 }
 

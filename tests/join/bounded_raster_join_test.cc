@@ -93,7 +93,7 @@ TEST(BoundedRasterJoinTest, ErrorShrinksWithEpsilon) {
 }
 
 TEST(BoundedRasterJoinTest, HausdorffBoundHolds) {
-  // Property (DESIGN.md invariant 3): every misclassified point lies
+  // Property (the ε-Hausdorff bound): every misclassified point lies
   // within ε of its polygon's boundary.
   JoinSetup s = MakeSetup(6, 5000, 3);
   const double eps = 30.0;

@@ -6,6 +6,7 @@
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cmath>
@@ -103,6 +104,26 @@ void ExpectBitwiseEqual(const QueryResult& expected,
     EXPECT_EQ(expected.ranges.expected[i].upper,
               actual.ranges.expected[i].upper);
   }
+}
+
+/// Sends `raw` on a fresh connection and returns the status code of the
+/// reply's status line, or -1 when none arrives.
+int RawRequestStatus(int port, const std::string& raw) {
+  Result<int> fd = ConnectTcp("127.0.0.1", port);
+  if (!fd.ok()) return -1;
+  std::string reply;
+  if (WriteAll(fd.value(), raw).ok() && SetRecvTimeout(fd.value(), 5.0).ok()) {
+    char chunk[1024];
+    while (reply.find("\r\n") == std::string::npos) {
+      const ssize_t n = ::recv(fd.value(), chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      reply.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+  CloseFd(fd.value());
+  // "HTTP/1.1 NNN Reason"
+  if (reply.rfind("HTTP/1.1 ", 0) != 0 || reply.size() < 12) return -1;
+  return std::stoi(reply.substr(9, 3));
 }
 
 /// The acceptance-criteria proof: a query submitted over HTTP returns
@@ -269,6 +290,36 @@ TEST(HttpServerTest, OversizedCanvasIs400AndTheServerKeepsServing) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   ExpectBitwiseEqual(expected.value(), decoded.value());
   EXPECT_EQ(stack.server->http_stats().connections_accepted, 1u);
+}
+
+TEST(HttpServerTest, ContentLengthMustBeDigitsAndAgree) {
+  // Content-Length is 1*DIGIT (RFC 9110 §8.6); a server must answer an
+  // invalid one with 400 (RFC 9112 §6.3).
+  Dataset data = MakeDataset(4, 500, 23);
+  Stack stack(&data);
+  const int port = stack.server->port();
+  const std::string head = "GET /healthz HTTP/1.1\r\nHost: test\r\n";
+  const char* const kBadLengths[] = {
+      // A sign: "-1" must not wrap to 2^64-1 and read as too large (413),
+      // and "+0" must not read as 0.
+      "Content-Length: -1\r\n",
+      "Content-Length: +0\r\n",
+      // Repeats that disagree.
+      "Content-Length: 0\r\nContent-Length: 5\r\n",
+  };
+  for (const char* lengths : kBadLengths) {
+    EXPECT_EQ(RawRequestStatus(port, head + lengths + "\r\n"), 400) << lengths;
+  }
+  // Repeats that agree carry one valid length.
+  const std::string agreeing =
+      head + "Content-Length: 0\r\nContent-Length: 0\r\n\r\n";
+  EXPECT_EQ(RawRequestStatus(port, agreeing), 200);
+
+  // The server keeps serving: a well-formed request on a new connection.
+  HttpClient client("127.0.0.1", port);
+  Result<HttpClientResponse> health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().status, 200);
 }
 
 TEST(HttpServerTest, PerClientRateLimiting) {

@@ -15,7 +15,6 @@
 #include "data/datasets.h"
 #include "data/sharded_table.h"
 #include "gpu/device_pool.h"
-#include "join/streaming_join.h"
 #include "query/executor.h"
 
 namespace rj::query {
@@ -329,7 +328,7 @@ TEST(ResultCacheTest, VersionBumpDuringFlightIsNotPublished) {
   auto result = cache.GetOrCompute(
       key,
       [&]() -> Result<QueryResult> {
-        version.fetch_add(1);  // streaming append lands mid-flight
+        version.fetch_add(1);  // a dataset bump lands mid-flight
         return MakeResult(4.0);
       },
       &hit, /*still_valid=*/[&] { return version.load() == key.version; });
@@ -535,7 +534,7 @@ TEST(ExecutorCacheTest, RepeatedQueryHitsWithIdenticalPayload) {
   ExpectSamePayload(fmiss.value(), fhit.value());
 }
 
-TEST(ExecutorCacheTest, VersionBumpInvalidatesIncludingStreamingAddBatch) {
+TEST(ExecutorCacheTest, VersionBumpInvalidates) {
   Dataset data = MakeDataset(6, 3000, 33);
   gpu::Device device(SmallDevice());
   Executor executor(&device, &data.points, &data.polys);
@@ -556,27 +555,6 @@ TEST(ExecutorCacheTest, VersionBumpInvalidatesIncludingStreamingAddBatch) {
   auto after_bump = executor.Execute(query);
   ASSERT_TRUE(after_bump.ok());
   EXPECT_FALSE(after_bump.value().cache_hit);
-
-  // Streaming append wired to the executor's version counter: AddBatch
-  // bumps it, so cached results for the pre-append version stop matching.
-  auto soup = executor.GetTriangulation();
-  ASSERT_TRUE(soup.ok());
-  BoundedRasterJoinOptions options;
-  options.epsilon = 10.0;
-  StreamingBoundedJoin streaming(&device, &data.polys, soup.value(),
-                                 executor.world(), options);
-  streaming.set_version_counter(executor.dataset_version_counter());
-  ASSERT_TRUE(streaming.Init().ok());
-  const std::uint64_t version_before = executor.dataset_version();
-  PointTable batch;
-  batch.AddAttribute("w");
-  batch.Append(10.0, 10.0, {1.0f});
-  ASSERT_TRUE(streaming.AddBatch(batch).ok());
-  EXPECT_GT(executor.dataset_version(), version_before);
-  auto after_append = executor.Execute(query);
-  ASSERT_TRUE(after_append.ok());
-  EXPECT_FALSE(after_append.value().cache_hit);
-  ASSERT_TRUE(streaming.Finish().ok());
 }
 
 TEST(ExecutorCacheTest, CachedHitsMatchUncachedAcrossWorkersAndShards) {

@@ -7,7 +7,7 @@
 /// the test asserts (a) the join executed exactly once per distinct key
 /// (device counters frozen once warm), (b) every response is bitwise
 /// identical to an uncached Execute, (c) LRU capacity holds under churn,
-/// and (d) a streaming AddBatch invalidates.
+/// and (d) InvalidateDataset invalidates.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
-#include "join/streaming_join.h"
 #include "query/executor.h"
 
 namespace rj::service {
@@ -303,14 +302,12 @@ TEST(CacheServiceTest, LruCapacityHoldsUnderChurn) {
   EXPECT_EQ(service.stats().failed, 0u);
 }
 
-TEST(CacheServiceTest, StreamingAddBatchInvalidatesViaVersionCounter) {
+TEST(CacheServiceTest, InvalidateDatasetMakesTheNextSubmitMiss) {
   Dataset data = MakeDataset(6, 3000, 47);
   gpu::Device device(DeviceConfig(16 << 20, 1));
   QueryService service(&device, CachedService(16 << 20, 2));
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
-  Executor* executor = service.dataset_executor(dataset);
-  ASSERT_NE(executor, nullptr);
 
   SpatialAggQuery query;
   query.variant = JoinVariant::kBoundedRaster;
@@ -319,30 +316,13 @@ TEST(CacheServiceTest, StreamingAddBatchInvalidatesViaVersionCounter) {
   ASSERT_TRUE(service.Submit(dataset, query).get().result.ok());
   EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
 
-  // A streaming append wired to the dataset's version counter invalidates
-  // the cached entry the moment AddBatch runs.
-  auto soup = executor->GetTriangulation();
-  ASSERT_TRUE(soup.ok());
-  BoundedRasterJoinOptions options;
-  options.epsilon = 10.0;
-  StreamingBoundedJoin streaming(&device, &data.polys, soup.value(),
-                                 executor->world(), options);
-  streaming.set_version_counter(executor->dataset_version_counter());
-  ASSERT_TRUE(streaming.Init().ok());
-  PointTable batch;
-  batch.AddAttribute("w");
-  batch.Append(1.0, 1.0, {2.0f});
-  ASSERT_TRUE(streaming.AddBatch(batch).ok());
-  ASSERT_TRUE(streaming.Finish().ok());
-
+  // The out-of-band mutation hook: the cached entry stops matching, and
+  // the re-executed result is cached under the new version.
+  service.InvalidateDataset(dataset);
   const ServiceResponse after = service.Submit(dataset, query).get();
   ASSERT_TRUE(after.result.ok());
   EXPECT_FALSE(after.stats.cache_hit);
-
-  // InvalidateDataset is the out-of-band equivalent.
   EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
-  service.InvalidateDataset(dataset);
-  EXPECT_FALSE(service.Submit(dataset, query).get().stats.cache_hit);
 }
 
 TEST(CacheServiceTest, ReRegistrationReturnsSameIdAndBumpsVersion) {
