@@ -1,11 +1,11 @@
 /// \file merge_partials.h
-/// \brief Deterministic gather step for sharded execution: merges per-shard
-/// partial aggregates, counters, result ranges, and phase timings.
+/// \brief Deterministic gather step of the Executor's scatter-gather:
+/// merges per-shard partial aggregates, counters, and phase timings.
 ///
-/// Scatter-gather (Executor over a gpu::DevicePool) runs the join
-/// independently on each shard's device and combines the partials here, in
-/// ascending shard order, so the merged result is a pure function of the
-/// shard outputs — independent of which shard finished first.
+/// The Executor runs the join independently on each shard's device and
+/// combines the partials here, in ascending shard order, so the merged
+/// result is a pure function of the shard outputs — independent of which
+/// shard finished first.
 ///
 /// Exactness contract (the basis of the sharded-determinism guarantee,
 /// docs/SERVICE.md):
@@ -14,15 +14,10 @@
 ///    the per-shard partial sums are exactly representable (e.g. integer
 ///    weights), the same regime DrawPolygons' per-worker merge documents.
 ///  * Counters — unsigned integer sums, always exact.
-///  * ResultRanges — intervals add component-wise (each shard's interval is
-///    anchored at its own partial aggregate, so lower/upper sums telescope
-///    to "merged aggregate ± merged correction"). Loose bounds are exact
-///    for COUNT data; *expected* bounds involve per-pixel area×count
-///    products whose regrouping can differ from single-device execution by
-///    FP rounding, which is why the Executor's bitwise path recomputes
-///    expected ranges from the gathered point FBO instead of merging them
-///    (see Executor::Execute). The merge here is what a bandwidth-limited
-///    multi-node gather would use.
+///  * §5 result ranges are not merged here: their expected bounds sum
+///    per-pixel area×count products, whose regrouping across shards would
+///    drift by FP rounding, so the Executor computes them once from the
+///    gathered point FBO (Executor::ExecuteFused).
 ///  * PhaseTimer — phases sum name-wise: the merged breakdown is aggregate
 ///    device time (Σ over shards), not wall time, which parallel shards
 ///    overlap.
@@ -30,7 +25,6 @@
 
 #include <vector>
 
-#include "agg/result_range.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "gpu/counters.h"
@@ -39,12 +33,11 @@
 namespace rj::agg {
 
 /// One shard's gathered outputs. Default-constructed members mean "this
-/// shard produced nothing of that kind" (zero-size arrays/ranges are
-/// skipped by the merge, so shards that executed no work — an empty shard
-/// of a CPU-only variant, say — need no special casing).
+/// shard produced nothing of that kind" (zero-size arrays are skipped by
+/// the merge, so shards that executed no work — a routing-skipped shard,
+/// say — need no special casing).
 struct ShardPartial {
   raster::ResultArrays arrays{0};
-  ResultRanges ranges;
   gpu::CountersSnapshot counters;
   PhaseTimer timing;
 };
@@ -52,15 +45,14 @@ struct ShardPartial {
 /// The gathered whole.
 struct MergedPartials {
   raster::ResultArrays arrays{0};
-  ResultRanges ranges;
   gpu::CountersSnapshot counters;
   PhaseTimer timing;
 };
 
-/// Merges shard partials in ascending index order. Non-empty arrays (and
-/// non-empty ranges) must agree on the polygon count across shards —
-/// mismatch is an InvalidArgument, the scatter produced partials of
-/// different queries. An all-empty input merges to empty partials.
+/// Merges shard partials in ascending index order. Non-empty arrays must
+/// agree on the polygon count across shards — mismatch is an
+/// InvalidArgument, the scatter produced partials of different queries.
+/// An all-empty input merges to empty partials.
 Result<MergedPartials> MergePartials(const std::vector<ShardPartial>& parts);
 
 }  // namespace rj::agg

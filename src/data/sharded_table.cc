@@ -185,7 +185,10 @@ Result<ShardedTable> ShardedTable::Partition(const PointTable& base,
   }
 
   out.zones_.reserve(out.shards_.size());
-  for (const PointTable& shard : out.shards_) {
+  for (PointTable& shard : out.shards_) {
+    // Owned and not yet shared: cache the extent every per-query table
+    // scan (data::TableBlockSource) would otherwise recompute in O(n).
+    shard.CacheExtent();
     out.max_shard_points_ = std::max(out.max_shard_points_, shard.size());
     out.zones_.push_back(ComputeZoneMap(shard, 0, shard.size()));
   }

@@ -63,9 +63,9 @@ class DevicePool {
   /// Owned heterogeneous pool (tests; capacity-skewed deployments).
   explicit DevicePool(const std::vector<DeviceOptions>& per_device);
 
-  /// Non-owning wrapper around externally-owned devices (QueryService's
-  /// single-device constructor wraps its legacy Device* this way). The
-  /// devices must outlive the pool.
+  /// Non-owning wrapper around externally-owned devices (the single-device
+  /// QueryService and Executor constructors wrap their Device* this way).
+  /// The devices must outlive the pool.
   explicit DevicePool(std::vector<Device*> external);
 
   DevicePool(const DevicePool&) = delete;
@@ -73,7 +73,7 @@ class DevicePool {
 
   std::size_t size() const { return devices_.size(); }
   Device* device(std::size_t i) const { return devices_[i]; }
-  /// Device 0: runs unsharded queries and hosts gather-phase work.
+  /// Device 0: hosts one-shard datasets and gather-phase work.
   Device* primary() const { return devices_.front(); }
 
   /// True when every device shares one max_fbo_dim — the precondition for

@@ -142,11 +142,6 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     // --- Step II per member: polygons over the member's own canvas. ------
     for (std::size_t i = 0; i < m; ++i) {
       const raster::Fbo& point_fbo = *targets[i].fbo;
-      if (members[i].export_point_fbo) {
-        // Single tile (validated above): copy the canvas out of its pooled
-        // lease for the caller's cross-shard gather.
-        out.point_fbos[i].emplace(point_fbo);
-      }
       {
         ScopedPhase sp(&out.timing, phase::kProcessing);
         raster::ResultArrays tile_result(polys.size());
@@ -165,6 +160,11 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
                                 FinalizeAggregate(AggregateKind::kCount,
                                                   out.arrays[i]),
                                 &device->counters(), &device->pool()));
+      }
+      if (members[i].export_point_fbo) {
+        // Single tile (validated above): hand the pooled canvas itself to
+        // the caller's gather.
+        out.point_fbos[i] = std::move(leases[i]);
       }
     }
   }

@@ -44,6 +44,7 @@
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
 #include "raster/fbo.h"
+#include "raster/fbo_pool.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
 
@@ -57,15 +58,16 @@ struct FusedMemberSpec {
   /// Filter constraints evaluated in the shared vertex stage.
   FilterSet filters;
 
-  /// Compute §5 result ranges for this member (bounded variant only;
-  /// requires a single-tile canvas).
+  /// Compute §5 result ranges for this member in the core (bounded
+  /// variant only; requires a single-tile canvas). The per-call
+  /// BoundedRasterJoin sets it; the Executor exports the FBO instead.
   bool compute_result_ranges = false;
 
   /// Export this member's post-Step-I point FBO (bounded variant only;
-  /// single-tile canvas). The sharded gather hook: per-shard point FBOs sum
-  /// pixel-wise to exactly the single-device FBO (integer-valued channel
-  /// partials), letting the Executor recompute §5 ranges bitwise-identically
-  /// across any shard count (docs/SERVICE.md).
+  /// single-tile canvas). The gather hook: per-shard point FBOs sum
+  /// pixel-wise to exactly the FBO one scan of every row draws
+  /// (integer-valued channel partials), letting the Executor compute §5
+  /// ranges bitwise-identically for any shard count (docs/SERVICE.md).
   bool export_point_fbo = false;
 };
 
@@ -75,7 +77,9 @@ struct FusedMemberSpec {
 struct FusedJoinOutput {
   std::vector<raster::ResultArrays> arrays;
   std::vector<ResultRanges> ranges;  ///< empty unless the member asked
-  std::vector<std::optional<raster::Fbo>> point_fbos;
+  /// The member's pooled point canvas, handed over (not copied) when it
+  /// asked for export_point_fbo; an empty lease otherwise.
+  std::vector<raster::FboLease> point_fbos;
   PhaseTimer timing;
 };
 

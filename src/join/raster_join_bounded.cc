@@ -40,7 +40,7 @@ Result<JoinResult> RunSolo(gpu::Device* device, ScanPlan scan,
   result.arrays = std::move(out.arrays[0]);
   result.timing = std::move(out.timing);
   if (options.compute_result_ranges) *ranges_out = std::move(out.ranges[0]);
-  if (point_fbo_out != nullptr) *point_fbo_out = std::move(out.point_fbos[0]);
+  if (point_fbo_out != nullptr) point_fbo_out->emplace(*out.point_fbos[0]);
   return result;
 }
 

@@ -82,10 +82,7 @@ struct BoundedRasterJoinStats {
 ///
 /// When `point_fbo_out` is non-null the post-Step-I point FBO is copied
 /// out (single-tile canvases only — the same restriction as result
-/// ranges). This is the sharded gather hook: per-shard point FBOs sum
-/// pixel-wise to exactly the single-device FBO (integer-valued channel
-/// partials), letting the Executor recompute §5 ranges bitwise-identically
-/// across any shard count (docs/SERVICE.md).
+/// ranges).
 Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      const PointTable& points,
                                      const PolygonSet& polys,

@@ -56,20 +56,17 @@ void AccumulateFbo(raster::Fbo* dst, const raster::Fbo& src) {
 }
 
 /// The per-member half of a group, derived from the queries. The §5 range
-/// request is honored for the bounded variant only; `gather_fbos` asks
-/// for the member's point FBO instead of its ranges (the sharded gather
-/// recomputes ranges over the pixel-wise sum of the shards' FBOs).
+/// request is honored for the bounded variant only: the member exports its
+/// point FBO, and the gather computes the ranges over the pixel-wise sum
+/// of the shards' FBOs.
 std::vector<FusedMemberSpec> FusedMembers(
-    const std::vector<SpatialAggQuery>& queries, JoinVariant variant,
-    bool gather_fbos) {
+    const std::vector<SpatialAggQuery>& queries, JoinVariant variant) {
   std::vector<FusedMemberSpec> members(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     members[i].weight_column = queries[i].EffectiveAggregateColumn();
     members[i].filters = queries[i].filters;
-    const bool ranges = queries[i].with_result_ranges &&
-                        variant == JoinVariant::kBoundedRaster;
-    members[i].compute_result_ranges = ranges && !gather_fbos;
-    members[i].export_point_fbo = ranges && gather_fbos;
+    members[i].export_point_fbo = queries[i].with_result_ranges &&
+                                  variant == JoinVariant::kBoundedRaster;
   }
   return members;
 }
@@ -78,8 +75,12 @@ std::vector<FusedMemberSpec> FusedMembers(
 /// (FusedUploadColumns) — exactly what the shared scan ships.
 std::size_t GroupStride(const std::vector<SpatialAggQuery>& queries,
                         JoinVariant variant) {
-  return UploadStrideBytes(
-      FusedUploadColumns(FusedMembers(queries, variant, false)));
+  return UploadStrideBytes(FusedUploadColumns(FusedMembers(queries, variant)));
+}
+
+/// The single-device constructors' pool: a non-owning wrap of `device`.
+std::unique_ptr<gpu::DevicePool> OneDevicePool(gpu::Device* device) {
+  return std::make_unique<gpu::DevicePool>(std::vector<gpu::Device*>{device});
 }
 
 }  // namespace
@@ -111,20 +112,27 @@ void Executor::InitWorldAndCosts(const BBox& points_extent,
   for (const Polygon& poly : *polys_) {
     cost_inputs_.total_perimeter += poly.OuterPerimeter();
   }
-  cost_inputs_.max_fbo_dim = device_->options().max_fbo_dim;
+  cost_inputs_.max_fbo_dim = device()->options().max_fbo_dim;
 }
+
+Executor::Executor(std::unique_ptr<gpu::DevicePool> owned,
+                   gpu::DevicePool* pool, const PolygonSet* polys)
+    : owned_pool_(std::move(owned)),
+      pool_(pool != nullptr ? pool : owned_pool_.get()),
+      polys_(polys),
+      plan_cache_(std::make_unique<query::PlanCache>()) {}
 
 Executor::Executor(gpu::Device* device, const PointTable* points,
                    const PolygonSet* polys)
-    : device_(device), points_(points), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
+    : Executor(OneDevicePool(device), nullptr, polys) {
+  shards_.push_back({points, nullptr, nullptr});
   InitWorldAndCosts(points->Extent(), points->size());
 }
 
 Executor::Executor(gpu::Device* device, const data::PointBlockSource* source,
                    const PolygonSet* polys)
-    : device_(device), points_(nullptr), source_(source), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
+    : Executor(OneDevicePool(device), nullptr, polys) {
+  shards_.push_back({nullptr, source, nullptr});
   // The source's extent is part of its header/metadata (O(1)), so the
   // registration-time cost here is the polygon scan only — no block reads.
   InitWorldAndCosts(source->extent(),
@@ -133,13 +141,14 @@ Executor::Executor(gpu::Device* device, const data::PointBlockSource* source,
 
 Executor::Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
                    const PolygonSet* polys)
-    : device_(pool->primary()), pool_(pool), shards_(shards),
-      points_(nullptr), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
-  // The sharded world must equal the single-device world for the same
-  // dataset — shards_->extent() is the *whole* dataset's extent, so the
-  // canvas (and every rasterized pixel) lines up bitwise with an unsharded
-  // run.
+    : Executor(nullptr, pool, polys) {
+  sharded_table_ = shards;
+  for (std::size_t s = 0; s < shards->num_shards(); ++s) {
+    shards_.push_back({&shards->shard(s), nullptr, &shards->shard_zone(s)});
+  }
+  // shards->extent() is the *whole* dataset's extent, so the canvas (and
+  // every rasterized pixel) lines up bitwise with a one-shard executor
+  // over the same rows.
   InitWorldAndCosts(shards->extent(), shards->total_points());
 }
 
@@ -157,10 +166,15 @@ void Executor::BumpDatasetVersion() {
   plan_cache_->Clear();
 }
 
+bool Executor::disk_resident() const {
+  return std::any_of(shards_.begin(), shards_.end(), [](const Shard& s) {
+    return s.source != nullptr && s.source->disk_resident();
+  });
+}
+
 std::vector<std::size_t> Executor::ShardsPerDevice() const {
-  if (!sharded()) return {1};
   std::vector<std::size_t> hosted(pool_->size(), 0);
-  for (std::size_t s = 0; s < shards_->num_shards(); ++s) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     ++hosted[s % pool_->size()];
   }
   return hosted;
@@ -220,7 +234,7 @@ Result<std::shared_ptr<const GridIndex>> Executor::DeviceIndexLocked(
 Result<std::shared_ptr<const AccurateCanvas>> Executor::GetAccurateCanvas(
     std::int32_t canvas_dim) {
   RJ_ASSIGN_OR_RETURN(const std::int32_t dim,
-                      ResolveAccurateCanvasDim(canvas_dim, *device_));
+                      ResolveAccurateCanvasDim(canvas_dim, *device()));
   MutexLock lock(canvas_mutex_);
   const auto hit = std::find_if(
       canvases_.begin(), canvases_.end(),
@@ -238,7 +252,7 @@ Result<std::shared_ptr<const AccurateCanvas>> Executor::GetAccurateCanvas(
   RJ_ASSIGN_OR_RETURN(
       AccurateCanvas canvas,
       PrepareAccurateCanvas(*polys_, world_, dim, std::move(index),
-                            &device_->counters(), &device_->pool()));
+                            &device()->counters(), &device()->pool()));
   if (canvases_.size() == kMaxAccurateCanvases) canvases_.pop_back();
   canvases_.insert(canvases_.begin(),
                    std::make_shared<const AccurateCanvas>(std::move(canvas)));
@@ -297,36 +311,39 @@ Result<AdmissionPlan> Executor::PlanFusedAdmission(
     // (BatchPipeline keeps batches b and b+1 resident), 1× serialized. A
     // single full-set batch never double-buffers, so full_bytes stays 1×.
     const std::size_t in_flight = overlap ? 2 : 1;
-    if (source_backed()) {
-      // Block-source scans upload whole blocks: the batch size IS the
-      // block capacity (not grant-tunable), so the floor is in_flight
-      // blocks, not in_flight points. It is also the peak — the pipeline
-      // keeps at most in_flight block VBOs resident (disk-staged loading
-      // slots hold host rows, no VBO), so full_bytes never grows to the
-      // whole point set the way a fully-resident table batch would.
+    // The grant is uniform across shards, so each bound is the largest
+    // shard's. A table shard batches point by point and holds all its
+    // rows resident when the grant allows. A block-source shard uploads
+    // whole blocks: the batch size IS the block capacity (not
+    // grant-tunable), so its floor is in_flight blocks, and that is also
+    // its peak — the pipeline keeps at most in_flight block VBOs resident
+    // (disk-staged loading slots hold host rows, no VBO).
+    std::size_t min_points = 1;
+    std::size_t full_points = 0;
+    for (const Shard& shard : shards_) {
+      if (shard.table != nullptr) {
+        full_points = std::max(full_points, shard.table->size());
+        continue;
+      }
       const std::size_t block_points = std::max<std::size_t>(
-          std::min<std::size_t>(source_->block_capacity(),
-                                PlanningPointCount()),
+          std::min<std::size_t>(shard.source->block_capacity(),
+                                shard.source->num_rows()),
           1);
-      plan.min_bytes = std::max(plan.fixed_bytes,
-                                in_flight * block_points *
-                                    plan.bytes_per_point);
-      plan.full_bytes = plan.min_bytes;
-      return plan;
+      min_points = std::max(min_points, block_points);
+      full_points = std::max(full_points, block_points);
     }
-    plan.min_bytes =
-        std::max(plan.fixed_bytes, in_flight * plan.bytes_per_point);
-    plan.full_bytes = std::max(
-        {plan.fixed_bytes, PlanningPointCount() * plan.bytes_per_point,
-         plan.min_bytes});
+    plan.min_bytes = std::max(plan.fixed_bytes,
+                              in_flight * min_points * plan.bytes_per_point);
+    plan.full_bytes = std::max({plan.fixed_bytes,
+                                full_points * plan.bytes_per_point,
+                                plan.min_bytes});
     return plan;
   });
 }
 
 Result<FusedJoinOutput> Executor::RunVariant(
-    gpu::Device* device, const PointTable* points, const QuerySetup& setup,
-    const std::vector<SpatialAggQuery>& queries, const UploadPlan& capped,
-    bool gather_fbos) {
+    gpu::Device* device, const Shard& shard, const QuerySetup& setup,
+    const std::vector<SpatialAggQuery>& queries) {
   const SpatialAggQuery& lead = queries[0];
   // The index baselines have no raster pass to share: PrepareGroup admits
   // them only as groups of one.
@@ -337,26 +354,44 @@ Result<FusedJoinOutput> Executor::RunVariant(
   Result<JoinResult> join = Status::Internal("kAuto should have been resolved");
   if (setup.variant == JoinVariant::kIndexCpu) {
     options.assign_mode = GridAssignMode::kExactGeometry;
-    join = points != nullptr
-               ? IndexJoinCpu(*points, *polys_, *setup.cpu_index, options,
+    join = shard.table != nullptr
+               ? IndexJoinCpu(*shard.table, *polys_, *setup.cpu_index, options,
                               lead.cpu_threads)
-               : IndexJoinCpu(*source_, *polys_, *setup.cpu_index, options,
+               : IndexJoinCpu(*shard.source, *polys_, *setup.cpu_index, options,
                               lead.cpu_threads);
   } else {
     // Every device variant streams one planned scan.
     const std::vector<FusedMemberSpec> members =
-        FusedMembers(queries, setup.variant, gather_fbos);
-    std::vector<const FilterSet*> filters;
-    for (const FusedMemberSpec& member : members) {
-      filters.push_back(&member.filters);
+        FusedMembers(queries, setup.variant);
+    const std::size_t cap = lead.device_memory_cap_bytes;
+    ScanPlan scan;
+    if (shard.table != nullptr) {
+      const std::size_t n = shard.table->size();
+      const UploadPlan capped = plan_cache_->GetUpload(
+          {cap, setup.bytes_per_point, n, lead.overlap_transfers}, [&] {
+            return CappedBatch(cap, setup.bytes_per_point, n,
+                               lead.overlap_transfers);
+          });
+      scan = PlanTableScan(*device, *shard.table, setup.bytes_per_point,
+                           capped.batch_size, capped.overlap_transfers);
+    } else {
+      // Block scans ignore batch_size — the block capacity is the batch.
+      // The only grant-sensitive knob left is double-buffering: a grant
+      // too small for two in-flight blocks downgrades to the serialized
+      // path instead of overshooting, mirroring CappedBatch's rule.
+      const std::size_t block_bytes =
+          std::min<std::size_t>(shard.source->block_capacity(),
+                                shard.source->num_rows()) *
+          setup.bytes_per_point;
+      const bool overlap = lead.overlap_transfers &&
+                           (cap == 0 || 2 * block_bytes <= cap);
+      std::vector<const FilterSet*> filters;
+      for (const FusedMemberSpec& member : members) {
+        filters.push_back(&member.filters);
+      }
+      scan = PlanBlockScan(device, *shard.source, filters, world_,
+                           lead.enable_block_pruning, overlap);
     }
-    ScanPlan scan =
-        points != nullptr
-            ? PlanTableScan(*device, *points, setup.bytes_per_point,
-                            capped.batch_size, capped.overlap_transfers)
-            : PlanBlockScan(device, *source_, filters, world_,
-                            lead.enable_block_pruning,
-                            capped.overlap_transfers);
     if (setup.variant == JoinVariant::kBoundedRaster) {
       return FusedBoundedRasterJoin(device, std::move(scan), *polys_,
                                     *setup.soup, world_, lead.epsilon, members);
@@ -441,8 +476,8 @@ bool Executor::ShardCacheable(const SpatialAggQuery& query,
                               JoinVariant variant) const {
   // A §5-ranges query needs the shard FBOs (not stored), and a bypass must
   // not read stale entries either.
-  return query.enable_shard_cache && !query.bypass_result_cache &&
-         result_cache_ != nullptr &&
+  return shards_.size() > 1 && query.enable_shard_cache &&
+         !query.bypass_result_cache && result_cache_ != nullptr &&
          !(query.with_result_ranges && variant == JoinVariant::kBoundedRaster);
 }
 
@@ -501,53 +536,204 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
   // Per-group preamble (validates aggregates, columns and compatibility;
   // the soup is shared across the group via the triangulation cache).
   RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareGroup(queries));
+  if (!pool_->UniformFboLimit()) {
+    // Shards must rasterize on one pixel grid; a pool with mixed FBO
+    // limits would tile the canvas differently per shard.
+    return Status::InvalidArgument(
+        "sharded execution requires a uniform max_fbo_dim across the pool");
+  }
+  const std::size_t m = queries.size();
   const SpatialAggQuery& lead = queries[0];
 
-  std::vector<QueryResult> out;
-  if (sharded()) {
-    RJ_ASSIGN_OR_RETURN(out, ExecuteSharded(queries, setup, placement));
-  } else {
-    UploadPlan capped{0, lead.overlap_transfers};
-    if (source_backed()) {
-      // Block scans ignore batch_size — the block capacity is the batch.
-      // The only grant-sensitive knob left is double-buffering: a grant
-      // too small for two in-flight blocks downgrades to the serialized
-      // path instead of overshooting, mirroring CappedBatch's downgrade
-      // rule.
-      const std::size_t block_bytes =
-          std::min<std::size_t>(source_->block_capacity(),
-                                PlanningPointCount()) *
-          setup.bytes_per_point;
-      if (capped.overlap_transfers && lead.device_memory_cap_bytes != 0 &&
-          2 * block_bytes > lead.device_memory_cap_bytes) {
-        capped.overlap_transfers = false;
+  // Routing/cache/replica placement — planned here unless the caller
+  // (QueryService) already planned it to size the admission grant.
+  ShardPlacement local_placement;
+  if (placement == nullptr) {
+    RJ_ASSIGN_OR_RETURN(local_placement, PlanFusedPlacement(queries));
+    placement = &local_placement;
+  }
+  const ShardPlacement& place = *placement;
+
+  const std::size_t num_shards = shards_.size();
+  const std::size_t num_devices = pool_->size();
+  std::vector<FusedJoinOutput> shard_out(num_shards);
+  std::vector<Status> shard_status(num_shards, Status::OK());
+  std::vector<gpu::CountersSnapshot> shard_counters(num_shards);
+
+  // --- Scatter: every placed shard joins on its device in parallel. ------
+  // Ranges members (bounded variant only) export their point FBOs instead
+  // of computing §5 intervals per shard: the classification runs once over
+  // the pixel-wise sum below, which is bitwise identical to the FBO one
+  // scan of every row would draw — merging per-shard *intervals* instead
+  // would regroup the per-pixel area×count products and drift by FP
+  // rounding.
+  const auto run_shard = [&](std::size_t s) {
+    Result<FusedJoinOutput> join =
+        RunVariant(pool_->device(place.device_of_shard[s]), shards_[s], setup,
+                   queries);
+    if (!join.ok()) {
+      shard_status[s] = join.status();
+      return;
+    }
+    shard_out[s] = std::move(join).MoveValueUnsafe();
+  };
+
+  // Routing metering lands on the primary device *before* the delta
+  // windows open, so the per-shard deltas below don't re-report it (the
+  // merged total then carries it exactly once via the explicit add after
+  // the merge).
+  device()->counters().AddShardsRouted(place.executed);
+  device()->counters().AddShardsSkipped(place.skipped);
+
+  // Counter attribution is per *device*, not per shard: sibling shards on
+  // one device would have overlapping delta windows (double-counting the
+  // shared work). The first *executing* shard on device d carries device
+  // d's whole delta — the merged total is the true pool delta (exact when
+  // no other query overlapped, the same contract as QueryStats). Devices
+  // with no executing shard get no window (nothing ran there).
+  const std::size_t npos = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> first_shard_on_device(num_devices, npos);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::size_t d = place.device_of_shard[s];
+    if (d >= num_devices) continue;  // skipped or cached
+    if (first_shard_on_device[d] == npos) first_shard_on_device[d] = s;
+  }
+  std::vector<gpu::CountersSnapshot> before(num_devices);
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    if (first_shard_on_device[d] != npos) {
+      before[d] = pool_->device(d)->counters().Snapshot();
+    }
+  }
+  {
+    // The calling thread runs the first executing shard itself; only the
+    // others get threads. A one-shard query thus never leaves the caller's
+    // thread, whose caches and malloc arenas are warm — the reason
+    // QueryService dispatches most-recently-idle first.
+    std::vector<std::thread> threads;
+    threads.reserve(place.executed);
+    std::size_t own = npos;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (place.device_of_shard[s] >= num_devices) continue;
+      if (own == npos) {
+        own = s;
+      } else {
+        threads.emplace_back(run_shard, s);
       }
-    } else {
-      capped = plan_cache_->GetUpload(
-          {lead.device_memory_cap_bytes, setup.bytes_per_point,
-           points_->size(), lead.overlap_transfers},
-          [&] {
-            return CappedBatch(lead.device_memory_cap_bytes,
-                               setup.bytes_per_point, points_->size(),
-                               lead.overlap_transfers);
-          });
     }
+    if (own != npos) run_shard(own);
+    for (std::thread& t : threads) t.join();
+  }
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    if (first_shard_on_device[d] != npos) {
+      shard_counters[first_shard_on_device[d]] =
+          pool_->device(d)->counters().Snapshot().DeltaSince(before[d]);
+    }
+  }
+
+  // First failure in shard order: error reporting stays deterministic no
+  // matter which shard thread lost the race.
+  for (const Status& st : shard_status) RJ_RETURN_NOT_OK(st);
+
+  // --- Gather: per member, a deterministic merge in ascending shard
+  // order. Cached shards contribute their stored arrays as-is (bitwise
+  // identical to re-executing them); skipped shards stay default —
+  // zero-size arrays the merge skips by contract (merge_partials.h). Shard
+  // timings and counters ride member 0's merge once: they describe the
+  // shared execution.
+  std::vector<QueryResult> out(m);
+  PhaseTimer timing;
+  gpu::CountersSnapshot counters;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<agg::ShardPartial> partials(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (place.device_of_shard[s] == ShardPlacement::kCached) {
+        partials[s].arrays = place.cached[s][i]->arrays;
+      } else if (place.device_of_shard[s] < num_devices) {
+        partials[s].arrays = std::move(shard_out[s].arrays[i]);
+        if (i == 0) {
+          partials[s].timing = shard_out[s].timing;
+          partials[s].counters = shard_counters[s];
+        }
+      }
+    }
+    RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged,
+                        agg::MergePartials(partials));
+    out[i].arrays = std::move(merged.arrays);
+    if (i == 0) {
+      timing = merged.timing;
+      counters = merged.counters;
+    }
+
+    // Store the member's fresh per-shard partials for pans that re-cover
+    // these shards. Unconditional on success; the version stamp in the key
+    // keeps entries from outliving a dataset bump (mirrors the service's
+    // publish guard).
+    if (ShardCacheable(queries[i], setup.variant)) {
+      const query::CacheKey base_key = query::MakeCacheKey(
+          dataset_cache_key_, dataset_version(), queries[i], setup.variant);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        if (place.device_of_shard[s] >= num_devices) continue;
+        query::CacheKey key = base_key;
+        key.shard = s;
+        QueryResult partial;
+        partial.arrays = partials[s].arrays;
+        result_cache_->Insert(key, std::move(partial));
+      }
+    }
+  }
+  counters.shards_routed += place.executed;
+  counters.shards_skipped += place.skipped;
+
+  for (std::size_t i = 0; i < m; ++i) {
+    raster::FboLease gathered;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      // Accumulate and release shard by shard: canvases are
+      // multi-megabyte, so holding all S copies through the range pass
+      // would multiply the gather's transient footprint for nothing.
+      // Skipped shards exported no FBO — and an all-default FBO
+      // accumulates as the identity, so the gathered canvas equals the
+      // all-shard one bitwise. The shard cache is disabled for ranges
+      // members and forced keep guarantees one executing shard, so the
+      // seed is always present. One shard's canvas is the gathered one.
+      if (place.device_of_shard[s] >= num_devices) continue;
+      raster::FboLease& fbo = shard_out[s].point_fbos[i];
+      if (fbo.get() == nullptr) continue;
+      if (gathered.get() == nullptr) {
+        gathered = std::move(fbo);
+      } else {
+        AccumulateFbo(gathered.get(), *fbo);
+        fbo = raster::FboLease();  // back to the pool
+      }
+    }
+    if (gathered.get() == nullptr) continue;  // no §5 ranges requested
+    // Re-derive the (single-tile — the per-shard joins validated that)
+    // canvas the shards rendered on.
     RJ_ASSIGN_OR_RETURN(
-        FusedJoinOutput join,
-        RunVariant(device_, points_, setup, queries, capped,
-                   /*gather_fbos=*/false));
-    out.resize(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      out[i].arrays = std::move(join.arrays[i]);
-      out[i].ranges = std::move(join.ranges[i]);
-      out[i].timing = join.timing;
-    }
+        std::vector<raster::CanvasTile> tiles,
+        raster::PlanCanvas(world_, lead.epsilon,
+                           device()->options().max_fbo_dim));
+    raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
+    ScopedPhase sp(&timing, phase::kProcessing);
+    // The range pass is part of this group's device work too: meter its
+    // primary-device delta into the attributed counters, keeping the
+    // "exact when no other query overlapped" contract (result.h).
+    const gpu::CountersSnapshot gather_before = device()->counters().Snapshot();
+    RJ_ASSIGN_OR_RETURN(
+        out[i].ranges,
+        ComputeResultRanges(vp, *polys_, *setup.soup, *gathered,
+                            FinalizeAggregate(AggregateKind::kCount,
+                                              out[i].arrays),
+                            &device()->counters(), &device()->pool()));
+    counters = counters.Plus(
+        device()->counters().Snapshot().DeltaSince(gather_before));
   }
 
   // Demultiplex: per-member values; group-level diagnostics replicated.
   const double seconds = total.ElapsedSeconds();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
+    out[i].timing = timing;
+    out[i].counters = counters;
     out[i].total_seconds = seconds;
   }
   return out;
@@ -564,7 +750,7 @@ Result<BBox> Executor::RoutingRegion(JoinVariant variant,
     RJ_ASSIGN_OR_RETURN(
         std::vector<raster::CanvasTile> tiles,
         raster::PlanCanvas(world_, query.epsilon,
-                           device_->options().max_fbo_dim));
+                           device()->options().max_fbo_dim));
     for (const raster::CanvasTile& t : tiles) {
       pad = std::max({pad, t.world.Width() / t.width,
                       t.world.Height() / t.height});
@@ -574,7 +760,7 @@ Result<BBox> Executor::RoutingRegion(JoinVariant variant,
     // world side (the canvas is square over the world extent).
     RJ_ASSIGN_OR_RETURN(
         const std::int32_t dim,
-        ResolveAccurateCanvasDim(query.accurate_canvas_dim, *device_));
+        ResolveAccurateCanvasDim(query.accurate_canvas_dim, *device()));
     pad = std::max(world_.Width(), world_.Height()) /
           static_cast<double>(dim);
   }
@@ -595,30 +781,23 @@ Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
   }
   const std::size_t m = queries.size();
   ShardPlacement p;
-  if (!sharded()) {
-    // Trivial single-device placement, so callers (QueryService) can plan
-    // uniformly; matches ShardsPerDevice()'s {1}.
-    p.device_of_shard.assign(1, 0);
-    p.cached.assign(1, std::vector<std::shared_ptr<const QueryResult>>(m));
-    p.hosted.assign(1, 1);
-    p.executed = 1;
-    return p;
-  }
-
-  const std::size_t num_shards = shards_->num_shards();
+  const std::size_t num_shards = shards_.size();
   const std::size_t pool_size = pool_->size();
   p.device_of_shard.assign(num_shards, 0);
   p.cached.assign(num_shards,
                   std::vector<std::shared_ptr<const QueryResult>>(m));
   p.hosted.assign(pool_size, 0);
 
-  // Members share the variant and canvas, hence the routing region.
+  // Members share the variant and canvas, hence the routing region; only
+  // shards with a zone map can be tested against it.
   const JoinVariant variant = ResolveVariant(queries[0]);
   const auto routes = [](const SpatialAggQuery& q) {
     return q.enable_shard_routing;
   };
+  const auto zoned = [](const Shard& shard) { return shard.zone != nullptr; };
   std::optional<BBox> region;
-  if (std::any_of(queries.begin(), queries.end(), routes)) {
+  if (std::any_of(shards_.begin(), shards_.end(), zoned) &&
+      std::any_of(queries.begin(), queries.end(), routes)) {
     RJ_ASSIGN_OR_RETURN(BBox r, RoutingRegion(variant, queries[0]));
     region = r;
   }
@@ -648,12 +827,12 @@ Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
   for (std::size_t s = 0; s < num_shards; ++s) {
     // Skipped only when no member can match the shard; a member that does
     // not route matches every shard.
-    if (region.has_value() &&
+    if (region.has_value() && shards_[s].zone != nullptr &&
         std::none_of(queries.begin(), queries.end(),
                      [&](const SpatialAggQuery& q) {
                        return !q.enable_shard_routing ||
-                              ZoneMapCanMatch(shards_->shard_zone(s),
-                                              q.filters, &*region);
+                              ZoneMapCanMatch(*shards_[s].zone, q.filters,
+                                              &*region);
                      })) {
       p.device_of_shard[s] = ShardPlacement::kSkipped;
       ++p.skipped;
@@ -701,210 +880,6 @@ Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
     ++p.executed;
   }
   return p;
-}
-
-Result<std::vector<QueryResult>> Executor::ExecuteSharded(
-    const std::vector<SpatialAggQuery>& queries, const QuerySetup& setup,
-    const ShardPlacement* placement) {
-  if (!pool_->UniformFboLimit()) {
-    // Shards must rasterize on one pixel grid; a pool with mixed FBO
-    // limits would tile the canvas differently per shard.
-    return Status::InvalidArgument(
-        "sharded execution requires a uniform max_fbo_dim across the pool");
-  }
-  const std::size_t m = queries.size();
-  const SpatialAggQuery& lead = queries[0];
-
-  // Routing/cache/replica placement — planned here unless the caller
-  // (QueryService) already planned it to size the admission grant.
-  ShardPlacement local_placement;
-  if (placement == nullptr) {
-    RJ_ASSIGN_OR_RETURN(local_placement, PlanFusedPlacement(queries));
-    placement = &local_placement;
-  }
-  const ShardPlacement& place = *placement;
-
-  const std::size_t num_shards = shards_->num_shards();
-  std::vector<FusedJoinOutput> shard_out(num_shards);
-  std::vector<Status> shard_status(num_shards, Status::OK());
-  std::vector<gpu::CountersSnapshot> shard_counters(num_shards);
-
-  // --- Scatter: every placed shard joins on its device in parallel. ------
-  // Ranges members (bounded variant only) export their point FBOs instead
-  // of computing §5 intervals per shard: the classification runs once over
-  // the pixel-wise sum below, which is bitwise identical to the
-  // single-device FBO — merging per-shard *intervals* instead would
-  // regroup the per-pixel area×count products and drift by FP rounding
-  // (see merge_partials.h).
-  const auto run_shard = [&](std::size_t s) {
-    gpu::Device* dev = pool_->device(place.device_of_shard[s]);
-    const PointTable& shard_points = shards_->shard(s);
-    // The admission grant is per shard: each shard batches within its own
-    // device_memory_cap_bytes slice, independent of sibling shard sizes.
-    const UploadPlan capped = plan_cache_->GetUpload(
-        {lead.device_memory_cap_bytes, setup.bytes_per_point,
-         shard_points.size(), lead.overlap_transfers},
-        [&] {
-          return CappedBatch(lead.device_memory_cap_bytes,
-                             setup.bytes_per_point, shard_points.size(),
-                             lead.overlap_transfers);
-        });
-    Result<FusedJoinOutput> join = RunVariant(
-        dev, &shard_points, setup, queries, capped, /*gather_fbos=*/true);
-    if (!join.ok()) {
-      shard_status[s] = join.status();
-      return;
-    }
-    shard_out[s] = std::move(join).MoveValueUnsafe();
-  };
-
-  // Routing metering lands on the primary device *before* the delta
-  // windows open, so the per-shard deltas below don't re-report it (the
-  // merged total then carries it exactly once via the explicit add after
-  // the merge).
-  device_->counters().AddShardsRouted(place.executed);
-  device_->counters().AddShardsSkipped(place.skipped);
-
-  // Counter attribution is per *device*, not per shard: sibling shards on
-  // one device would have overlapping delta windows (double-counting the
-  // shared work). The first *executing* shard on device d carries device
-  // d's whole delta — the merged total is the true pool delta (exact when
-  // no other query overlapped, the same contract as QueryStats). Devices
-  // with no executing shard get no window (nothing ran there).
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> first_shard_on_device(pool_->size(), npos);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t d = place.device_of_shard[s];
-    if (d >= pool_->size()) continue;  // skipped or cached
-    if (first_shard_on_device[d] == npos) first_shard_on_device[d] = s;
-  }
-  std::vector<gpu::CountersSnapshot> before(pool_->size());
-  for (std::size_t d = 0; d < pool_->size(); ++d) {
-    if (first_shard_on_device[d] != npos) {
-      before[d] = pool_->device(d)->counters().Snapshot();
-    }
-  }
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(place.executed);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (place.device_of_shard[s] < pool_->size()) {
-        threads.emplace_back(run_shard, s);
-      }
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (std::size_t d = 0; d < pool_->size(); ++d) {
-    if (first_shard_on_device[d] != npos) {
-      shard_counters[first_shard_on_device[d]] =
-          pool_->device(d)->counters().Snapshot().DeltaSince(before[d]);
-    }
-  }
-
-  // First failure in shard order: error reporting stays deterministic no
-  // matter which shard thread lost the race.
-  for (const Status& st : shard_status) RJ_RETURN_NOT_OK(st);
-
-  // --- Gather: per member, a deterministic merge in ascending shard
-  // order. Cached shards contribute their stored arrays as-is (bitwise
-  // identical to re-executing them); skipped shards stay default —
-  // zero-size arrays the merge skips by contract (merge_partials.h). Shard
-  // timings and counters ride member 0's merge once: they describe the
-  // shared execution.
-  std::vector<QueryResult> out(m);
-  PhaseTimer timing;
-  gpu::CountersSnapshot counters;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<agg::ShardPartial> partials(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (place.device_of_shard[s] == ShardPlacement::kCached) {
-        partials[s].arrays = place.cached[s][i]->arrays;
-      } else if (place.device_of_shard[s] < pool_->size()) {
-        partials[s].arrays = std::move(shard_out[s].arrays[i]);
-        if (i == 0) {
-          partials[s].timing = shard_out[s].timing;
-          partials[s].counters = shard_counters[s];
-        }
-      }
-    }
-    RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged,
-                        agg::MergePartials(partials));
-    out[i].arrays = std::move(merged.arrays);
-    if (i == 0) {
-      timing = merged.timing;
-      counters = merged.counters;
-    }
-
-    // Store the member's fresh per-shard partials for pans that re-cover
-    // these shards. Unconditional on success; the version stamp in the key
-    // keeps entries from outliving a dataset bump (mirrors the service's
-    // publish guard).
-    if (ShardCacheable(queries[i], setup.variant)) {
-      const query::CacheKey base_key = query::MakeCacheKey(
-          dataset_cache_key_, dataset_version(), queries[i], setup.variant);
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (place.device_of_shard[s] >= pool_->size()) continue;
-        query::CacheKey key = base_key;
-        key.shard = s;
-        QueryResult partial;
-        partial.arrays = partials[s].arrays;
-        result_cache_->Insert(key, std::move(partial));
-      }
-    }
-  }
-  counters.shards_routed += place.executed;
-  counters.shards_skipped += place.skipped;
-
-  for (std::size_t i = 0; i < m; ++i) {
-    std::optional<raster::Fbo> gathered;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      // Accumulate and free shard by shard: canvases are multi-megabyte,
-      // so holding all S copies through the range pass would multiply the
-      // gather's transient footprint for nothing. Skipped shards exported
-      // no FBO — and an all-default FBO accumulates as the identity, so
-      // the gathered canvas equals the all-shard one bitwise. The shard
-      // cache is disabled for ranges members and forced keep guarantees
-      // one executing shard, so the seed is always present.
-      if (place.device_of_shard[s] >= pool_->size() ||
-          !shard_out[s].point_fbos[i].has_value()) {
-        continue;
-      }
-      if (gathered.has_value()) {
-        AccumulateFbo(&*gathered, *shard_out[s].point_fbos[i]);
-      } else {
-        gathered = std::move(shard_out[s].point_fbos[i]);
-      }
-      shard_out[s].point_fbos[i].reset();
-    }
-    if (!gathered.has_value()) continue;  // no §5 ranges requested
-    // Re-derive the (single-tile — the per-shard joins validated that)
-    // canvas the shards rendered on.
-    RJ_ASSIGN_OR_RETURN(
-        std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, lead.epsilon,
-                           device_->options().max_fbo_dim));
-    raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
-    ScopedPhase sp(&timing, phase::kProcessing);
-    // The range pass is part of this group's device work too: meter its
-    // primary-device delta into the attributed counters, keeping the
-    // "exact when no other query overlapped" contract (result.h).
-    const gpu::CountersSnapshot gather_before =
-        device_->counters().Snapshot();
-    RJ_ASSIGN_OR_RETURN(
-        out[i].ranges,
-        ComputeResultRanges(vp, *polys_, *setup.soup, *gathered,
-                            FinalizeAggregate(AggregateKind::kCount,
-                                              out[i].arrays),
-                            &device_->counters(), &device_->pool()));
-    counters = counters.Plus(
-        device_->counters().Snapshot().DeltaSince(gather_before));
-  }
-
-  for (QueryResult& r : out) {
-    r.timing = timing;
-    r.counters = counters;
-  }
-  return out;
 }
 
 std::string JoinVariantName(JoinVariant variant) {

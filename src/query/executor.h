@@ -3,39 +3,39 @@
 /// join operator, and finalizes the aggregate.
 ///
 /// Owns the polygon processing the paper measures in Table 1
-/// (triangulation for the raster variants, grid-index construction) and
-/// the device(s) it executes on. Polygon-side structures depend only on
-/// the immutable polygon set and the canvas, so each is built once and
-/// shared by every query: the triangulation, the grid indexes, and the
-/// accurate variant's canvases (boundary mask + MBR grid index, one per
-/// canvas size, GetAccurateCanvas). Every execution is a group
+/// (triangulation for the raster variants, grid-index construction).
+/// Polygon-side structures depend only on the immutable polygon set and
+/// the canvas, so each is built once and shared by every query: the
+/// triangulation, the grid indexes, and the accurate variant's canvases
+/// (boundary mask + MBR grid index, one per canvas size,
+/// GetAccurateCanvas).
+///
+/// One execution shape: a list of shards on a gpu::DevicePool. A shard is
+/// a resident table or a block source, with a zone map or without one;
+/// the paper's single-device setup is one shard on a one-device pool, and
+/// a data::ShardedTable gives one shard per partition (home device
+/// s mod pool size; hot-shard read replicas widen the candidate set and
+/// the least-loaded candidate wins). Every execution is a group
 /// (ExecuteFused): a solo query is a group of one, and a fusion group of
-/// compatible raster queries shares one point scan through the same path —
-/// one admission plan (PlanFusedAdmission), one placement
-/// (PlanFusedPlacement), one variant dispatch (RunVariant). Two execution
-/// shapes:
+/// compatible raster queries shares one point scan per shard. Each group
+/// takes one admission plan (PlanFusedAdmission), one placement
+/// (PlanFusedPlacement), one scatter — every placed shard runs the
+/// resolved variant on its device (RunVariant), the calling thread one of
+/// them — and one gather: the partials merge through agg::MergePartials in
+/// ascending shard order, so results are bitwise identical for any
+/// shard/worker/replica count (docs/SERVICE.md "Determinism under
+/// sharding").
 ///
-///  * single-device — the paper's setup: one gpu::Device runs the whole
-///    point set (batched when out of core);
-///  * sharded scatter-gather — a data::ShardedTable places shards onto
-///    gpu::DevicePool devices (home device s mod pool size; hot-shard read
-///    replicas widen the candidate set and the least-loaded candidate
-///    wins); each placed shard runs the full join on its own device in
-///    parallel and the partials merge through agg::MergePartials in
-///    ascending shard order, so results are bitwise identical to
-///    single-device execution for any shard/worker/replica count
-///    (docs/SERVICE.md "Determinism under sharding").
-///
-/// Sharded execution is additionally skew- and locality-aware
-/// (PlanPlacement): shards whose zone map (data::ShardedTable::shard_zone)
-/// provably cannot contribute to the query — no bbox overlap with the
-/// query's padded canvas region, or no row can pass its filters — are
-/// skipped outright (join::ZoneMapCanMatch, the same conservative-exact
-/// test as block pruning), and shards whose partial for this semantic
-/// query is already cached reuse it without re-executing. Skipped and
-/// cached shards contribute canonical partials, so the merged result —
-/// including §5 pixel-summed ranges — stays bitwise identical to all-shard
-/// execution.
+/// Placement is skew- and locality-aware (PlanPlacement): shards whose
+/// zone map (data::ShardedTable::shard_zone) provably cannot contribute
+/// to the query — no bbox overlap with the query's padded canvas region,
+/// or no row can pass its filters — are skipped outright
+/// (join::ZoneMapCanMatch, the same conservative-exact test as block
+/// pruning), and on datasets of several shards, shards whose partial for
+/// this semantic query is already cached reuse it without re-executing.
+/// Skipped and cached shards contribute canonical partials, so the merged
+/// result — including §5 pixel-summed ranges — stays bitwise identical to
+/// all-shard execution.
 ///
 /// Thread-safety contract (docs/SERVICE.md): one Executor may serve
 /// concurrent Execute() calls from many threads. The preprocessing caches
@@ -82,11 +82,10 @@ struct PlanCacheStats;
 /// referenced attribute columns, float32 each) and the fixed per-query
 /// uploads (the triangle VBO for the bounded raster variant).
 ///
-/// For a sharded executor these are **per-shard** figures: every shard
-/// uploads its own triangle VBO and runs its own batch pipeline on its
-/// device, so a device hosting k shards needs k× the grant
-/// (Executor::ShardsPerDevice gives the placement shape; QueryService
-/// multiplies).
+/// These are **per-shard** figures: every shard uploads its own triangle
+/// VBO and runs its own batch pipeline on its device, so a device hosting
+/// k shards needs k× the grant (Executor::ShardsPerDevice gives the
+/// placement shape; QueryService multiplies).
 struct AdmissionPlan {
   /// Interleaved VBO bytes per point (0 when the variant never touches
   /// device memory, e.g. the CPU index join).
@@ -97,8 +96,7 @@ struct AdmissionPlan {
   /// plus the fixed uploads. A query whose min_bytes exceed the device
   /// budget can never run and must be rejected, not queued.
   std::size_t min_bytes = 0;
-  /// Grant that holds the full point set (largest shard, when sharded)
-  /// resident (no batching).
+  /// Grant that holds the largest shard resident (no batching).
   std::size_t full_bytes = 0;
 };
 
@@ -110,26 +108,27 @@ struct AdmissionPlan {
 /// one build gives every query the same bits.
 class Executor {
  public:
-  /// Single-device executor. Neither `points` nor `polys` are copied; both
-  /// must outlive this. Polygon ids must be 0..n-1 (use AssignSequentialIds
-  /// if needed).
+  /// One resident table on one device: the paper's setup. Wraps `device`
+  /// in a non-owning one-device pool and registers the table as its one
+  /// shard (no zone map, so never routing-skipped). Neither `points` nor
+  /// `polys` are copied; both must outlive this, and so must `device`.
+  /// Polygon ids must be 0..n-1 (use AssignSequentialIds if needed).
   Executor(gpu::Device* device, const PointTable* points,
            const PolygonSet* polys);
 
-  /// Single-device executor over a block source (typically an mmap-backed
-  /// data::BlockFileReader — the disk-resident registration path). Every
-  /// query streams the source's zone-map-selected blocks through the
-  /// three-stage disk→host→device pipeline; results are bitwise identical
-  /// to an in-memory executor over data::MaterializeBlocks(*source).
-  /// Neither `source` nor `polys` are copied; both must outlive this.
+  /// One block source (typically an mmap-backed data::BlockFileReader —
+  /// the disk-resident registration path) as the one shard of a one-device
+  /// pool. Every query streams the source's zone-map-selected blocks
+  /// through the three-stage disk→host→device pipeline; results are
+  /// bitwise identical to an executor over data::MaterializeBlocks(*source).
+  /// `device`, `source` and `polys` must outlive this.
   Executor(gpu::Device* device, const data::PointBlockSource* source,
            const PolygonSet* polys);
 
-  /// Sharded executor: every Execute() scatters across `shards` (shard s
-  /// on pool device s mod pool->size()) and gathers via agg::MergePartials.
-  /// `pool`, `shards`, and `polys` must outlive this. The pool must have a
-  /// uniform max_fbo_dim (validated per query) so all shards rasterize on
-  /// one pixel grid.
+  /// One shard per partition of `shards`, with its zone map: shard s on
+  /// pool device s mod pool->size(). `pool`, `shards`, and `polys` must
+  /// outlive this. The pool must have a uniform max_fbo_dim (validated per
+  /// query) so all shards rasterize on one pixel grid.
   Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
            const PolygonSet* polys);
 
@@ -137,12 +136,12 @@ class Executor {
 
   /// Runs the query and returns finalized per-polygon values. Thread-safe;
   /// concurrent calls share the preprocessing caches. When
-  /// query.device_memory_cap_bytes is set, point batches are sized so the
-  /// query's device allocations stay within that grant (per shard, when
-  /// sharded). With a result cache attached (set_result_cache), repeats of
-  /// a semantically-equal query are served from the cache (single-flight:
-  /// concurrent identical queries execute once) with scrubbed diagnostics
-  /// and cache_hit set; the semantic payload is bitwise identical.
+  /// query.device_memory_cap_bytes is set, point batches are sized so each
+  /// shard's device allocations stay within that grant. With a result
+  /// cache attached (set_result_cache), repeats of a semantically-equal
+  /// query are served from the cache (single-flight: concurrent identical
+  /// queries execute once) with scrubbed diagnostics and cache_hit set;
+  /// the semantic payload is bitwise identical.
   Result<QueryResult> Execute(const SpatialAggQuery& query);
 
   /// Public-API form: validates the spec's column references against this
@@ -152,8 +151,8 @@ class Executor {
                               const ExecPolicy& policy = {});
 
   /// Execute without consulting the whole-query result cache (always runs
-  /// the join; sharded executions still honor routing and the per-shard
-  /// partial cache unless the query disables them). The uncached baseline
+  /// the join; executions still honor routing and the per-shard partial
+  /// cache unless the query disables them). The uncached baseline
   /// for tests/benches, and the compute path a caching layer that does its
   /// own key lookup (QueryService) wraps.
   Result<QueryResult> ExecuteUncached(const SpatialAggQuery& query);
@@ -187,12 +186,13 @@ class Executor {
   /// a group of one. Thread-safe.
   Result<ShardPlacement> PlanPlacement(const SpatialAggQuery& query);
 
-  /// Placement of a group (ExecuteFused): a shard is skipped only when no
-  /// member can match it, and served from the partial cache only when
-  /// every member's partial is cached. Unsharded executors report the
-  /// trivial single-device placement ({1} hosted). When every shard would
-  /// be skipped, shard 0 is kept on its home device so the merge always
-  /// sees one correctly-shaped partial. Thread-safe.
+  /// Placement of a group (ExecuteFused): a shard is skipped only when it
+  /// has a zone map and no member can match it, and served from the
+  /// partial cache only when every member's partial is cached. A
+  /// one-shard table or block source has no zone map, so it is placed on
+  /// its device ({1} hosted). When every shard would be skipped, shard 0
+  /// is kept on its home device so the merge always sees one
+  /// correctly-shaped partial. Thread-safe.
   Result<ShardPlacement> PlanFusedPlacement(
       const std::vector<SpatialAggQuery>& queries);
 
@@ -220,10 +220,13 @@ class Executor {
   /// free per member) — as ONE shared point scan: one upload pipeline, one
   /// vertex stage per point, per-member fragment accumulation targets
   /// (join/fused_join.h). This is the one execution path: ExecuteUncached
-  /// is a group of one. Returns one QueryResult per query, in input order,
-  /// each bitwise identical to running that query alone — values, arrays,
-  /// and §5 ranges — for any worker/shard count. Sharded groups route,
-  /// reuse and store per-shard partials like a solo query
+  /// is a group of one. PrepareGroup, then the scatter over the placed
+  /// shards, then the gather: a per-member merge in ascending shard order
+  /// (plus, for §5 ranges, one classification over the pixel-wise sum of
+  /// the shards' point FBOs), then finalize. Returns one QueryResult per
+  /// query, in input order, each bitwise identical to running that query
+  /// alone — values, arrays, and §5 ranges — for any worker/shard count.
+  /// Groups route, reuse and store per-shard partials like a solo query
   /// (PlanFusedPlacement); `placement` may be null (planned internally).
   ///
   /// Group-level diagnostics: timing, counters, and total_seconds describe
@@ -242,8 +245,8 @@ class Executor {
   /// Admission footprint of a group: the upload stride of the UNION of all
   /// members' referenced columns (the shared scan ships one interleaved
   /// VBO covering every member — see FusedUploadColumns), memoized per
-  /// (variant, stride, overlap). Per shard, when sharded; block-source
-  /// executors size the floor by the block capacity (see PlanAdmission).
+  /// (variant, stride, overlap). Per shard; block-source shards size the
+  /// floor by the block capacity (see PlanAdmission).
   Result<AdmissionPlan> PlanFusedAdmission(
       const std::vector<SpatialAggQuery>& queries);
 
@@ -251,51 +254,55 @@ class Executor {
   /// variants pass through unchanged.
   JoinVariant ResolveVariant(const SpatialAggQuery& query) const;
 
-  /// Device-memory footprint of `query` for admission control (per shard,
-  /// when sharded): PlanFusedAdmission of a group of one. Block-source
+  /// Device-memory footprint of `query` for admission control (per
+  /// shard): PlanFusedAdmission of a group of one. Block-source
   /// scans upload whole blocks, so their floor (and peak) is the in-flight
   /// blocks, not points. Builds (and caches) the triangulation when the
   /// resolved variant needs its VBO size. Thread-safe.
   Result<AdmissionPlan> PlanAdmission(const SpatialAggQuery& query);
 
-  /// True when Execute() takes the scatter-gather path.
-  bool sharded() const { return shards_ != nullptr; }
-  std::size_t num_shards() const {
-    return sharded() ? shards_->num_shards() : 1;
-  }
-  /// Device that executes shard s (the pool wraps around when there are
-  /// more shards than devices).
-  gpu::Device* shard_device(std::size_t s) const {
-    return sharded() ? pool_->device(s % pool_->size()) : device_;
-  }
+  std::size_t num_shards() const { return shards_.size(); }
   /// Shards hosted per pool device, in device order — the placement shape
-  /// the admission controller multiplies per-shard grants by. A
-  /// single-device executor reports {1}.
+  /// the admission controller multiplies per-shard grants by ({1} for one
+  /// shard on one device).
   std::vector<std::size_t> ShardsPerDevice() const;
 
   /// World extent used for the canvas: polygon extent ∪ point extent.
   const BBox& world() const { return world_; }
 
-  /// The full point table (null for a sharded or source-backed executor —
-  /// rows live in the shards / on disk).
-  const PointTable* points() const { return points_; }
-  /// The block source (null unless constructed over one).
-  const data::PointBlockSource* block_source() const { return source_; }
+  // Reporting accessors: which constructor built this executor. Execution,
+  // placement and admission read the shard list, never these.
+  /// The one resident table (null for a sharded or source-backed executor
+  /// — rows live in the partitions / on disk).
+  const PointTable* points() const {
+    return sharded() ? nullptr : shards_[0].table;
+  }
+  /// The one block source (null unless constructed over one).
+  const data::PointBlockSource* block_source() const {
+    return shards_[0].source;
+  }
   /// True when queries scan a block source instead of a resident table.
-  bool source_backed() const { return source_ != nullptr; }
+  bool source_backed() const { return block_source() != nullptr; }
+  /// The partitioned table (null unless constructed over one).
+  const data::ShardedTable* shards() const { return sharded_table_; }
+  bool sharded() const { return sharded_table_ != nullptr; }
+
+  /// Rows across every shard.
+  std::size_t num_points() const { return cost_inputs_.num_points; }
+  /// True when some shard's blocks live on disk.
+  bool disk_resident() const;
   /// Attribute columns of the dataset (uniform across shards), the bound
   /// submit-time validation checks filter/aggregate columns against.
   std::size_t num_attribute_columns() const {
-    if (sharded()) return shards_->shard(0).num_attributes();
-    return source_backed() ? source_->num_attributes()
-                           : points_->num_attributes();
+    return shards_[0].table != nullptr ? shards_[0].table->num_attributes()
+                                       : shards_[0].source->num_attributes();
   }
   const PolygonSet* polys() const { return polys_; }
-  /// Single-device: the device. Sharded: the pool's primary device (hosts
-  /// gather-phase work such as the result-range recomputation).
-  gpu::Device* device() const { return device_; }
+  /// The pool's primary device: hosts polygon-side preparation (accurate
+  /// canvases) and gather-phase work such as the result-range
+  /// recomputation.
+  gpu::Device* device() const { return pool_->primary(); }
   gpu::DevicePool* device_pool() const { return pool_; }
-  const data::ShardedTable* shards() const { return shards_; }
 
   /// Cached triangulation (built on first raster-variant query).
   [[nodiscard]] Result<const TriangleSoup*> GetTriangulation()
@@ -363,14 +370,27 @@ class Executor {
   query::PlanCacheStats plan_cache_stats() const;
 
  private:
+  /// One unit of the scatter: resident rows or a block source (exactly one
+  /// is set), and the zone map routing tests it against, when it has one.
+  struct Shard {
+    const PointTable* table = nullptr;
+    const data::PointBlockSource* source = nullptr;
+    const data::BlockZoneMap* zone = nullptr;  ///< null: never skipped
+  };
+
+  /// Shared constructor head: `owned` is the one-device wrap behind the
+  /// single-device constructors; `pool` (null = use `owned`) is the
+  /// caller's pool.
+  Executor(std::unique_ptr<gpu::DevicePool> owned, gpu::DevicePool* pool,
+           const PolygonSet* polys);
+
   /// Shared constructor tail: world extent and cost-model inputs.
   void InitWorldAndCosts(const BBox& points_extent, std::size_t num_points);
 
-  /// Per-group preamble shared by both execution paths: aggregate
-  /// validation, variant resolution and group compatibility, the union
-  /// upload stride, and the preprocessing the resolved variant needs
-  /// (triangulation / accurate canvas / index). One copy, so sharded and
-  /// single-device behavior cannot drift.
+  /// Per-group preamble of ExecuteFused: aggregate validation, variant
+  /// resolution and group compatibility, the union upload stride, and the
+  /// preprocessing the resolved variant needs (triangulation / accurate
+  /// canvas / index), shared read-only by every shard of the scatter.
   struct QuerySetup {
     JoinVariant variant = JoinVariant::kAuto;
     std::size_t bytes_per_point = 0;
@@ -383,7 +403,8 @@ class Executor {
   Result<QuerySetup> PrepareGroup(const std::vector<SpatialAggQuery>& queries);
 
   /// Whether `query`'s per-shard partials may be read from and stored in
-  /// the result cache.
+  /// the result cache. Never for a one-shard dataset: its partial is the
+  /// whole result, which the whole-query cache already holds.
   bool ShardCacheable(const SpatialAggQuery& query, JoinVariant variant) const;
 
   /// The query's effective spatial region for shard routing: the polygon
@@ -395,50 +416,29 @@ class Executor {
   Result<BBox> RoutingRegion(JoinVariant variant,
                              const SpatialAggQuery& query);
 
-  /// Runs a group on one (device, input) pair through the resolved
-  /// variant — the single variant-dispatch point shared by the
-  /// single-device path and every shard of the scatter path, so
-  /// per-variant option wiring cannot drift between them; every shard
-  /// reads the setup's one accurate canvas. `points` is the
-  /// resident input, or null to scan the executor's block source (with
-  /// the lead's enable_block_pruning). `capped` is the grant-capped batch
-  /// plan; `gather_fbos` exports ranges members' point FBOs instead of
-  /// computing their §5 ranges (the sharded gather).
-  Result<FusedJoinOutput> RunVariant(gpu::Device* device,
-                                     const PointTable* points,
-                                     const QuerySetup& setup,
-                                     const std::vector<SpatialAggQuery>& queries,
-                                     const UploadPlan& capped,
-                                     bool gather_fbos);
-
-  /// The scatter-gather path (sharded executors only): per-shard group
-  /// joins, then a per-member merge in ascending shard order (plus
-  /// per-member point-FBO gathers for §5 ranges). `placement` may be null
-  /// (planned internally).
-  Result<std::vector<QueryResult>> ExecuteSharded(
-      const std::vector<SpatialAggQuery>& queries, const QuerySetup& setup,
-      const ShardPlacement* placement);
+  /// Runs a group on one shard through the resolved variant — the one
+  /// variant-dispatch point of the scatter, so per-variant option wiring
+  /// exists once; every shard reads the setup's one accurate canvas. Plans
+  /// the shard's scan under the lead's per-shard grant
+  /// (device_memory_cap_bytes): a table through the memoized grant-capped
+  /// batch plan, a block source block by block (with the lead's
+  /// enable_block_pruning), serialized when the grant cannot hold two
+  /// blocks. Ranges members export their point FBOs for the gather.
+  Result<FusedJoinOutput> RunVariant(
+      gpu::Device* device, const Shard& shard, const QuerySetup& setup,
+      const std::vector<SpatialAggQuery>& queries);
 
   /// The cached MBR-mode index at `resolution` (GetDeviceIndex), built
   /// on first use.
   Result<std::shared_ptr<const GridIndex>> DeviceIndexLocked(
       std::int32_t resolution) RJ_REQUIRES(canvas_mutex_);
 
-  /// Points the batch planner sizes against: the whole table, the largest
-  /// shard (each device holds at most its shards), or — source-backed —
-  /// the full row count (admission separately caps batches at the block
-  /// capacity; see PlanAdmission).
-  std::size_t PlanningPointCount() const {
-    if (sharded()) return shards_->max_shard_points();
-    return source_backed() ? static_cast<std::size_t>(source_->num_rows())
-                           : points_->size();
-  }
-
-  gpu::Device* device_;
-  gpu::DevicePool* pool_ = nullptr;
-  const data::ShardedTable* shards_ = nullptr;
-  const PointTable* points_;
-  const data::PointBlockSource* source_ = nullptr;
+  /// Non-null only for the single-device constructors; declared before
+  /// pool_ so pool_ may point at it.
+  std::unique_ptr<gpu::DevicePool> owned_pool_;
+  gpu::DevicePool* pool_;
+  std::vector<Shard> shards_;
+  const data::ShardedTable* sharded_table_ = nullptr;
   const PolygonSet* polys_;
   query::ResultCache* result_cache_ = nullptr;
   std::uint64_t dataset_cache_key_ = 0;

@@ -21,11 +21,11 @@ struct QueryResult {
   ResultRanges ranges;
   /// Phase breakdown (transfer / processing / index_build / ...).
   PhaseTimer timing;
-  /// Device work attributed to this query. Filled by the sharded
-  /// scatter-gather path (per-device deltas merged in shard order via
-  /// agg::MergePartials; exact when no other query overlapped). The
-  /// single-device path leaves it zero — counters live on the Device,
-  /// where concurrent queries share one meter.
+  /// Device work attributed to this query, filled by every execution:
+  /// per-device deltas merged in shard order via agg::MergePartials, plus
+  /// the routing decisions. Exact when no other query overlapped —
+  /// counters live on the Device, where concurrent queries share one
+  /// meter.
   gpu::CountersSnapshot counters;
   /// Total wall time of Execute().
   double total_seconds = 0.0;

@@ -75,23 +75,6 @@ void QueryService::Shutdown() {
 }
 
 namespace {
-/// Index of the executor registered for the same backing tables, or npos.
-/// `points`/`shards` are matched as identity pointers (one of them null
-/// depending on the registration shape).
-std::size_t FindDatasetLocked(
-    const std::vector<std::unique_ptr<Executor>>& executors,
-    const PointTable* points, const data::ShardedTable* shards,
-    const PolygonSet* polys) {
-  for (std::size_t id = 0; id < executors.size(); ++id) {
-    if (executors[id]->points() == points &&
-        executors[id]->shards() == shards &&
-        executors[id]->polys() == polys) {
-      return id;
-    }
-  }
-  return static_cast<std::size_t>(-1);
-}
-
 /// Submit-time canvas check: an accurate query's canvas must fit the
 /// device's FBO limit (ResolveAccurateCanvasDim). Other variants ignore
 /// canvas_dim.
@@ -106,33 +89,27 @@ Status ValidateQueryCanvas(const Executor& executor,
 }
 }  // namespace
 
-std::size_t QueryService::RegisterDataset(const PointTable* points,
-                                          const PolygonSet* polys,
-                                          std::string name) {
+std::size_t QueryService::AddDatasetLocked(std::unique_ptr<Executor> executor,
+                                           std::string name) {
   // Re-registration: same backing tables ⇒ same dataset id, but the
   // caller is announcing a change — bump the version so cached results
-  // for the previous contents stop matching. The executor is constructed
-  // optimistically outside mutex_ (it scans the polygon set) and the
+  // for the previous contents stop matching. Tables are matched as
+  // identity pointers; a file registration never matches, because each
+  // open mints a fresh block source. Callers construct the executor
+  // optimistically outside mutex_ (it scans the polygon set), and this
   // find-or-insert decision is a single critical section, so two racing
   // registrations of the same pair cannot mint two ids.
-  auto executor = std::make_unique<Executor>(pool_->primary(), points, polys);
-  MutexLock lock(mutex_);
-  const std::size_t existing =
-      FindDatasetLocked(executors_, points, nullptr, polys);
-  if (existing != static_cast<std::size_t>(-1)) {
-    executors_[existing]->BumpDatasetVersion();
-    if (!name.empty()) dataset_names_[existing] = std::move(name);
-    return existing;
+  for (std::size_t id = 0; id < executors_.size(); ++id) {
+    Executor& e = *executors_[id];
+    if (e.points() == executor->points() && e.shards() == executor->shards() &&
+        e.block_source() == executor->block_source() &&
+        e.polys() == executor->polys()) {
+      e.BumpDatasetVersion();
+      if (!name.empty()) dataset_names_[id] = std::move(name);
+      return id;
+    }
   }
-  executors_.push_back(std::move(executor));
-  const std::size_t id = executors_.size() - 1;
-  AttachCacheLocked(id);
-  dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
-                                        : std::move(name));
-  return id;
-}
-
-void QueryService::AttachCacheLocked(std::size_t id) {
+  const std::size_t id = executors_.size();
   // The executor shares the service cache under the dataset id it is
   // registered as, which is the same identity the service's whole-query
   // keys carry — so the executor's per-shard partial entries
@@ -141,7 +118,19 @@ void QueryService::AttachCacheLocked(std::size_t id) {
   // together on version bumps. Registration happens before any query can
   // reference the id, satisfying set_result_cache's attach-before-traffic
   // contract.
-  if (cache_ != nullptr) executors_[id]->set_result_cache(cache_.get(), id);
+  if (cache_ != nullptr) executor->set_result_cache(cache_.get(), id);
+  executors_.push_back(std::move(executor));
+  dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
+                                        : std::move(name));
+  return id;
+}
+
+std::size_t QueryService::RegisterDataset(const PointTable* points,
+                                          const PolygonSet* polys,
+                                          std::string name) {
+  auto executor = std::make_unique<Executor>(pool_->primary(), points, polys);
+  MutexLock lock(mutex_);
+  return AddDatasetLocked(std::move(executor), std::move(name));
 }
 
 std::size_t QueryService::RegisterDataset(PointTable* points,
@@ -159,19 +148,13 @@ Result<std::size_t> QueryService::RegisterDatasetFromFile(
     const std::string& path, const PolygonSet* polys, std::string name) {
   RJ_ASSIGN_OR_RETURN(std::unique_ptr<data::PointBlockSource> source,
                       data::OpenPointBlockSource(path));
-  // Each open mints a fresh source (and id): identity-dedupe like
-  // RegisterDataset has nothing to key on, and re-registering a path is a
+  // Each open mints a fresh source (and id): re-registering a path is a
   // deliberate reload — the old id keeps serving its (still-mapped) file.
   auto executor =
       std::make_unique<Executor>(pool_->primary(), source.get(), polys);
   MutexLock lock(mutex_);
-  executors_.push_back(std::move(executor));
   owned_sources_.push_back(std::move(source));
-  const std::size_t id = executors_.size() - 1;
-  AttachCacheLocked(id);
-  dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
-                                        : std::move(name));
-  return id;
+  return AddDatasetLocked(std::move(executor), std::move(name));
 }
 
 std::size_t QueryService::RegisterShardedDataset(
@@ -179,19 +162,7 @@ std::size_t QueryService::RegisterShardedDataset(
     std::string name) {
   auto executor = std::make_unique<Executor>(pool_, shards, polys);
   MutexLock lock(mutex_);
-  const std::size_t existing =
-      FindDatasetLocked(executors_, nullptr, shards, polys);
-  if (existing != static_cast<std::size_t>(-1)) {
-    executors_[existing]->BumpDatasetVersion();
-    if (!name.empty()) dataset_names_[existing] = std::move(name);
-    return existing;
-  }
-  executors_.push_back(std::move(executor));
-  const std::size_t id = executors_.size() - 1;
-  AttachCacheLocked(id);
-  dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
-                                        : std::move(name));
-  return id;
+  return AddDatasetLocked(std::move(executor), std::move(name));
 }
 
 Result<std::size_t> QueryService::ResolveDataset(
@@ -215,14 +186,8 @@ std::vector<DatasetInfo> QueryService::ListDatasets() const {
     info.name = dataset_names_[id];
     info.sharded = e.sharded();
     info.num_shards = e.num_shards();
-    if (e.sharded()) {
-      info.num_points = e.shards()->total_points();
-    } else if (e.source_backed()) {
-      info.num_points = static_cast<std::size_t>(e.block_source()->num_rows());
-      info.disk_resident = e.block_source()->disk_resident();
-    } else {
-      info.num_points = e.points()->size();
-    }
+    info.num_points = e.num_points();
+    info.disk_resident = e.disk_resident();
     info.num_polygons = e.polys()->size();
     info.num_attribute_columns = e.num_attribute_columns();
     info.version = e.dataset_version();
@@ -656,16 +621,14 @@ Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
   // execute and where, so hosted[d] — what device d's grant is multiplied
   // by — covers exactly the executing work. Skipped and cached shards
   // reserve nothing (all-or-nothing reservation over the executing devices
-  // only). Unsharded executors report the trivial {1} placement, which
-  // reduces everything below to the single-budget policy.
+  // only). A one-shard dataset places {1}, which reduces everything below
+  // to the single-budget policy.
   RJ_ASSIGN_OR_RETURN(Executor::ShardPlacement placement,
                       executor->PlanFusedPlacement(queries));
-  if (executor->sharded()) {
-    for (QueryStats& s : *stats) {
-      s.shards_routed = placement.executed;
-      s.shards_skipped = placement.skipped;
-      s.shard_cache_hits = placement.cache_hits;
-    }
+  for (QueryStats& s : *stats) {
+    s.shards_routed = placement.executed;
+    s.shards_skipped = placement.skipped;
+    s.shard_cache_hits = placement.cache_hits;
   }
 
   std::size_t per_shard_grant = 0;
@@ -714,7 +677,9 @@ Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
 
 void QueryService::UpdateShardHeat(
     Executor* executor, const Executor::ShardPlacement& placement) {
-  if (!executor->sharded() || options_.replicate_hot_shards == 0) return;
+  // A replica cannot move a lone shard: placement's lowest-index tie-break
+  // keeps it on its home device.
+  if (executor->num_shards() < 2 || options_.replicate_hot_shards == 0) return;
 
   std::vector<std::vector<std::size_t>> replicas;
   bool install = false;

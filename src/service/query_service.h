@@ -164,12 +164,13 @@ struct QueryStats {
   /// C++-visible accounting only — never serialized on the wire; the HTTP
   /// response schema is unchanged and fusion is invisible to clients.
   std::size_t fused_group_size = 1;
-  /// Sharded executions only (zero otherwise, including whole-query cache
-  /// hits): shards that ran a join for this query, shards the spatial
-  /// router pruned, and shards served from the per-shard partial cache.
-  /// routed + skipped + cache hits == the dataset's shard count. Fused
-  /// members report their group's placement (a shard is skipped only when
-  /// no member matches it, cached only when every member's partial is).
+  /// Every execution's placement (zero on whole-query cache hits): shards
+  /// that ran a join for this query, shards the spatial router pruned, and
+  /// shards served from the per-shard partial cache. routed + skipped +
+  /// cache hits == the dataset's shard count, so a one-shard dataset
+  /// reports 1 routed. Fused members report their group's placement (a
+  /// shard is skipped only when no member matches it, cached only when
+  /// every member's partial is).
   std::size_t shards_routed = 0;
   std::size_t shards_skipped = 0;
   std::size_t shard_cache_hits = 0;
@@ -227,9 +228,10 @@ class QueryService {
   /// it too (they are not copied).
   explicit QueryService(gpu::Device* device, ServiceOptions options = {});
 
-  /// Pool service: queries run on the devices their datasets are placed
-  /// on (unsharded datasets on the primary device, sharded datasets
-  /// across the pool). `pool` must outlive the service.
+  /// Pool service: queries run on the devices their datasets' shards are
+  /// placed on (a table or file dataset is one shard on the primary
+  /// device, a sharded dataset spans the pool). `pool` must outlive the
+  /// service.
   explicit QueryService(gpu::DevicePool* pool, ServiceOptions options = {});
 
   /// Equivalent to Shutdown(): drains every accepted query, then stops the
@@ -434,7 +436,7 @@ class QueryService {
   /// EWMA heat update from one executed placement; every
   /// replica_update_interval-th execution of a dataset re-derives its
   /// top-K replica map and installs it on the executor. No-op when
-  /// replication is off or the dataset is unsharded.
+  /// replication is off or the dataset has fewer than two shards.
   void UpdateShardHeat(Executor* executor,
                        const Executor::ShardPlacement& placement)
       RJ_EXCLUDES(heat_mutex_);
@@ -443,11 +445,13 @@ class QueryService {
   void Respond(Pending* pending, Result<QueryResult> result,
                QueryStats stats) RJ_EXCLUDES(mutex_);
 
-  /// Shares the service result cache with executors_[id] under the dataset
-  /// id, so whole-query entries and the executor's per-shard partial
-  /// entries live in one key space. Caller holds mutex_; no-op with
-  /// caching off.
-  void AttachCacheLocked(std::size_t id) RJ_REQUIRES(mutex_);
+  /// The registrations' shared tail: returns the id of the dataset already
+  /// registered over the same tables and polygons (bumping its version and
+  /// renaming it when `name` is set), or inserts `executor` under a new id
+  /// with the service result cache attached and `name` (empty defaults to
+  /// "dataset-<id>"). Caller holds mutex_.
+  std::size_t AddDatasetLocked(std::unique_ptr<Executor> executor,
+                               std::string name) RJ_REQUIRES(mutex_);
 
   std::size_t QueueDepthLocked() const RJ_REQUIRES(mutex_) {
     return fifo_.size() + priority_.size();

@@ -1,6 +1,6 @@
 /// \file merge_partials_test.cc
-/// \brief agg::MergePartials in isolation: empty shards, overlapping
-/// polygon result ranges, counter summation, and mismatch errors.
+/// \brief agg::MergePartials in isolation: empty shards, counter and
+/// timing summation, and mismatch errors.
 #include "agg/merge_partials.h"
 
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@ TEST(MergePartialsTest, NoPartialsMergeToEmpty) {
   auto merged = MergePartials({});
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged.value().arrays.count.size(), 0u);
-  EXPECT_TRUE(merged.value().ranges.loose.empty());
   EXPECT_EQ(merged.value().counters.fragments, 0u);
 }
 
@@ -86,54 +85,6 @@ TEST(MergePartialsTest, PolygonCountMismatchIsError) {
   parts.push_back(MakeArraysPartial({1}, {0}, {0}, {0}));
   auto merged = MergePartials(parts);
   EXPECT_FALSE(merged.ok());
-}
-
-TEST(MergePartialsTest, MergesOverlappingPolygonRanges) {
-  // Two overlapping polygons (both intervals non-degenerate around their
-  // shard-local aggregates): intervals add component-wise, so the merged
-  // interval is "merged aggregate ± merged correction".
-  std::vector<ShardPartial> parts(2);
-  parts[0].ranges.loose = {{8, 12}, {0, 3}};
-  parts[0].ranges.expected = {{9, 11}, {1, 2}};
-  parts[1].ranges.loose = {{3, 5}, {2, 2}};
-  parts[1].ranges.expected = {{4, 4}, {2, 2}};
-
-  auto merged = MergePartials(parts);
-  ASSERT_TRUE(merged.ok());
-  const ResultRanges& r = merged.value().ranges;
-  ASSERT_EQ(r.loose.size(), 2u);
-  EXPECT_EQ(r.loose[0].lower, 11);
-  EXPECT_EQ(r.loose[0].upper, 17);
-  EXPECT_EQ(r.expected[0].lower, 13);
-  EXPECT_EQ(r.expected[0].upper, 15);
-  EXPECT_EQ(r.loose[1].lower, 2);
-  EXPECT_EQ(r.loose[1].upper, 5);
-  // Expected bounds stay within loose bounds after merging.
-  EXPECT_GE(r.expected[0].lower, r.loose[0].lower);
-  EXPECT_LE(r.expected[0].upper, r.loose[0].upper);
-}
-
-TEST(MergePartialsTest, ShardsWithoutRangesAreSkipped) {
-  std::vector<ShardPartial> parts(3);
-  parts[0].ranges.loose = {{1, 2}};
-  parts[0].ranges.expected = {{1, 2}};
-  // parts[1] has no ranges (e.g. ranges disabled on that shard's variant).
-  parts[2].ranges.loose = {{10, 20}};
-  parts[2].ranges.expected = {{12, 18}};
-
-  auto merged = MergePartials(parts);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().ranges.loose[0].lower, 11);
-  EXPECT_EQ(merged.value().ranges.loose[0].upper, 22);
-}
-
-TEST(MergePartialsTest, RangedPolygonCountMismatchIsError) {
-  std::vector<ShardPartial> parts(2);
-  parts[0].ranges.loose = {{1, 2}};
-  parts[0].ranges.expected = {{1, 2}};
-  parts[1].ranges.loose = {{1, 2}, {3, 4}};
-  parts[1].ranges.expected = {{1, 2}, {3, 4}};
-  EXPECT_FALSE(MergePartials(parts).ok());
 }
 
 TEST(MergePartialsTest, SumsCountersFieldWise) {

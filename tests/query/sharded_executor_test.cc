@@ -1,7 +1,8 @@
 /// \file sharded_executor_test.cc
 /// \brief Sharded scatter-gather determinism: for every join variant, 1..4
 /// shards × 1..8 workers must be bitwise identical to the single-device
-/// baseline — aggregates and §5 result ranges alike.
+/// baseline — aggregates and §5 result ranges alike — and the baseline
+/// itself to the per-call join outside Executor.
 ///
 /// Weights are integer-valued floats, the exactly-representable regime the
 /// determinism guarantee covers (see merge_partials.h); COUNT/MIN/MAX are
@@ -18,9 +19,12 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "data/point_block_source.h"
 #include "data/sharded_table.h"
 #include "gpu/device_pool.h"
+#include "join/index_join.h"
 #include "join/raster_join_accurate.h"
+#include "join/raster_join_bounded.h"
 #include "query/executor.h"
 #include "query/result_cache.h"
 #include "raster/pipeline.h"
@@ -120,7 +124,57 @@ std::vector<SpatialAggQuery> Workload() {
   return queries;
 }
 
-/// Single-device ground truth for every workload query.
+/// The per-call join `q`'s variant names (BoundedRasterJoin with §5
+/// ranges, AccurateRasterJoin preparing its own canvas, IndexJoinDevice,
+/// IndexJoinCpu), over the whole table on one device and `world`: the
+/// reference outside Executor.
+QueryResult PerCallJoin(const JoinSetup& s, const BBox& world,
+                        const SpatialAggQuery& q) {
+  gpu::Device device(DevOptions(1));
+  auto soup = TriangulatePolygonSet(s.polys);
+  EXPECT_TRUE(soup.ok());
+  QueryResult r;
+  Result<JoinResult> join = Status::Internal("variant not covered");
+  if (q.variant == JoinVariant::kBoundedRaster) {
+    BoundedRasterJoinOptions options;
+    options.epsilon = q.epsilon;
+    options.weight_column = q.EffectiveAggregateColumn();
+    options.filters = q.filters;
+    options.compute_result_ranges = q.with_result_ranges;
+    join = BoundedRasterJoin(&device, s.points, s.polys, soup.value(), world,
+                             options, nullptr, &r.ranges);
+  } else if (q.variant == JoinVariant::kAccurateRaster) {
+    AccurateRasterJoinOptions options;
+    options.canvas_dim = q.accurate_canvas_dim;
+    options.weight_column = q.EffectiveAggregateColumn();
+    options.filters = q.filters;
+    join = AccurateRasterJoin(&device, s.points, s.polys, soup.value(), world,
+                              options);
+  } else {
+    IndexJoinOptions options;
+    options.weight_column = q.EffectiveAggregateColumn();
+    options.filters = q.filters;
+    if (q.variant == JoinVariant::kIndexDevice) {
+      join = IndexJoinDevice(&device, s.points, s.polys, world, options);
+    } else if (q.variant == JoinVariant::kIndexCpu) {
+      options.assign_mode = GridAssignMode::kExactGeometry;
+      auto index = GridIndex::Build(s.polys, world, options.index_resolution,
+                                    options.assign_mode);
+      EXPECT_TRUE(index.ok());
+      join = IndexJoinCpu(s.points, s.polys, index.value(), options,
+                          q.cpu_threads);
+    }
+  }
+  EXPECT_TRUE(join.ok()) << join.status().ToString();
+  r.arrays = join.value().arrays;
+  r.values = FinalizeAggregate(q.aggregate, r.arrays);
+  return r;
+}
+
+/// Single-device ground truth for every workload query, each checked
+/// bitwise against the per-call join: the baseline and the sharded
+/// subjects run one Executor body, so the reference must come from
+/// outside it.
 std::vector<QueryResult> Baseline(const JoinSetup& s) {
   gpu::Device device(DevOptions(1));
   Executor executor(&device, &s.points, &s.polys);
@@ -128,6 +182,8 @@ std::vector<QueryResult> Baseline(const JoinSetup& s) {
   for (const SpatialAggQuery& q : Workload()) {
     auto r = executor.Execute(q);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
+    SCOPED_TRACE("per-call reference, variant " + JoinVariantName(q.variant));
+    ExpectIdenticalResults(PerCallJoin(s, executor.world(), q), r.value());
     results.push_back(std::move(r).MoveValueUnsafe());
   }
   return results;
@@ -298,6 +354,22 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
             pool.TotalCounters().bytes_transferred);
   EXPECT_GE(r.value().counters.render_passes, 2u);
   EXPECT_GE(r.value().counters.batches, 2u);
+
+  // One device is one shard: a single-device executor over the table, and
+  // one over a block source of it, attribute their device's work too.
+  const data::TableBlockSource source(&s.points, /*block_capacity=*/1000);
+  for (const bool over_source : {false, true}) {
+    SCOPED_TRACE(over_source ? "block source" : "table");
+    gpu::Device device(DevOptions(1));
+    Executor single = over_source ? Executor(&device, &source, &s.polys)
+                                  : Executor(&device, &s.points, &s.polys);
+    auto one = single.Execute(query);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_GT(one.value().counters.bytes_transferred, 0u);
+    EXPECT_EQ(one.value().counters.bytes_transferred,
+              device.counters().bytes_transferred());
+    EXPECT_EQ(one.value().counters.shards_routed, 1u);
+  }
 }
 
 /// Quarter-extent selectivity: polygons covering one corner of the data
@@ -492,27 +564,6 @@ TEST(ShardedRoutingTest, PerShardCacheServesRepeatsBitwise) {
   EXPECT_EQ(plan_bumped.value().cache_hits, 0u);
 }
 
-/// The per-call reference for an accurate query: a direct
-/// AccurateRasterJoin over the whole table on one device, which prepares
-/// its own canvas, on the executor's world.
-QueryResult DirectAccurate(const JoinSetup& s, const BBox& world,
-                           const SpatialAggQuery& q) {
-  gpu::Device device(DevOptions(1));
-  auto soup = TriangulatePolygonSet(s.polys);
-  EXPECT_TRUE(soup.ok());
-  AccurateRasterJoinOptions options;
-  options.canvas_dim = q.accurate_canvas_dim;
-  options.weight_column = q.EffectiveAggregateColumn();
-  options.filters = q.filters;
-  auto join = AccurateRasterJoin(&device, s.points, s.polys, soup.value(),
-                                 world, options);
-  EXPECT_TRUE(join.ok()) << join.status().ToString();
-  QueryResult r;
-  r.arrays = join.value().arrays;
-  r.values = FinalizeAggregate(q.aggregate, r.arrays);
-  return r;
-}
-
 SpatialAggQuery Accurate(std::int32_t canvas_dim, AggregateKind aggregate) {
   SpatialAggQuery q;
   q.variant = JoinVariant::kAccurateRaster;
@@ -559,7 +610,7 @@ TEST(SharedCanvasTest, ShardedQueriesMatchPerCallAccurateJoin) {
         const SpatialAggQuery q = Accurate(dim, aggregate);
         auto r = executor.ExecuteUncached(q);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
-        ExpectIdenticalResults(DirectAccurate(s, executor.world(), q),
+        ExpectIdenticalResults(PerCallJoin(s, executor.world(), q),
                                r.value());
       }
     }
@@ -696,7 +747,7 @@ TEST(SharedCanvasTest, EvictionUnderConcurrentTrafficStaysCorrect) {
   ASSERT_GT(dims.size(), Executor::kMaxAccurateCanvases);
   std::vector<QueryResult> expected;
   for (const std::int32_t dim : dims) {
-    expected.push_back(DirectAccurate(
+    expected.push_back(PerCallJoin(
         s, executor.world(), Accurate(dim, AggregateKind::kSum)));
   }
   auto held = executor.GetAccurateCanvas(dims[0]);
@@ -783,7 +834,7 @@ TEST(SharedCanvasTest, OversizedCanvasIsInvalidArgument) {
   for (Executor* executor : {&single, &sharded}) {
     auto r = executor->ExecuteUncached(fits);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectIdenticalResults(DirectAccurate(s, executor->world(), fits),
+    ExpectIdenticalResults(PerCallJoin(s, executor->world(), fits),
                            r.value());
   }
 }

@@ -223,6 +223,9 @@ TEST(QueryServiceTest, OversubscribingQueriesQueueNotFail) {
     ASSERT_TRUE(response.result.ok()) << response.result.status().ToString();
     EXPECT_GT(response.stats.granted_bytes, 0u);
     EXPECT_LE(response.stats.granted_bytes, device.memory_budget_bytes());
+    // A table dataset is one shard, placed on every execution.
+    EXPECT_EQ(response.stats.shards_routed, 1u);
+    EXPECT_EQ(response.stats.shards_skipped, 0u);
   }
 
   const ServiceStats stats = service.stats();
