@@ -52,7 +52,6 @@ inline gpu::DeviceOptions PaperDeviceOptions(
   gpu::DeviceOptions options;
   options.memory_budget_bytes = memory_budget_bytes;
   options.max_fbo_dim = max_fbo_dim;
-  options.num_workers = 1;
   return options;
 }
 

@@ -8,9 +8,7 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "join/raster_join_bounded.h"
 #include "query/executor.h"
-#include "triangulate/triangulation.h"
 
 using namespace rj;
 using namespace rj::bench;
@@ -90,76 +88,13 @@ int main() {
         .Field("bounded_ms", bounded);
   }
 
-  // --- Worker scaling of the tiled-parallel bounded join. -----------------
-  // The simulated device splits DrawPoints/DrawPolygons across its worker
-  // pool (band-tiled canvas, per-worker result arrays); aggregates are
-  // bitwise identical for every worker count, so only time may change.
-  {
-    const std::size_t n = sizes[sizeof(sizes) / sizeof(sizes[0]) - 1];
-    const PointTable points = GenerateTaxiPoints(n);
-    auto soup_r = TriangulatePolygonSet(polys);
-    if (!soup_r.ok()) {
-      std::fprintf(stderr, "triangulation failed: %s\n",
-                   soup_r.status().ToString().c_str());
-      return 1;
-    }
-    const TriangleSoup& soup = soup_r.value();
-    BBox world;
-    for (const Polygon& p : polys) world.Expand(p.bbox());
-    for (std::size_t i = 0; i < points.size(); ++i) world.Expand(points.At(i));
-
-    std::printf("\nBounded raster join, worker scaling at %zu points "
-                "(host: %d hardware thread(s)):\n", n, hw);
-    std::printf("%-8s | %12s %9s %10s\n", "workers", "time(ms)", "speedup",
-                "identical");
-
-    std::vector<double> baseline;
-    double baseline_ms = 0.0;
-    for (const std::size_t workers : {1, 2, 4, 8}) {
-      gpu::DeviceOptions dopts = PaperDeviceOptions(/*memory=*/512ull << 20);
-      dopts.num_workers = workers;
-      gpu::Device device(dopts);
-      BoundedRasterJoinOptions options;
-      options.epsilon = kEps;
-      Timer t;
-      auto r = BoundedRasterJoin(&device, points, polys, soup, world, options);
-      const double ms = t.ElapsedMillis();
-      if (!r.ok()) {
-        std::fprintf(stderr, "bounded join failed: %s\n",
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      const std::vector<double> counts = r.value().Finalize(
-          AggregateKind::kCount);
-      bool identical = true;
-      if (workers == 1) {
-        baseline = counts;
-        baseline_ms = ms;
-      } else {
-        identical = counts == baseline;
-      }
-      std::printf("%-8zu | %12.1f %8.2fx %10s\n", workers, ms,
-                  baseline_ms / ms, identical ? "yes" : "NO");
-      json.Row()
-          .Field("section", std::string("worker_scaling"))
-          .Field("points", n)
-          .Field("workers", workers)
-          .Field("bounded_ms", ms)
-          .Field("speedup", baseline_ms / ms);
-      if (!identical) {
-        std::fprintf(stderr, "aggregate mismatch at %zu workers\n", workers);
-        return 1;
-      }
-    }
-  }
-
   std::printf(
       "\nShape check vs paper: Bounded fastest (no PIP tests at all);\n"
       "Accurate beats the index baseline (PIP only on boundary pixels);\n"
       "all scale ~linearly with input size. NOTE: this host exposes %d\n"
       "hardware thread(s), so CPU-parallel speedups compress toward 1x —\n"
       "the variant ordering is the machine-independent signal (the\n"
-      "device is simulated on host cores; see README.md).\n",
+      "device is simulated on the calling thread; see README.md).\n",
       hw);
   return 0;
 }

@@ -92,9 +92,6 @@ int main() {
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
 
-  // Per-query intra-query parallelism is off (num_workers = 1): throughput
-  // scaling must come from the service's inter-query concurrency, the
-  // quantity under test.
   constexpr std::size_t kBudget = 16ull << 20;
   constexpr std::size_t kQueriesPerClient = 8;
 
@@ -133,9 +130,7 @@ int main() {
   bool all_identical = true;
 
   for (const std::size_t clients : {1, 2, 4, 8, 16}) {
-    gpu::DeviceOptions dopts = PaperDeviceOptions(kBudget);
-    dopts.num_workers = 1;
-    gpu::Device device(dopts);
+    gpu::Device device(PaperDeviceOptions(kBudget));
 
     service::ServiceOptions sopts;
     sopts.num_dispatchers = 8;
@@ -188,8 +183,8 @@ int main() {
   // --- Shard scaling: one client over a growing device pool. --------------
   // One shard per device; each query scatter-gathers across the pool. A
   // single client isolates *intra-query* scaling — each added device adds
-  // raster hardware (its own worker pool), so the point pass splits S
-  // ways while the polygon pass replays on every device concurrently.
+  // raster hardware (one shard thread), so the point pass splits S ways
+  // while the polygon pass replays on every device concurrently.
   // Polygon-side state that depends only on the polygons and the canvas
   // is built once per executor, not per shard: the triangulation, the
   // device grid index, and the accurate variant's canvas (boundary mask +
@@ -267,7 +262,6 @@ int main() {
     gpu::DevicePoolOptions pool_options;
     pool_options.num_devices = shards;
     pool_options.device = PaperDeviceOptions(kBudget);
-    pool_options.device.num_workers = 1;
     gpu::DevicePool pool(pool_options);
 
     rj::data::ShardingOptions sharding;
@@ -385,9 +379,7 @@ int main() {
 
   double unfused_qps = 0.0;
   for (const std::size_t group_size : {std::size_t{1}, std::size_t{4}}) {
-    gpu::DeviceOptions dopts = PaperDeviceOptions(kBudget);
-    dopts.num_workers = 1;
-    gpu::Device device(dopts);
+    gpu::Device device(PaperDeviceOptions(kBudget));
 
     service::ServiceOptions sopts;
     sopts.num_dispatchers = 1;

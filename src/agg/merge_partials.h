@@ -12,7 +12,7 @@
 ///  * ResultArrays — COUNT merges exactly for any partition (integer sums
 ///    in double); MIN/MAX merge exactly always; SUM merges exactly whenever
 ///    the per-shard partial sums are exactly representable (e.g. integer
-///    weights), the same regime DrawPolygons' per-worker merge documents.
+///    weights).
 ///  * Counters — unsigned integer sums, always exact.
 ///  * §5 result ranges are not merged here: their expected bounds sum
 ///    per-pixel area×count products, whose regrouping across shards would

@@ -25,8 +25,7 @@ Result<ResultRanges> ComputeResultRanges(const raster::Viewport& vp,
                                          const TriangleSoup& soup,
                                          const raster::Fbo& point_fbo,
                                          const std::vector<double>& approx,
-                                         gpu::Counters* counters,
-                                         ThreadPool* pool) {
+                                         gpu::Counters* counters) {
   const std::size_t n = polys.size();
   if (approx.size() != n) {
     return Status::InvalidArgument(
@@ -46,9 +45,10 @@ Result<ResultRanges> ComputeResultRanges(const raster::Viewport& vp,
   out.loose.resize(n);
   out.expected.resize(n);
 
-  // Classifies polygon i's boundary pixels and fills its intervals; returns
-  // the pixels touched (the fragment meter contribution).
-  const auto range_one_polygon = [&](std::size_t i) -> std::uint64_t {
+  // Classifies each polygon's boundary pixels and fills its intervals; the
+  // pixels touched are the fragment meter's contribution.
+  std::uint64_t fragments = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     // Regular coverage: pixels whose center the triangulation covers.
     std::unordered_set<std::uint64_t> regular;
     for (const Triangle* t : tris_of[i]) {
@@ -104,25 +104,7 @@ Result<ResultRanges> ComputeResultRanges(const raster::Viewport& vp,
 
     out.loose[i] = {approx[i] - loose_plus, approx[i] + loose_minus};
     out.expected[i] = {approx[i] - exp_plus, approx[i] + exp_minus};
-    return regular.size() + conservative.size();
-  };
-
-  std::uint64_t fragments = 0;
-  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
-  if (num_chunks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fragments += range_one_polygon(i);
-  } else {
-    // Each polygon writes only its own out.loose[i]/out.expected[i] slots,
-    // so chunks of the polygon range are independent; the fragment meter is
-    // summed in chunk order to match the sequential total exactly.
-    std::vector<std::uint64_t> frags_per_chunk(num_chunks, 0);
-    pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
-                             std::size_t chunk) {
-      std::uint64_t local = 0;
-      for (std::size_t i = begin; i < end; ++i) local += range_one_polygon(i);
-      frags_per_chunk[chunk] = local;
-    });
-    for (const std::uint64_t f : frags_per_chunk) fragments += f;
+    fragments += regular.size() + conservative.size();
   }
   if (counters != nullptr) counters->AddFragments(fragments);
   return out;

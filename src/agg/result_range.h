@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "geometry/polygon.h"
 #include "gpu/counters.h"
 #include "raster/fbo.h"
@@ -49,10 +48,6 @@ struct ResultRanges {
 /// \param soup      triangulation of `polys` (for regular-coverage tests)
 /// \param point_fbo the point FBO after DrawPoints
 /// \param approx    the approximate per-polygon COUNT from the bounded join
-/// \param pool      when it has more than one worker, polygons are split
-///                  across workers (each polygon's intervals are
-///                  independent, so results and the fragment meter are
-///                  identical to the sequential pass for any worker count)
 /// Uses conservative vs regular rasterization of each polygon to classify
 /// its boundary pixels into P+ / P-, then applies the §5 formulas with
 /// exact pixel∩polygon area fractions for the expected bounds.
@@ -61,7 +56,6 @@ Result<ResultRanges> ComputeResultRanges(const raster::Viewport& vp,
                                          const TriangleSoup& soup,
                                          const raster::Fbo& point_fbo,
                                          const std::vector<double>& approx,
-                                         gpu::Counters* counters = nullptr,
-                                         ThreadPool* pool = nullptr);
+                                         gpu::Counters* counters = nullptr);
 
 }  // namespace rj

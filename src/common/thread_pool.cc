@@ -40,16 +40,20 @@ void ThreadPool::Wait() {
 void ThreadPool::ParallelFor(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const ChunkPlan plan = PlanChunks(n, num_threads());
-  if (plan.count == 0) return;
-  if (plan.count == 1) {
+  if (n == 0) return;
+  if (num_threads() <= 1 || n == 1) {
     fn(0, n, 0);
     return;
   }
-  // Per-call completion state: concurrent ParallelFor calls share the pool
-  // (the QueryService runs many queries against one device), so waiting on
-  // the pool-global in-flight count would block one query on another's
-  // tasks — and never unblock under a steady stream of submissions.
+  // At most one chunk per worker, each `size` elements (the last may be
+  // short), in ascending order.
+  const std::size_t chunks = std::min(n, num_threads());
+  const std::size_t size = (n + chunks - 1) / chunks;
+  const std::size_t count = (n + size - 1) / size;
+  // Per-call completion state: concurrent ParallelFor calls may share the
+  // pool, so waiting on the pool-global in-flight count would block one
+  // caller on another's tasks — and never unblock under a steady stream of
+  // submissions.
   struct CallState {
     Mutex mutex;
     CondVar cv;
@@ -58,11 +62,11 @@ void ThreadPool::ParallelFor(
   CallState call;
   {
     MutexLock lock(call.mutex);
-    call.remaining = plan.count;
+    call.remaining = count;
   }
-  for (std::size_t c = 0; c < plan.count; ++c) {
-    const std::size_t begin = c * plan.size;
-    const std::size_t end = std::min(n, begin + plan.size);
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t begin = c * size;
+    const std::size_t end = std::min(n, begin + size);
     Submit([&fn, &call, begin, end, c] {
       fn(begin, end, c);
       MutexLock lock(call.mutex);
@@ -71,11 +75,6 @@ void ThreadPool::ParallelFor(
   }
   MutexLock lock(call.mutex);
   while (call.remaining != 0) call.cv.Wait(lock);
-}
-
-ThreadPool& ThreadPool::Default() {
-  static ThreadPool pool(0);
-  return pool;
 }
 
 void ThreadPool::WorkerLoop() {

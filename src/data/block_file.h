@@ -104,7 +104,7 @@ class BlockFileReader final : public PointBlockSource {
   const BlockZoneMap* zone_map(std::size_t block) const override {
     return &blocks_[block].zone;
   }
-  const BBox& extent() const override { return extent_; }
+  BBox extent() const override { return extent_; }
   Result<BlockRef> ReadBlock(std::size_t block,
                              PointTable* scratch) const override;
 

@@ -67,7 +67,6 @@ TableBlockSource::TableBlockSource(const PointTable* table,
     : table_(table), capacity_(std::max<std::size_t>(block_capacity, 1)) {
   num_blocks_ =
       table_->empty() ? 0 : (table_->size() + capacity_ - 1) / capacity_;
-  extent_ = table_->Extent();
 }
 
 TableBlockSource::TableBlockSource(PointTable table,
@@ -77,7 +76,6 @@ TableBlockSource::TableBlockSource(PointTable table,
       capacity_(std::max<std::size_t>(block_capacity, 1)) {
   num_blocks_ =
       table_->empty() ? 0 : (table_->size() + capacity_ - 1) / capacity_;
-  extent_ = table_->Extent();
 }
 
 void TableBlockSource::BuildZoneMaps() {

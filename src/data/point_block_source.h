@@ -92,8 +92,10 @@ class PointBlockSource {
   /// maintain one (such a block is never pruned).
   virtual const BlockZoneMap* zone_map(std::size_t block) const = 0;
 
-  /// Bounding box of all locations (cached; O(1)).
-  virtual const BBox& extent() const = 0;
+  /// Bounding box of all locations: O(1) for a file (its header) and for a
+  /// table whose extent is cached, otherwise one pass over the table. No
+  /// scan reads it.
+  virtual BBox extent() const = 0;
 
   /// Materializes block `block`. Disk sources fill `*scratch` and return a
   /// reference into it; in-memory adapters return a window of the parent
@@ -167,7 +169,7 @@ class TableBlockSource final : public PointBlockSource {
   const BlockZoneMap* zone_map(std::size_t block) const override {
     return zone_maps_.empty() ? nullptr : &zone_maps_[block];
   }
-  const BBox& extent() const override { return extent_; }
+  BBox extent() const override { return table_->Extent(); }
   Result<BlockRef> ReadBlock(std::size_t block,
                              PointTable* scratch) const override;
   std::uint64_t bytes_read() const override { return 0; }
@@ -185,7 +187,6 @@ class TableBlockSource final : public PointBlockSource {
   const PointTable* table_;
   std::size_t capacity_;
   std::size_t num_blocks_;
-  BBox extent_;
   std::vector<BlockZoneMap> zone_maps_;  ///< empty until BuildZoneMaps()
 };
 

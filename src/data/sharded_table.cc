@@ -49,14 +49,6 @@ std::string ShardPolicyName(ShardPolicy policy) {
   return "?";
 }
 
-std::string HilbertCutModeName(HilbertCutMode mode) {
-  switch (mode) {
-    case HilbertCutMode::kQuantile: return "quantile";
-    case HilbertCutMode::kEqualRange: return "equal-range";
-  }
-  return "?";
-}
-
 std::uint64_t HilbertIndex(std::uint32_t order, std::uint32_t x,
                            std::uint32_t y) {
   // Standard iterative xy→d conversion (Hilbert 1891 via Warren, Hacker's
@@ -130,38 +122,26 @@ Result<ShardedTable> ShardedTable::Partition(const PointTable& base,
                      });
 
     // S-1 ascending cut keys: shard s covers keys in [cuts[s-1], cuts[s]).
-    // Duplicate cut keys are legal and yield empty shards.
+    // Duplicate cut keys are legal and yield empty shards. The cuts are
+    // sample quantiles of the observed keys: a deterministic strided
+    // sample (first row of every stride, ascending original index) is
+    // sorted and cut at ranks s/S. Cutting on key values rather than
+    // sorted positions keeps equal keys together, so shard key ranges are
+    // disjoint and the per-shard bounding boxes stay compact.
+    const std::size_t target = std::min<std::size_t>(
+        n, std::max<std::size_t>(s_count * 1024, std::size_t{16384}));
+    std::vector<std::uint64_t> sample;
+    if (target > 0) {
+      const std::size_t stride = std::max<std::size_t>(1, n / target);
+      sample.reserve(n / stride + 1);
+      for (std::size_t i = 0; i < n; i += stride) sample.push_back(keys[i]);
+      std::sort(sample.begin(), sample.end());
+    }
     std::vector<std::uint64_t> cuts;
-    cuts.reserve(s_count > 0 ? s_count - 1 : 0);
-    if (options.cut_mode == HilbertCutMode::kEqualRange) {
-      // Legacy baseline: S equal ranges of the key space [0, 4^order).
-      // Spatially uniform, so clustered data piles into few shards.
-      const std::uint64_t key_count = 1ull << (2 * options.hilbert_order);
-      const std::uint64_t width = (key_count + s_count - 1) / s_count;
-      for (std::size_t s = 1; s < s_count; ++s) {
-        cuts.push_back(static_cast<std::uint64_t>(s) * width);
-      }
-    } else {
-      // Sample quantiles of the observed keys: a deterministic strided
-      // sample (first row of every stride, ascending original index) is
-      // sorted and cut at ranks s/S. Cutting on key values rather than
-      // sorted positions keeps equal keys together, so shard key ranges
-      // are disjoint and the per-shard bounding boxes stay compact.
-      const std::size_t target =
-          std::min<std::size_t>(n, std::max<std::size_t>(s_count * 1024,
-                                                         std::size_t{16384}));
-      std::vector<std::uint64_t> sample;
-      if (target > 0) {
-        const std::size_t stride = std::max<std::size_t>(1, n / target);
-        sample.reserve(n / stride + 1);
-        for (std::size_t i = 0; i < n; i += stride) sample.push_back(keys[i]);
-        std::sort(sample.begin(), sample.end());
-      }
-      for (std::size_t s = 1; s < s_count; ++s) {
-        cuts.push_back(sample.empty()
-                           ? 0
-                           : sample[s * sample.size() / s_count]);
-      }
+    cuts.reserve(s_count - 1);
+    for (std::size_t s = 1; s < s_count; ++s) {
+      cuts.push_back(sample.empty() ? 0
+                                    : sample[s * sample.size() / s_count]);
     }
 
     // The sorted order is contiguous per shard (assignment is monotone in
@@ -185,10 +165,7 @@ Result<ShardedTable> ShardedTable::Partition(const PointTable& base,
   }
 
   out.zones_.reserve(out.shards_.size());
-  for (PointTable& shard : out.shards_) {
-    // Owned and not yet shared: cache the extent every per-query table
-    // scan (data::TableBlockSource) would otherwise recompute in O(n).
-    shard.CacheExtent();
+  for (const PointTable& shard : out.shards_) {
     out.max_shard_points_ = std::max(out.max_shard_points_, shard.size());
     out.zones_.push_back(ComputeZoneMap(shard, 0, shard.size()));
   }

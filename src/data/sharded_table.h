@@ -16,15 +16,10 @@
 ///    over the dataset extent and cut into S contiguous key ranges. Each
 ///    shard covers a compact region (cf. the LSST multi-petabyte design's
 ///    spatial chunking), which keeps per-shard working sets small for
-///    spatially-selective workloads. Where the cuts fall is governed by
-///    ShardingOptions::cut_mode:
-///      - kQuantile (default) places cuts at sample quantiles of the
-///        points' Hilbert keys, so row counts stay near-balanced even on
-///        heavily clustered (Zipf-like) data. Equal keys never split
-///        across a cut, so shard key ranges are disjoint.
-///      - kEqualRange cuts the key space [0, 4^order) into S equal
-///        ranges — spatially uniform shards, unbalanced under skew. Kept
-///        as the legacy baseline the quantile mode is measured against.
+///    spatially-selective workloads. The cuts fall at sample quantiles of
+///    the points' Hilbert keys, so row counts stay near-balanced even on
+///    heavily clustered (Zipf-like) data. Equal keys never split across a
+///    cut, so shard key ranges are disjoint.
 ///
 /// Every policy additionally records a per-shard BlockZoneMap (bounding
 /// box + per-column min/max) at construction; the executor's
@@ -52,17 +47,8 @@ enum class ShardPolicy {
   kHilbert,
 };
 
-/// Where the kHilbert policy cuts the curve into shards.
-enum class HilbertCutMode {
-  kQuantile,    ///< cuts at sampled key quantiles: balanced under skew
-  kEqualRange,  ///< cuts at equal key-space ranges: legacy baseline
-};
-
 /// Human-readable policy name ("round-robin", "hilbert").
 std::string ShardPolicyName(ShardPolicy policy);
-
-/// Human-readable cut-mode name ("quantile", "equal-range").
-std::string HilbertCutModeName(HilbertCutMode mode);
 
 /// Configuration of one partitioning run.
 struct ShardingOptions {
@@ -72,8 +58,6 @@ struct ShardingOptions {
   /// grid before curve indexing. 16 gives ~65k cells per axis — far below
   /// double precision, far above any realistic shard count.
   std::uint32_t hilbert_order = 16;
-  /// Cut placement for kHilbert (ignored by kRoundRobin).
-  HilbertCutMode cut_mode = HilbertCutMode::kQuantile;
 };
 
 /// An immutable set of shards cut from one PointTable. Shards own copies

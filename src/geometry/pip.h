@@ -33,10 +33,9 @@ void ResetPipTestCounter();
 std::size_t GetPipTestCount();
 
 /// This thread's PIP-test count. Per-query metering windows must use this
-/// (before/after on the executing thread, plus per-worker deltas inside
-/// parallel regions): a window over the *global* counter absorbs every
-/// concurrent query's tests, double-counting them into the shared device
-/// counters under QueryService traffic.
+/// (before/after on the executing thread): a window over the *global*
+/// counter absorbs every concurrent query's tests, double-counting them
+/// into the shared device counters under QueryService traffic.
 std::size_t GetThreadPipTestCount();
 
 namespace internal {

@@ -37,9 +37,7 @@ void MemoryReservation::Release() {
 }
 
 Device::Device(DeviceOptions options)
-    : options_(options), memory_budget_bytes_(options.memory_budget_bytes) {
-  pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-}
+    : options_(options), memory_budget_bytes_(options.memory_budget_bytes) {}
 
 std::size_t Device::memory_budget_bytes() const {
   MutexLock lock(mutex_);
@@ -182,7 +180,7 @@ void Device::SimulateTransferTime(std::size_t bytes) {
   // Hybrid wait: sleep through the bulk of the simulated transfer and spin
   // only the final slice. A pure busy-wait would pin a hardware thread for
   // the whole transfer — with uploads running on join::BatchPipeline's
-  // prefetch thread that would starve the draw workers the overlap is
+  // prefetch thread that would starve the drawing thread the overlap is
   // supposed to feed; a pure sleep is too coarse for small per-batch
   // transfers. The spin slice absorbs the scheduler's wakeup jitter.
   constexpr std::chrono::microseconds kSpinSlice(50);

@@ -1,6 +1,6 @@
 /// \file device.h
-/// \brief Simulated graphics device: bounded memory, metered transfers,
-/// a worker pool standing in for SIMT parallelism.
+/// \brief Simulated graphics device: bounded memory, metered transfers and
+/// work counters. Draw calls run on the calling thread.
 ///
 /// It stands in for the paper's GPU (README.md). The device enforces the two
 /// GPU constraints the paper's algorithms are designed around:
@@ -26,7 +26,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "gpu/buffer.h"
 #include "gpu/counters.h"
 
@@ -43,11 +42,13 @@ struct DeviceOptions {
 
   /// Simulated host→device bandwidth in bytes/second. Transfers wait a
   /// proportional amount (hybrid sleep+spin, so a prefetch thread does not
-  /// pin a core the draw workers need) so phase breakdowns are realistic.
+  /// pin a core the drawing thread needs) so phase breakdowns are realistic.
   /// 0 disables the wait (bytes are still metered).
   double transfer_bandwidth_bytes_per_sec = 0.0;
 
-  /// Worker threads for shader-stage execution (0 = hardware concurrency).
+  /// Read by nothing: every draw call runs on the calling thread, and the
+  /// work counters do not depend on how many threads draw. Kept only
+  /// because the benchmark harness still assigns it.
   std::size_t num_workers = 0;
 };
 
@@ -95,7 +96,6 @@ class Device {
   const DeviceOptions& options() const { return options_; }
   Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }
-  ThreadPool& pool() { return *pool_; }
 
   /// Current budget (thread-safe; see set_memory_budget_bytes).
   std::size_t memory_budget_bytes() const RJ_EXCLUDES(mutex_);
@@ -162,7 +162,6 @@ class Device {
 
   DeviceOptions options_;
   Counters counters_;
-  std::unique_ptr<ThreadPool> pool_;
 
   /// Guards the budget accounting below. `options_` itself stays immutable
   /// after construction so options() can be read without synchronization.

@@ -4,7 +4,7 @@
 /// The paper runs on one GTX 1060; the ROADMAP north star is a service
 /// whose datasets exceed any single device's memory and raster throughput.
 /// DevicePool owns N independent Device instances — each with its own
-/// memory budget, counters, and worker pool — so a ShardedTable can place
+/// memory budget and counters — so a ShardedTable can place
 /// one shard per device and the Executor can scatter a query across them
 /// (docs/SERVICE.md "Device pool and sharding").
 ///

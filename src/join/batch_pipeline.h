@@ -8,15 +8,14 @@
 /// thread packs the interleaved [x, y, col...] VBO image of the next batch
 /// into a persistent staging buffer and uploads it through
 /// Device::CopyToDevice — which meters the bytes and spends the simulated
-/// PCIe wait — while the caller's draw workers rasterize the current
-/// batch. Two device VBO slots bound the look-ahead: at most batches b and
-/// b+1 are resident at once, which is why admission plans
-/// (Executor::PlanAdmission) reserve 2× the upload stride when overlap is
-/// enabled.
+/// PCIe wait — while the caller's thread draws the current batch. Two
+/// device VBO slots bound the look-ahead: at most batches b and b+1 are
+/// resident at once, which is why admission plans (Executor::PlanAdmission)
+/// reserve 2× the upload stride when overlap is enabled.
 ///
 /// Results are bitwise independent of the overlap: batches are handed to
 /// the consumer strictly in order and every draw runs on the consumer's
-/// thread(s) exactly as in the serialized path — the pipeline only moves
+/// thread exactly as in the serialized path — the pipeline only moves
 /// the transfer wait off the critical path. `overlap_transfers = false`
 /// reproduces today's serialized transfer→draw timing (one buffer in
 /// flight, uploads inline), which the paper-shape breakdown benches use as

@@ -121,7 +121,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     // --- Step I: one shared point scan feeding every member (batched when
     // out-of-core). The pipeline prefetches batch b+1 (pack + CopyToDevice
     // on its transfer thread, metered under phase::kTransfer) while the
-    // draw workers rasterize batch b in place.
+    // calling thread draws batch b in place.
     if (t > 0) RJ_RETURN_NOT_OK(pipeline.Rewind());
     for (;;) {
       RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
@@ -131,7 +131,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
         ScopedPhase sp(&out.timing, phase::kProcessing);
         for (const std::uint64_t drawn : raster::DrawPointsMulti(
                  vp, *view->rows, view->begin, view->end, targets,
-                 &device->counters(), &device->pool())) {
+                 &device->counters())) {
           drawn_total += drawn;
         }
       }
@@ -146,8 +146,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
         ScopedPhase sp(&out.timing, phase::kProcessing);
         raster::ResultArrays tile_result(polys.size());
         raster::DrawPolygons(vp, soup, point_fbo, /*boundary=*/nullptr,
-                             &tile_result, &device->counters(),
-                             &device->pool());
+                             &tile_result, &device->counters());
         out.arrays[i].AddFrom(tile_result);
       }
       device->counters().AddRenderPasses(1);
@@ -159,7 +158,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
             ComputeResultRanges(vp, polys, soup, point_fbo,
                                 FinalizeAggregate(AggregateKind::kCount,
                                                   out.arrays[i]),
-                                &device->counters(), &device->pool()));
+                                &device->counters()));
       }
       if (members[i].export_point_fbo) {
         // Single tile (validated above): hand the pooled canvas itself to
@@ -213,9 +212,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   std::uint64_t boundary_points = 0;
   std::uint64_t interior_points = 0;
   // Per-thread metering window so concurrent queries on a shared device
-  // don't absorb each other's PIP tests; parallel chunks contribute their
-  // own workers' deltas below.
-  std::uint64_t worker_pips = 0;
+  // don't absorb each other's PIP tests.
   const std::size_t pip_before = GetThreadPipTestCount();
 
   // --- Step 2: one shared scan (Procedure AccuratePoints). Batch b+1's
@@ -226,13 +223,20 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   join::BatchPipeline upload_pipeline(device, std::move(scan),
                                       FusedUploadColumns(members));
   std::vector<const float*> weights(m, nullptr);
+  std::int32_t px[raster::kPointTile] = {};
+  std::int32_t py[raster::kPointTile] = {};
+  bool on_boundary[raster::kPointTile] = {};
+  unsigned char accepted[raster::kPointTile] = {};
+  std::uint32_t selected[raster::kPointTile] = {};
+  // contained[ids_begin[r] .. ids_begin[r + 1]): row r's polygons.
+  std::uint32_t ids_begin[raster::kPointTile + 1] = {};
+  std::vector<unsigned char> match(m * raster::kPointTile);
+  std::vector<std::size_t> contained;
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         upload_pipeline.Acquire());
     if (!view.has_value()) break;
     const PointTable& rows = *view->rows;
-    const std::size_t begin = view->begin;
-    const std::size_t end = view->end;
     for (std::size_t t = 0; t < m; ++t) {
       weights[t] = members[t].weight_column != PointTable::npos
                        ? rows.attribute(members[t].weight_column).data()
@@ -241,153 +245,79 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
 
     ScopedPhase sp(&out.timing, phase::kProcessing);
 
-    // Procedure AccuratePoints over rows [first, last), one tile at a
-    // time. The member-independent work runs once per row: the vertex
-    // stage (raster::TransformTile), the boundary classification, and —
-    // for a boundary row some member accepts — Procedure JoinPoint's
-    // candidate PIP tests, whose containing polygon ids are kept in
-    // candidate order. Then each member walks the rows its filters accept
-    // in row order: boundary rows accumulate exactly into (*accs)[t],
-    // interior rows go to `emit_interior(t, frag)` (a direct FBO blend or
-    // a staged fragment) — exactly what the member's solo run does, in the
-    // same order. Rows some member accepts count into *interior /
-    // *boundary.
-    const auto shade_rows = [&](std::size_t first, std::size_t last,
-                                std::vector<raster::ResultArrays>* accs,
-                                const auto& emit_interior,
-                                std::uint64_t* interior,
-                                std::uint64_t* boundary) {
-      std::int32_t px[raster::kPointTile] = {};
-      std::int32_t py[raster::kPointTile] = {};
-      bool on_boundary[raster::kPointTile] = {};
-      unsigned char accepted[raster::kPointTile] = {};
-      std::uint32_t selected[raster::kPointTile] = {};
-      // contained[ids_begin[r] .. ids_begin[r + 1]): row r's polygons.
-      std::uint32_t ids_begin[raster::kPointTile + 1] = {};
-      std::vector<unsigned char> match(m * raster::kPointTile);
-      std::vector<std::size_t> contained;
-      for (std::size_t tile = first; tile < last; tile += raster::kPointTile) {
-        const std::size_t n = std::min(last - tile, raster::kPointTile);
-        raster::TransformTile(vp, rows, tile, n, dim, dim, px, py);
-        std::fill(accepted, accepted + n, static_cast<unsigned char>(0));
-        for (std::size_t t = 0; t < m; ++t) {
-          unsigned char* mt = &match[t * raster::kPointTile];
-          members[t].filters.MatchRows(rows, tile, tile + n, mt);
-          for (std::size_t r = 0; r < n; ++r) {
-            mt[r] &= static_cast<unsigned char>(px[r] >= 0);
-            accepted[r] |= mt[r];
+    // Procedure AccuratePoints over the batch, one tile at a time. The
+    // member-independent work runs once per row: the vertex stage
+    // (raster::TransformTile), the boundary classification, and — for a
+    // boundary row some member accepts — Procedure JoinPoint's candidate
+    // PIP tests, whose containing polygon ids are kept in candidate order.
+    // Then each member walks the rows its filters accept in row order:
+    // boundary rows accumulate exactly into the member's result arrays,
+    // interior rows blend into its point canvas — exactly what the
+    // member's solo run does, in the same order.
+    for (std::size_t tile = view->begin; tile < view->end;
+         tile += raster::kPointTile) {
+      const std::size_t n = std::min(view->end - tile, raster::kPointTile);
+      raster::TransformTile(vp, rows, tile, n, dim, dim, px, py);
+      std::fill(accepted, accepted + n, static_cast<unsigned char>(0));
+      for (std::size_t t = 0; t < m; ++t) {
+        unsigned char* mt = &match[t * raster::kPointTile];
+        members[t].filters.MatchRows(rows, tile, tile + n, mt);
+        for (std::size_t r = 0; r < n; ++r) {
+          mt[r] &= static_cast<unsigned char>(px[r] >= 0);
+          accepted[r] |= mt[r];
+        }
+      }
+      contained.clear();
+      for (std::size_t r = 0; r < n; ++r) {
+        ids_begin[r] = static_cast<std::uint32_t>(contained.size());
+        on_boundary[r] =
+            accepted[r] != 0 && boundary_mask.IsMarked(px[r], py[r]);
+        if (accepted[r] == 0) continue;
+        if (!on_boundary[r]) {
+          ++interior_points;
+          continue;
+        }
+        ++boundary_points;
+        const Point p = rows.At(tile + r);
+        auto [cand_begin, cand_end] = index.Candidates(p);
+        for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
+          const Polygon& poly = polys[static_cast<std::size_t>(*c)];
+          if (poly.Contains(p)) {
+            contained.push_back(static_cast<std::size_t>(poly.id()));
           }
         }
-        contained.clear();
+      }
+      ids_begin[n] = static_cast<std::uint32_t>(contained.size());
+
+      for (std::size_t t = 0; t < m; ++t) {
+        const unsigned char* mt = &match[t * raster::kPointTile];
+        std::size_t k = 0;
         for (std::size_t r = 0; r < n; ++r) {
-          ids_begin[r] = static_cast<std::uint32_t>(contained.size());
-          on_boundary[r] =
-              accepted[r] != 0 && boundary_mask.IsMarked(px[r], py[r]);
-          if (accepted[r] == 0) continue;
+          selected[k] = static_cast<std::uint32_t>(r);
+          k += mt[r];
+        }
+        const float* w = weights[t];
+        raster::ResultArrays& acc = out.arrays[t];
+        raster::Fbo* point_fbo = point_leases[t].get();
+        for (std::size_t j = 0; j < k; ++j) {
+          const std::uint32_t r = selected[j];
+          const float wr = w != nullptr ? w[tile + r] : 0.0f;
           if (!on_boundary[r]) {
-            ++*interior;
+            raster::BlendPointFrag(point_fbo,
+                                   raster::PointFrag{px[r], py[r], wr},
+                                   w != nullptr);
             continue;
           }
-          ++*boundary;
-          const Point p = rows.At(tile + r);
-          auto [cand_begin, cand_end] = index.Candidates(p);
-          for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
-            const Polygon& poly = polys[static_cast<std::size_t>(*c)];
-            if (poly.Contains(p)) {
-              contained.push_back(static_cast<std::size_t>(poly.id()));
+          for (std::uint32_t c = ids_begin[r]; c < ids_begin[r + 1]; ++c) {
+            const std::size_t id = contained[c];
+            acc.count[id] += 1.0;
+            if (w != nullptr) {
+              acc.sum[id] += wr;
+              acc.min[id] = std::min(acc.min[id], static_cast<double>(wr));
+              acc.max[id] = std::max(acc.max[id], static_cast<double>(wr));
             }
           }
         }
-        ids_begin[n] = static_cast<std::uint32_t>(contained.size());
-
-        for (std::size_t t = 0; t < m; ++t) {
-          const unsigned char* mt = &match[t * raster::kPointTile];
-          std::size_t k = 0;
-          for (std::size_t r = 0; r < n; ++r) {
-            selected[k] = static_cast<std::uint32_t>(r);
-            k += mt[r];
-          }
-          const float* w = weights[t];
-          raster::ResultArrays& acc = (*accs)[t];
-          for (std::size_t j = 0; j < k; ++j) {
-            const std::uint32_t r = selected[j];
-            const float wr = w != nullptr ? w[tile + r] : 0.0f;
-            if (!on_boundary[r]) {
-              emit_interior(t, raster::PointFrag{px[r], py[r], wr});
-              continue;
-            }
-            for (std::uint32_t c = ids_begin[r]; c < ids_begin[r + 1]; ++c) {
-              const std::size_t id = contained[c];
-              acc.count[id] += 1.0;
-              if (w != nullptr) {
-                acc.sum[id] += wr;
-                acc.min[id] = std::min(acc.min[id], static_cast<double>(wr));
-                acc.max[id] = std::max(acc.max[id], static_cast<double>(wr));
-              }
-            }
-          }
-        }
-      }
-    };
-
-    ThreadPool& pool = device->pool();
-    const std::size_t batch_n = end - begin;
-    const std::size_t num_chunks = pool.NumChunks(batch_n);
-    if (num_chunks <= 1) {
-      shade_rows(
-          begin, end, &out.arrays,
-          [&](std::size_t t, const raster::PointFrag& f) {
-            raster::BlendPointFrag(point_leases[t].get(), f,
-                                   weights[t] != nullptr);
-          },
-          &interior_points, &boundary_points);
-    } else {
-      // Tiled-parallel AccuratePoints: each chunk classifies its slice of
-      // the batch, staging interior fragments per member and row band, and
-      // accumulating boundary-point PIP results into a private ResultArrays
-      // per member; both are merged in ascending chunk order — each
-      // member's accumulation sequence is exactly its sequential order.
-      std::vector<raster::BandBinner> binners;
-      binners.reserve(m);
-      for (std::size_t t = 0; t < m; ++t) {
-        binners.emplace_back(num_chunks, dim, /*expected_frags=*/batch_n);
-      }
-      std::vector<std::vector<raster::ResultArrays>> partials(
-          num_chunks,
-          std::vector<raster::ResultArrays>(
-              m, raster::ResultArrays(polys.size())));
-      std::vector<std::uint64_t> boundary_per_chunk(num_chunks, 0);
-      std::vector<std::uint64_t> interior_per_chunk(num_chunks, 0);
-      std::vector<std::uint64_t> pips_per_chunk(num_chunks, 0);
-      pool.ParallelFor(batch_n, [&](std::size_t c_begin, std::size_t c_end,
-                                    std::size_t chunk) {
-        const std::size_t chunk_pips_before = GetThreadPipTestCount();
-        shade_rows(
-            begin + c_begin, begin + c_end, &partials[chunk],
-            [&](std::size_t t, const raster::PointFrag& f) {
-              binners[t].Push(chunk, f);
-            },
-            &interior_per_chunk[chunk], &boundary_per_chunk[chunk]);
-        pips_per_chunk[chunk] = GetThreadPipTestCount() - chunk_pips_before;
-      });
-      pool.ParallelFor(
-          binners[0].num_bands(),
-          [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-            for (std::size_t t = 0; t < m; ++t) {
-              binners[t].ReplayBands(
-                  band_begin, band_end, [&](const raster::PointFrag& f) {
-                    raster::BlendPointFrag(point_leases[t].get(), f,
-                                           weights[t] != nullptr);
-                  });
-            }
-          });
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        for (std::size_t t = 0; t < m; ++t) {
-          out.arrays[t].AddFrom(partials[c][t]);
-        }
-        boundary_points += boundary_per_chunk[c];
-        interior_points += interior_per_chunk[c];
-        worker_pips += pips_per_chunk[c];
       }
     }
     upload_pipeline.Release(*view);
@@ -401,13 +331,12 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     ScopedPhase sp(&out.timing, phase::kProcessing);
     raster::ResultArrays poly_pass(polys.size());
     raster::DrawPolygons(vp, soup, *point_leases[t], &boundary_mask,
-                         &poly_pass, &device->counters(), &device->pool());
+                         &poly_pass, &device->counters());
     out.arrays[t].AddFrom(poly_pass);
     device->counters().AddRenderPasses(1);
   }
 
-  const std::uint64_t pips =
-      (GetThreadPipTestCount() - pip_before) + worker_pips;
+  const std::uint64_t pips = GetThreadPipTestCount() - pip_before;
   device->counters().AddPipTests(pips);
   if (stats != nullptr) {
     stats->boundary_points = boundary_points;

@@ -85,51 +85,23 @@ Result<JoinResult> IndexJoinDevice(gpu::Device* device, ScanPlan scan,
 
   // Per-thread metering window (see pip.h): a global-counter window would
   // absorb concurrent queries' tests on a shared device.
-  std::uint64_t worker_pips = 0;
   const std::size_t pip_before = GetThreadPipTestCount();
   join::BatchPipeline pipeline(device, std::move(scan), std::move(columns));
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         pipeline.Acquire());
     if (!view.has_value()) break;
-    const PointTable& rows = *view->rows;
-    const std::size_t begin = view->begin;
-    const std::size_t end = view->end;
     {
-      // PIP compute stage: split across the device's workers (the SIMT
-      // analogue), each accumulating into a private result array. Guard on
-      // the chunk count, not the worker count: ParallelFor runs a single
-      // chunk inline on the calling thread, whose PIP tests the outer
-      // window below already captures (counting them per-chunk too would
-      // double-meter them).
+      // PIP compute stage (the SIMT analogue) on the calling thread.
       ScopedPhase sp(&result.timing, phase::kProcessing);
-      ThreadPool& pool = device->pool();
-      const std::size_t num_chunks = pool.NumChunks(end - begin);
-      if (num_chunks <= 1) {
-        JoinPointRange(rows, polys, *index, options, begin, end,
-                       &result.arrays);
-      } else {
-        std::vector<raster::ResultArrays> partials(
-            num_chunks, raster::ResultArrays(polys.size()));
-        std::vector<std::uint64_t> pips_per_chunk(num_chunks, 0);
-        pool.ParallelFor(end - begin, [&](std::size_t lo, std::size_t hi,
-                                          std::size_t worker) {
-          const std::size_t chunk_pips_before = GetThreadPipTestCount();
-          JoinPointRange(rows, polys, *index, options, begin + lo,
-                         begin + hi, &partials[worker]);
-          pips_per_chunk[worker] += GetThreadPipTestCount() -
-                                    chunk_pips_before;
-        });
-        for (const auto& partial : partials) result.arrays.AddFrom(partial);
-        for (const std::uint64_t p : pips_per_chunk) worker_pips += p;
-      }
+      JoinPointRange(*view->rows, polys, *index, options, view->begin,
+                     view->end, &result.arrays);
     }
     pipeline.Release(*view);
     device->counters().AddBatches(1);
   }
   RJ_RETURN_NOT_OK(pipeline.Drain(&result.timing));
-  device->counters().AddPipTests((GetThreadPipTestCount() - pip_before) +
-                                 worker_pips);
+  device->counters().AddPipTests(GetThreadPipTestCount() - pip_before);
   return result;
 }
 

@@ -23,7 +23,7 @@ Result<std::int32_t> ResolveAccurateCanvasDim(std::int32_t requested,
 
 Result<AccurateCanvas> PrepareAccurateCanvas(
     const PolygonSet& polys, const BBox& world, std::int32_t dim,
-    std::int32_t index_resolution, gpu::Counters* counters, ThreadPool* pool,
+    std::int32_t index_resolution, gpu::Counters* counters,
     PhaseTimer* timing) {
   // Built on the fly (§6.1 "Polygon Index").
   Timer index_timer;
@@ -38,7 +38,7 @@ Result<AccurateCanvas> PrepareAccurateCanvas(
       AccurateCanvas canvas,
       PrepareAccurateCanvas(polys, world, dim,
                             std::make_shared<const GridIndex>(std::move(index)),
-                            counters, pool));
+                            counters));
   if (timing != nullptr) {
     timing->Add(phase::kProcessing, boundary_timer.ElapsedSeconds());
   }
@@ -47,8 +47,7 @@ Result<AccurateCanvas> PrepareAccurateCanvas(
 
 Result<AccurateCanvas> PrepareAccurateCanvas(
     const PolygonSet& polys, const BBox& world, std::int32_t dim,
-    std::shared_ptr<const GridIndex> index, gpu::Counters* counters,
-    ThreadPool* pool) {
+    std::shared_ptr<const GridIndex> index, gpu::Counters* counters) {
   if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
   if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
     return Status::InvalidArgument("world extent is empty");
@@ -64,8 +63,7 @@ Result<AccurateCanvas> PrepareAccurateCanvas(
   // Step 1: polygon outlines, conservatively rasterized.
   canvas.boundary = raster::BoundaryMask(dim, dim);
   raster::DrawBoundaries(raster::Viewport(world, dim, dim), polys,
-                         /*conservative=*/true, &canvas.boundary, counters,
-                         pool);
+                         /*conservative=*/true, &canvas.boundary, counters);
   return canvas;
 }
 
@@ -94,8 +92,7 @@ Result<JoinResult> RunSolo(gpu::Device* device, ScanPlan scan,
   RJ_ASSIGN_OR_RETURN(
       const AccurateCanvas canvas,
       PrepareAccurateCanvas(polys, world, dim, options.index_resolution,
-                            &device->counters(), &device->pool(),
-                            &prep_timing));
+                            &device->counters(), &prep_timing));
   RJ_ASSIGN_OR_RETURN(FusedJoinOutput out,
                       FusedAccurateRasterJoin(device, std::move(scan), polys,
                                               soup, canvas, member, stats));

@@ -25,7 +25,6 @@
 
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "gpu/device.h"
 #include "index/grid_index.h"
 #include "join/join_common.h"
@@ -61,18 +60,17 @@ struct AccurateCanvas {
 /// phase::kProcessing.
 Result<AccurateCanvas> PrepareAccurateCanvas(
     const PolygonSet& polys, const BBox& world, std::int32_t dim,
-    std::int32_t index_resolution, gpu::Counters* counters, ThreadPool* pool,
+    std::int32_t index_resolution, gpu::Counters* counters,
     PhaseTimer* timing = nullptr);
 
 /// Prepares the canvas around an already-built MBR grid index over
 /// `world` (the Executor shares one index across its canvases and the
 /// device index join): marks the polygon outlines with conservative
-/// rasterization on `pool`, metering the boundary pass's fragments into
-/// `counters` once. `dim` must be positive (see ResolveAccurateCanvasDim).
+/// rasterization, metering the boundary pass's fragments into `counters`
+/// once. `dim` must be positive (see ResolveAccurateCanvasDim).
 Result<AccurateCanvas> PrepareAccurateCanvas(
     const PolygonSet& polys, const BBox& world, std::int32_t dim,
-    std::shared_ptr<const GridIndex> index, gpu::Counters* counters,
-    ThreadPool* pool);
+    std::shared_ptr<const GridIndex> index, gpu::Counters* counters);
 
 struct AccurateRasterJoinOptions {
   /// Canvas resolution (single tile; the accurate variant needs no ε, the

@@ -98,8 +98,8 @@ Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
 /// `source` (disk-resident files run the three-stage disk→host→device
 /// pipeline; options.batch_size is ignored — the block capacity is the
 /// batch size). Bitwise identical to running the in-memory overload on
-/// the materialized source (data::MaterializeBlocks), for any block size,
-/// worker count, or pruning setting.
+/// the materialized source (data::MaterializeBlocks), for any block size
+/// or pruning setting.
 Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      const data::PointBlockSource& source,
                                      const PolygonSet& polys,

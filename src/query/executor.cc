@@ -133,8 +133,8 @@ Executor::Executor(gpu::Device* device, const data::PointBlockSource* source,
                    const PolygonSet* polys)
     : Executor(OneDevicePool(device), nullptr, polys) {
   shards_.push_back({nullptr, source, nullptr});
-  // The source's extent is part of its header/metadata (O(1)), so the
-  // registration-time cost here is the polygon scan only — no block reads.
+  // A file's extent is its header (O(1)) and a table adapter's is its
+  // table's, so the registration reads no block.
   InitWorldAndCosts(source->extent(),
                     static_cast<std::size_t>(source->num_rows()));
 }
@@ -252,7 +252,7 @@ Result<std::shared_ptr<const AccurateCanvas>> Executor::GetAccurateCanvas(
   RJ_ASSIGN_OR_RETURN(
       AccurateCanvas canvas,
       PrepareAccurateCanvas(*polys_, world_, dim, std::move(index),
-                            &device()->counters(), &device()->pool()));
+                            &device()->counters()));
   if (canvases_.size() == kMaxAccurateCanvases) canvases_.pop_back();
   canvases_.insert(canvases_.begin(),
                    std::make_shared<const AccurateCanvas>(std::move(canvas)));
@@ -723,7 +723,7 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
         ComputeResultRanges(vp, *polys_, *setup.soup, *gathered,
                             FinalizeAggregate(AggregateKind::kCount,
                                               out[i].arrays),
-                            &device()->counters(), &device()->pool()));
+                            &device()->counters()));
     counters = counters.Plus(
         device()->counters().Snapshot().DeltaSince(gather_before));
   }

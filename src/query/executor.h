@@ -23,8 +23,7 @@
 /// resolved variant on its device (RunVariant), the calling thread one of
 /// them — and one gather: the partials merge through agg::MergePartials in
 /// ascending shard order, so results are bitwise identical for any
-/// shard/worker/replica count (docs/SERVICE.md "Determinism under
-/// sharding").
+/// shard/replica count (docs/SERVICE.md "Determinism under sharding").
 ///
 /// Placement is skew- and locality-aware (PlanPlacement): shards whose
 /// zone map (data::ShardedTable::shard_zone) provably cannot contribute
@@ -225,7 +224,7 @@ class Executor {
   /// (plus, for §5 ranges, one classification over the pixel-wise sum of
   /// the shards' point FBOs), then finalize. Returns one QueryResult per
   /// query, in input order, each bitwise identical to running that query
-  /// alone — values, arrays, and §5 ranges — for any worker/shard count.
+  /// alone — values, arrays, and §5 ranges — for any shard count.
   /// Groups route, reuse and store per-shard partials like a solo query
   /// (PlanFusedPlacement); `placement` may be null (planned internally).
   ///

@@ -13,7 +13,7 @@
 ///    column, canonically-ordered FilterSet, resolved variant, epsilon,
 ///    canvas dim, ranges flag). Execution-only knobs
 ///    (`device_memory_cap_bytes`, `cpu_threads`, `overlap_transfers`,
-///    worker/shard counts) are excluded: the determinism suites prove
+///    shard counts) are excluded: the determinism suites prove
 ///    results are bitwise identical across them, and excluding them is
 ///    what makes admission-resized or resharded repeats actually hit;
 ///  * **sharded-lock LRU** — entries hash across N independently-locked

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/point_table.h"
 #include "gpu/counters.h"
 #include "query/filter.h"
@@ -44,9 +43,9 @@ struct PointFrag {
 };
 
 /// The point-pass fragment stage: blends one fragment's partial aggregate
-/// into `fbo`. The single definition shared by the sequential and staged
-/// paths (and the accurate join) — the bitwise-determinism guarantee
-/// requires every path to perform these exact operations in this order.
+/// into `fbo`. The single definition shared by the point pass and the
+/// accurate join — the bitwise-determinism guarantee requires both to
+/// perform these exact operations in this order.
 inline void BlendPointFrag(Fbo* fbo, const PointFrag& f, bool has_weight) {
   fbo->Add(f.x, f.y, kChannelCount, 1.0f);
   if (has_weight) {
@@ -55,54 +54,6 @@ inline void BlendPointFrag(Fbo* fbo, const PointFrag& f, bool has_weight) {
     fbo->BlendMax(f.x, f.y, kChannelMax, f.w);
   }
 }
-
-/// Deterministic sort-middle staging for parallel additive blending.
-///
-/// The canvas is tiled into horizontal row bands, one exclusive owner per
-/// band. Producers (the parallel "vertex stage") append fragments into a
-/// per-(chunk, band) bucket; consumers (the parallel "fragment stage") each
-/// replay one band's buckets in ascending chunk order. Because ParallelFor
-/// chunks are contiguous ascending index ranges, every pixel sees its
-/// fragments in exactly the order a sequential loop would produce — the
-/// N-thread result is bitwise identical to the 1-thread result.
-class BandBinner {
- public:
-  /// `num_chunks` producer chunks over a canvas of `height` rows.
-  /// `expected_frags` (when non-zero) pre-sizes the buckets for a uniform
-  /// spread, avoiding growth reallocations on the hot path.
-  BandBinner(std::size_t num_chunks, std::int32_t height,
-             std::size_t expected_frags = 0);
-
-  std::size_t num_bands() const { return num_bands_; }
-
-  /// Appends a fragment produced by chunk `chunk` (its ParallelFor index).
-  void Push(std::size_t chunk, const PointFrag& f) {
-    buckets_[chunk * num_bands_ + BandOf(f.y)].push_back(f);
-  }
-
-  /// Invokes `fn(frag)` for every fragment of bands [band_begin, band_end),
-  /// band by band, in ascending chunk order within each band.
-  template <typename Fn>
-  void ReplayBands(std::size_t band_begin, std::size_t band_end,
-                   const Fn& fn) const {
-    for (std::size_t b = band_begin; b < band_end; ++b) {
-      for (std::size_t c = 0; c < num_chunks_; ++c) {
-        for (const PointFrag& f : buckets_[c * num_bands_ + b]) fn(f);
-      }
-    }
-  }
-
- private:
-  std::size_t BandOf(std::int32_t y) const {
-    return static_cast<std::size_t>(y) * num_bands_ /
-           static_cast<std::size_t>(height_);
-  }
-
-  std::size_t num_chunks_;
-  std::size_t num_bands_;
-  std::int32_t height_;
-  std::vector<std::vector<PointFrag>> buckets_;
-};
 
 /// Rows per tile of the point pass: a tile's staged pixels stay in L1.
 inline constexpr std::size_t kPointTile = 512;
@@ -138,58 +89,37 @@ struct MultiTarget {
 ///
 /// Every target's FBO is bitwise identical to drawing that target alone:
 /// the shared transform is a pure function of the point, the FBOs are
-/// disjoint, and each target sees its fragments in row order. When `pool`
-/// has more than one worker the pass runs tiled-parallel: the vertex stage
-/// splits the rows across workers and stages fragments per row band, one
-/// BandBinner per target (same band layout — the FBOs share a height), and
-/// the fragment stage blends each band on its owning worker in row order,
-/// so results are also bitwise identical for any worker count.
+/// disjoint, and each target sees its fragments in row order.
 ///
 /// Counters meter the shared scan once: vertices += end − begin (not once
 /// per target), fragments += the sum of the per-target drawn counts.
 std::vector<std::uint64_t> DrawPointsMulti(
     const Viewport& vp, const PointTable& rows, std::size_t begin,
     std::size_t end, const std::vector<MultiTarget>& targets,
-    gpu::Counters* counters, ThreadPool* pool = nullptr);
+    gpu::Counters* counters);
 
 /// Procedure DrawPoints (§4.1) for one target over the whole table: the
 /// one-target DrawPointsMulti, metered the same way. Returns the number of
 /// points drawn.
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
-                         Fbo* fbo, gpu::Counters* counters,
-                         ThreadPool* pool = nullptr);
+                         Fbo* fbo, gpu::Counters* counters);
 
 /// Procedure DrawPolygons (§4.1): rasterizes the triangle soup (world
 /// coordinates) and, for each fragment of polygon i, adds the point FBO's
 /// partial aggregates at that pixel into `result` slot i.
 /// If `boundary` is non-null, fragments on its marked pixels are skipped
 /// (Procedure AccuratePolygons, §4.3).
-///
-/// When `pool` has more than one worker, triangles are split across
-/// workers, each accumulating into a private ResultArrays + gpu::Counters
-/// merged in chunk order at the end. COUNT/MIN/MAX merge exactly; SUM is
-/// merged per worker, so it matches the sequential result exactly whenever
-/// the partial sums are exactly representable (e.g. integer weights).
 void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
                   const Fbo& point_fbo, const BoundaryMask* boundary,
-                  ResultArrays* result, gpu::Counters* counters,
-                  ThreadPool* pool = nullptr);
+                  ResultArrays* result, gpu::Counters* counters);
 
 /// Step 1 of the accurate variant (§4.3): marks every pixel of all polygon
 /// outlines (outer rings and holes) in `boundary`, whose size is the
 /// canvas. Conservative rasterization guarantees no partially-covered
 /// pixel is missed.
-///
-/// When `pool` has more than one worker, polygons are split across workers
-/// with their outline fragments staged per row band (BandBinner) and each
-/// band's pixels marked by its owning worker — bands own whole rows and
-/// rows own whole words, so no two workers write one word, and the marks
-/// are idempotent, so the mask is bitwise identical to the sequential
-/// pass and the fragment meter counts every mark exactly as the
-/// sequential loop.
 void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
                     bool conservative, BoundaryMask* boundary,
-                    gpu::Counters* counters, ThreadPool* pool = nullptr);
+                    gpu::Counters* counters);
 
 }  // namespace rj::raster

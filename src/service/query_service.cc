@@ -133,17 +133,6 @@ std::size_t QueryService::RegisterDataset(const PointTable* points,
   return AddDatasetLocked(std::move(executor), std::move(name));
 }
 
-std::size_t QueryService::RegisterDataset(PointTable* points,
-                                          const PolygonSet* polys,
-                                          std::string name) {
-  // Registration is the single-writer-before-sharing point (the table must
-  // not mutate once queries run), so cache the O(n) extent scan here —
-  // the executor's world computation and every later Extent() are O(1).
-  points->CacheExtent();
-  return RegisterDataset(static_cast<const PointTable*>(points), polys,
-                         std::move(name));
-}
-
 Result<std::size_t> QueryService::RegisterDatasetFromFile(
     const std::string& path, const PolygonSet* polys, std::string name) {
   RJ_ASSIGN_OR_RETURN(std::unique_ptr<data::PointBlockSource> source,

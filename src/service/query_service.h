@@ -256,13 +256,6 @@ class QueryService {
                               const PolygonSet* polys,
                               std::string name = "");
 
-  /// Mutable-table convenience: caches the table's extent first
-  /// (PointTable::CacheExtent — registration is the single-writer-before-
-  /// sharing point), so the executor's world computation and every
-  /// subsequent Extent() call are O(1), then registers as above.
-  std::size_t RegisterDataset(PointTable* points, const PolygonSet* polys,
-                              std::string name = "");
-
   /// Registers a disk-resident dataset from a column-store file
   /// (data::OpenPointBlockSource: v2 block files mmap through
   /// data::BlockFileReader and stream block by block; v1 flat files load

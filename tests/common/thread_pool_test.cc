@@ -62,11 +62,11 @@ TEST(ThreadPoolTest, WorkerIndexWithinBounds) {
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForCallersAreIndependent) {
-  // The QueryService runs many queries against one shared device pool, so
-  // ParallelFor must wait only for its own chunks: with the old pool-global
-  // in-flight wait, a steady stream of calls from other threads could hold
-  // a caller hostage (or starve it forever). Hammer the pool from several
-  // client threads and check every call completes with full coverage.
+  // Callers may share one pool, so ParallelFor must wait only for its own
+  // chunks: with the old pool-global in-flight wait, a steady stream of
+  // calls from other threads could hold a caller hostage (or starve it
+  // forever). Hammer the pool from several client threads and check every
+  // call completes with full coverage.
   ThreadPool pool(4);
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kRounds = 50;
@@ -89,11 +89,6 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersAreIndependent) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(total.load(), kClients * kRounds * kN);
-}
-
-TEST(ThreadPoolTest, DefaultPoolIsSingleton) {
-  EXPECT_EQ(&ThreadPool::Default(), &ThreadPool::Default());
-  EXPECT_GE(ThreadPool::Default().num_threads(), 1u);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossBarriers) {

@@ -145,7 +145,6 @@ TEST(ShardedTableTest, QuantileCutsBalanceZipfClusteredData) {
   ShardingOptions options;
   options.num_shards = 4;
   options.policy = ShardPolicy::kHilbert;
-  options.cut_mode = HilbertCutMode::kQuantile;
   auto sharded = ShardedTable::Partition(base, options);
   ASSERT_TRUE(sharded.ok());
   const double balanced =
@@ -155,28 +154,6 @@ TEST(ShardedTableTest, QuantileCutsBalanceZipfClusteredData) {
     EXPECT_GE(size, 0.9 * balanced) << "shard " << s;
     EXPECT_LE(size, 1.1 * balanced) << "shard " << s;
   }
-}
-
-TEST(ShardedTableTest, EqualRangeCutsAreUnbalancedOnZipfClusteredData) {
-  // The legacy baseline: equal key-space ranges put the dominant cluster
-  // (~65% of rows, one compact key run) into a single shard.
-  const PointTable base = MakeZipfClustered(4000, 11);
-  ShardingOptions options;
-  options.num_shards = 4;
-  options.policy = ShardPolicy::kHilbert;
-  options.cut_mode = HilbertCutMode::kEqualRange;
-  auto sharded = ShardedTable::Partition(base, options);
-  ASSERT_TRUE(sharded.ok());
-  const double balanced =
-      static_cast<double>(base.size()) / options.num_shards;
-  std::size_t largest = 0;
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    largest = std::max(largest, sharded.value().shard(s).size());
-    total += sharded.value().shard(s).size();
-  }
-  EXPECT_EQ(total, base.size());  // still a partition
-  EXPECT_GT(static_cast<double>(largest), 1.5 * balanced);
 }
 
 TEST(ShardedTableTest, ShardZonesCoverExactlyTheirRows) {
@@ -293,21 +270,17 @@ TEST(ShardedTableTest, PartitionIsDeterministic) {
   const PointTable base = MakeTable(500, 8);
   for (const ShardPolicy policy :
        {ShardPolicy::kRoundRobin, ShardPolicy::kHilbert}) {
-    for (const HilbertCutMode mode :
-         {HilbertCutMode::kQuantile, HilbertCutMode::kEqualRange}) {
-      ShardingOptions options;
-      options.num_shards = 3;
-      options.policy = policy;
-      options.cut_mode = mode;
-      auto a = ShardedTable::Partition(base, options);
-      auto b = ShardedTable::Partition(base, options);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      for (std::size_t s = 0; s < 3; ++s) {
-        ASSERT_EQ(a.value().shard(s).size(), b.value().shard(s).size());
-        EXPECT_EQ(a.value().shard(s).xs(), b.value().shard(s).xs());
-        EXPECT_EQ(a.value().shard(s).ys(), b.value().shard(s).ys());
-      }
+    ShardingOptions options;
+    options.num_shards = 3;
+    options.policy = policy;
+    auto a = ShardedTable::Partition(base, options);
+    auto b = ShardedTable::Partition(base, options);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    for (std::size_t s = 0; s < 3; ++s) {
+      ASSERT_EQ(a.value().shard(s).size(), b.value().shard(s).size());
+      EXPECT_EQ(a.value().shard(s).xs(), b.value().shard(s).xs());
+      EXPECT_EQ(a.value().shard(s).ys(), b.value().shard(s).ys());
     }
   }
 }

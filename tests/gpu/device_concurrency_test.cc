@@ -26,7 +26,6 @@ constexpr std::size_t kBudget = 1 << 20;
 DeviceOptions HammerDevice() {
   DeviceOptions options;
   options.memory_budget_bytes = kBudget;
-  options.num_workers = 1;
   return options;
 }
 

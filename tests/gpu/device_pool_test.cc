@@ -12,7 +12,6 @@ DevicePoolOptions PoolOf(std::size_t n, std::size_t budget) {
   DevicePoolOptions options;
   options.num_devices = n;
   options.device.memory_budget_bytes = budget;
-  options.device.num_workers = 1;
   return options;
 }
 
@@ -40,10 +39,8 @@ TEST(DevicePoolTest, ZeroDevicesClampsToOne) {
 TEST(DevicePoolTest, HeterogeneousAndUniformFboLimits) {
   DeviceOptions small;
   small.max_fbo_dim = 1024;
-  small.num_workers = 1;
   DeviceOptions big;
   big.max_fbo_dim = 4096;
-  big.num_workers = 1;
   DevicePool mixed(std::vector<DeviceOptions>{small, big});
   EXPECT_FALSE(mixed.UniformFboLimit());
   DevicePool uniform(std::vector<DeviceOptions>{small, small});

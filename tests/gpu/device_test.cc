@@ -15,7 +15,6 @@ DeviceOptions SmallDevice() {
   DeviceOptions options;
   options.memory_budget_bytes = 1024;
   options.max_fbo_dim = 64;
-  options.num_workers = 1;
   return options;
 }
 
@@ -167,12 +166,11 @@ TEST(CountersTest, ToStringContainsFields) {
 TEST(DeviceTest, SimulatedTransferHybridWaitStaysAccurate) {
   // The simulated PCIe wait sleeps through the bulk and spins only the
   // final slice (a pure busy-wait would pin the core BatchPipeline's
-  // prefetch thread shares with the draw workers). Regression: the hybrid
+  // prefetch thread shares with the drawing thread). Regression: the hybrid
   // wait must neither undershoot the simulated duration nor overshoot it
   // by more than scheduler jitter.
   DeviceOptions options;
   options.memory_budget_bytes = 1 << 20;
-  options.num_workers = 1;
   options.transfer_bandwidth_bytes_per_sec = 50.0e6;  // 1 MiB ≈ 21 ms
   Device device(options);
   auto buf = device.Allocate(BufferKind::kVertexBuffer, 1 << 20);

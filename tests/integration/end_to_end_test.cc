@@ -26,7 +26,6 @@ class EndToEndTest : public ::testing::Test {
     gpu::DeviceOptions dev_options;
     dev_options.max_fbo_dim = 2048;
     dev_options.memory_budget_bytes = 64 << 20;
-    dev_options.num_workers = 1;
     device_ = std::make_unique<gpu::Device>(dev_options);
     executor_ = std::make_unique<Executor>(device_.get(), &points_, &polys_);
   }

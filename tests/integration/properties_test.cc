@@ -56,7 +56,6 @@ TEST_P(ExactVariantsProperty, AccurateAndIndexJoinsMatchReference) {
 
   gpu::DeviceOptions dev_options;
   dev_options.max_fbo_dim = 256;
-  dev_options.num_workers = 1;
   gpu::Device device(dev_options);
 
   auto accurate = AccurateRasterJoin(&device, w.points, w.polys, w.soup,
@@ -88,7 +87,6 @@ TEST_P(EpsilonConvergenceProperty, L1ErrorBoundedByBoundaryMass) {
   World w = MakeWorld(8, 6000, seed);
   gpu::DeviceOptions dev_options;
   dev_options.max_fbo_dim = 2048;
-  dev_options.num_workers = 1;
 
   double prev = std::numeric_limits<double>::infinity();
   for (const double eps : {100.0, 25.0, 6.0}) {
@@ -121,7 +119,6 @@ TEST_P(BatchingEquivalenceProperty, AnyBatchSizeSameResult) {
   World w = MakeWorld(6, 3000, 55);
   gpu::DeviceOptions dev_options;
   dev_options.max_fbo_dim = 512;
-  dev_options.num_workers = 1;
 
   BoundedRasterJoinOptions options;
   options.epsilon = 12.0;
@@ -152,7 +149,6 @@ TEST_P(TilingEquivalenceProperty, AnyFboLimitSameResult) {
 
   gpu::DeviceOptions big;
   big.max_fbo_dim = 4096;
-  big.num_workers = 1;
   gpu::Device d_big(big);
   BoundedRasterJoinOptions options;
   options.epsilon = 8.0;
@@ -162,7 +158,6 @@ TEST_P(TilingEquivalenceProperty, AnyFboLimitSameResult) {
 
   gpu::DeviceOptions small;
   small.max_fbo_dim = fbo_dim;
-  small.num_workers = 1;
   gpu::Device d_small(small);
   BoundedRasterJoinStats stats;
   auto tiled = BoundedRasterJoin(&d_small, w.points, w.polys, w.soup,
@@ -188,7 +183,6 @@ TEST_P(HausdorffProperty, DiscrepancyBoundedByNearBoundaryPoints) {
   World w = MakeWorld(5, 2000, 77);
   gpu::DeviceOptions dev_options;
   dev_options.max_fbo_dim = 2048;
-  dev_options.num_workers = 1;
   gpu::Device device(dev_options);
   BoundedRasterJoinOptions options;
   options.epsilon = eps;

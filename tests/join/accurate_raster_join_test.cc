@@ -43,7 +43,6 @@ gpu::Device MakeDevice(std::size_t budget = 64 << 20) {
   gpu::DeviceOptions options;
   options.max_fbo_dim = 512;
   options.memory_budget_bytes = budget;
-  options.num_workers = 1;
   return gpu::Device(options);
 }
 

@@ -1,7 +1,7 @@
 /// \file batch_pipeline_test.cc
 /// \brief Tests for the double-buffered upload pipeline
-/// (join::BatchPipeline): overlap on/off must be bitwise identical for any
-/// worker count, a join must meter exactly the bytes its batches ship,
+/// (join::BatchPipeline): overlap on/off must be bitwise identical, a join
+/// must meter exactly the bytes its batches ship,
 /// and pipeline errors must propagate cleanly (drain-on-error).
 #include "join/batch_pipeline.h"
 
@@ -48,12 +48,10 @@ JoinSetup MakeSetup(std::size_t num_polys, std::size_t num_points,
   return s;
 }
 
-gpu::Device MakeDevice(std::size_t num_workers = 1,
-                       std::size_t budget = 64 << 20) {
+gpu::Device MakeDevice(std::size_t budget = 64 << 20) {
   gpu::DeviceOptions options;
   options.max_fbo_dim = 512;
   options.memory_budget_bytes = budget;
-  options.num_workers = num_workers;
   return gpu::Device(options);
 }
 
@@ -161,9 +159,9 @@ TEST(BatchPipelineTest, RewindRestreamsEveryBatchPerTilePass) {
   }
 }
 
-// --- Determinism: overlap on vs off, 1..8 workers. -----------------------
+// --- Determinism: overlap on vs off. --------------------------------------
 
-TEST(BatchPipelineTest, BoundedJoinOverlapBitwiseIdenticalAcrossWorkers) {
+TEST(BatchPipelineTest, BoundedJoinOverlapBitwiseIdentical) {
   JoinSetup s = MakeSetup(8, 12000, 93);
   BoundedRasterJoinOptions options;
   options.epsilon = 12.0;
@@ -171,36 +169,34 @@ TEST(BatchPipelineTest, BoundedJoinOverlapBitwiseIdenticalAcrossWorkers) {
   options.batch_size = 999;  // 13 batches
   options.compute_result_ranges = true;
 
-  // Serialized single-worker reference.
+  // Serialized reference.
   options.overlap_transfers = false;
-  gpu::Device ref_device = MakeDevice(1);
+  gpu::Device ref_device = MakeDevice();
   ResultRanges ref_ranges;
   auto ref = BoundedRasterJoin(&ref_device, s.points, s.polys, s.soup,
                                s.world, options, nullptr, &ref_ranges);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    for (const bool overlap : {false, true}) {
-      options.overlap_transfers = overlap;
-      gpu::Device device = MakeDevice(workers);
-      ResultRanges ranges;
-      auto result = BoundedRasterJoin(&device, s.points, s.polys, s.soup,
-                                      s.world, options, nullptr, &ranges);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
-      ASSERT_EQ(ref_ranges.loose.size(), ranges.loose.size());
-      for (std::size_t i = 0; i < ranges.loose.size(); ++i) {
-        EXPECT_EQ(ref_ranges.loose[i].lower, ranges.loose[i].lower);
-        EXPECT_EQ(ref_ranges.loose[i].upper, ranges.loose[i].upper);
-        EXPECT_EQ(ref_ranges.expected[i].lower, ranges.expected[i].lower);
-        EXPECT_EQ(ref_ranges.expected[i].upper, ranges.expected[i].upper);
-      }
-      // Overlap must not change the metered work either.
-      EXPECT_EQ(ref_device.counters().bytes_transferred(),
-                device.counters().bytes_transferred());
-      EXPECT_EQ(ref_device.counters().batches(),
-                device.counters().batches());
+  for (const bool overlap : {false, true}) {
+    options.overlap_transfers = overlap;
+    gpu::Device device = MakeDevice();
+    ResultRanges ranges;
+    auto result = BoundedRasterJoin(&device, s.points, s.polys, s.soup,
+                                    s.world, options, nullptr, &ranges);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
+    ASSERT_EQ(ref_ranges.loose.size(), ranges.loose.size());
+    for (std::size_t i = 0; i < ranges.loose.size(); ++i) {
+      EXPECT_EQ(ref_ranges.loose[i].lower, ranges.loose[i].lower);
+      EXPECT_EQ(ref_ranges.loose[i].upper, ranges.loose[i].upper);
+      EXPECT_EQ(ref_ranges.expected[i].lower, ranges.expected[i].lower);
+      EXPECT_EQ(ref_ranges.expected[i].upper, ranges.expected[i].upper);
     }
+    // Overlap must not change the metered work either.
+    EXPECT_EQ(ref_device.counters().bytes_transferred(),
+              device.counters().bytes_transferred());
+    EXPECT_EQ(ref_device.counters().batches(),
+              device.counters().batches());
   }
 }
 
@@ -212,12 +208,12 @@ TEST(BatchPipelineTest, AccurateAndIndexJoinsOverlapBitwiseIdentical) {
   acc.batch_size = 701;
   acc.canvas_dim = 256;
   acc.overlap_transfers = false;
-  gpu::Device d1 = MakeDevice(2);
+  gpu::Device d1 = MakeDevice();
   auto acc_off = AccurateRasterJoin(&d1, s.points, s.polys, s.soup, s.world,
                                     acc);
   ASSERT_TRUE(acc_off.ok());
   acc.overlap_transfers = true;
-  gpu::Device d2 = MakeDevice(2);
+  gpu::Device d2 = MakeDevice();
   auto acc_on = AccurateRasterJoin(&d2, s.points, s.polys, s.soup, s.world,
                                    acc);
   ASSERT_TRUE(acc_on.ok());
@@ -230,11 +226,11 @@ TEST(BatchPipelineTest, AccurateAndIndexJoinsOverlapBitwiseIdentical) {
   idx.weight_column = 0;
   idx.batch_size = 701;
   idx.overlap_transfers = false;
-  gpu::Device d3 = MakeDevice(2);
+  gpu::Device d3 = MakeDevice();
   auto idx_off = IndexJoinDevice(&d3, s.points, s.polys, s.world, idx);
   ASSERT_TRUE(idx_off.ok());
   idx.overlap_transfers = true;
-  gpu::Device d4 = MakeDevice(2);
+  gpu::Device d4 = MakeDevice();
   auto idx_on = IndexJoinDevice(&d4, s.points, s.polys, s.world, idx);
   ASSERT_TRUE(idx_on.ok());
   ExpectIdenticalArrays(idx_off.value().arrays, idx_on.value().arrays);
@@ -278,7 +274,7 @@ TEST(BatchPipelineTest, GenuineAllocationFailurePropagatesCleanly) {
   // than the whole 2000-byte budget. The very first upload must fail with
   // CapacityError, the error must surface from Acquire, and Drain must
   // return every device byte (no leaked thread, no leaked buffer).
-  gpu::Device device = MakeDevice(1, /*budget=*/2000);
+  gpu::Device device = MakeDevice(/*budget=*/2000);
   {
     join::BatchPipeline pipeline(
         &device,
@@ -301,7 +297,7 @@ TEST(BatchPipelineTest, PrefetchBacksOffToSerializedUnderMemoryPressure) {
   // throughput and identical results, never exceeding the budget.
   IndexJoinOptions options;
   options.batch_size = 400;
-  gpu::Device overlap_device = MakeDevice(1, /*budget=*/4000);
+  gpu::Device overlap_device = MakeDevice(/*budget=*/4000);
   auto overlapped = IndexJoinDevice(&overlap_device, s.points, s.polys,
                                     s.world, options);
   ASSERT_TRUE(overlapped.ok()) << overlapped.status().ToString();
@@ -309,7 +305,7 @@ TEST(BatchPipelineTest, PrefetchBacksOffToSerializedUnderMemoryPressure) {
   EXPECT_EQ(overlap_device.bytes_allocated(), 0u);
 
   options.overlap_transfers = false;
-  gpu::Device serial_device = MakeDevice(1, /*budget=*/4000);
+  gpu::Device serial_device = MakeDevice(/*budget=*/4000);
   auto serial = IndexJoinDevice(&serial_device, s.points, s.polys, s.world,
                                 options);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
@@ -323,7 +319,7 @@ TEST(BatchPipelineTest, DerivedBatchSizeCoversDoubleBufferWithinBudget) {
   // batch_size = 0: the join derives the batch from the free budget. With
   // overlap the derived size must leave room for both in-flight buffers.
   IndexJoinOptions options;
-  gpu::Device device = MakeDevice(1, /*budget=*/4096);
+  gpu::Device device = MakeDevice(/*budget=*/4096);
   auto result = IndexJoinDevice(&device, s.points, s.polys, s.world, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LE(device.peak_bytes_allocated(), 4096u);

@@ -2,9 +2,9 @@
 /// \brief The tentpole guarantee of the block-based scan stack: every join
 /// variant run over a PointBlockSource — mmap-backed v2 file or in-memory
 /// adapter — is bitwise identical to the in-memory overload on the
-/// materialized rows, for any block size, worker count, or pruning
-/// setting; and zone-map pruning skips most blocks of Hilbert-clustered
-/// data under a selective canvas without changing a bit of the result.
+/// materialized rows, for any block size or pruning setting; and zone-map
+/// pruning skips most blocks of Hilbert-clustered data under a selective
+/// canvas without changing a bit of the result.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -52,12 +52,10 @@ JoinSetup MakeSetup(std::size_t num_polys, std::size_t num_points,
   return s;
 }
 
-gpu::Device MakeDevice(std::size_t num_workers = 1,
-                       std::size_t budget = 64 << 20) {
+gpu::Device MakeDevice(std::size_t budget = 64 << 20) {
   gpu::DeviceOptions options;
   options.max_fbo_dim = 512;
   options.memory_budget_bytes = budget;
-  options.num_workers = num_workers;
   return gpu::Device(options);
 }
 
@@ -119,32 +117,30 @@ TEST(BlockSourceDeterminism, BoundedMatchesInMemoryAcrossTheMatrix) {
     // The baseline: the in-memory overload on the rows in on-disk order.
     auto rows = data::MaterializeBlocks(*source);
     ASSERT_TRUE(rows.ok());
-    gpu::Device ref_device = MakeDevice(1);
+    gpu::Device ref_device = MakeDevice();
     ResultRanges ref_ranges;
     auto ref = BoundedRasterJoin(&ref_device, rows.value(), s.polys, s.soup,
                                  s.world, options, nullptr, &ref_ranges);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-    for (const std::size_t workers : {1u, 8u}) {
-      for (const bool prune : {false, true}) {
-        options.enable_block_pruning = prune;
-        gpu::Device device = MakeDevice(workers);
-        ResultRanges ranges;
-        BoundedRasterJoinStats stats;
-        auto result = BoundedRasterJoin(&device, *source, s.polys, s.soup,
-                                        s.world, options, &stats, &ranges);
-        ASSERT_TRUE(result.ok())
-            << result.status().ToString() << " capacity=" << capacity
-            << " workers=" << workers << " prune=" << prune;
-        ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
-        ExpectIdenticalRanges(ref_ranges, ranges);
-        // The counters must account for every block, pruned or scanned.
-        EXPECT_EQ(device.counters().blocks_scanned() +
-                      device.counters().blocks_pruned(),
-                  source->num_blocks());
-        if (!prune) {
-          EXPECT_EQ(stats.blocks_pruned, 0u);
-        }
+    for (const bool prune : {false, true}) {
+      options.enable_block_pruning = prune;
+      gpu::Device device = MakeDevice();
+      ResultRanges ranges;
+      BoundedRasterJoinStats stats;
+      auto result = BoundedRasterJoin(&device, *source, s.polys, s.soup,
+                                      s.world, options, &stats, &ranges);
+      ASSERT_TRUE(result.ok()) << result.status().ToString()
+                               << " capacity=" << capacity
+                               << " prune=" << prune;
+      ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
+      ExpectIdenticalRanges(ref_ranges, ranges);
+      // The counters must account for every block, pruned or scanned.
+      EXPECT_EQ(device.counters().blocks_scanned() +
+                    device.counters().blocks_pruned(),
+                source->num_blocks());
+      if (!prune) {
+        EXPECT_EQ(stats.blocks_pruned, 0u);
       }
     }
     options.enable_block_pruning = true;
@@ -165,14 +161,14 @@ TEST(BlockSourceDeterminism, AccurateMatchesInMemory) {
   AccurateRasterJoinOptions options;
   options.weight_column = 0;
   options.canvas_dim = 256;
-  gpu::Device ref_device = MakeDevice(2);
+  gpu::Device ref_device = MakeDevice();
   auto ref = AccurateRasterJoin(&ref_device, rows.value(), s.polys, s.soup,
                                 s.world, options);
   ASSERT_TRUE(ref.ok());
 
   for (const bool prune : {false, true}) {
     options.enable_block_pruning = prune;
-    gpu::Device device = MakeDevice(2);
+    gpu::Device device = MakeDevice();
     AccurateRasterJoinStats stats;
     auto result = AccurateRasterJoin(&device, *source, s.polys, s.soup,
                                      s.world, options, &stats);
@@ -196,14 +192,14 @@ TEST(BlockSourceDeterminism, IndexDeviceMatchesInMemory) {
   IndexJoinOptions options;
   options.weight_column = 0;
   ASSERT_TRUE(options.filters.Add({0, FilterOp::kGreaterEqual, 30.0f}).ok());
-  gpu::Device ref_device = MakeDevice(2);
+  gpu::Device ref_device = MakeDevice();
   auto ref = IndexJoinDevice(&ref_device, rows.value(), s.polys, s.world,
                              options);
   ASSERT_TRUE(ref.ok());
 
   for (const bool prune : {false, true}) {
     options.enable_block_pruning = prune;
-    gpu::Device device = MakeDevice(2);
+    gpu::Device device = MakeDevice();
     auto result = IndexJoinDevice(&device, *source, s.polys, s.world,
                                   options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -318,14 +314,14 @@ TEST(BlockSourceDeterminism, SelectiveCanvasPrunesMostClusteredBlocks) {
   options.weight_column = 0;
 
   options.enable_block_pruning = false;
-  gpu::Device full_device = MakeDevice(1);
+  gpu::Device full_device = MakeDevice();
   auto full = BoundedRasterJoin(&full_device, *source, s.polys, s.soup,
                                 s.world, options);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full_device.counters().blocks_pruned(), 0u);
 
   options.enable_block_pruning = true;
-  gpu::Device pruned_device = MakeDevice(1);
+  gpu::Device pruned_device = MakeDevice();
   BoundedRasterJoinStats stats;
   auto pruned = BoundedRasterJoin(&pruned_device, *source, s.polys, s.soup,
                                   s.world, options, &stats);
@@ -365,7 +361,7 @@ TEST(BlockSourceDeterminism, DiskStagedScanBacksOffUnderMemoryPressure) {
                                     raster::ResultArrays(0)};
   for (const bool overlap : {false, true}) {
     options.overlap_transfers = overlap;
-    gpu::Device device = MakeDevice(1, /*budget=*/6000);
+    gpu::Device device = MakeDevice(/*budget=*/6000);
     auto result = BoundedRasterJoin(&device, *source, s.polys, s.soup,
                                     s.world, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString()

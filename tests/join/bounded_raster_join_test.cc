@@ -46,7 +46,6 @@ gpu::Device MakeDevice(std::int32_t max_fbo = 2048,
   gpu::DeviceOptions options;
   options.max_fbo_dim = max_fbo;
   options.memory_budget_bytes = budget;
-  options.num_workers = 1;
   return gpu::Device(options);
 }
 

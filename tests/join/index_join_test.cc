@@ -33,9 +33,7 @@ JoinSetup MakeSetup(std::size_t num_polys, std::size_t num_points,
 
 TEST(IndexJoinDeviceTest, MatchesReference) {
   JoinSetup s = MakeSetup(10, 8000, 41);
-  gpu::DeviceOptions dev_options;
-  dev_options.num_workers = 1;
-  gpu::Device device(dev_options);
+  gpu::Device device;
   IndexJoinOptions options;
   auto result = IndexJoinDevice(&device, s.points, s.polys, s.world, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -110,9 +108,7 @@ TEST(IndexJoinCpuTest, RejectsBadThreadCount) {
 TEST(IndexJoinDeviceTest, MbrIndexStillExact) {
   // MBR cell assignment only affects candidate counts, not correctness.
   JoinSetup s = MakeSetup(8, 5000, 46);
-  gpu::DeviceOptions dev_options;
-  dev_options.num_workers = 1;
-  gpu::Device device(dev_options);
+  gpu::Device device;
   IndexJoinOptions options;
   options.assign_mode = GridAssignMode::kMbr;
   options.index_resolution = 32;
@@ -127,9 +123,7 @@ TEST(IndexJoinDeviceTest, MbrIndexStillExact) {
 
 TEST(IndexJoinDeviceTest, PipCounterMetered) {
   JoinSetup s = MakeSetup(6, 2000, 47);
-  gpu::DeviceOptions dev_options;
-  dev_options.num_workers = 1;
-  gpu::Device device(dev_options);
+  gpu::Device device;
   IndexJoinOptions options;
   auto result = IndexJoinDevice(&device, s.points, s.polys, s.world, options);
   ASSERT_TRUE(result.ok());
@@ -137,30 +131,24 @@ TEST(IndexJoinDeviceTest, PipCounterMetered) {
   EXPECT_GT(device.counters().pip_tests(), 0u);
 }
 
-TEST(IndexJoinDeviceTest, PipMeteringExactAcrossWorkersAndBatchSizes) {
-  // Regression: single-chunk ParallelFor calls run inline on the calling
-  // thread, whose PIP tests the join's outer per-thread window already
-  // counts — a worker-count guard (instead of chunk-count) double-metered
-  // 1-point batches on multi-worker devices.
+TEST(IndexJoinDeviceTest, PipMeteringExactAcrossBatchSizes) {
+  // Batching splits the scan, never the metering: every batch size meters
+  // exactly the PIP tests of one whole-table pass.
   JoinSetup s = MakeSetup(6, 37, 48);
   IndexJoinOptions base;
 
-  gpu::DeviceOptions one_opts;
-  one_opts.num_workers = 1;
-  gpu::Device one(one_opts);
-  ASSERT_TRUE(IndexJoinDevice(&one, s.points, s.polys, s.world, base).ok());
-  const std::uint64_t expected_pips = one.counters().pip_tests();
+  gpu::Device whole;
+  ASSERT_TRUE(IndexJoinDevice(&whole, s.points, s.polys, s.world, base).ok());
+  const std::uint64_t expected_pips = whole.counters().pip_tests();
   ASSERT_GT(expected_pips, 0u);
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-    gpu::DeviceOptions many_opts;
-    many_opts.num_workers = 4;
-    gpu::Device many(many_opts);
+    gpu::Device batched;
     IndexJoinOptions options = base;
     options.batch_size = batch;
     ASSERT_TRUE(
-        IndexJoinDevice(&many, s.points, s.polys, s.world, options).ok());
-    EXPECT_EQ(many.counters().pip_tests(), expected_pips)
+        IndexJoinDevice(&batched, s.points, s.polys, s.world, options).ok());
+    EXPECT_EQ(batched.counters().pip_tests(), expected_pips)
         << "batch=" << batch;
   }
 }

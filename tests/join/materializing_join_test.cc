@@ -31,7 +31,6 @@ JoinSetup MakeSetup(std::size_t num_polys, std::size_t num_points,
 gpu::Device BigDevice() {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = 256 << 20;
-  options.num_workers = 1;
   return gpu::Device(options);
 }
 
@@ -87,7 +86,6 @@ TEST(MaterializingJoinTest, FailsWhenPairsExceedDeviceMemory) {
   JoinSetup s = MakeSetup(6, 20000, 64);
   gpu::DeviceOptions small;
   small.memory_budget_bytes = 1 << 10;  // 1 kB: cannot hold the pairs
-  small.num_workers = 1;
   gpu::Device device(small);
   MaterializingJoinOptions options;
   auto result = MaterializingJoin(&device, s.points, s.polys, options);

@@ -49,12 +49,10 @@ Dataset MakeDataset(std::size_t num_polys, std::size_t num_points,
   return d;
 }
 
-gpu::DeviceOptions DeviceConfig(std::size_t budget, std::size_t workers,
-                                double bandwidth = 0.0) {
+gpu::DeviceOptions DeviceConfig(std::size_t budget, double bandwidth = 0.0) {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = budget;
   options.max_fbo_dim = 1024;
-  options.num_workers = workers;
   options.transfer_bandwidth_bytes_per_sec = bandwidth;
   return options;
 }
@@ -63,7 +61,7 @@ gpu::DeviceOptions DeviceConfig(std::size_t budget, std::size_t workers,
 struct Stack {
   Stack(Dataset* data, service::ServiceOptions service_options = {},
         QueryServerOptions server_options = {},
-        gpu::DeviceOptions device_options = DeviceConfig(16 << 20, 1))
+        gpu::DeviceOptions device_options = DeviceConfig(16 << 20))
       : device(device_options), service(&device, service_options) {
     dataset = service.RegisterDataset(&data->points, &data->polys, "taxi");
     server = std::make_unique<QueryServer>(&service, server_options);
@@ -374,7 +372,7 @@ TEST(HttpServerTest, OverloadShedsWith503) {
   // single dispatcher busy long enough that the queue stays full while the
   // HTTP request lands.
   Stack stack(&data, service_options, {},
-              DeviceConfig(16 << 20, 1, /*bandwidth=*/2 << 20));
+              DeviceConfig(16 << 20, /*bandwidth=*/2 << 20));
 
   SpatialAggQuery slow;
   slow.variant = JoinVariant::kBoundedRaster;
@@ -442,7 +440,7 @@ TEST(HttpServerTest, GracefulDrainFinishesInFlightRequests) {
   Dataset data = MakeDataset(6, 30000, 19);
   // Slow transfers again, so the in-flight query is still executing when
   // Shutdown() starts.
-  Stack stack(&data, {}, {}, DeviceConfig(16 << 20, 1, /*bandwidth=*/2 << 20));
+  Stack stack(&data, {}, {}, DeviceConfig(16 << 20, /*bandwidth=*/2 << 20));
 
   Executor* executor = stack.service.dataset_executor(stack.dataset);
   const QuerySpec spec =

@@ -55,7 +55,6 @@ class BlockExecutorTest : public ::testing::Test {
 
     gpu::DeviceOptions dev_options;
     dev_options.max_fbo_dim = 1024;
-    dev_options.num_workers = 1;
     mem_device_ = std::make_unique<gpu::Device>(dev_options);
     src_device_ = std::make_unique<gpu::Device>(dev_options);
     mem_executor_ =

@@ -7,7 +7,6 @@ namespace {
 
 TEST(CalibrationTest, ProducesPositiveCosts) {
   gpu::DeviceOptions options;
-  options.num_workers = 1;
   gpu::Device device(options);
   auto params = CalibrateCostModel(&device);
   ASSERT_TRUE(params.ok()) << params.status().ToString();
@@ -22,7 +21,6 @@ TEST(CalibrationTest, ProducesPositiveCosts) {
 
 TEST(CalibrationTest, TransferCostReflectsBandwidth) {
   gpu::DeviceOptions options;
-  options.num_workers = 1;
   options.transfer_bandwidth_bytes_per_sec = 2.0e9;
   gpu::Device device(options);
   auto params = CalibrateCostModel(&device);
@@ -30,7 +28,6 @@ TEST(CalibrationTest, TransferCostReflectsBandwidth) {
   EXPECT_DOUBLE_EQ(params.value().per_byte_transfer, 1.0 / 2.0e9);
 
   gpu::DeviceOptions no_bw;
-  no_bw.num_workers = 1;
   gpu::Device device2(no_bw);
   auto params2 = CalibrateCostModel(&device2);
   ASSERT_TRUE(params2.ok());
@@ -43,7 +40,6 @@ TEST(CalibrationTest, RejectsNullDevice) {
 
 TEST(CalibrationTest, CalibratedModelStillShowsCrossover) {
   gpu::DeviceOptions options;
-  options.num_workers = 1;
   gpu::Device device(options);
   auto params = CalibrateCostModel(&device);
   ASSERT_TRUE(params.ok());

@@ -28,7 +28,6 @@ class ExecutorTest : public ::testing::Test {
 
     gpu::DeviceOptions dev_options;
     dev_options.max_fbo_dim = 1024;
-    dev_options.num_workers = 1;
     device_ = std::make_unique<gpu::Device>(dev_options);
     executor_ = std::make_unique<Executor>(device_.get(), &points_, &polys_);
   }

@@ -1,8 +1,8 @@
 /// \file fused_executor_test.cc
 /// \brief Fused multi-query determinism: ExecuteFused over a compatible
 /// group must be bitwise identical, member for member, to running each
-/// query alone — across group sizes 1..4, worker counts, shard counts,
-/// and both raster variants, §5 result ranges included.
+/// query alone — across group sizes 1..4, shard counts, and both raster
+/// variants, §5 result ranges included.
 ///
 /// Weights are integer-valued floats, the exactly-representable regime the
 /// determinism guarantee covers (see merge_partials.h); COUNT/MIN/MAX are
@@ -47,11 +47,10 @@ JoinSetup MakeSetup(std::size_t num_polys, std::size_t num_points,
   return s;
 }
 
-gpu::DeviceOptions DevOptions(std::size_t num_workers) {
+gpu::DeviceOptions DevOptions() {
   gpu::DeviceOptions options;
   options.max_fbo_dim = kFboDim;
   options.memory_budget_bytes = kBudget;
-  options.num_workers = num_workers;
   return options;
 }
 
@@ -155,11 +154,11 @@ std::vector<SpatialAggQuery> AccurateGroup() {
   return group;
 }
 
-/// Unfused ground truth: every member run alone on a single 1-worker
-/// device, the configuration every other sweep must reproduce bitwise.
+/// Unfused ground truth: every member run alone on a single device, the
+/// configuration every other sweep must reproduce bitwise.
 std::vector<QueryResult> Baseline(const JoinSetup& s,
                                   const std::vector<SpatialAggQuery>& group) {
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   std::vector<QueryResult> results;
   for (const SpatialAggQuery& q : group) {
@@ -190,30 +189,27 @@ void ExpectFusedMatchesBaseline(Executor& executor,
   }
 }
 
-class FusedDeterminismTest
-    : public ::testing::TestWithParam<std::size_t> {};  // num_workers
-
-TEST_P(FusedDeterminismTest, BoundedGroupMatchesUnfusedBaseline) {
+TEST(FusedDeterminismTest, BoundedGroupMatchesUnfusedBaseline) {
   const JoinSetup s = MakeSetup(8, 12000, 31);
   const std::vector<SpatialAggQuery> group = BoundedGroup();
   const std::vector<QueryResult> expected = Baseline(s, group);
 
-  gpu::Device device(DevOptions(GetParam()));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   ExpectFusedMatchesBaseline(executor, group, expected);
 }
 
-TEST_P(FusedDeterminismTest, AccurateGroupMatchesUnfusedBaseline) {
+TEST(FusedDeterminismTest, AccurateGroupMatchesUnfusedBaseline) {
   const JoinSetup s = MakeSetup(8, 12000, 32);
   const std::vector<SpatialAggQuery> group = AccurateGroup();
   const std::vector<QueryResult> expected = Baseline(s, group);
 
-  gpu::Device device(DevOptions(GetParam()));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   ExpectFusedMatchesBaseline(executor, group, expected);
 }
 
-TEST_P(FusedDeterminismTest, ShardedFusionMatchesUnfusedBaseline) {
+TEST(FusedDeterminismTest, ShardedFusionMatchesUnfusedBaseline) {
   const JoinSetup s = MakeSetup(6, 9000, 33);
   const std::vector<SpatialAggQuery> bounded = BoundedGroup();
   const std::vector<SpatialAggQuery> accurate = AccurateGroup();
@@ -228,7 +224,7 @@ TEST_P(FusedDeterminismTest, ShardedFusionMatchesUnfusedBaseline) {
 
     gpu::DevicePoolOptions pool_options;
     pool_options.num_devices = shards;
-    pool_options.device = DevOptions(GetParam());
+    pool_options.device = DevOptions();
     gpu::DevicePool pool(pool_options);
     Executor executor(&pool, &table.value(), &s.polys);
 
@@ -238,12 +234,6 @@ TEST_P(FusedDeterminismTest, ShardedFusionMatchesUnfusedBaseline) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, FusedDeterminismTest,
-                         ::testing::Values(1, 8),
-                         [](const auto& info) {
-                           return "Workers" + std::to_string(info.param);
-                         });
-
 /// Every member of a fused accurate group reads the executor's one shared
 /// canvas: each equals a direct AccurateRasterJoin of that member — which
 /// prepares its own canvas — for groups of 1–4 members over 1, 2 and 4
@@ -252,7 +242,7 @@ TEST(FusedExecutorTest, AccurateGroupsOnTheSharedCanvasMatchPerCallJoins) {
   const JoinSetup s = MakeSetup(6, 9000, 40);
   auto soup = TriangulatePolygonSet(s.polys);
   ASSERT_TRUE(soup.ok());
-  gpu::Device reference_device(DevOptions(1));
+  gpu::Device reference_device(DevOptions());
   const BBox world =
       Executor(&reference_device, &s.points, &s.polys).world();
 
@@ -281,7 +271,7 @@ TEST(FusedExecutorTest, AccurateGroupsOnTheSharedCanvasMatchPerCallJoins) {
       ASSERT_TRUE(table.ok());
       gpu::DevicePoolOptions pool_options;
       pool_options.num_devices = shards;
-      pool_options.device = DevOptions(2);
+      pool_options.device = DevOptions();
       gpu::DevicePool pool(pool_options);
       Executor executor(&pool, &table.value(), &s.polys);
 
@@ -299,7 +289,7 @@ TEST(FusedExecutorTest, GrantCappedFusionStaysIdentical) {
   std::vector<SpatialAggQuery> group = BoundedGroup();
   const std::vector<QueryResult> expected = Baseline(s, group);
 
-  gpu::Device device(DevOptions(2));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   for (SpatialAggQuery& q : group) {
     q.device_memory_cap_bytes = 64 << 10;  // ~5k points per batch pair
@@ -309,7 +299,7 @@ TEST(FusedExecutorTest, GrantCappedFusionStaysIdentical) {
 
 TEST(FusedExecutorTest, EmptyGroupIsRejected) {
   const JoinSetup s = MakeSetup(3, 200, 35);
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   EXPECT_FALSE(executor.ExecuteFused({}).ok());
 }
@@ -318,7 +308,7 @@ TEST(FusedExecutorTest, MixedEpsilonGroupIsRejected) {
   // Different ε ⇒ different canvases ⇒ no shared scan. The group must be
   // rejected outright, never silently executed on one member's canvas.
   const JoinSetup s = MakeSetup(3, 200, 36);
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
 
   std::vector<SpatialAggQuery> group = BoundedGroup();
@@ -330,7 +320,7 @@ TEST(FusedExecutorTest, MixedEpsilonGroupIsRejected) {
 
 TEST(FusedExecutorTest, MixedVariantGroupIsRejected) {
   const JoinSetup s = MakeSetup(3, 200, 37);
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
 
   std::vector<SpatialAggQuery> group = BoundedGroup();
@@ -342,7 +332,7 @@ TEST(FusedExecutorTest, IndexVariantGroupIsRejected) {
   // Fusion shares a raster scan; the index baselines have no raster to
   // share and must fall back to solo execution at the service layer.
   const JoinSetup s = MakeSetup(3, 200, 38);
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
 
   SpatialAggQuery a;
@@ -357,7 +347,7 @@ TEST(FusedExecutorTest, FusedAdmissionCoversTheUnionOfColumns) {
   // The fused upload carries the union of member weight columns, so the
   // fused plan's stride must be ≥ any member's solo stride.
   const JoinSetup s = MakeSetup(4, 3000, 39);
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
 
   const std::vector<SpatialAggQuery> group = BoundedGroup();

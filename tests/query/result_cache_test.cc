@@ -111,7 +111,7 @@ TEST(CacheKeyTest, ExecutionKnobsAreExcludedFromKeyAndEquality) {
 
   SpatialAggQuery knobbed = base;
   knobbed.device_memory_cap_bytes = 12345;   // admission grant
-  knobbed.cpu_threads = 8;                   // worker count
+  knobbed.cpu_threads = 8;                   // CPU baseline threads
   knobbed.overlap_transfers = !base.overlap_transfers;
   EXPECT_EQ(base, knobbed);
   EXPECT_EQ(HashQuery(base), HashQuery(knobbed));
@@ -478,7 +478,6 @@ gpu::DeviceOptions SmallDevice() {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = 8 << 20;
   options.max_fbo_dim = 512;
-  options.num_workers = 1;
   return options;
 }
 
@@ -557,12 +556,11 @@ TEST(ExecutorCacheTest, VersionBumpInvalidates) {
   EXPECT_FALSE(after_bump.value().cache_hit);
 }
 
-TEST(ExecutorCacheTest, CachedHitsMatchUncachedAcrossWorkersAndShards) {
-  // The exclusion argument end-to-end: worker count and shard count are
-  // not part of the cache key because results are bitwise identical
-  // across them — so a hit taken on any (workers, shards) configuration
-  // must equal the single-device single-worker uncached baseline exactly,
-  // §5 ranges included.
+TEST(ExecutorCacheTest, CachedHitsMatchUncachedAcrossShards) {
+  // The exclusion argument end-to-end: the shard count is not part of the
+  // cache key because results are bitwise identical across it — so a hit
+  // taken on any shard configuration must equal the single-device
+  // uncached baseline exactly, §5 ranges included.
   Dataset data = MakeDataset(8, 6000, 37);
   gpu::Device base_device(SmallDevice());
   Executor base(&base_device, &data.points, &data.polys);
@@ -577,34 +575,31 @@ TEST(ExecutorCacheTest, CachedHitsMatchUncachedAcrossWorkersAndShards) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (const std::size_t workers : {1u, 8u}) {
-      gpu::DevicePoolOptions pool_options;
-      pool_options.num_devices = shards;
-      pool_options.device = SmallDevice();
-      pool_options.device.num_workers = workers;
-      gpu::DevicePool pool(pool_options);
+    gpu::DevicePoolOptions pool_options;
+    pool_options.num_devices = shards;
+    pool_options.device = SmallDevice();
+    gpu::DevicePool pool(pool_options);
 
-      data::ShardingOptions sharding;
-      sharding.num_shards = shards;
-      sharding.policy = data::ShardPolicy::kRoundRobin;
-      auto table = data::ShardedTable::Partition(data.points, sharding);
-      ASSERT_TRUE(table.ok());
+    data::ShardingOptions sharding;
+    sharding.num_shards = shards;
+    sharding.policy = data::ShardPolicy::kRoundRobin;
+    auto table = data::ShardedTable::Partition(data.points, sharding);
+    ASSERT_TRUE(table.ok());
 
-      Executor executor(&pool, &table.value(), &data.polys);
-      ResultCache cache;
-      executor.set_result_cache(&cache, 0);
+    Executor executor(&pool, &table.value(), &data.polys);
+    ResultCache cache;
+    executor.set_result_cache(&cache, 0);
 
-      auto miss = executor.Execute(query);
-      ASSERT_TRUE(miss.ok()) << shards << "x" << workers << ": "
-                             << miss.status().ToString();
-      EXPECT_FALSE(miss.value().cache_hit);
-      ExpectSamePayload(expected.value(), miss.value());
+    auto miss = executor.Execute(query);
+    ASSERT_TRUE(miss.ok()) << shards << " shards: "
+                           << miss.status().ToString();
+    EXPECT_FALSE(miss.value().cache_hit);
+    ExpectSamePayload(expected.value(), miss.value());
 
-      auto hit = executor.Execute(query);
-      ASSERT_TRUE(hit.ok());
-      EXPECT_TRUE(hit.value().cache_hit);
-      ExpectSamePayload(expected.value(), hit.value());
-    }
+    auto hit = executor.Execute(query);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit.value().cache_hit);
+    ExpectSamePayload(expected.value(), hit.value());
   }
 }
 

@@ -1,8 +1,8 @@
 /// \file sharded_executor_test.cc
 /// \brief Sharded scatter-gather determinism: for every join variant, 1..4
-/// shards × 1..8 workers must be bitwise identical to the single-device
-/// baseline — aggregates and §5 result ranges alike — and the baseline
-/// itself to the per-call join outside Executor.
+/// shards must be bitwise identical to the single-device baseline —
+/// aggregates and §5 result ranges alike — and the baseline itself to the
+/// per-call join outside Executor.
 ///
 /// Weights are integer-valued floats, the exactly-representable regime the
 /// determinism guarantee covers (see merge_partials.h); COUNT/MIN/MAX are
@@ -56,11 +56,10 @@ JoinSetup MakeSetup(std::size_t num_polys, std::size_t num_points,
   return s;
 }
 
-gpu::DeviceOptions DevOptions(std::size_t num_workers) {
+gpu::DeviceOptions DevOptions() {
   gpu::DeviceOptions options;
   options.max_fbo_dim = kFboDim;
   options.memory_budget_bytes = kBudget;
-  options.num_workers = num_workers;
   return options;
 }
 
@@ -130,7 +129,7 @@ std::vector<SpatialAggQuery> Workload() {
 /// reference outside Executor.
 QueryResult PerCallJoin(const JoinSetup& s, const BBox& world,
                         const SpatialAggQuery& q) {
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   auto soup = TriangulatePolygonSet(s.polys);
   EXPECT_TRUE(soup.ok());
   QueryResult r;
@@ -176,7 +175,7 @@ QueryResult PerCallJoin(const JoinSetup& s, const BBox& world,
 /// subjects run one Executor body, so the reference must come from
 /// outside it.
 std::vector<QueryResult> Baseline(const JoinSetup& s) {
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   std::vector<QueryResult> results;
   for (const SpatialAggQuery& q : Workload()) {
@@ -192,7 +191,7 @@ std::vector<QueryResult> Baseline(const JoinSetup& s) {
 class ShardedDeterminismTest
     : public ::testing::TestWithParam<data::ShardPolicy> {};
 
-TEST_P(ShardedDeterminismTest, AllShardAndWorkerCountsMatchBaseline) {
+TEST_P(ShardedDeterminismTest, AllShardCountsMatchBaseline) {
   const JoinSetup s = MakeSetup(8, 12000, 21);
   const std::vector<QueryResult> expected = Baseline(s);
   const std::vector<SpatialAggQuery> workload = Workload();
@@ -204,23 +203,19 @@ TEST_P(ShardedDeterminismTest, AllShardAndWorkerCountsMatchBaseline) {
     auto table = data::ShardedTable::Partition(s.points, sharding);
     ASSERT_TRUE(table.ok());
 
-    for (const std::size_t workers : {1, 2, 8}) {
-      gpu::DevicePoolOptions pool_options;
-      pool_options.num_devices = shards;
-      pool_options.device = DevOptions(workers);
-      gpu::DevicePool pool(pool_options);
-      Executor executor(&pool, &table.value(), &s.polys);
+    gpu::DevicePoolOptions pool_options;
+    pool_options.num_devices = shards;
+    pool_options.device = DevOptions();
+    gpu::DevicePool pool(pool_options);
+    Executor executor(&pool, &table.value(), &s.polys);
 
-      for (std::size_t q = 0; q < workload.size(); ++q) {
-        auto r = executor.Execute(workload[q]);
-        ASSERT_TRUE(r.ok())
-            << "shards=" << shards << " workers=" << workers << " query=" << q
-            << ": " << r.status().ToString();
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " workers=" + std::to_string(workers) +
-                     " query=" + std::to_string(q));
-        ExpectIdenticalResults(expected[q], r.value());
-      }
+    for (std::size_t q = 0; q < workload.size(); ++q) {
+      auto r = executor.Execute(workload[q]);
+      ASSERT_TRUE(r.ok()) << "shards=" << shards << " query=" << q << ": "
+                          << r.status().ToString();
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " query=" + std::to_string(q));
+      ExpectIdenticalResults(expected[q], r.value());
     }
   }
 }
@@ -247,7 +242,7 @@ TEST(ShardedExecutorTest, MoreShardsThanDevicesWrapAroundAndStayIdentical) {
 
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 2;
-  pool_options.device = DevOptions(2);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
   EXPECT_EQ(executor.ShardsPerDevice(), (std::vector<std::size_t>{2, 2}));
@@ -274,7 +269,7 @@ TEST(ShardedExecutorTest, GrantCappedBatchingStaysIdentical) {
 
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 3;
-  pool_options.device = DevOptions(2);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
 
@@ -296,8 +291,8 @@ TEST(ShardedExecutorTest, MixedFboLimitsAreRejected) {
   auto table = data::ShardedTable::Partition(s.points, sharding);
   ASSERT_TRUE(table.ok());
 
-  gpu::DeviceOptions a = DevOptions(1);
-  gpu::DeviceOptions b = DevOptions(1);
+  gpu::DeviceOptions a = DevOptions();
+  gpu::DeviceOptions b = DevOptions();
   b.max_fbo_dim = 2048;
   gpu::DevicePool pool(std::vector<gpu::DeviceOptions>{a, b});
   Executor executor(&pool, &table.value(), &s.polys);
@@ -309,7 +304,7 @@ TEST(ShardedExecutorTest, MixedFboLimitsAreRejected) {
 
 TEST(ShardedExecutorTest, ShardedWorldMatchesSingleDeviceWorld) {
   const JoinSetup s = MakeSetup(4, 2000, 25);
-  gpu::Device device(DevOptions(1));
+  gpu::Device device(DevOptions());
   Executor single(&device, &s.points, &s.polys);
 
   data::ShardingOptions sharding;
@@ -319,7 +314,7 @@ TEST(ShardedExecutorTest, ShardedWorldMatchesSingleDeviceWorld) {
   ASSERT_TRUE(table.ok());
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 3;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor sharded(&pool, &table.value(), &s.polys);
 
@@ -339,7 +334,7 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
 
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 2;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
 
@@ -360,7 +355,7 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
   const data::TableBlockSource source(&s.points, /*block_capacity=*/1000);
   for (const bool over_source : {false, true}) {
     SCOPED_TRACE(over_source ? "block source" : "table");
-    gpu::Device device(DevOptions(1));
+    gpu::Device device(DevOptions());
     Executor single = over_source ? Executor(&device, &source, &s.polys)
                                   : Executor(&device, &s.points, &s.polys);
     auto one = single.Execute(query);
@@ -376,7 +371,7 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
 /// extent must let routing skip at least half of the Hilbert-cut shards —
 /// while aggregates and §5 ranges stay bitwise identical to unrouted
 /// execution AND to the single-device baseline, for every shard count ×
-/// cut mode × replication configuration the placement layer distinguishes.
+/// replication configuration the placement layer distinguishes.
 TEST(ShardedRoutingTest, QuarterExtentQueriesSkipHalfTheShardsBitwise) {
   const BBox world(0, 0, 1000, 1000);
   const BBox corner(0, 0, 250, 250);
@@ -395,83 +390,77 @@ TEST(ShardedRoutingTest, QuarterExtentQueriesSkipHalfTheShardsBitwise) {
   const std::vector<SpatialAggQuery> workload = Workload();
 
   for (const std::size_t shards : {2, 3, 4}) {
-    for (const data::HilbertCutMode cut_mode :
-         {data::HilbertCutMode::kQuantile,
-          data::HilbertCutMode::kEqualRange}) {
-      data::ShardingOptions sharding;
-      sharding.num_shards = shards;
-      sharding.policy = data::ShardPolicy::kHilbert;
-      sharding.cut_mode = cut_mode;
-      auto table = data::ShardedTable::Partition(s.points, sharding);
-      ASSERT_TRUE(table.ok());
+    data::ShardingOptions sharding;
+    sharding.num_shards = shards;
+    sharding.policy = data::ShardPolicy::kHilbert;
+    auto table = data::ShardedTable::Partition(s.points, sharding);
+    ASSERT_TRUE(table.ok());
 
-      for (const bool replicate : {false, true}) {
-        gpu::DevicePoolOptions pool_options;
-        pool_options.num_devices = shards;
-        pool_options.device = DevOptions(1);
-        gpu::DevicePool pool(pool_options);
-        Executor executor(&pool, &table.value(), &s.polys);
-        if (replicate) {
-          // Every shard readable from every device: the adversarial
-          // placement input (maximal routing freedom).
-          std::vector<std::vector<std::size_t>> replicas(shards);
-          for (std::size_t r = 0; r < shards; ++r) {
-            for (std::size_t d = 0; d < shards; ++d) replicas[r].push_back(d);
-          }
-          executor.SetShardReplicas(std::move(replicas));
+    for (const bool replicate : {false, true}) {
+      gpu::DevicePoolOptions pool_options;
+      pool_options.num_devices = shards;
+      pool_options.device = DevOptions();
+      gpu::DevicePool pool(pool_options);
+      Executor executor(&pool, &table.value(), &s.polys);
+      if (replicate) {
+        // Every shard readable from every device: the adversarial
+        // placement input (maximal routing freedom).
+        std::vector<std::vector<std::size_t>> replicas(shards);
+        for (std::size_t r = 0; r < shards; ++r) {
+          for (std::size_t d = 0; d < shards; ++d) replicas[r].push_back(d);
         }
+        executor.SetShardReplicas(std::move(replicas));
+      }
 
-        for (std::size_t q = 0; q < workload.size(); ++q) {
-          SCOPED_TRACE("shards=" + std::to_string(shards) +
-                       " cut=" + data::HilbertCutModeName(cut_mode) +
-                       " replicate=" + std::to_string(replicate) +
-                       " query=" + std::to_string(q));
-          auto routed = executor.Execute(workload[q]);
-          ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-          // The corner polygons fit one quadrant of the Hilbert order, so
-          // at least half the shards are provably disjoint from the query
-          // region and must be skipped.
-          EXPECT_GE(routed.value().counters.shards_skipped * 2, shards);
-          EXPECT_EQ(routed.value().counters.shards_routed +
-                        routed.value().counters.shards_skipped,
-                    shards);
-          ExpectIdenticalResults(expected[q], routed.value());
+      for (std::size_t q = 0; q < workload.size(); ++q) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " replicate=" + std::to_string(replicate) +
+                     " query=" + std::to_string(q));
+        auto routed = executor.Execute(workload[q]);
+        ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+        // The corner polygons fit one quadrant of the Hilbert order, so
+        // at least half the shards are provably disjoint from the query
+        // region and must be skipped.
+        EXPECT_GE(routed.value().counters.shards_skipped * 2, shards);
+        EXPECT_EQ(routed.value().counters.shards_routed +
+                      routed.value().counters.shards_skipped,
+                  shards);
+        ExpectIdenticalResults(expected[q], routed.value());
 
-          SpatialAggQuery unrouted = workload[q];
-          unrouted.enable_shard_routing = false;
-          auto full = executor.Execute(unrouted);
-          ASSERT_TRUE(full.ok()) << full.status().ToString();
-          EXPECT_EQ(full.value().counters.shards_skipped, 0u);
-          EXPECT_EQ(full.value().counters.shards_routed, shards);
-          ExpectIdenticalResults(expected[q], full.value());
-          ExpectIdenticalResults(routed.value(), full.value());
+        SpatialAggQuery unrouted = workload[q];
+        unrouted.enable_shard_routing = false;
+        auto full = executor.Execute(unrouted);
+        ASSERT_TRUE(full.ok()) << full.status().ToString();
+        EXPECT_EQ(full.value().counters.shards_skipped, 0u);
+        EXPECT_EQ(full.value().counters.shards_routed, shards);
+        ExpectIdenticalResults(expected[q], full.value());
+        ExpectIdenticalResults(routed.value(), full.value());
 
-          // The same query fused with a second member (different
-          // aggregate, same canvas) routes too: a shard is skipped only
-          // when no member can match it, and each member stays bitwise
-          // equal to its unrouted solo run.
-          if (workload[q].variant != JoinVariant::kBoundedRaster &&
-              workload[q].variant != JoinVariant::kAccurateRaster) {
-            continue;  // index variants have no raster pass to fuse
-          }
-          SpatialAggQuery partner = workload[q];
-          partner.aggregate = AggregateKind::kMax;
-          partner.aggregate_column = 0;
-          partner.with_result_ranges = false;
-          auto fused = executor.ExecuteFused({workload[q], partner});
-          ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-          ASSERT_EQ(fused.value().size(), 2u);
-          EXPECT_GT(fused.value()[0].counters.shards_skipped, 0u);
-          EXPECT_EQ(fused.value()[0].counters.shards_routed +
-                        fused.value()[0].counters.shards_skipped,
-                    shards);
-          SpatialAggQuery unrouted_partner = partner;
-          unrouted_partner.enable_shard_routing = false;
-          auto partner_full = executor.Execute(unrouted_partner);
-          ASSERT_TRUE(partner_full.ok()) << partner_full.status().ToString();
-          ExpectIdenticalResults(full.value(), fused.value()[0]);
-          ExpectIdenticalResults(partner_full.value(), fused.value()[1]);
+        // The same query fused with a second member (different
+        // aggregate, same canvas) routes too: a shard is skipped only
+        // when no member can match it, and each member stays bitwise
+        // equal to its unrouted solo run.
+        if (workload[q].variant != JoinVariant::kBoundedRaster &&
+            workload[q].variant != JoinVariant::kAccurateRaster) {
+          continue;  // index variants have no raster pass to fuse
         }
+        SpatialAggQuery partner = workload[q];
+        partner.aggregate = AggregateKind::kMax;
+        partner.aggregate_column = 0;
+        partner.with_result_ranges = false;
+        auto fused = executor.ExecuteFused({workload[q], partner});
+        ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+        ASSERT_EQ(fused.value().size(), 2u);
+        EXPECT_GT(fused.value()[0].counters.shards_skipped, 0u);
+        EXPECT_EQ(fused.value()[0].counters.shards_routed +
+                      fused.value()[0].counters.shards_skipped,
+                  shards);
+        SpatialAggQuery unrouted_partner = partner;
+        unrouted_partner.enable_shard_routing = false;
+        auto partner_full = executor.Execute(unrouted_partner);
+        ASSERT_TRUE(partner_full.ok()) << partner_full.status().ToString();
+        ExpectIdenticalResults(full.value(), fused.value()[0]);
+        ExpectIdenticalResults(partner_full.value(), fused.value()[1]);
       }
     }
   }
@@ -492,7 +481,7 @@ TEST(ShardedRoutingTest, AllShardsSkippableStillMergesWellFormed) {
   ASSERT_TRUE(table.ok());
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 3;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
 
@@ -521,7 +510,7 @@ TEST(ShardedRoutingTest, PerShardCacheServesRepeatsBitwise) {
   ASSERT_TRUE(table.ok());
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 3;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
   query::ResultCache cache;
@@ -597,7 +586,7 @@ TEST(SharedCanvasTest, ShardedQueriesMatchPerCallAccurateJoin) {
     ASSERT_TRUE(table.ok());
     gpu::DevicePoolOptions pool_options;
     pool_options.num_devices = shards;
-    pool_options.device = DevOptions(2);
+    pool_options.device = DevOptions();
     gpu::DevicePool pool(pool_options);
     Executor executor(&pool, &table.value(), &s.polys);
 
@@ -638,7 +627,7 @@ TEST(SharedCanvasTest, RepeatQueryReusesTheCanvas) {
   ASSERT_TRUE(table.ok());
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 2;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
 
@@ -675,7 +664,7 @@ TEST(SharedCanvasTest, ConcurrentFirstUseBuildsOneCanvas) {
   ASSERT_TRUE(table.ok());
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 2;
-  pool_options.device = DevOptions(2);
+  pool_options.device = DevOptions();
 
   std::vector<SpatialAggQuery> queries;
   for (const AggregateKind aggregate :
@@ -739,7 +728,7 @@ TEST(SharedCanvasTest, EvictionUnderConcurrentTrafficStaysCorrect) {
   ASSERT_TRUE(table.ok());
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 2;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
 
@@ -793,7 +782,7 @@ TEST(SharedCanvasTest, EvictionUnderConcurrentTrafficStaysCorrect) {
 /// executor keeps serving.
 TEST(SharedCanvasTest, OversizedCanvasIsInvalidArgument) {
   const JoinSetup s = MakeSetup(4, 2000, 46);
-  gpu::DeviceOptions options = DevOptions(1);
+  gpu::DeviceOptions options = DevOptions();
   options.max_fbo_dim = 4096;
   data::ShardingOptions sharding;
   sharding.num_shards = 2;
@@ -848,7 +837,7 @@ TEST(ShardedExecutorTest, PlanAdmissionIsPerShard) {
 
   gpu::DevicePoolOptions pool_options;
   pool_options.num_devices = 3;
-  pool_options.device = DevOptions(1);
+  pool_options.device = DevOptions();
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
 

@@ -48,11 +48,10 @@ Dataset MakeDataset(std::size_t num_polys, std::size_t num_points,
   return d;
 }
 
-gpu::DeviceOptions DeviceConfig(std::size_t budget, std::size_t workers) {
+gpu::DeviceOptions DeviceConfig(std::size_t budget) {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = budget;
   options.max_fbo_dim = 1024;
-  options.num_workers = workers;
   return options;
 }
 
@@ -130,7 +129,7 @@ void ExpectIdenticalResults(const QueryResult& expected,
 
 TEST(CacheServiceTest, HitReportsFreshStatsAndMovesNoDeviceCounters) {
   Dataset data = MakeDataset(8, 8000, 41);
-  gpu::Device device(DeviceConfig(8 << 20, 1));
+  gpu::Device device(DeviceConfig(8 << 20));
   QueryService service(&device, CachedService(16 << 20, 2));
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
@@ -186,7 +185,7 @@ TEST(CacheServiceTest, ConcurrentHammerSingleFlightAndBitwiseIdentical) {
   const std::vector<SpatialAggQuery> mix = DistinctQueries();
 
   // Uncached ground truth on a private device.
-  gpu::Device seq_device(DeviceConfig(64 << 20, 1));
+  gpu::Device seq_device(DeviceConfig(64 << 20));
   Executor seq_executor(&seq_device, &data.points, &data.polys);
   std::vector<QueryResult> expected;
   for (const SpatialAggQuery& q : mix) {
@@ -195,7 +194,7 @@ TEST(CacheServiceTest, ConcurrentHammerSingleFlightAndBitwiseIdentical) {
     expected.push_back(std::move(r).MoveValueUnsafe());
   }
 
-  gpu::Device device(DeviceConfig(4 << 20, 2));
+  gpu::Device device(DeviceConfig(4 << 20));
   QueryService service(&device, CachedService(32 << 20, 4));
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
@@ -274,7 +273,7 @@ TEST(CacheServiceTest, ConcurrentHammerSingleFlightAndBitwiseIdentical) {
 
 TEST(CacheServiceTest, LruCapacityHoldsUnderChurn) {
   Dataset data = MakeDataset(6, 2000, 45);
-  gpu::Device device(DeviceConfig(8 << 20, 1));
+  gpu::Device device(DeviceConfig(8 << 20));
   // Tiny single-shard cache: a few KB forces steady eviction across an
   // epsilon sweep (with the default 8 shards each slice would be smaller
   // than one entry and nothing would ever be stored).
@@ -304,7 +303,7 @@ TEST(CacheServiceTest, LruCapacityHoldsUnderChurn) {
 
 TEST(CacheServiceTest, InvalidateDatasetMakesTheNextSubmitMiss) {
   Dataset data = MakeDataset(6, 3000, 47);
-  gpu::Device device(DeviceConfig(16 << 20, 1));
+  gpu::Device device(DeviceConfig(16 << 20));
   QueryService service(&device, CachedService(16 << 20, 2));
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
@@ -327,7 +326,7 @@ TEST(CacheServiceTest, InvalidateDatasetMakesTheNextSubmitMiss) {
 
 TEST(CacheServiceTest, ReRegistrationReturnsSameIdAndBumpsVersion) {
   Dataset data = MakeDataset(5, 1000, 49);
-  gpu::Device device(DeviceConfig(16 << 20, 1));
+  gpu::Device device(DeviceConfig(16 << 20));
   QueryService service(&device, CachedService(16 << 20, 1));
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
@@ -354,7 +353,7 @@ TEST(CacheServiceTest, ReRegistrationReturnsSameIdAndBumpsVersion) {
 
 TEST(CacheServiceTest, CacheOffBehavesAsBefore) {
   Dataset data = MakeDataset(5, 2000, 51);
-  gpu::Device device(DeviceConfig(16 << 20, 1));
+  gpu::Device device(DeviceConfig(16 << 20));
   QueryService service(&device, {});  // result_cache_bytes == 0
   EXPECT_EQ(service.result_cache(), nullptr);
   const std::size_t dataset = service.RegisterDataset(&data.points,

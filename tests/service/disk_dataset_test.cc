@@ -45,11 +45,10 @@ Dataset MakeDataset(std::size_t num_polys, std::size_t num_points,
   return d;
 }
 
-gpu::DeviceOptions DeviceConfig(std::size_t budget, std::size_t workers) {
+gpu::DeviceOptions DeviceConfig(std::size_t budget) {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = budget;
   options.max_fbo_dim = 1024;
-  options.num_workers = workers;
   return options;
 }
 
@@ -96,7 +95,7 @@ TEST(DiskDatasetTest, SubmitMatchesInMemoryRegistrationForEitherPolicy) {
   PointTable rows = std::move(materialized).MoveValueUnsafe();
   opened.value().reset();
 
-  gpu::Device device(DeviceConfig(64 << 20, 2));
+  gpu::Device device(DeviceConfig(64 << 20));
   QueryService service(&device);
   auto disk_id =
       service.RegisterDatasetFromFile(path, &data.polys, "taxi-disk");
@@ -150,7 +149,7 @@ TEST(DiskDatasetTest, ListDatasetsAndWireReportResidency) {
   Dataset data = MakeDataset(4, 2000, 52);
   const std::string path = WriteBlockFile(data, "disk_listing.rjb", 512);
 
-  gpu::Device device(DeviceConfig(64 << 20, 1));
+  gpu::Device device(DeviceConfig(64 << 20));
   QueryService service(&device);
   const std::size_t mem_id =
       service.RegisterDataset(&data.points, &data.polys, "mem");
@@ -176,7 +175,7 @@ TEST(DiskDatasetTest, QueuedQueriesFuseOverDiskDatasets) {
   Dataset data = MakeDataset(6, 8000, 53);
   const std::string path = WriteBlockFile(data, "disk_fusion.rjb", 1024);
 
-  gpu::Device device(DeviceConfig(64 << 20, 2));
+  gpu::Device device(DeviceConfig(64 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   options.max_fusion_group_size = 4;
@@ -228,7 +227,7 @@ TEST(DiskDatasetTest, QueuedQueriesFuseOverDiskDatasets) {
 
 TEST(DiskDatasetTest, RegistrationFailsCleanlyOnBadFiles) {
   Dataset data = MakeDataset(4, 100, 54);
-  gpu::Device device(DeviceConfig(64 << 20, 1));
+  gpu::Device device(DeviceConfig(64 << 20));
   QueryService service(&device);
 
   auto missing = service.RegisterDatasetFromFile("/nonexistent/nope.rjb",

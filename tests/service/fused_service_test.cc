@@ -43,11 +43,10 @@ Dataset MakeDataset(std::size_t num_polys, std::size_t num_points,
   return d;
 }
 
-gpu::DeviceOptions DeviceConfig(std::size_t budget, std::size_t workers) {
+gpu::DeviceOptions DeviceConfig(std::size_t budget) {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = budget;
   options.max_fbo_dim = 1024;
-  options.num_workers = workers;
   return options;
 }
 
@@ -121,7 +120,7 @@ TEST(FusedServiceTest, QueuedCompatibleQueriesFuseAndStayIdentical) {
   const std::vector<SpatialAggQuery> group = CompatibleGroup();
 
   // Solo ground truth on a private device.
-  gpu::Device seq_device(DeviceConfig(64 << 20, 1));
+  gpu::Device seq_device(DeviceConfig(64 << 20));
   Executor seq_executor(&seq_device, &data.points, &data.polys);
   std::vector<QueryResult> expected;
   for (const SpatialAggQuery& q : group) {
@@ -132,7 +131,7 @@ TEST(FusedServiceTest, QueuedCompatibleQueriesFuseAndStayIdentical) {
 
   // One dispatcher: the warmup query occupies it while the group queues
   // behind, so the next dispatch finds all four members waiting.
-  gpu::Device device(DeviceConfig(16 << 20, 2));
+  gpu::Device device(DeviceConfig(16 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   options.max_fusion_group_size = 4;
@@ -169,7 +168,7 @@ TEST(FusedServiceTest, IncompatibleQueriesNeverGroup) {
   Dataset data_a = MakeDataset(6, 12000, 42);
   Dataset data_b = MakeDataset(6, 12000, 43);
 
-  gpu::Device device(DeviceConfig(16 << 20, 2));
+  gpu::Device device(DeviceConfig(16 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   options.max_fusion_group_size = 8;
@@ -216,7 +215,7 @@ TEST(FusedServiceTest, FusedMembersPopulateTheResultCache) {
   Dataset data = MakeDataset(8, 16000, 44);
   const std::vector<SpatialAggQuery> group = CompatibleGroup();
 
-  gpu::Device device(DeviceConfig(16 << 20, 2));
+  gpu::Device device(DeviceConfig(16 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   options.max_fusion_group_size = 4;
@@ -261,7 +260,7 @@ TEST(FusedServiceTest, DuplicateQueriesDedupeInsideTheGroup) {
   // distinct query executed) and all four futures resolve identically.
   Dataset data = MakeDataset(6, 12000, 45);
 
-  gpu::Device device(DeviceConfig(16 << 20, 2));
+  gpu::Device device(DeviceConfig(16 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   options.max_fusion_group_size = 4;
@@ -303,7 +302,7 @@ TEST(FusedServiceTest, FusionOffNeverGroups) {
   // queries still run one at a time.
   Dataset data = MakeDataset(6, 12000, 46);
 
-  gpu::Device device(DeviceConfig(16 << 20, 2));
+  gpu::Device device(DeviceConfig(16 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   QueryService service(&device, options);

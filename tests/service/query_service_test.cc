@@ -48,11 +48,10 @@ Dataset MakeDataset(std::size_t num_polys, std::size_t num_points,
   return d;
 }
 
-gpu::DeviceOptions DeviceConfig(std::size_t budget, std::size_t workers) {
+gpu::DeviceOptions DeviceConfig(std::size_t budget) {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = budget;
   options.max_fbo_dim = 1024;
-  options.num_workers = workers;
   return options;
 }
 
@@ -129,7 +128,7 @@ TEST(QueryServiceTest, ConcurrentMixBitwiseIdenticalToSequential) {
   // Sequential ground truth: a private device with a comfortable budget
   // (so batch planning differs from the service's grant-capped batches —
   // results must be identical anyway).
-  gpu::Device seq_device(DeviceConfig(64 << 20, 1));
+  gpu::Device seq_device(DeviceConfig(64 << 20));
   Executor seq_executor(&seq_device, &data.points, &data.polys);
   std::vector<QueryResult> expected;
   std::uint64_t pips_per_mix = 0;  // device-metered PIP tests, one mix pass
@@ -141,9 +140,9 @@ TEST(QueryServiceTest, ConcurrentMixBitwiseIdenticalToSequential) {
     pips_per_mix += seq_device.counters().pip_tests() - pips_before;
   }
 
-  // Shared device: small budget forces batching, multi-worker pool is
-  // shared by concurrent queries.
-  gpu::Device device(DeviceConfig(2 << 20, 3));
+  // Shared device: small budget forces batching, and concurrent queries
+  // share the device.
+  gpu::Device device(DeviceConfig(2 << 20));
   ServiceOptions options;
   options.num_dispatchers = 4;
   options.max_queue_depth = 128;
@@ -202,7 +201,7 @@ TEST(QueryServiceTest, OversubscribingQueriesQueueNotFail) {
   // Each query's full working set (32768 points × 8 B) is 4× the budget;
   // with a 50% share cap two queries fit at a time and the rest must wait
   // for grants — and every one must succeed.
-  gpu::Device device(DeviceConfig(64 << 10, 1));
+  gpu::Device device(DeviceConfig(64 << 10));
   ServiceOptions options;
   options.num_dispatchers = 4;
   options.max_device_share = 0.5;
@@ -239,7 +238,7 @@ TEST(QueryServiceTest, TinyBudgetNeverExceedsBudgetAndStaysCorrect) {
   Dataset data = MakeDataset(5, 5000, 23);
 
   // Ground truth on a roomy device.
-  gpu::Device seq_device(DeviceConfig(64 << 20, 1));
+  gpu::Device seq_device(DeviceConfig(64 << 20));
   Executor seq_executor(&seq_device, &data.points, &data.polys);
   SpatialAggQuery query;
   query.variant = JoinVariant::kIndexDevice;  // no fixed triangle VBO
@@ -247,7 +246,7 @@ TEST(QueryServiceTest, TinyBudgetNeverExceedsBudgetAndStaysCorrect) {
   ASSERT_TRUE(expected.ok());
 
   // 2 KiB of device memory: ~256-point batches, dozens per query.
-  gpu::Device device(DeviceConfig(2048, 1));
+  gpu::Device device(DeviceConfig(2048));
   ServiceOptions options;
   options.num_dispatchers = 3;
   QueryService service(&device, options);
@@ -272,7 +271,7 @@ TEST(QueryServiceTest, ImpossibleFootprintIsRejectedNotQueued) {
   // The bounded variant must upload the whole triangle VBO at once; a
   // budget smaller than that can never run the query, so the service must
   // fail it instead of queueing it forever.
-  gpu::Device probe(DeviceConfig(64 << 20, 1));
+  gpu::Device probe(DeviceConfig(64 << 20));
   Executor probe_executor(&probe, &data.points, &data.polys);
   SpatialAggQuery query;
   query.variant = JoinVariant::kBoundedRaster;
@@ -280,7 +279,7 @@ TEST(QueryServiceTest, ImpossibleFootprintIsRejectedNotQueued) {
   ASSERT_TRUE(plan.ok());
   ASSERT_GT(plan.value().fixed_bytes, 64u);
 
-  gpu::Device device(DeviceConfig(plan.value().min_bytes - 1, 1));
+  gpu::Device device(DeviceConfig(plan.value().min_bytes - 1));
   QueryService service(&device, {});
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
@@ -291,7 +290,7 @@ TEST(QueryServiceTest, ImpossibleFootprintIsRejectedNotQueued) {
 
 TEST(QueryServiceTest, PriorityLaneDispatchesBeforeLaterFifo) {
   Dataset data = MakeDataset(8, 100000, 25);
-  gpu::Device device(DeviceConfig(8 << 20, 1));
+  gpu::Device device(DeviceConfig(8 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;  // serialize dispatch to observe the order
   QueryService service(&device, options);
@@ -326,7 +325,7 @@ TEST(QueryServiceTest, PriorityLaneDispatchesBeforeLaterFifo) {
 
 TEST(QueryServiceTest, TrySubmitBackpressureRejectsWhenQueueFull) {
   Dataset data = MakeDataset(6, 150000, 26);
-  gpu::Device device(DeviceConfig(8 << 20, 1));
+  gpu::Device device(DeviceConfig(8 << 20));
   ServiceOptions options;
   options.num_dispatchers = 1;
   options.max_queue_depth = 2;
@@ -357,7 +356,7 @@ TEST(QueryServiceTest, TrySubmitBackpressureRejectsWhenQueueFull) {
 }
 
 TEST(QueryServiceTest, UnknownDatasetResolvesFutureWithError) {
-  gpu::Device device(DeviceConfig(1 << 20, 1));
+  gpu::Device device(DeviceConfig(1 << 20));
   QueryService service(&device, {});
   SpatialAggQuery query;
   ServiceResponse response = service.Submit(42, query).get();
@@ -371,7 +370,7 @@ TEST(QueryServiceTest, OversizedCanvasResolvesFutureWithInvalidArgument) {
   // submit, like a bad column, and the service keeps serving. Variants
   // that do not render the accurate canvas ignore canvas_dim.
   Dataset data = MakeDataset(4, 2000, 26);
-  gpu::Device device(DeviceConfig(16 << 20, 1));
+  gpu::Device device(DeviceConfig(16 << 20));
   QueryService service(&device, {});
   const std::size_t id = service.RegisterDataset(&data.points, &data.polys);
 
@@ -400,7 +399,7 @@ TEST(QueryServiceTest, OversizedCanvasResolvesFutureWithInvalidArgument) {
 
 TEST(QueryServiceTest, DestructorDrainsAcceptedQueries) {
   Dataset data = MakeDataset(6, 20000, 27);
-  gpu::Device device(DeviceConfig(4 << 20, 1));
+  gpu::Device device(DeviceConfig(4 << 20));
   std::vector<std::future<ServiceResponse>> futures;
   {
     ServiceOptions options;

@@ -46,7 +46,6 @@ gpu::DevicePoolOptions PoolOptions(std::size_t devices, std::size_t budget) {
   options.num_devices = devices;
   options.device.memory_budget_bytes = budget;
   options.device.max_fbo_dim = 1024;
-  options.device.num_workers = 2;
   return options;
 }
 

@@ -46,7 +46,6 @@ gpu::DeviceOptions DeviceConfig() {
   gpu::DeviceOptions options;
   options.memory_budget_bytes = 8 << 20;
   options.max_fbo_dim = 1024;
-  options.num_workers = 2;
   return options;
 }
 
