@@ -13,7 +13,6 @@
 #include "geometry/pip.h"
 #include "index/grid_index.h"
 #include "raster/pipeline.h"
-#include "raster/rasterizer.h"
 #include "triangulate/triangulation.h"
 
 namespace rj {
@@ -38,14 +37,31 @@ void BM_PointInPolygon(benchmark::State& state) {
 }
 BENCHMARK(BM_PointInPolygon)->Arg(8)->Arg(64)->Arg(512);
 
+/// The polygon pass (DrawPolygons) of one triangle spanning a size × size
+/// canvas whose point FBO holds about one point per two pixels; items are
+/// the fragments the pass meters.
 void BM_TriangleRasterization(benchmark::State& state) {
-  const double size = static_cast<double>(state.range(0));
-  std::uint64_t fragments = 0;
-  for (auto _ : state) {
-    fragments += raster::CountTriangleFragments(
-        {1.0, 1.0}, {size, 2.0}, {size / 2, size}, 4096, 4096);
+  const auto dim = static_cast<std::int32_t>(state.range(0));
+  const double size = dim;
+  const raster::Viewport vp(BBox(0, 0, size, size), dim, dim);
+  raster::Fbo fbo(dim, dim);
+  PointTable points;
+  Rng rng(3);
+  for (std::int64_t i = 0; i < state.range(0) * state.range(0) / 2; ++i) {
+    points.Append(rng.Uniform(0, size), rng.Uniform(0, size));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(fragments));
+  raster::DrawPoints(vp, points, FilterSet(), PointTable::npos, &fbo,
+                     nullptr);
+  const TriangleSoup soup = {
+      Triangle{{1.0, 1.0}, {size - 1.0, 2.0}, {size / 2, size - 1.0}, 0}};
+  raster::ResultArrays result(soup.size());
+  gpu::Counters counters;
+  for (auto _ : state) {
+    raster::DrawPolygons(vp, soup, fbo, nullptr, &result, &counters);
+    benchmark::DoNotOptimize(result.count.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(counters.fragments()));
 }
 BENCHMARK(BM_TriangleRasterization)->Arg(64)->Arg(512)->Arg(2048);
 

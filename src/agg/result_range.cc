@@ -52,11 +52,13 @@ Result<ResultRanges> ComputeResultRanges(const raster::Viewport& vp,
     // Regular coverage: pixels whose center the triangulation covers.
     std::unordered_set<std::uint64_t> regular;
     for (const Triangle* t : tris_of[i]) {
-      raster::RasterizeTriangle(
+      raster::ScanTriangleSpans(
           vp.ToScreen(t->a), vp.ToScreen(t->b), vp.ToScreen(t->c),
           point_fbo.width(), point_fbo.height(),
-          [&regular](std::int32_t x, std::int32_t y) {
-            regular.insert(PixelKey(x, y));
+          [&regular](std::int32_t y, std::int32_t x_lo, std::int32_t x_hi) {
+            for (std::int32_t x = x_lo; x <= x_hi; ++x) {
+              regular.insert(PixelKey(x, y));
+            }
           });
     }
     // Conservative coverage: every pixel the polygon touches at all.

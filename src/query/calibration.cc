@@ -7,7 +7,6 @@
 #include "data/point_table.h"
 #include "geometry/pip.h"
 #include "raster/pipeline.h"
-#include "raster/rasterizer.h"
 
 namespace rj {
 
@@ -19,6 +18,8 @@ Result<CostModelParams> CalibrateCostModel(gpu::Device* device) {
   Rng rng(0xCA11B);
 
   // --- per-point draw cost: render N points through the pipeline. -------
+  const raster::Viewport vp(BBox(0, 0, 1000, 1000), 512, 512);
+  raster::Fbo fbo(512, 512);
   {
     constexpr std::size_t kPoints = 200'000;
     PointTable points;
@@ -26,26 +27,29 @@ Result<CostModelParams> CalibrateCostModel(gpu::Device* device) {
     for (std::size_t i = 0; i < kPoints; ++i) {
       points.Append(rng.Uniform(0, 1000), rng.Uniform(0, 1000));
     }
-    raster::Viewport vp(BBox(0, 0, 1000, 1000), 512, 512);
-    raster::Fbo fbo(512, 512);
     Timer t;
     raster::DrawPoints(vp, points, FilterSet(), PointTable::npos, &fbo,
                        nullptr);
     params.per_point_draw = t.ElapsedSeconds() / kPoints;
   }
 
-  // --- per-fragment cost: rasterize large triangles. ---------------------
+  // --- per-fragment cost: the polygon pass of a large triangle over the
+  // point FBO, divided by the fragments it meters. ------------------------
   {
-    constexpr std::int32_t kDim = 1024;
+    const TriangleSoup soup = {
+        Triangle{{1.0, 1.0}, {999.0, 2.0}, {500.0, 999.0}, 0}};
+    raster::ResultArrays result(soup.size());
+    gpu::Counters counters;
     Timer t;
-    std::uint64_t fragments = 0;
     for (int rep = 0; rep < 4; ++rep) {
-      fragments += raster::CountTriangleFragments(
-          {1.0, 1.0}, {kDim - 1.0, 2.0}, {kDim / 2.0, kDim - 1.0}, kDim,
-          kDim);
+      raster::DrawPolygons(vp, soup, fbo, nullptr, &result, &counters);
     }
-    if (fragments == 0) return Status::Internal("calibration shaded nothing");
-    params.per_fragment = t.ElapsedSeconds() / static_cast<double>(fragments);
+    const double seconds = t.ElapsedSeconds();
+    if (counters.fragments() == 0) {
+      return Status::Internal("calibration shaded nothing");
+    }
+    params.per_fragment =
+        seconds / static_cast<double>(counters.fragments());
   }
 
   // --- per-PIP-vertex cost: crossing tests on a synthetic ring. ----------

@@ -128,27 +128,30 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
     const Point a = vp.ToScreen(tri.a);
     const Point b = vp.ToScreen(tri.b);
     const Point c = vp.ToScreen(tri.c);
-    RasterizeTriangle(
+    ScanTriangleSpans(
         a, b, c, point_fbo.width(), point_fbo.height(),
-        [&](std::int32_t x, std::int32_t y) {
-          ++fragments;
-          if (boundary != nullptr && boundary->IsMarked(x, y)) {
-            // Accurate variant: boundary pixels were handled point-by-point.
-            return;
+        [&](std::int32_t y, std::int32_t x_lo, std::int32_t x_hi) {
+          fragments += x_hi - x_lo + 1;
+          for (std::int32_t x = x_lo; x <= x_hi; ++x) {
+            if (boundary != nullptr && boundary->IsMarked(x, y)) {
+              // Accurate variant: boundary pixels were handled
+              // point-by-point.
+              continue;
+            }
+            const float cnt = point_fbo.At(x, y, kChannelCount);
+            if (cnt == 0.0f) continue;  // empty pixel, nothing to accumulate
+            result->count[id] += cnt;
+            result->sum[id] += point_fbo.At(x, y, kChannelSum);
+            if (min_max_tracked) {
+              result->min[id] = std::min(
+                  result->min[id],
+                  static_cast<double>(point_fbo.At(x, y, kChannelMin)));
+              result->max[id] = std::max(
+                  result->max[id],
+                  static_cast<double>(point_fbo.At(x, y, kChannelMax)));
+            }
+            ++atomics;
           }
-          const float cnt = point_fbo.At(x, y, kChannelCount);
-          if (cnt == 0.0f) return;  // empty pixel, nothing to accumulate
-          result->count[id] += cnt;
-          result->sum[id] += point_fbo.At(x, y, kChannelSum);
-          if (min_max_tracked) {
-            result->min[id] =
-                std::min(result->min[id],
-                         static_cast<double>(point_fbo.At(x, y, kChannelMin)));
-            result->max[id] =
-                std::max(result->max[id],
-                         static_cast<double>(point_fbo.At(x, y, kChannelMax)));
-          }
-          ++atomics;
         });
   }
 

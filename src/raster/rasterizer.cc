@@ -1,99 +1,18 @@
 #include "raster/rasterizer.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/math_utils.h"
+#include <limits>
 
 namespace rj::raster {
-
-namespace {
-
-/// Edge function: signed area relation of pixel sample s to directed edge
-/// (p, q). Positive when s is to the left of the edge (CCW interior).
-inline double EdgeFunction(const Point& p, const Point& q, const Point& s) {
-  return (q.x - p.x) * (s.y - p.y) - (q.y - p.y) * (s.x - p.x);
-}
-
-/// Top-left rule: an edge owns its boundary samples iff it is a "top" edge
-/// (exactly horizontal, going left in CCW order) or a "left" edge (going
-/// down in CCW order, i.e. q.y < p.y with our y-up screen space flipped —
-/// we use y-up world-aligned screen coords, so a left edge goes *up*).
-///
-/// With y increasing upward, CCW interior to the left:
-///   - "left" edges are those with q.y > p.y (interior to the right of the
-///     upward edge... ), we adopt the standard D3D/GL convention adapted to
-///     y-up: an edge is top-left if (dy > 0) || (dy == 0 && dx < 0).
-inline bool IsTopLeft(const Point& p, const Point& q) {
-  const double dy = q.y - p.y;
-  const double dx = q.x - p.x;
-  return dy > 0.0 || (dy == 0.0 && dx < 0.0);
-}
-
-template <typename Fn>
-void ScanTriangle(Point a, Point b, Point c, std::int32_t width,
-                  std::int32_t height, const Fn& fn) {
-  // Orient CCW; reject degenerates.
-  const double area2 = Orient2D(a, b, c);
-  if (area2 == 0.0) return;
-  if (area2 < 0.0) std::swap(b, c);
-
-  // Clipped integer bounding box of the triangle.
-  const double min_xf = std::min({a.x, b.x, c.x});
-  const double max_xf = std::max({a.x, b.x, c.x});
-  const double min_yf = std::min({a.y, b.y, c.y});
-  const double max_yf = std::max({a.y, b.y, c.y});
-
-  // Pixel centers are at integer+0.5; the first candidate center >= min is
-  // floor(min - 0.5) + 1 + 0.5, equivalently: x such that x+0.5 >= min_xf.
-  std::int32_t x0 = static_cast<std::int32_t>(std::floor(min_xf - 0.5)) + 1;
-  std::int32_t x1 = static_cast<std::int32_t>(std::ceil(max_xf - 0.5)) - 1;
-  std::int32_t y0 = static_cast<std::int32_t>(std::floor(min_yf - 0.5)) + 1;
-  std::int32_t y1 = static_cast<std::int32_t>(std::ceil(max_yf - 0.5)) - 1;
-  x0 = std::max(x0, 0);
-  y0 = std::max(y0, 0);
-  x1 = std::min(x1, width - 1);
-  y1 = std::min(y1, height - 1);
-  if (x0 > x1 || y0 > y1) return;
-
-  const bool tl_ab = IsTopLeft(a, b);
-  const bool tl_bc = IsTopLeft(b, c);
-  const bool tl_ca = IsTopLeft(c, a);
-
-  for (std::int32_t y = y0; y <= y1; ++y) {
-    const double sy = y + 0.5;
-    for (std::int32_t x = x0; x <= x1; ++x) {
-      const Point s{x + 0.5, sy};
-      const double w0 = EdgeFunction(a, b, s);
-      const double w1 = EdgeFunction(b, c, s);
-      const double w2 = EdgeFunction(c, a, s);
-      // Inside when all edge functions positive; a zero edge function means
-      // the center lies exactly on that edge — covered only if the edge is
-      // top-left (fill convention, prevents double counting on shared
-      // edges of a triangulation).
-      const bool in0 = w0 > 0.0 || (w0 == 0.0 && tl_ab);
-      const bool in1 = w1 > 0.0 || (w1 == 0.0 && tl_bc);
-      const bool in2 = w2 > 0.0 || (w2 == 0.0 && tl_ca);
-      if (in0 && in1 && in2) fn(x, y);
-    }
-  }
-}
-
-}  // namespace
 
 void RasterizeTriangle(const Point& a, const Point& b, const Point& c,
                        std::int32_t width, std::int32_t height,
                        const FragmentCallback& emit) {
-  ScanTriangle(a, b, c, width, height, emit);
-}
-
-std::uint64_t CountTriangleFragments(const Point& a, const Point& b,
-                                     const Point& c, std::int32_t width,
-                                     std::int32_t height) {
-  std::uint64_t count = 0;
-  ScanTriangle(a, b, c, width, height,
-               [&count](std::int32_t, std::int32_t) { ++count; });
-  return count;
+  ScanTriangleSpans(a, b, c, width, height,
+                    [&emit](std::int32_t y, std::int32_t x_lo,
+                            std::int32_t x_hi) {
+                      for (std::int32_t x = x_lo; x <= x_hi; ++x) emit(x, y);
+                    });
 }
 
 void RasterizeSegment(const Point& a, const Point& b, std::int32_t width,

@@ -1,6 +1,7 @@
 #include "raster/viewport.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/math_utils.h"
 
@@ -20,10 +21,19 @@ Result<std::vector<CanvasTile>> PlanCanvas(const BBox& world, double epsilon,
 
   const double pixel_side = PixelSideForEpsilon(epsilon);
   // Full virtual canvas resolution (ceil so the bound holds everywhere).
-  const std::int64_t full_w = static_cast<std::int64_t>(
-      std::ceil(world.Width() / pixel_side));
-  const std::int64_t full_h = static_cast<std::int64_t>(
-      std::ceil(world.Height() / pixel_side));
+  // It stays in double until the plan is known to be small: a tiny ε makes
+  // it too large for any integer, or infinite.
+  const double full_wf = std::ceil(world.Width() / pixel_side);
+  const double full_hf = std::ceil(world.Height() / pixel_side);
+  const double tiles_f = std::ceil(std::max(1.0, full_wf) / max_fbo_dim) *
+                         std::ceil(std::max(1.0, full_hf) / max_fbo_dim);
+  if (!(tiles_f <= static_cast<double>(kMaxCanvasTiles))) {
+    return Status::InvalidArgument(
+        "epsilon is too small for the world extent: the canvas plan needs "
+        "more than " + std::to_string(kMaxCanvasTiles) + " tiles");
+  }
+  const auto full_w = static_cast<std::int64_t>(full_wf);
+  const auto full_h = static_cast<std::int64_t>(full_hf);
   // Shrink pixel sides so the canvas spans the world *exactly*: the pixel
   // diagonal only gets smaller (ε bound still holds), and pixel centers in
   // the last row/column stay inside the world — otherwise points near the

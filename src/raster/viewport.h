@@ -89,8 +89,15 @@ inline double PixelSideForEpsilon(double epsilon) {
   return epsilon / std::sqrt(2.0);
 }
 
+/// The most tiles a canvas plan may hold. Each tile is one render pass over
+/// the points; the limit is 4.3× the US-counties world at ε = 10 m on
+/// 4096-pixel FBOs (156 × 97 = 15,132 tiles).
+inline constexpr std::int64_t kMaxCanvasTiles = 65'536;
+
 /// Plans the canvas tiling for the given world extent, ε bound and device
 /// FBO limit. Returns at least one tile; tiles partition the full canvas.
+/// Fails with InvalidArgument, before allocating anything, when the plan
+/// would hold more than kMaxCanvasTiles tiles.
 Result<std::vector<CanvasTile>> PlanCanvas(const BBox& world, double epsilon,
                                            std::int32_t max_fbo_dim);
 

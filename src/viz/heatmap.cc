@@ -75,11 +75,12 @@ Result<HeatmapImage> RenderChoropleth(const PolygonSet& polys,
     const Rgb color =
         SequentialColor(norm[static_cast<std::size_t>(tri.polygon_id)],
                         color_classes);
-    raster::RasterizeTriangle(vp.ToScreen(tri.a), vp.ToScreen(tri.b),
-                              vp.ToScreen(tri.c), width, height,
-                              [&img, color](std::int32_t x, std::int32_t y) {
-                                img.At(x, y) = color;
-                              });
+    raster::ScanTriangleSpans(
+        vp.ToScreen(tri.a), vp.ToScreen(tri.b), vp.ToScreen(tri.c), width,
+        height,
+        [&img, color](std::int32_t y, std::int32_t x_lo, std::int32_t x_hi) {
+          std::fill(&img.At(x_lo, y), &img.At(x_hi, y) + 1, color);
+        });
   }
   return img;
 }

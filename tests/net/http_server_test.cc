@@ -290,6 +290,43 @@ TEST(HttpServerTest, OversizedCanvasIs400AndTheServerKeepsServing) {
   EXPECT_EQ(stack.server->http_stats().connections_accepted, 1u);
 }
 
+TEST(HttpServerTest, TinyEpsilonIs400AndTheServerKeepsServing) {
+  // The v1 codec accepts any finite ε > 0; one whose bounded canvas plan
+  // exceeds raster::kMaxCanvasTiles must be a 400, not an abort on a huge
+  // allocation — and the next request on the same connection is served.
+  Dataset data = MakeDataset(4, 2000, 29);
+  Stack stack(&data);
+  HttpClient client("127.0.0.1", stack.server->port());
+
+  for (const double eps : {1e-6, 5e-324}) {
+    QuerySpec tiny = QuerySpecBuilder().Dataset("taxi").Count()
+                         .Variant(JoinVariant::kBoundedRaster)
+                         .Epsilon(eps).Build().value();
+    Result<HttpClientResponse> rejected =
+        client.Post("/v1/query", PostBody(tiny));
+    ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+    EXPECT_EQ(rejected.value().status, 400) << eps;
+    EXPECT_NE(rejected.value().body.find("tiles"), std::string::npos)
+        << rejected.value().body;
+  }
+
+  QuerySpec fits = QuerySpecBuilder().Dataset("taxi").Count()
+                       .Variant(JoinVariant::kBoundedRaster)
+                       .Epsilon(20.0).Build().value();
+  Result<HttpClientResponse> served = client.Post("/v1/query", PostBody(fits));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served.value().status, 200) << served.value().body;
+  Result<DecodedQueryResponse> decoded =
+      ParseQueryResponse(served.value().body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  Result<QueryResult> expected =
+      stack.service.dataset_executor(stack.dataset)
+          ->ExecuteUncached(fits.ToQuery());
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectBitwiseEqual(expected.value(), decoded.value());
+  EXPECT_EQ(stack.server->http_stats().connections_accepted, 1u);
+}
+
 TEST(HttpServerTest, ContentLengthMustBeDigitsAndAgree) {
   // Content-Length is 1*DIGIT (RFC 9110 §8.6); a server must answer an
   // invalid one with 400 (RFC 9112 §6.3).

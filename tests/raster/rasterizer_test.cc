@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "data/datasets.h"
 #include "geometry/pip.h"
 #include "geometry/polygon.h"
+#include "raster/viewport.h"
 #include "triangulate/ear_clipping.h"
 
 namespace rj::raster {
@@ -114,10 +120,12 @@ TEST(RasterizerPropertyTest, SharedEdgePartitionForRandomSplits) {
   }
 }
 
-TEST(RasterizerTest, CountMatchesCallback) {
-  const Point a{0.3, 0.4}, b{12.7, 1.1}, c{5.2, 9.8};
-  EXPECT_EQ(CountTriangleFragments(a, b, c, 16, 16),
-            Collect(a, b, c, 16, 16).size());
+TEST(RasterizerTest, HugeTriangleClipsToTheCanvas) {
+  // The bounding box and the crossing estimates are clamped in double, so
+  // vertices far outside any int32 pixel index are valid input.
+  const Point a{-1e12, -1e12}, b{1e12, -1e12}, c{0.0, 1e12};
+  EXPECT_EQ(Collect(a, b, c, 8, 8).size(), 64u);
+  EXPECT_EQ(Collect(a, c, b, 8, 8).size(), 64u);
 }
 
 TEST(RasterizeSegmentTest, HorizontalSegment) {
@@ -206,6 +214,213 @@ TEST(RasterizerCoverageTest, TriangulationCoversPolygonInteriorExactly) {
           << "center (" << center.x << "," << center.y << ")";
     }
   }
+}
+
+// --- The span scan against the bounding-box scan it replaced. -----------
+
+using Fragments = std::vector<std::pair<std::int32_t, std::int32_t>>;
+
+double RefEdgeFunction(const Point& p, const Point& q, const Point& s) {
+  return (q.x - p.x) * (s.y - p.y) - (q.y - p.y) * (s.x - p.x);
+}
+
+bool RefIsTopLeft(const Point& p, const Point& q) {
+  const double dy = q.y - p.y;
+  const double dx = q.x - p.x;
+  return dy > 0.0 || (dy == 0.0 && dx < 0.0);
+}
+
+/// The reference: tests every pixel of the triangle's clipped bounding box
+/// with the three edge functions and the top-left rule, in row-major
+/// order. Valid only while the box's pixel indices fit in an int32.
+Fragments BoxScan(Point a, Point b, Point c, std::int32_t width,
+                  std::int32_t height) {
+  Fragments out;
+  const double area2 = Orient2D(a, b, c);
+  if (area2 == 0.0) return out;
+  if (area2 < 0.0) std::swap(b, c);
+
+  const double min_xf = std::min({a.x, b.x, c.x});
+  const double max_xf = std::max({a.x, b.x, c.x});
+  const double min_yf = std::min({a.y, b.y, c.y});
+  const double max_yf = std::max({a.y, b.y, c.y});
+  std::int32_t x0 = static_cast<std::int32_t>(std::floor(min_xf - 0.5)) + 1;
+  std::int32_t x1 = static_cast<std::int32_t>(std::ceil(max_xf - 0.5)) - 1;
+  std::int32_t y0 = static_cast<std::int32_t>(std::floor(min_yf - 0.5)) + 1;
+  std::int32_t y1 = static_cast<std::int32_t>(std::ceil(max_yf - 0.5)) - 1;
+  x0 = std::max(x0, 0);
+  y0 = std::max(y0, 0);
+  x1 = std::min(x1, width - 1);
+  y1 = std::min(y1, height - 1);
+  if (x0 > x1 || y0 > y1) return out;
+
+  const bool tl_ab = RefIsTopLeft(a, b);
+  const bool tl_bc = RefIsTopLeft(b, c);
+  const bool tl_ca = RefIsTopLeft(c, a);
+  for (std::int32_t y = y0; y <= y1; ++y) {
+    const double sy = y + 0.5;
+    for (std::int32_t x = x0; x <= x1; ++x) {
+      const Point s{x + 0.5, sy};
+      const double w0 = RefEdgeFunction(a, b, s);
+      const double w1 = RefEdgeFunction(b, c, s);
+      const double w2 = RefEdgeFunction(c, a, s);
+      const bool in0 = w0 > 0.0 || (w0 == 0.0 && tl_ab);
+      const bool in1 = w1 > 0.0 || (w1 == 0.0 && tl_bc);
+      const bool in2 = w2 > 0.0 || (w2 == 0.0 && tl_ca);
+      if (in0 && in1 && in2) out.emplace_back(x, y);
+    }
+  }
+  return out;
+}
+
+/// The span scan's fragments in emission order. Also checks its contract:
+/// rows strictly increase, and no span is empty.
+Fragments SpanScan(const Point& a, const Point& b, const Point& c,
+                   std::int32_t width, std::int32_t height) {
+  Fragments out;
+  std::int64_t last_y = -1;
+  ScanTriangleSpans(
+      a, b, c, width, height,
+      [&](std::int32_t y, std::int32_t x_lo, std::int32_t x_hi) {
+        EXPECT_GT(y, last_y) << "row repeated or out of order";
+        EXPECT_LE(x_lo, x_hi) << "empty span";
+        last_y = y;
+        for (std::int32_t x = x_lo; x <= x_hi; ++x) out.emplace_back(x, y);
+      });
+  return out;
+}
+
+::testing::AssertionResult SameFragments(const Point& a, const Point& b,
+                                         const Point& c, std::int32_t width,
+                                         std::int32_t height) {
+  const Fragments box = BoxScan(a, b, c, width, height);
+  const Fragments span = SpanScan(a, b, c, width, height);
+  if (box == span) return ::testing::AssertionSuccess();
+  std::size_t i = 0;
+  while (i < box.size() && i < span.size() && box[i] == span[i]) ++i;
+  return ::testing::AssertionFailure()
+         << std::setprecision(17) << "triangle (" << a.x << ", " << a.y
+         << ") (" << b.x << ", " << b.y << ") (" << c.x << ", " << c.y
+         << ") on " << width << "x" << height << ": box scan emits "
+         << box.size() << " fragments, span scan " << span.size()
+         << ", first difference at fragment " << i;
+}
+
+// Odd sizes, and vertices up to 8 pixels past every side, so rows and
+// columns clip.
+constexpr std::int32_t kW = 29;
+constexpr std::int32_t kH = 23;
+constexpr int kTrials = 4000;
+
+Point Anywhere(Rng& rng) {
+  return {rng.Uniform(-8.0, kW + 8.0), rng.Uniform(-8.0, kH + 8.0)};
+}
+
+/// v rounded down to a multiple of `step`, plus `offset`.
+double Snap(double v, double step, double offset) {
+  return std::floor(v / step) * step + offset;
+}
+
+/// Checks both windings of (a, b, c) against the reference.
+void ExpectSameBothWindings(const Point& a, const Point& b, const Point& c) {
+  EXPECT_TRUE(SameFragments(a, b, c, kW, kH));
+  EXPECT_TRUE(SameFragments(a, c, b, kW, kH));
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnRandomTriangles) {
+  Rng rng(101);
+  for (int i = 0; i < kTrials; ++i) {
+    ExpectSameBothWindings(Anywhere(rng), Anywhere(rng), Anywhere(rng));
+  }
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnSlivers) {
+  // The third vertex sits a tiny distance off the line through the other
+  // two, so every row holds zero, one or a few pixels.
+  Rng rng(102);
+  for (int i = 0; i < kTrials; ++i) {
+    const Point a = Anywhere(rng);
+    const Point b = Anywhere(rng);
+    const double t = rng.Uniform(-0.5, 1.5);
+    const double off = std::pow(10.0, -rng.Uniform(1.0, 12.0));
+    const Point c{a.x + t * (b.x - a.x) - off * (b.y - a.y),
+                  a.y + t * (b.y - a.y) + off * (b.x - a.x)};
+    ExpectSameBothWindings(a, b, c);
+  }
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnAxisAlignedTriangles) {
+  // One horizontal and one vertical edge; every other triangle has its
+  // corners on pixel centers, where the horizontal edge's test is a tie.
+  Rng rng(103);
+  for (int i = 0; i < kTrials; ++i) {
+    Point a = Anywhere(rng);
+    Point b = Anywhere(rng);
+    if (i % 2 == 1) {
+      a = {Snap(a.x, 1.0, 0.5), Snap(a.y, 1.0, 0.5)};
+      b = {Snap(b.x, 1.0, 0.5), Snap(b.y, 1.0, 0.5)};
+    }
+    ExpectSameBothWindings(a, {b.x, a.y}, {a.x, b.y});
+    ExpectSameBothWindings(a, {b.x, a.y}, b);
+  }
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnPixelCenterTies) {
+  // Half-integer vertices: edges pass exactly through pixel centers, so the
+  // top-left rule decides many pixels.
+  Rng rng(104);
+  const auto center = [&rng] {
+    const Point p = Anywhere(rng);
+    return Point{Snap(p.x, 1.0, 0.5), Snap(p.y, 1.0, 0.5)};
+  };
+  for (int i = 0; i < kTrials; ++i) {
+    ExpectSameBothWindings(center(), center(), center());
+  }
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnQuarterPixelLattice) {
+  Rng rng(105);
+  const auto lattice = [&rng] {
+    const Point p = Anywhere(rng);
+    return Point{Snap(p.x, 0.25, 0.0), Snap(p.y, 0.25, 0.0)};
+  };
+  for (int i = 0; i < kTrials; ++i) {
+    ExpectSameBothWindings(lattice(), lattice(), lattice());
+  }
+}
+
+/// Every triangle of `soup`, drawn on a width × height canvas over `world`.
+void ExpectSameOnEveryTriangle(const TriangleSoup& soup, const BBox& world,
+                               std::int32_t width, std::int32_t height) {
+  const Viewport vp(world, width, height);
+  for (const Triangle& t : soup) {
+    ASSERT_TRUE(SameFragments(vp.ToScreen(t.a), vp.ToScreen(t.b),
+                              vp.ToScreen(t.c), width, height))
+        << "polygon " << t.polygon_id;
+  }
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnEveryNycTriangle) {
+  auto polys = NycNeighborhoods();
+  ASSERT_TRUE(polys.ok());
+  auto soup = TriangulatePolygonSet(polys.value());
+  ASSERT_TRUE(soup.ok());
+  // 1273 × 1132 is the ε = 50 m canvas of the NYC extent.
+  const std::pair<std::int32_t, std::int32_t> canvases[] = {
+      {256, 256}, {1024, 1024}, {2048, 2048}, {1273, 1132}};
+  for (const auto& [width, height] : canvases) {
+    ExpectSameOnEveryTriangle(soup.value(), NycExtentMeters(), width, height);
+  }
+}
+
+TEST(ScanTriangleSpansTest, MatchesBoxScanOnTinyRegions) {
+  const BBox world(0, 0, 1000, 1000);
+  auto polys = TinyRegions(40, world);
+  ASSERT_TRUE(polys.ok());
+  auto soup = TriangulatePolygonSet(polys.value());
+  ASSERT_TRUE(soup.ok());
+  ExpectSameOnEveryTriangle(soup.value(), world, 64, 64);
+  ExpectSameOnEveryTriangle(soup.value(), world, 333, 217);
 }
 
 }  // namespace

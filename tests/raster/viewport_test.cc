@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "data/taxi_generator.h"
+#include "data/twitter_generator.h"
+
 namespace rj::raster {
 namespace {
 
@@ -101,6 +104,23 @@ TEST(PlanCanvasTest, RejectsBadInput) {
   EXPECT_FALSE(PlanCanvas(BBox(0, 0, 10, 10), -1.0, 128).ok());
   EXPECT_FALSE(PlanCanvas(BBox(), 1.0, 128).ok());
   EXPECT_FALSE(PlanCanvas(BBox(0, 0, 10, 10), 1.0, 0).ok());
+}
+
+TEST(PlanCanvasTest, RejectsPlansAboveTheTileLimit) {
+  // A tiny ε plans ~2.2e14 tiles over NYC; one near the smallest double
+  // makes the canvas width infinite. Both fail before any allocation.
+  for (const double eps : {1e-6, 5e-324}) {
+    const auto tiles = PlanCanvas(NycExtentMeters(), eps, 4096);
+    ASSERT_FALSE(tiles.ok()) << eps;
+    EXPECT_EQ(tiles.status().code(), StatusCode::kInvalidArgument);
+  }
+  const auto nyc = PlanCanvas(NycExtentMeters(), 1.0, 4096);
+  ASSERT_TRUE(nyc.ok());
+  EXPECT_EQ(nyc.value().size(), 224u);
+  const auto us = PlanCanvas(UsExtentMeters(), 10.0, 4096);
+  ASSERT_TRUE(us.ok());
+  EXPECT_EQ(us.value().size(), 15'132u);
+  EXPECT_LE(static_cast<std::int64_t>(us.value().size()), kMaxCanvasTiles);
 }
 
 TEST(SingleCanvasTest, FixedResolution) {
