@@ -40,24 +40,24 @@ std::vector<SpatialAggQuery> DistinctQueries(std::size_t n) {
     SpatialAggQuery q;
     switch (i % 4) {
       case 0:
-        q.variant = JoinVariant::kBoundedRaster;
-        q.epsilon = 60.0 + 10.0 * static_cast<double>(i);
+        q.spec.variant = JoinVariant::kBoundedRaster;
+        q.spec.epsilon = 60.0 + 10.0 * static_cast<double>(i);
         break;
       case 1:
-        q.variant = JoinVariant::kBoundedRaster;
-        q.epsilon = 80.0 + 10.0 * static_cast<double>(i);
-        q.aggregate = AggregateKind::kSum;
-        q.aggregate_column = 3;  // integer "passengers": exact sums
+        q.spec.variant = JoinVariant::kBoundedRaster;
+        q.spec.epsilon = 80.0 + 10.0 * static_cast<double>(i);
+        q.spec.aggregate = AggregateKind::kSum;
+        q.spec.aggregate_column = 3;  // integer "passengers": exact sums
         break;
       case 2:
-        q.variant = JoinVariant::kAccurateRaster;
-        q.accurate_canvas_dim = 256 + 16 * static_cast<std::int32_t>(i);
+        q.spec.variant = JoinVariant::kAccurateRaster;
+        q.spec.canvas_dim = 256 + 16 * static_cast<std::int32_t>(i);
         break;
       default:
-        q.variant = JoinVariant::kIndexCpu;
-        q.aggregate = AggregateKind::kMax;
-        q.aggregate_column = 0;
-        (void)q.filters.Add(
+        q.spec.variant = JoinVariant::kIndexCpu;
+        q.spec.aggregate = AggregateKind::kMax;
+        q.spec.aggregate_column = 0;
+        (void)q.spec.filters.Add(
             {0, FilterOp::kGreater, 2.0f + static_cast<float>(i)});
         break;
     }
@@ -122,7 +122,7 @@ int main() {
   const double cold_seconds = TimeOnce([&] {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       service::ServiceResponse response =
-          service.Submit(dataset, queries[i]).get();
+          service.Submit(dataset, queries[i].spec, queries[i].policy).get();
       if (!response.result.ok() ||
           !Identical(expected[i], response.result.value().values)) {
         all_identical = false;
@@ -136,7 +136,7 @@ int main() {
     for (std::size_t rep = 0; rep < kWarmRepeats; ++rep) {
       for (std::size_t i = 0; i < queries.size(); ++i) {
         service::ServiceResponse response =
-            service.Submit(dataset, queries[i]).get();
+            service.Submit(dataset, queries[i].spec, queries[i].policy).get();
         if (!response.result.ok() ||
             !Identical(expected[i], response.result.value().values)) {
           all_identical = false;
@@ -212,8 +212,9 @@ int main() {
           pick = next_distinct++;  // fresh shape (pool >= submissions)
           seen.push_back(pick);
         }
+        const SpatialAggQuery& q = sweep_queries[pick];
         service::ServiceResponse response =
-            sweep_service.Submit(ds, sweep_queries[pick]).get();
+            sweep_service.Submit(ds, q.spec, q.policy).get();
         if (!response.result.ok() ||
             !Identical(sweep_expected[pick],
                        response.result.value().values)) {

@@ -59,9 +59,9 @@ int main() {
 
     auto run = [&executor](JoinVariant variant) {
       SpatialAggQuery query;
-      query.variant = variant;
-      query.epsilon = 40.0;  // scaled ε, see bench_fig8 comment
-      query.accurate_canvas_dim = 1024;
+      query.spec.variant = variant;
+      query.spec.epsilon = 40.0;  // scaled ε, see bench_fig8 comment
+      query.spec.canvas_dim = 1024;
       Timer t;
       auto r = executor.Execute(query);
       if (!r.ok()) {

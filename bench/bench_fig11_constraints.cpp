@@ -33,10 +33,10 @@ void RunSeries(const char* label, std::size_t n, gpu::DeviceOptions options,
     gpu::Device device(options);
     Executor executor(&device, &points, &polys);
     SpatialAggQuery query;
-    query.variant = JoinVariant::kBoundedRaster;
-    query.epsilon = 40.0;  // scaled ε, see bench_fig8 comment
+    query.spec.variant = JoinVariant::kBoundedRaster;
+    query.spec.epsilon = 40.0;  // scaled ε, see bench_fig8 comment
     for (std::size_t c = 0; c < k; ++c) {
-      if (!query.filters.Add(conjuncts[c]).ok()) return;
+      if (!query.spec.filters.Add(conjuncts[c]).ok()) return;
     }
     Timer t;
     auto r = executor.Execute(query);

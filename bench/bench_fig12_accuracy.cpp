@@ -29,8 +29,8 @@ int main() {
 
   // Ground truth (accurate variant) + its time for the crossover line.
   SpatialAggQuery accurate_query;
-  accurate_query.variant = JoinVariant::kAccurateRaster;
-  accurate_query.accurate_canvas_dim = 2048;
+  accurate_query.spec.variant = JoinVariant::kAccurateRaster;
+  accurate_query.spec.canvas_dim = 2048;
   Timer t_acc;
   auto exact = executor.Execute(accurate_query);
   if (!exact.ok()) return 1;
@@ -43,8 +43,8 @@ int main() {
 
   for (const double eps : {40.0, 20.0, 10.0, 5.0, 2.5}) {
     SpatialAggQuery query;
-    query.variant = JoinVariant::kBoundedRaster;
-    query.epsilon = eps;
+    query.spec.variant = JoinVariant::kBoundedRaster;
+    query.spec.epsilon = eps;
     Timer t;
     auto r = executor.Execute(query);
     if (!r.ok()) {
@@ -68,9 +68,9 @@ int main() {
   std::printf("\n--- (c): accurate vs approximate at eps=20m (first 15 "
               "polygons) ---\n");
   SpatialAggQuery coarse;
-  coarse.variant = JoinVariant::kBoundedRaster;
-  coarse.epsilon = 20.0;
-  coarse.with_result_ranges = true;
+  coarse.spec.variant = JoinVariant::kBoundedRaster;
+  coarse.spec.epsilon = 20.0;
+  coarse.spec.with_result_ranges = true;
   auto approx = executor.Execute(coarse);
   if (!approx.ok()) {
     std::fprintf(stderr, "ranges: %s\n", approx.status().ToString().c_str());

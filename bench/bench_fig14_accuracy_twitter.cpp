@@ -26,8 +26,8 @@ int main() {
   Executor executor(&device, &points, &polys);
 
   SpatialAggQuery accurate_query;
-  accurate_query.variant = JoinVariant::kAccurateRaster;
-  accurate_query.accurate_canvas_dim = 2048;
+  accurate_query.spec.variant = JoinVariant::kAccurateRaster;
+  accurate_query.spec.canvas_dim = 2048;
   Timer t_acc;
   auto exact = executor.Execute(accurate_query);
   if (!exact.ok()) return 1;
@@ -39,8 +39,8 @@ int main() {
 
   for (const double eps_km : {4.0, 2.0, 1.0, 0.5}) {
     SpatialAggQuery query;
-    query.variant = JoinVariant::kBoundedRaster;
-    query.epsilon = eps_km * 1000.0;
+    query.spec.variant = JoinVariant::kBoundedRaster;
+    query.spec.epsilon = eps_km * 1000.0;
     Timer t;
     auto r = executor.Execute(query);
     if (!r.ok()) {
@@ -50,7 +50,7 @@ int main() {
     }
     const BoxStats stats =
         ComputeBoxStats(PercentErrors(r.value().values, exact.value().values));
-    auto tiles = raster::PlanCanvas(executor.world(), query.epsilon,
+    auto tiles = raster::PlanCanvas(executor.world(), query.spec.epsilon,
                                     device.options().max_fbo_dim);
     std::printf("%-10.2f %8zu %12.1f | %9.4f %9.4f %9.4f %9.4f %s\n", eps_km,
                 tiles.ok() ? tiles.value().size() : 0, t.ElapsedMillis(),

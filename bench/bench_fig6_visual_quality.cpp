@@ -26,10 +26,10 @@ int main() {
   Executor executor(&device, &points, &polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 20.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 20.0;
   auto approx = executor.Execute(query);
-  query.variant = JoinVariant::kAccurateRaster;
+  query.spec.variant = JoinVariant::kAccurateRaster;
   auto exact = executor.Execute(query);
   if (!approx.ok() || !exact.ok()) return 1;
 

@@ -59,16 +59,16 @@ int main() {
     auto run = [&executor, kAccurateCanvas](JoinVariant variant, int threads,
                                             double epsilon) {
       SpatialAggQuery query;
-      query.variant = variant;
-      query.cpu_threads = threads;
-      query.epsilon = epsilon;
-      query.accurate_canvas_dim = kAccurateCanvas;
+      query.spec.variant = variant;
+      query.policy.cpu_threads = threads;
+      query.spec.epsilon = epsilon;
+      query.spec.canvas_dim = kAccurateCanvas;
       auto once = [&executor, &query] {
         Timer t;
         auto r = executor.ExecuteUncached(query);
         if (!r.ok()) {
           std::fprintf(stderr, "%s failed: %s\n",
-                       JoinVariantName(query.variant).c_str(),
+                       JoinVariantName(query.spec.variant).c_str(),
                        r.status().ToString().c_str());
           std::exit(1);
         }

@@ -59,8 +59,8 @@ int main() {
     double one_cpu_ms = 0.0;
     {
       SpatialAggQuery cpu_query;
-      cpu_query.variant = JoinVariant::kIndexCpu;
-      cpu_query.cpu_threads = 1;
+      cpu_query.spec.variant = JoinVariant::kIndexCpu;
+      cpu_query.policy.cpu_threads = 1;
       Timer t_cpu;
       if (!executor.Execute(cpu_query).ok()) return 1;
       one_cpu_ms = t_cpu.ElapsedMillis();

@@ -46,24 +46,24 @@ std::vector<SpatialAggQuery> WorkloadMix() {
   std::vector<SpatialAggQuery> mix;
 
   SpatialAggQuery bounded;
-  bounded.variant = JoinVariant::kBoundedRaster;
-  bounded.epsilon = 80.0;
+  bounded.spec.variant = JoinVariant::kBoundedRaster;
+  bounded.spec.epsilon = 80.0;
   mix.push_back(bounded);
 
   SpatialAggQuery bounded_sum;
-  bounded_sum.variant = JoinVariant::kBoundedRaster;
-  bounded_sum.epsilon = 120.0;
-  bounded_sum.aggregate = AggregateKind::kSum;
-  bounded_sum.aggregate_column = 0;
+  bounded_sum.spec.variant = JoinVariant::kBoundedRaster;
+  bounded_sum.spec.epsilon = 120.0;
+  bounded_sum.spec.aggregate = AggregateKind::kSum;
+  bounded_sum.spec.aggregate_column = 0;
   mix.push_back(bounded_sum);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 512;
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 512;
   mix.push_back(accurate);
 
   SpatialAggQuery cpu;
-  cpu.variant = JoinVariant::kIndexCpu;
+  cpu.spec.variant = JoinVariant::kIndexCpu;
   mix.push_back(cpu);
 
   return mix;
@@ -156,7 +156,7 @@ int main() {
           for (std::size_t q = 0; q < kQueriesPerClient; ++q) {
             const std::size_t pick = (q + c) % mix.size();
             service::ServiceResponse response =
-                service.Submit(dataset, mix[pick]).get();
+                service.Submit(dataset, mix[pick].spec, mix[pick].policy).get();
             if (!response.result.ok() ||
                 !Identical(expected[pick], response.result.value().values)) {
               identical = false;
@@ -195,36 +195,36 @@ int main() {
   constexpr std::int32_t kShardCanvas = 512;
   {
     SpatialAggQuery bounded;
-    bounded.variant = JoinVariant::kBoundedRaster;
-    bounded.epsilon = 200.0;
+    bounded.spec.variant = JoinVariant::kBoundedRaster;
+    bounded.spec.epsilon = 200.0;
     shard_mix.push_back(bounded);
 
     SpatialAggQuery bounded_sum;
-    bounded_sum.variant = JoinVariant::kBoundedRaster;
-    bounded_sum.epsilon = 250.0;
-    bounded_sum.aggregate = AggregateKind::kSum;
+    bounded_sum.spec.variant = JoinVariant::kBoundedRaster;
+    bounded_sum.spec.epsilon = 250.0;
+    bounded_sum.spec.aggregate = AggregateKind::kSum;
     // Sum the integer-valued "passengers" column: partial sums stay
     // exactly representable, so the scatter-gather merge is bitwise
     // identical to single-device execution (summing float fares would
     // drift by FP regrouping across shard boundaries).
-    bounded_sum.aggregate_column = 3;
+    bounded_sum.spec.aggregate_column = 3;
     shard_mix.push_back(bounded_sum);
 
     // Accurate queries check the shared canvas bitwise across shard
     // counts, routed and unrouted (COUNT, and SUM over the integer-valued
     // passengers column, which merges exactly).
     SpatialAggQuery accurate_count;
-    accurate_count.variant = JoinVariant::kAccurateRaster;
-    accurate_count.accurate_canvas_dim = kShardCanvas;
+    accurate_count.spec.variant = JoinVariant::kAccurateRaster;
+    accurate_count.spec.canvas_dim = kShardCanvas;
     shard_mix.push_back(accurate_count);
 
     SpatialAggQuery accurate_sum = accurate_count;
-    accurate_sum.aggregate = AggregateKind::kSum;
-    accurate_sum.aggregate_column = 3;
+    accurate_sum.spec.aggregate = AggregateKind::kSum;
+    accurate_sum.spec.aggregate_column = 3;
     shard_mix.push_back(accurate_sum);
 
     SpatialAggQuery index_cpu;
-    index_cpu.variant = JoinVariant::kIndexCpu;
+    index_cpu.spec.variant = JoinVariant::kIndexCpu;
     shard_mix.push_back(index_cpu);
 
     // Index-device rides the shard axis too: the §6.2 per-query grid
@@ -232,7 +232,7 @@ int main() {
     // queries, so repeated traffic scans with a prebuilt index instead of
     // replaying a fixed build cost on every shard of every query.
     SpatialAggQuery index_device;
-    index_device.variant = JoinVariant::kIndexDevice;
+    index_device.spec.variant = JoinVariant::kIndexDevice;
     shard_mix.push_back(index_device);
   }
   std::vector<std::vector<double>> shard_expected;
@@ -294,9 +294,9 @@ int main() {
         for (std::size_t q = 0; q < kShardQueries; ++q) {
           const std::size_t pick = q % shard_mix.size();
           SpatialAggQuery query = shard_mix[pick];
-          query.enable_shard_routing = routing;
+          query.policy.shard_routing = routing;
           service::ServiceResponse response =
-              service.Submit(dataset, query).get();
+              service.Submit(dataset, query.spec, query.policy).get();
           if (!response.result.ok() ||
               !Identical(shard_expected[pick],
                          response.result.value().values)) {
@@ -342,22 +342,22 @@ int main() {
   std::vector<SpatialAggQuery> fused_mix;
   {
     SpatialAggQuery count;
-    count.variant = JoinVariant::kAccurateRaster;
-    count.accurate_canvas_dim = 512;
+    count.spec.variant = JoinVariant::kAccurateRaster;
+    count.spec.canvas_dim = 512;
     fused_mix.push_back(count);
 
     SpatialAggQuery sum = count;
-    sum.aggregate = AggregateKind::kSum;
-    sum.aggregate_column = 3;  // integer-valued passengers: exact sums
+    sum.spec.aggregate = AggregateKind::kSum;
+    sum.spec.aggregate_column = 3;  // integer-valued passengers: exact sums
     fused_mix.push_back(sum);
 
     SpatialAggQuery avg = count;
-    avg.aggregate = AggregateKind::kAverage;
-    avg.aggregate_column = 3;
+    avg.spec.aggregate = AggregateKind::kAverage;
+    avg.spec.aggregate_column = 3;
     fused_mix.push_back(avg);
 
     SpatialAggQuery filtered = count;
-    (void)filtered.filters.Add({3, FilterOp::kGreaterEqual, 2.0f});
+    (void)filtered.spec.filters.Add({3, FilterOp::kGreaterEqual, 2.0f});
     fused_mix.push_back(filtered);
   }
   std::vector<std::vector<double>> fused_expected;
@@ -399,7 +399,8 @@ int main() {
       futures.reserve(total_queries);
       for (std::size_t round = 0; round < kFusionRounds; ++round) {
         for (std::size_t c = 0; c < fused_mix.size(); ++c) {
-          futures.push_back(service.Submit(dataset, fused_mix[c]));
+          const SpatialAggQuery& q = fused_mix[c];
+          futures.push_back(service.Submit(dataset, q.spec, q.policy));
         }
       }
       for (std::size_t i = 0; i < futures.size(); ++i) {

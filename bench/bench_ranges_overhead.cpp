@@ -23,7 +23,7 @@ int main() {
   Executor executor(&device, &points, &polys);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
   auto exact = executor.Execute(accurate);
   if (!exact.ok()) return 1;
 
@@ -35,15 +35,15 @@ int main() {
   // computation (§5 ranges need the whole canvas in one FBO).
   for (const double eps : {40.0, 20.0}) {
     SpatialAggQuery query;
-    query.variant = JoinVariant::kBoundedRaster;
-    query.epsilon = eps;
+    query.spec.variant = JoinVariant::kBoundedRaster;
+    query.spec.epsilon = eps;
 
     Timer t_plain;
     auto plain = executor.Execute(query);
     if (!plain.ok()) return 1;
     const double plain_ms = t_plain.ElapsedMillis();
 
-    query.with_result_ranges = true;
+    query.spec.with_result_ranges = true;
     Timer t_ranges;
     auto with_ranges = executor.Execute(query);
     if (!with_ranges.ok()) {

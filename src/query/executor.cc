@@ -63,9 +63,10 @@ std::vector<FusedMemberSpec> FusedMembers(
     const std::vector<SpatialAggQuery>& queries, JoinVariant variant) {
   std::vector<FusedMemberSpec> members(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    members[i].weight_column = queries[i].EffectiveAggregateColumn();
-    members[i].filters = queries[i].filters;
-    members[i].export_point_fbo = queries[i].with_result_ranges &&
+    const QuerySpec& spec = queries[i].spec;
+    members[i].weight_column = spec.EffectiveAggregateColumn();
+    members[i].filters = spec.filters;
+    members[i].export_point_fbo = spec.with_result_ranges &&
                                   variant == JoinVariant::kBoundedRaster;
   }
   return members;
@@ -259,19 +260,9 @@ Result<std::shared_ptr<const AccurateCanvas>> Executor::GetAccurateCanvas(
   return canvases_.front();
 }
 
-void Executor::SetShardReplicas(std::vector<std::vector<std::size_t>> replicas) {
-  MutexLock lock(replica_mutex_);
-  shard_replicas_ = std::move(replicas);
-}
-
-std::vector<std::vector<std::size_t>> Executor::shard_replicas() const {
-  MutexLock lock(replica_mutex_);
-  return shard_replicas_;
-}
-
 JoinVariant Executor::ResolveVariant(const SpatialAggQuery& query) const {
-  if (query.variant != JoinVariant::kAuto) return query.variant;
-  return ChooseRasterVariant(cost_params_, cost_inputs_, query.epsilon);
+  if (query.spec.variant != JoinVariant::kAuto) return query.spec.variant;
+  return ChooseRasterVariant(cost_params_, cost_inputs_, query.spec.epsilon);
 }
 
 Result<AdmissionPlan> Executor::PlanAdmission(const SpatialAggQuery& query) {
@@ -290,7 +281,7 @@ Result<AdmissionPlan> Executor::PlanFusedAdmission(
   // The group ships one interleaved VBO covering every member's columns,
   // and the lead's knobs govern the shared pipeline.
   const std::size_t bytes_per_point = GroupStride(queries, variant);
-  const bool overlap = queries[0].overlap_transfers;
+  const bool overlap = queries[0].policy.overlap_transfers;
   // Everything below is a pure function of (variant, stride, overlap) for
   // this dataset — the triangle-VBO term depends only on the immutable
   // polygon set — so repeats skip the triangulation-cache mutex entirely.
@@ -344,33 +335,34 @@ Result<AdmissionPlan> Executor::PlanFusedAdmission(
 Result<FusedJoinOutput> Executor::RunVariant(
     gpu::Device* device, const Shard& shard, const QuerySetup& setup,
     const std::vector<SpatialAggQuery>& queries) {
-  const SpatialAggQuery& lead = queries[0];
+  const QuerySpec& lead = queries[0].spec;
+  const ExecPolicy& policy = queries[0].policy;
   // The index baselines have no raster pass to share: PrepareGroup admits
   // them only as groups of one.
   IndexJoinOptions options;
   options.weight_column = lead.EffectiveAggregateColumn();
   options.filters = lead.filters;
-  options.enable_block_pruning = lead.enable_block_pruning;
+  options.enable_block_pruning = policy.block_pruning;
   Result<JoinResult> join = Status::Internal("kAuto should have been resolved");
   if (setup.variant == JoinVariant::kIndexCpu) {
     options.assign_mode = GridAssignMode::kExactGeometry;
     join = shard.table != nullptr
                ? IndexJoinCpu(*shard.table, *polys_, *setup.cpu_index, options,
-                              lead.cpu_threads)
+                              policy.cpu_threads)
                : IndexJoinCpu(*shard.source, *polys_, *setup.cpu_index, options,
-                              lead.cpu_threads);
+                              policy.cpu_threads);
   } else {
     // Every device variant streams one planned scan.
     const std::vector<FusedMemberSpec> members =
         FusedMembers(queries, setup.variant);
-    const std::size_t cap = lead.device_memory_cap_bytes;
+    const std::size_t cap = policy.device_memory_cap_bytes;
     ScanPlan scan;
     if (shard.table != nullptr) {
       const std::size_t n = shard.table->size();
       const UploadPlan capped = plan_cache_->GetUpload(
-          {cap, setup.bytes_per_point, n, lead.overlap_transfers}, [&] {
+          {cap, setup.bytes_per_point, n, policy.overlap_transfers}, [&] {
             return CappedBatch(cap, setup.bytes_per_point, n,
-                               lead.overlap_transfers);
+                               policy.overlap_transfers);
           });
       scan = PlanTableScan(*device, *shard.table, setup.bytes_per_point,
                            capped.batch_size, capped.overlap_transfers);
@@ -383,14 +375,14 @@ Result<FusedJoinOutput> Executor::RunVariant(
           std::min<std::size_t>(shard.source->block_capacity(),
                                 shard.source->num_rows()) *
           setup.bytes_per_point;
-      const bool overlap = lead.overlap_transfers &&
+      const bool overlap = policy.overlap_transfers &&
                            (cap == 0 || 2 * block_bytes <= cap);
       std::vector<const FilterSet*> filters;
       for (const FusedMemberSpec& member : members) {
         filters.push_back(&member.filters);
       }
       scan = PlanBlockScan(device, *shard.source, filters, world_,
-                           lead.enable_block_pruning, overlap);
+                           policy.block_pruning, overlap);
     }
     if (setup.variant == JoinVariant::kBoundedRaster) {
       return FusedBoundedRasterJoin(device, std::move(scan), *polys_,
@@ -421,8 +413,8 @@ Result<Executor::QuerySetup> Executor::PrepareGroup(
     return Status::InvalidArgument("fusion group is empty");
   }
   for (const SpatialAggQuery& q : queries) {
-    if (q.aggregate != AggregateKind::kCount &&
-        q.EffectiveAggregateColumn() == PointTable::npos) {
+    if (q.spec.aggregate != AggregateKind::kCount &&
+        q.spec.EffectiveAggregateColumn() == PointTable::npos) {
       return Status::InvalidArgument(
           "non-COUNT aggregates require aggregate_column");
     }
@@ -442,9 +434,8 @@ Result<Executor::QuerySetup> Executor::PrepareGroup(
   for (std::size_t i = 1; i < queries.size(); ++i) {
     const bool same_canvas =
         setup.variant == JoinVariant::kBoundedRaster
-            ? queries[i].epsilon == queries[0].epsilon
-            : queries[i].accurate_canvas_dim ==
-                  queries[0].accurate_canvas_dim;
+            ? queries[i].spec.epsilon == queries[0].spec.epsilon
+            : queries[i].spec.canvas_dim == queries[0].spec.canvas_dim;
     if (ResolveVariant(queries[i]) != setup.variant || !same_canvas) {
       return Status::InvalidArgument(
           "incompatible fusion group: members must share the resolved "
@@ -458,7 +449,7 @@ Result<Executor::QuerySetup> Executor::PrepareGroup(
   if (setup.variant == JoinVariant::kAccurateRaster) {
     // Fetched once per group: every shard of the scatter reads this copy.
     RJ_ASSIGN_OR_RETURN(setup.canvas,
-                        GetAccurateCanvas(queries[0].accurate_canvas_dim));
+                        GetAccurateCanvas(queries[0].spec.canvas_dim));
   }
   if (setup.variant == JoinVariant::kIndexCpu) {
     RJ_ASSIGN_OR_RETURN(setup.cpu_index, GetCpuIndex(kDefaultGridResolution));
@@ -476,19 +467,14 @@ bool Executor::ShardCacheable(const SpatialAggQuery& query,
                               JoinVariant variant) const {
   // A §5-ranges query needs the shard FBOs (not stored), and a bypass must
   // not read stale entries either.
-  return shards_.size() > 1 && query.enable_shard_cache &&
-         !query.bypass_result_cache && result_cache_ != nullptr &&
-         !(query.with_result_ranges && variant == JoinVariant::kBoundedRaster);
-}
-
-Result<QueryResult> Executor::Execute(const QuerySpec& spec,
-                                      const ExecPolicy& policy) {
-  RJ_RETURN_NOT_OK(ValidateSpecColumns(spec, num_attribute_columns()));
-  return Execute(spec.ToQuery(policy));
+  return shards_.size() > 1 && query.policy.shard_cache &&
+         query.policy.use_result_cache && result_cache_ != nullptr &&
+         !(query.spec.with_result_ranges &&
+           variant == JoinVariant::kBoundedRaster);
 }
 
 Result<QueryResult> Executor::Execute(const SpatialAggQuery& query) {
-  if (result_cache_ == nullptr || query.bypass_result_cache) {
+  if (result_cache_ == nullptr || !query.policy.use_result_cache) {
     return ExecuteUncached(query);
   }
 
@@ -543,9 +529,8 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
         "sharded execution requires a uniform max_fbo_dim across the pool");
   }
   const std::size_t m = queries.size();
-  const SpatialAggQuery& lead = queries[0];
 
-  // Routing/cache/replica placement — planned here unless the caller
+  // Routing/cache placement — planned here unless the caller
   // (QueryService) already planned it to size the admission grant.
   ShardPlacement local_placement;
   if (placement == nullptr) {
@@ -710,7 +695,7 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
     // canvas the shards rendered on.
     RJ_ASSIGN_OR_RETURN(
         std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, lead.epsilon,
+        raster::PlanCanvas(world_, queries[0].spec.epsilon,
                            device()->options().max_fbo_dim));
     raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
     ScopedPhase sp(&timing, phase::kProcessing);
@@ -731,7 +716,8 @@ Result<std::vector<QueryResult>> Executor::ExecuteFused(
   // Demultiplex: per-member values; group-level diagnostics replicated.
   const double seconds = total.ElapsedSeconds();
   for (std::size_t i = 0; i < m; ++i) {
-    out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
+    out[i].values =
+        FinalizeAggregate(queries[i].spec.aggregate, out[i].arrays);
     out[i].timing = timing;
     out[i].counters = counters;
     out[i].total_seconds = seconds;
@@ -749,7 +735,7 @@ Result<BBox> Executor::RoutingRegion(JoinVariant variant,
     // conservative).
     RJ_ASSIGN_OR_RETURN(
         std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, query.epsilon,
+        raster::PlanCanvas(world_, query.spec.epsilon,
                            device()->options().max_fbo_dim));
     for (const raster::CanvasTile& t : tiles) {
       pad = std::max({pad, t.world.Width() / t.width,
@@ -760,7 +746,7 @@ Result<BBox> Executor::RoutingRegion(JoinVariant variant,
     // world side (the canvas is square over the world extent).
     RJ_ASSIGN_OR_RETURN(
         const std::int32_t dim,
-        ResolveAccurateCanvasDim(query.accurate_canvas_dim, *device()));
+        ResolveAccurateCanvasDim(query.spec.canvas_dim, *device()));
     pad = std::max(world_.Width(), world_.Height()) /
           static_cast<double>(dim);
   }
@@ -792,7 +778,7 @@ Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
   // shards with a zone map can be tested against it.
   const JoinVariant variant = ResolveVariant(queries[0]);
   const auto routes = [](const SpatialAggQuery& q) {
-    return q.enable_shard_routing;
+    return q.policy.shard_routing;
   };
   const auto zoned = [](const Shard& shard) { return shard.zone != nullptr; };
   std::optional<BBox> region;
@@ -818,21 +804,15 @@ Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
     }
   }
 
-  std::vector<std::vector<std::size_t>> replicas = shard_replicas();
-
-  // Placement-local load: executing shards assigned so far per device. The
-  // tie-break (lowest device index) keeps placement deterministic for a
-  // fixed replica map.
-  std::vector<std::size_t> load(pool_size, 0);
   for (std::size_t s = 0; s < num_shards; ++s) {
     // Skipped only when no member can match the shard; a member that does
     // not route matches every shard.
     if (region.has_value() && shards_[s].zone != nullptr &&
         std::none_of(queries.begin(), queries.end(),
                      [&](const SpatialAggQuery& q) {
-                       return !q.enable_shard_routing ||
-                              ZoneMapCanMatch(*shards_[s].zone, q.filters,
-                                              &*region);
+                       return !q.policy.shard_routing ||
+                              ZoneMapCanMatch(*shards_[s].zone,
+                                              q.spec.filters, &*region);
                      })) {
       p.device_of_shard[s] = ShardPlacement::kSkipped;
       ++p.skipped;
@@ -854,18 +834,8 @@ Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
         continue;
       }
     }
-    std::size_t best = s % pool_size;
-    if (s < replicas.size()) {
-      for (const std::size_t d : replicas[s]) {
-        if (d >= pool_size) continue;  // stale map from a smaller pool
-        if (load[d] < load[best] || (load[d] == load[best] && d < best)) {
-          best = d;
-        }
-      }
-    }
-    p.device_of_shard[s] = best;
-    ++load[best];
-    ++p.hosted[best];
+    p.device_of_shard[s] = s % pool_size;
+    ++p.hosted[s % pool_size];
     ++p.executed;
   }
 

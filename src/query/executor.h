@@ -13,17 +13,16 @@
 /// One execution shape: a list of shards on a gpu::DevicePool. A shard is
 /// a resident table or a block source, with a zone map or without one;
 /// the paper's single-device setup is one shard on a one-device pool, and
-/// a data::ShardedTable gives one shard per partition (home device
-/// s mod pool size; hot-shard read replicas widen the candidate set and
-/// the least-loaded candidate wins). Every execution is a group
-/// (ExecuteFused): a solo query is a group of one, and a fusion group of
-/// compatible raster queries shares one point scan per shard. Each group
+/// a data::ShardedTable gives one shard per partition, on pool device
+/// s mod pool size. Every execution is a group (ExecuteFused): a solo
+/// query is a group of one, and a fusion group of compatible raster
+/// queries shares one point scan per shard. Each group
 /// takes one admission plan (PlanFusedAdmission), one placement
 /// (PlanFusedPlacement), one scatter — every placed shard runs the
 /// resolved variant on its device (RunVariant), the calling thread one of
 /// them — and one gather: the partials merge through agg::MergePartials in
 /// ascending shard order, so results are bitwise identical for any
-/// shard/replica count (docs/SERVICE.md "Determinism under sharding").
+/// shard count (docs/SERVICE.md "Determinism under sharding").
 ///
 /// Placement is skew- and locality-aware (PlanPlacement): shards whose
 /// zone map (data::ShardedTable::shard_zone) provably cannot contribute
@@ -62,7 +61,6 @@
 #include "join/fused_join.h"
 #include "join/join_common.h"
 #include "query/optimizer.h"
-#include "query/query.h"
 #include "query/query_spec.h"
 #include "query/result.h"
 #include "raster/fbo.h"
@@ -135,19 +133,13 @@ class Executor {
 
   /// Runs the query and returns finalized per-polygon values. Thread-safe;
   /// concurrent calls share the preprocessing caches. When
-  /// query.device_memory_cap_bytes is set, point batches are sized so each
-  /// shard's device allocations stay within that grant. With a result
+  /// policy.device_memory_cap_bytes is set, point batches are sized so
+  /// each shard's device allocations stay within that grant. With a result
   /// cache attached (set_result_cache), repeats of a semantically-equal
   /// query are served from the cache (single-flight: concurrent identical
   /// queries execute once) with scrubbed diagnostics and cache_hit set;
   /// the semantic payload is bitwise identical.
   Result<QueryResult> Execute(const SpatialAggQuery& query);
-
-  /// Public-API form: validates the spec's column references against this
-  /// dataset, converts, and executes. Prefer this (with QuerySpecBuilder)
-  /// over poking SpatialAggQuery fields.
-  Result<QueryResult> Execute(const QuerySpec& spec,
-                              const ExecPolicy& policy = {});
 
   /// Execute without consulting the whole-query result cache (always runs
   /// the join; executions still honor routing and the per-shard partial
@@ -173,25 +165,24 @@ class Executor {
     std::vector<std::vector<std::shared_ptr<const QueryResult>>> cached;
     /// Executing shards per pool device, in device order — what
     /// QueryService multiplies per-shard grants by (all-or-nothing
-    /// reservation over exactly the devices doing work, replicas included).
+    /// reservation over exactly the devices doing work).
     std::vector<std::size_t> hosted;
     std::size_t executed = 0;    ///< shards that will run a join
     std::size_t cache_hits = 0;  ///< shards served from the partial cache
     std::size_t skipped = 0;     ///< shards pruned by routing
   };
 
-  /// Plans routing, per-shard cache reuse, and replica-aware device
-  /// placement for `query` (see the file comment): PlanFusedPlacement of
-  /// a group of one. Thread-safe.
+  /// Plans routing and per-shard cache reuse for `query` (see the file
+  /// comment): PlanFusedPlacement of a group of one. Thread-safe.
   Result<ShardPlacement> PlanPlacement(const SpatialAggQuery& query);
 
   /// Placement of a group (ExecuteFused): a shard is skipped only when it
   /// has a zone map and no member can match it, and served from the
-  /// partial cache only when every member's partial is cached. A
-  /// one-shard table or block source has no zone map, so it is placed on
-  /// its device ({1} hosted). When every shard would be skipped, shard 0
-  /// is kept on its home device so the merge always sees one
-  /// correctly-shaped partial. Thread-safe.
+  /// partial cache only when every member's partial is cached; every other
+  /// shard s executes on pool device s mod pool size. A one-shard table or
+  /// block source has no zone map, so it is placed on its device ({1}
+  /// hosted). When every shard would be skipped, shard 0 is kept so the
+  /// merge always sees one correctly-shaped partial. Thread-safe.
   Result<ShardPlacement> PlanFusedPlacement(
       const std::vector<SpatialAggQuery>& queries);
 
@@ -201,17 +192,6 @@ class Executor {
   /// come from PlanPlacement of a semantically-equal query.
   Result<QueryResult> ExecuteUncached(const SpatialAggQuery& query,
                                       const ShardPlacement* placement);
-
-  /// Installs the read-replica map: `replicas[s]` lists extra pool device
-  /// indexes that may execute shard s in addition to its home device
-  /// (s mod pool size). QueryService maintains this from its EWMA shard
-  /// heat; placement picks the least-loaded candidate. Replicas never
-  /// change result bits — every device runs the identical shard join.
-  /// Thread-safe; an empty vector (or entry) means home-only.
-  void SetShardReplicas(std::vector<std::vector<std::size_t>> replicas)
-      RJ_EXCLUDES(replica_mutex_);
-  std::vector<std::vector<std::size_t>> shard_replicas() const
-      RJ_EXCLUDES(replica_mutex_);
 
   /// Executes a group — one query, or a fusion group of compatible queries
   /// over this dataset (same resolved raster variant; equal ε for bounded,
@@ -231,12 +211,12 @@ class Executor {
   /// Group-level diagnostics: timing, counters, and total_seconds describe
   /// the shared execution and are replicated across members (per-member
   /// attribution of a shared scan would be fiction). The first member's
-  /// execution knobs (device_memory_cap_bytes, overlap_transfers,
-  /// enable_block_pruning) govern the shared pipeline — the service
-  /// reserves one grant for the whole group and stamps it on every member;
-  /// knobs never change result bits. Index variants have no raster pass to
-  /// share and run only as groups of one. Never consults the whole-query
-  /// result cache (the service layers caching per member on top).
+  /// policy (device_memory_cap_bytes, overlap_transfers, block_pruning)
+  /// governs the shared pipeline — the service reserves one grant for the
+  /// whole group and stamps it on every member; knobs never change result
+  /// bits. Index variants have no raster pass to share and run only as
+  /// groups of one. Never consults the whole-query result cache (the
+  /// service layers caching per member on top).
   Result<std::vector<QueryResult>> ExecuteFused(
       const std::vector<SpatialAggQuery>& queries,
       const ShardPlacement* placement = nullptr);
@@ -421,8 +401,8 @@ class Executor {
   /// the shard's scan under the lead's per-shard grant
   /// (device_memory_cap_bytes): a table through the memoized grant-capped
   /// batch plan, a block source block by block (with the lead's
-  /// enable_block_pruning), serialized when the grant cannot hold two
-  /// blocks. Ranges members export their point FBOs for the gather.
+  /// block_pruning), serialized when the grant cannot hold two blocks.
+  /// Ranges members export their point FBOs for the gather.
   Result<FusedJoinOutput> RunVariant(
       gpu::Device* device, const Shard& shard, const QuerySetup& setup,
       const std::vector<SpatialAggQuery>& queries);
@@ -477,12 +457,6 @@ class Executor {
   /// kMaxAccurateCanvases; each knows its own dim).
   std::vector<std::shared_ptr<const AccurateCanvas>> canvases_
       RJ_GUARDED_BY(canvas_mutex_);
-
-  /// Guards the replica map (written by QueryService's heat tracker while
-  /// queries are in flight; read by every PlanPlacement).
-  mutable Mutex replica_mutex_;
-  std::vector<std::vector<std::size_t>> shard_replicas_
-      RJ_GUARDED_BY(replica_mutex_);
 };
 
 /// Sets poly[i].id = i for all i.

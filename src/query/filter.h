@@ -22,7 +22,7 @@ namespace rj {
 
 namespace detail {
 /// boost::hash_combine's mixing step — the one hash-merge used by every
-/// semantic hash in query/ (FilterSet, SpatialAggQuery, cache keys).
+/// semantic hash in query/ (FilterSet, QuerySpec, cache keys).
 inline std::size_t HashCombine(std::size_t seed, std::size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }

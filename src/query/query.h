@@ -1,18 +1,15 @@
 /// \file query.h
-/// \brief Public query description for spatial aggregation.
+/// \brief The join variants a spatial aggregation query can run on.
 ///
-/// Models the paper's query template:
+/// The query itself — the paper's template
 ///   SELECT AGG(a_i) FROM P, R
 ///   WHERE P.loc INSIDE R.geometry [AND filterCondition]*
 ///   GROUP BY R.id
+/// — is QuerySpec, and SpatialAggQuery pairs it with its ExecPolicy
+/// (query/query_spec.h).
 #pragma once
 
-#include <cstdint>
 #include <string>
-
-#include "agg/aggregate.h"
-#include "data/point_table.h"
-#include "query/filter.h"
 
 namespace rj {
 
@@ -26,117 +23,5 @@ enum class JoinVariant {
 };
 
 std::string JoinVariantName(JoinVariant variant);
-
-/// A spatial aggregation query over a PointTable and PolygonSet.
-///
-/// This is the *internal* execution struct: it mixes semantic fields with
-/// execution-only knobs, which is exactly what the public API no longer
-/// exposes. New code should build a QuerySpec + ExecPolicy
-/// (query/query_spec.h) — the validating QuerySpecBuilder, the JSON wire
-/// schema, and the Executor/QueryService overloads all work in those
-/// terms; direct field-poking here is deprecated outside the execution
-/// layers.
-struct SpatialAggQuery {
-  AggregateKind aggregate = AggregateKind::kCount;
-  /// Attribute to aggregate (ignored for COUNT).
-  std::size_t aggregate_column = PointTable::npos;
-  /// Conjunctive filter constraints (at most 5, §6.1).
-  FilterSet filters;
-  /// Execution strategy.
-  JoinVariant variant = JoinVariant::kBoundedRaster;
-  /// ε bound for the bounded variant, world units.
-  double epsilon = 10.0;
-  /// CPU threads for kIndexCpu.
-  int cpu_threads = 1;
-  /// Canvas side for the accurate variant (0 = the device's FBO limit).
-  std::int32_t accurate_canvas_dim = 0;
-  /// Compute §5 result ranges (bounded variant, single tile only).
-  bool with_result_ranges = false;
-  /// Cap on this query's device-memory working set in bytes; the executor
-  /// sizes point batches so per-batch allocations stay within it. 0 = plan
-  /// against the device's whole free budget. QueryService sets this to the
-  /// query's admission grant so concurrent queries cannot oversubscribe
-  /// the shared device.
-  std::size_t device_memory_cap_bytes = 0;
-  /// Overlap each point batch's host→device transfer with the previous
-  /// batch's draw (join::BatchPipeline double-buffering, §5 out-of-core
-  /// regime). Two upload buffers are in flight, so admission plans
-  /// reserve 2× the upload stride. Off reproduces the serialized
-  /// transfer→draw timing for paper-shape breakdowns; results are bitwise
-  /// identical either way.
-  bool overlap_transfers = true;
-  /// Skip the result cache for this execution: no lookup, no store, no
-  /// single-flight share — a fresh, admission-controlled run (ExecPolicy::
-  /// use_result_cache = false). Execution-only: results are identical
-  /// either way, so it is excluded from semantic equality below.
-  bool bypass_result_cache = false;
-  /// Block-source datasets only: skip blocks whose zone maps prove no row
-  /// can match (join_common.h SelectBlocks). Pruning is conservative-exact
-  /// for every variant, so results are bitwise identical on/off; excluded
-  /// from semantic equality below like the other execution knobs. Ignored
-  /// for in-memory (PointTable-backed) datasets.
-  bool enable_block_pruning = true;
-  /// Sharded datasets only: before scatter, skip shards whose zone map
-  /// (bounding box + column ranges) proves no row can land on the query's
-  /// effective canvas region or pass its filters. Routing reuses the
-  /// conservative-exact ZoneMapCanMatch semantics block pruning uses, so
-  /// skipped shards contribute canonical empty partials and results stay
-  /// bitwise identical to all-shard execution. Execution-only; excluded
-  /// from semantic equality below. Ignored for unsharded datasets.
-  bool enable_shard_routing = true;
-  /// Sharded datasets only: cache per-shard partial results keyed on
-  /// (semantic query, shard id) so a pan that re-covers some shards reuses
-  /// their partials instead of re-executing them. Execution-only; excluded
-  /// from semantic equality below. Per-shard entries are skipped when
-  /// with_result_ranges is set (ranges need the per-shard FBOs).
-  bool enable_shard_cache = true;
-
-  /// The column the aggregate actually reads: COUNT ignores
-  /// aggregate_column, so its semantic identity canonicalizes to npos —
-  /// `COUNT(col 3)` and `COUNT(col 7)` are the same query.
-  std::size_t EffectiveAggregateColumn() const {
-    return aggregate == AggregateKind::kCount ? PointTable::npos
-                                              : aggregate_column;
-  }
-};
-
-/// *Semantic* equality: true when the two queries must produce bitwise
-/// identical results — aggregate (with COUNT's column canonicalized away),
-/// order-insensitive filters, variant, epsilon, canvas dim, and the ranges
-/// flag. Execution-only knobs are deliberately excluded
-/// (`device_memory_cap_bytes`, `cpu_threads`, `overlap_transfers`,
-/// `bypass_result_cache`, `enable_block_pruning`, `enable_shard_routing`,
-/// `enable_shard_cache`): the
-/// determinism suites prove results are identical across them, and the
-/// result cache keys on this equality — including the knobs would split
-/// identical traffic across cache entries and mask every hit.
-inline bool operator==(const SpatialAggQuery& a, const SpatialAggQuery& b) {
-  return a.aggregate == b.aggregate &&
-         a.EffectiveAggregateColumn() == b.EffectiveAggregateColumn() &&
-         a.filters == b.filters && a.variant == b.variant &&
-         a.epsilon == b.epsilon &&
-         a.accurate_canvas_dim == b.accurate_canvas_dim &&
-         a.with_result_ranges == b.with_result_ranges;
-}
-inline bool operator!=(const SpatialAggQuery& a, const SpatialAggQuery& b) {
-  return !(a == b);
-}
-
-/// Hash consistent with the semantic operator== above (equal queries hash
-/// equally; execution-only knobs do not contribute).
-inline std::size_t HashQuery(const SpatialAggQuery& q) {
-  std::size_t seed = std::hash<int>{}(static_cast<int>(q.aggregate));
-  seed = detail::HashCombine(
-      seed, std::hash<std::size_t>{}(q.EffectiveAggregateColumn()));
-  seed = detail::HashCombine(seed, q.filters.Hash());
-  seed = detail::HashCombine(seed,
-                             std::hash<int>{}(static_cast<int>(q.variant)));
-  seed = detail::HashCombine(seed, detail::HashDoubleBits(q.epsilon));
-  seed = detail::HashCombine(
-      seed, std::hash<std::int32_t>{}(q.accurate_canvas_dim));
-  seed = detail::HashCombine(seed,
-                             std::hash<bool>{}(q.with_result_ranges));
-  return seed;
-}
 
 }  // namespace rj

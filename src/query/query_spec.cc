@@ -157,62 +157,46 @@ Result<FilterOp> FilterOpFromWireName(const std::string& name) {
   return SchemaError("unknown filter op '" + name + "' (gt|ge|lt|le|eq)");
 }
 
-// --- QuerySpec ↔ SpatialAggQuery ------------------------------------------
+// --- QuerySpec -------------------------------------------------------------
 
 SpatialAggQuery QuerySpec::ToQuery(const ExecPolicy& policy) const {
-  SpatialAggQuery q;
-  q.aggregate = aggregate;
-  q.aggregate_column = aggregate_column;
-  q.filters = filters;
-  q.variant = variant;
-  q.epsilon = epsilon;
-  q.accurate_canvas_dim = canvas_dim;
-  q.with_result_ranges = with_result_ranges;
-  q.device_memory_cap_bytes = policy.device_memory_cap_bytes;
-  q.cpu_threads = policy.cpu_threads;
-  q.overlap_transfers = policy.overlap_transfers;
-  q.bypass_result_cache = !policy.use_result_cache;
-  q.enable_block_pruning = policy.block_pruning;
-  q.enable_shard_routing = policy.shard_routing;
-  q.enable_shard_cache = policy.shard_cache;
-  return q;
-}
-
-QuerySpec QuerySpec::FromQuery(const SpatialAggQuery& query,
-                               std::string dataset) {
-  QuerySpec spec;
-  spec.dataset = std::move(dataset);
-  spec.aggregate = query.aggregate;
-  spec.aggregate_column = query.aggregate_column;
-  spec.filters = query.filters;
-  spec.variant = query.variant;
-  spec.epsilon = query.epsilon;
-  spec.canvas_dim = query.accurate_canvas_dim;
-  spec.with_result_ranges = query.with_result_ranges;
-  return spec;
+  return {*this, policy};
 }
 
 bool operator==(const QuerySpec& a, const QuerySpec& b) {
-  return a.dataset == b.dataset && a.ToQuery() == b.ToQuery();
+  return a.dataset == b.dataset && a.aggregate == b.aggregate &&
+         a.EffectiveAggregateColumn() == b.EffectiveAggregateColumn() &&
+         a.filters == b.filters && a.variant == b.variant &&
+         a.epsilon == b.epsilon && a.canvas_dim == b.canvas_dim &&
+         a.with_result_ranges == b.with_result_ranges;
 }
 
 std::size_t HashSpec(const QuerySpec& spec) {
-  return detail::HashCombine(std::hash<std::string>{}(spec.dataset),
-                             HashQuery(spec.ToQuery()));
+  std::size_t seed = std::hash<std::string>{}(spec.dataset);
+  seed = detail::HashCombine(
+      seed, std::hash<int>{}(static_cast<int>(spec.aggregate)));
+  seed = detail::HashCombine(
+      seed, std::hash<std::size_t>{}(spec.EffectiveAggregateColumn()));
+  seed = detail::HashCombine(seed, spec.filters.Hash());
+  seed = detail::HashCombine(
+      seed, std::hash<int>{}(static_cast<int>(spec.variant)));
+  seed = detail::HashCombine(seed, detail::HashDoubleBits(spec.epsilon));
+  seed = detail::HashCombine(seed,
+                             std::hash<std::int32_t>{}(spec.canvas_dim));
+  return detail::HashCombine(seed,
+                             std::hash<bool>{}(spec.with_result_ranges));
 }
 
-namespace {
-Status CheckColumns(AggregateKind aggregate, std::size_t aggregate_column,
-                    const FilterSet& filters,
-                    std::size_t num_attribute_columns) {
-  if (aggregate != AggregateKind::kCount &&
-      aggregate_column >= num_attribute_columns) {
+Status ValidateSpecColumns(const QuerySpec& spec,
+                           std::size_t num_attribute_columns) {
+  if (spec.aggregate != AggregateKind::kCount &&
+      spec.aggregate_column >= num_attribute_columns) {
     return Status::InvalidArgument(
-        "aggregate column " + std::to_string(aggregate_column) +
+        "aggregate column " + std::to_string(spec.aggregate_column) +
         " does not exist (dataset has " +
         std::to_string(num_attribute_columns) + " attribute columns)");
   }
-  for (const AttributeFilter& f : filters.filters()) {
+  for (const AttributeFilter& f : spec.filters.filters()) {
     if (f.column >= num_attribute_columns) {
       return Status::InvalidArgument(
           "filter column " + std::to_string(f.column) +
@@ -221,19 +205,6 @@ Status CheckColumns(AggregateKind aggregate, std::size_t aggregate_column,
     }
   }
   return Status::OK();
-}
-}  // namespace
-
-Status ValidateSpecColumns(const QuerySpec& spec,
-                           std::size_t num_attribute_columns) {
-  return CheckColumns(spec.aggregate, spec.aggregate_column, spec.filters,
-                      num_attribute_columns);
-}
-
-Status ValidateQueryColumns(const SpatialAggQuery& query,
-                            std::size_t num_attribute_columns) {
-  return CheckColumns(query.aggregate, query.aggregate_column, query.filters,
-                      num_attribute_columns);
 }
 
 // --- QuerySpecBuilder -------------------------------------------------------

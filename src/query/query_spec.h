@@ -1,17 +1,19 @@
 /// \file query_spec.h
-/// \brief The redesigned public query API: semantic QuerySpec + ExecPolicy.
+/// \brief The query API: semantic QuerySpec + ExecPolicy, and
+/// SpatialAggQuery, the pair of them that the executor and service run.
 ///
-/// SpatialAggQuery (query.h) grew into a bag of mixed knobs: fields that
-/// define *what* the query computes (and therefore its result and cache
-/// identity) next to fields that only tune *how* it executes (and are
-/// proven not to change results — see the determinism suites). The public
-/// API splits them:
+/// A query has two halves:
 ///
 ///  * QuerySpec — the semantic request: dataset, aggregate, filters,
 ///    variant, ε, canvas, result ranges. Two equal specs MUST produce
-///    bitwise-identical results; the ResultCache keys on this identity.
+///    bitwise-identical results; operator==/HashSpec are the one semantic
+///    identity, and the ResultCache keys on it (query::CacheKey).
 ///  * ExecPolicy — the execution tuning: memory cap, CPU threads, transfer
-///    overlap, cache behavior. Changing any of these never changes results.
+///    overlap, cache, pruning and routing behavior. Changing any of these
+///    never changes results (the determinism suites prove it).
+///
+/// SpatialAggQuery is the plain pair {spec, policy} that the executor and
+/// the service run, so each field has one name.
 ///
 /// QuerySpecBuilder validates at Build() (ε ≥ 0 and finite, an explicit
 /// canvas > 0, ≤ 5 filters, aggregate column present for non-COUNT) and
@@ -20,19 +22,16 @@
 /// (ValidateSpecColumns). The versioned JSON (de)serialization here is the
 /// single v1 schema shared by the HTTP server, the client, the CLI, and
 /// the traffic bench (docs/API.md).
-///
-/// SpatialAggQuery remains the internal execution plumbing (joins and the
-/// executor consume it); ToQuery()/FromQuery() convert losslessly, so the
-/// PR-5 cache/determinism suites pin the same behavior through either
-/// surface. New code should build a QuerySpec; poking SpatialAggQuery
-/// fields directly is deprecated.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "agg/aggregate.h"
 #include "common/json.h"
 #include "common/status.h"
+#include "data/point_table.h"
+#include "query/filter.h"
 #include "query/query.h"
 
 namespace rj {
@@ -46,12 +45,15 @@ inline constexpr int kQuerySchemaVersion = 1;
 /// across all of them). Excluded from semantic equality and cache keys.
 struct ExecPolicy {
   /// Cap on the query's device-memory working set (0 = plan against the
-  /// device's free budget). QueryService overrides this with the admission
-  /// grant; it is client-settable only for direct Executor use.
+  /// device's free budget); point batches are sized so each shard's
+  /// allocations stay within it. QueryService overrides this with the
+  /// admission grant; it is client-settable only for direct Executor use.
   std::size_t device_memory_cap_bytes = 0;
   /// Threads for the CPU index-join variant.
   int cpu_threads = 1;
-  /// Double-buffer host→device transfers (join::BatchPipeline).
+  /// Double-buffer host→device transfers (join::BatchPipeline): two upload
+  /// buffers are in flight, so admission reserves 2× the upload stride.
+  /// Off reproduces the serialized transfer→draw timing.
   bool overlap_transfers = true;
   /// Consult the service result cache. False forces a fresh execution
   /// (still admission-controlled); the fresh result is not stored either —
@@ -75,8 +77,10 @@ struct ExecPolicy {
   bool shard_cache = true;
 };
 
+struct SpatialAggQuery;
+
 /// What a query computes. Equal specs (operator==) are guaranteed to
-/// produce bitwise-identical results; Hash() is consistent with equality.
+/// produce bitwise-identical results; HashSpec is consistent with equality.
 struct QuerySpec {
   /// Dataset name, resolved by QueryService/the server at submit. Empty is
   /// valid for direct Executor use (the executor is already bound to its
@@ -95,24 +99,38 @@ struct QuerySpec {
   /// Compute §5 result ranges (bounded variant, single tile only).
   bool with_result_ranges = false;
 
-  /// Lossless conversion to the internal execution struct; `policy`
-  /// supplies the execution-only fields.
-  SpatialAggQuery ToQuery(const ExecPolicy& policy = {}) const;
+  /// The column the aggregate actually reads: COUNT ignores
+  /// aggregate_column, so its identity canonicalizes to npos —
+  /// `COUNT(col 3)` and `COUNT(col 7)` are the same query.
+  std::size_t EffectiveAggregateColumn() const {
+    return aggregate == AggregateKind::kCount ? PointTable::npos
+                                              : aggregate_column;
+  }
 
-  /// The semantic fields of `query` (execution knobs dropped).
-  static QuerySpec FromQuery(const SpatialAggQuery& query,
-                             std::string dataset = "");
+  /// This spec executed under `policy`.
+  SpatialAggQuery ToQuery(const ExecPolicy& policy = {}) const;
 };
 
-/// Semantic equality: dataset name plus the SpatialAggQuery semantic
-/// identity (COUNT column canonicalized, filters order-insensitive).
+/// Semantic equality: true when the two specs must produce bitwise
+/// identical results — dataset name, aggregate (with COUNT's column
+/// canonicalized away), order-insensitive filters, variant, ε, canvas dim
+/// and the ranges flag. The execution knobs (ExecPolicy) are outside it:
+/// the determinism suites prove results identical across them, and keying
+/// on them would split identical traffic across cache entries.
 bool operator==(const QuerySpec& a, const QuerySpec& b);
 inline bool operator!=(const QuerySpec& a, const QuerySpec& b) {
   return !(a == b);
 }
 
-/// Hash consistent with operator== (delegates to HashQuery + dataset).
+/// Hash consistent with operator== (equal specs hash equally).
 std::size_t HashSpec(const QuerySpec& spec);
+
+/// One query as the executor and the service run it: what it computes and
+/// how. Only `spec` is its identity (QuerySpec operator==, query::CacheKey).
+struct SpatialAggQuery {
+  QuerySpec spec;
+  ExecPolicy policy;
+};
 
 /// Checks the spec's column references against a dataset with
 /// `num_attribute_columns` attribute columns: every filter column and a
@@ -120,11 +138,6 @@ std::size_t HashSpec(const QuerySpec& spec);
 /// validation (the builder cannot know the dataset's width).
 Status ValidateSpecColumns(const QuerySpec& spec,
                            std::size_t num_attribute_columns);
-
-/// Same check on the internal struct (the service validates every
-/// submission, whichever surface it arrived through).
-Status ValidateQueryColumns(const SpatialAggQuery& query,
-                            std::size_t num_attribute_columns);
 
 /// Fluent, validating constructor for QuerySpec. Setters never fail;
 /// Build() reports the first problem as InvalidArgument:

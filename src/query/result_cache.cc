@@ -7,33 +7,14 @@ namespace rj::query {
 
 bool CacheKey::operator==(const CacheKey& other) const {
   return dataset == other.dataset && version == other.version &&
-         aggregate == other.aggregate && column == other.column &&
-         filters == other.filters && variant == other.variant &&
-         epsilon == other.epsilon && canvas_dim == other.canvas_dim &&
-         with_result_ranges == other.with_result_ranges &&
-         shard == other.shard;
+         spec == other.spec && shard == other.shard;
 }
 
 std::size_t CacheKeyHash::operator()(const CacheKey& key) const {
   std::size_t seed = std::hash<std::uint64_t>{}(key.dataset);
   seed = detail::HashCombine(seed, std::hash<std::uint64_t>{}(key.version));
-  seed = detail::HashCombine(
-      seed, std::hash<int>{}(static_cast<int>(key.aggregate)));
-  seed = detail::HashCombine(seed, std::hash<std::size_t>{}(key.column));
-  for (const AttributeFilter& f : key.filters) {
-    seed = detail::HashCombine(seed, std::hash<std::size_t>{}(f.column));
-    seed = detail::HashCombine(seed, std::hash<int>{}(static_cast<int>(f.op)));
-    seed = detail::HashCombine(seed, detail::HashFloatBits(f.value));
-  }
-  seed = detail::HashCombine(seed,
-                             std::hash<int>{}(static_cast<int>(key.variant)));
-  seed = detail::HashCombine(seed, detail::HashDoubleBits(key.epsilon));
-  seed = detail::HashCombine(seed,
-                             std::hash<std::int32_t>{}(key.canvas_dim));
-  seed = detail::HashCombine(seed,
-                             std::hash<bool>{}(key.with_result_ranges));
-  seed = detail::HashCombine(seed, std::hash<std::size_t>{}(key.shard));
-  return seed;
+  seed = detail::HashCombine(seed, HashSpec(key.spec));
+  return detail::HashCombine(seed, std::hash<std::size_t>{}(key.shard));
 }
 
 CacheKey MakeCacheKey(std::uint64_t dataset, std::uint64_t version,
@@ -42,13 +23,9 @@ CacheKey MakeCacheKey(std::uint64_t dataset, std::uint64_t version,
   CacheKey key;
   key.dataset = dataset;
   key.version = version;
-  key.aggregate = query.aggregate;
-  key.column = query.EffectiveAggregateColumn();
-  key.filters = query.filters.Canonical();
-  key.variant = resolved_variant;
-  key.epsilon = query.epsilon;
-  key.canvas_dim = query.accurate_canvas_dim;
-  key.with_result_ranges = query.with_result_ranges;
+  key.spec = query.spec;
+  key.spec.dataset.clear();
+  key.spec.variant = resolved_variant;
   return key;
 }
 
@@ -211,7 +188,7 @@ std::size_t ResultCache::EntryBytes(const CacheKey& key,
   // approximated by the sizeofs. Exactness is not required — the capacity
   // is a budget, not an allocator.
   std::size_t bytes = sizeof(Entry) + sizeof(CacheKey) + sizeof(QueryResult);
-  bytes += 2 * key.filters.size() * sizeof(AttributeFilter);
+  bytes += 2 * key.spec.filters.size() * sizeof(AttributeFilter);
   bytes += result.values.size() * sizeof(double);
   bytes += (result.arrays.count.size() + result.arrays.sum.size() +
             result.arrays.min.size() + result.arrays.max.size()) *

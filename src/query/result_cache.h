@@ -8,14 +8,14 @@
 /// QueryResults behind a canonical semantic key so repeated traffic costs a
 /// hash lookup plus a copy instead of a join:
 ///
-///  * **key semantics** — CacheKey hashes only the fields that determine
-///    the result bits: (dataset id, dataset version, aggregate, effective
-///    column, canonically-ordered FilterSet, resolved variant, epsilon,
-///    canvas dim, ranges flag). Execution-only knobs
-///    (`device_memory_cap_bytes`, `cpu_threads`, `overlap_transfers`,
-///    shard counts) are excluded: the determinism suites prove
-///    results are bitwise identical across them, and excluding them is
-///    what makes admission-resized or resharded repeats actually hit;
+///  * **key semantics** — CacheKey is the dataset id and version plus the
+///    query's QuerySpec identity (operator==/HashSpec: aggregate,
+///    effective column, order-insensitive filters, ε, canvas dim, ranges
+///    flag) with the variant resolved and the dataset name cleared. The
+///    execution knobs (ExecPolicy) and shard counts are outside it: the
+///    determinism suites prove results are bitwise identical across them,
+///    and excluding them is what makes admission-resized or resharded
+///    repeats actually hit;
 ///  * **sharded-lock LRU** — entries hash across N independently-locked
 ///    shards (byte-accounted; eviction from each shard's LRU tail), so
 ///    concurrent dispatchers don't serialize on one cache mutex;
@@ -48,7 +48,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "query/executor.h"
-#include "query/query.h"
+#include "query/query_spec.h"
 #include "query/result.h"
 
 namespace rj::query {
@@ -61,17 +61,12 @@ struct CacheKey {
   std::uint64_t dataset = 0;
   /// Dataset version at key-build time; bumps invalidate by key mismatch.
   std::uint64_t version = 0;
-  AggregateKind aggregate = AggregateKind::kCount;
-  /// Effective aggregate column (npos for COUNT).
-  std::size_t column = PointTable::npos;
-  /// Conjuncts in canonical (column, op, value) order.
-  std::vector<AttributeFilter> filters;
-  /// Resolved variant — never kAuto, so a kAuto query shares entries with
-  /// the explicit variant the cost model picks.
-  JoinVariant variant = JoinVariant::kBoundedRaster;
-  double epsilon = 0.0;
-  std::int32_t canvas_dim = 0;
-  bool with_result_ranges = false;
+  /// The query's semantic identity, compared and hashed through QuerySpec's
+  /// operator==/HashSpec. `spec.dataset` is cleared — the id above is what
+  /// names the dataset — and `spec.variant` is resolved, never kAuto, so a
+  /// kAuto query shares entries with the explicit variant the cost model
+  /// picks.
+  QuerySpec spec;
   /// kNoShard for a whole-query entry (the common case). A concrete shard
   /// id keys a *per-shard partial* — the executor's shard cache stores one
   /// entry per (semantic query, shard) so a pan that re-covers a shard
@@ -90,9 +85,9 @@ struct CacheKeyHash {
 };
 
 /// Builds the canonical key for `query` against dataset
-/// (`dataset`, `version`). `resolved_variant` must be the executor's
-/// ResolveVariant outcome (kAuto is not a semantic identity — the cost
-/// model's pick is).
+/// (`dataset`, `version`) from `query.spec` alone; `query.policy` never
+/// enters it. `resolved_variant` must be the executor's ResolveVariant
+/// outcome (kAuto is not a semantic identity — the cost model's pick is).
 CacheKey MakeCacheKey(std::uint64_t dataset, std::uint64_t version,
                       const SpatialAggQuery& query,
                       JoinVariant resolved_variant);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "geometry/bbox.h"
 #include "geometry/segment.h"
@@ -42,27 +43,40 @@ bool TriangleOverlapsPixel(const Point& a, const Point& b, const Point& c,
   return false;
 }
 
+/// An inclusive pixel window [x0, x1] × [y0, y1].
+struct Window {
+  std::int32_t x0, x1, y0, y1;
+};
+
+/// The pixel window of a shape with bounding box [min_x, max_x] ×
+/// [min_y, max_y], expanded by one pixel on each side (edges exactly on
+/// pixel borders touch both sides) and clamped to the width × height
+/// canvas in double before the cast, so every finite coordinate is valid
+/// input. nullopt when the window misses the canvas (or is NaN).
+std::optional<Window> CanvasWindow(double min_x, double max_x, double min_y,
+                                   double max_y, std::int32_t width,
+                                   std::int32_t height) {
+  const double x0 = std::max(std::floor(min_x) - 1.0, 0.0);
+  const double x1 = std::min(std::floor(max_x) + 1.0, width - 1.0);
+  const double y0 = std::max(std::floor(min_y) - 1.0, 0.0);
+  const double y1 = std::min(std::floor(max_y) + 1.0, height - 1.0);
+  if (!(x0 <= x1 && y0 <= y1)) return std::nullopt;
+  return Window{static_cast<std::int32_t>(x0), static_cast<std::int32_t>(x1),
+                static_cast<std::int32_t>(y0), static_cast<std::int32_t>(y1)};
+}
+
 }  // namespace
 
 void RasterizeTriangleConservative(const Point& a, const Point& b,
                                    const Point& c, std::int32_t width,
                                    std::int32_t height,
                                    const FragmentCallback& emit) {
-  // One-pixel expansion: edges exactly on pixel borders touch both sides.
-  std::int32_t x0 =
-      static_cast<std::int32_t>(std::floor(std::min({a.x, b.x, c.x}))) - 1;
-  std::int32_t x1 =
-      static_cast<std::int32_t>(std::floor(std::max({a.x, b.x, c.x}))) + 1;
-  std::int32_t y0 =
-      static_cast<std::int32_t>(std::floor(std::min({a.y, b.y, c.y}))) - 1;
-  std::int32_t y1 =
-      static_cast<std::int32_t>(std::floor(std::max({a.y, b.y, c.y}))) + 1;
-  x0 = std::max(x0, 0);
-  y0 = std::max(y0, 0);
-  x1 = std::min(x1, width - 1);
-  y1 = std::min(y1, height - 1);
-  for (std::int32_t y = y0; y <= y1; ++y) {
-    for (std::int32_t x = x0; x <= x1; ++x) {
+  const std::optional<Window> w = CanvasWindow(
+      std::min({a.x, b.x, c.x}), std::max({a.x, b.x, c.x}),
+      std::min({a.y, b.y, c.y}), std::max({a.y, b.y, c.y}), width, height);
+  if (!w.has_value()) return;
+  for (std::int32_t y = w->y0; y <= w->y1; ++y) {
+    for (std::int32_t x = w->x0; x <= w->x1; ++x) {
       if (TriangleOverlapsPixel(a, b, c, x, y)) emit(x, y);
     }
   }
@@ -71,23 +85,15 @@ void RasterizeTriangleConservative(const Point& a, const Point& b,
 void RasterizeSegmentConservative(const Point& a, const Point& b,
                                   std::int32_t width, std::int32_t height,
                                   const FragmentCallback& emit) {
-  // Expand the scan window by one pixel on each side: a segment lying
-  // exactly on a pixel border touches the squares of both adjacent rows/
-  // columns, whose indices fall outside the floor()-based bbox.
-  std::int32_t x0 =
-      static_cast<std::int32_t>(std::floor(std::min(a.x, b.x))) - 1;
-  std::int32_t x1 =
-      static_cast<std::int32_t>(std::floor(std::max(a.x, b.x))) + 1;
-  std::int32_t y0 =
-      static_cast<std::int32_t>(std::floor(std::min(a.y, b.y))) - 1;
-  std::int32_t y1 =
-      static_cast<std::int32_t>(std::floor(std::max(a.y, b.y))) + 1;
-  x0 = std::max(x0, 0);
-  y0 = std::max(y0, 0);
-  x1 = std::min(x1, width - 1);
-  y1 = std::min(y1, height - 1);
-  for (std::int32_t y = y0; y <= y1; ++y) {
-    for (std::int32_t x = x0; x <= x1; ++x) {
+  // The window's one-pixel expansion matters here: a segment lying exactly
+  // on a pixel border touches the squares of both adjacent rows/columns,
+  // whose indices fall outside the floor()-based bbox.
+  const std::optional<Window> w =
+      CanvasWindow(std::min(a.x, b.x), std::max(a.x, b.x), std::min(a.y, b.y),
+                   std::max(a.y, b.y), width, height);
+  if (!w.has_value()) return;
+  for (std::int32_t y = w->y0; y <= w->y1; ++y) {
+    for (std::int32_t x = w->x0; x <= w->x1; ++x) {
       const BBox px(x, y, x + 1.0, y + 1.0);
       // Segment within or crossing the pixel square?
       if (px.Contains(a) || px.Contains(b)) {

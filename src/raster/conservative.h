@@ -16,7 +16,9 @@
 namespace rj::raster {
 
 /// Emits every pixel whose square overlaps triangle (a, b, c), given in
-/// screen coordinates. Superset of RasterizeTriangle's coverage.
+/// screen coordinates. Superset of RasterizeTriangle's coverage. Both
+/// functions here take any finite coordinates: the scan window is clamped
+/// to the grid in double before any integer cast.
 void RasterizeTriangleConservative(const Point& a, const Point& b,
                                    const Point& c, std::int32_t width,
                                    std::int32_t height,

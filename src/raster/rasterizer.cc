@@ -1,7 +1,11 @@
 #include "raster/rasterizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+
+#include "geometry/bbox.h"
 
 namespace rj::raster {
 
@@ -15,11 +19,14 @@ void RasterizeTriangle(const Point& a, const Point& b, const Point& c,
                     });
 }
 
-void RasterizeSegment(const Point& a, const Point& b, std::int32_t width,
-                      std::int32_t height, const FragmentCallback& emit) {
-  // Amanatides–Woo style voxel traversal over the pixel grid: emits every
-  // pixel the segment passes through, with no gaps (required so polygon
-  // outlines form closed boundaries in the boundary FBO).
+namespace {
+
+/// Amanatides–Woo style voxel traversal over the pixel grid: emits every
+/// pixel the segment passes through, with no gaps (required so polygon
+/// outlines form closed boundaries in the boundary FBO). The endpoints
+/// must lie within one pixel of the grid, so every pixel index fits.
+void TraverseSegment(const Point& a, const Point& b, std::int32_t width,
+                     std::int32_t height, const FragmentCallback& emit) {
   double x = a.x, y = a.y;
   const double dx = b.x - a.x;
   const double dy = b.y - a.y;
@@ -71,6 +78,55 @@ void RasterizeSegment(const Point& a, const Point& b, std::int32_t width,
     }
     emit_clipped(px, py);
   }
+}
+
+/// The far end of the part of segment [p, q] that lies in `box`, computed
+/// from p so that it keeps p's precision (Liang–Barsky); q itself when q is
+/// in the box, nullopt when the segment misses the box. The direction is
+/// halved, q/2 − p/2, so no pair of finite endpoints overflows it, and the
+/// end is clamped into the box: when p is far off the box too, rounding
+/// moves it by up to an ulp of p.
+std::optional<Point> ClipFarEnd(const Point& p, const Point& q,
+                                const BBox& box) {
+  if (box.Contains(q)) return q;
+  const double from[2] = {p.x, p.y};
+  const double half[2] = {q.x * 0.5 - p.x * 0.5, q.y * 0.5 - p.y * 0.5};
+  const double lo_edge[2] = {box.min_x, box.min_y};
+  const double hi_edge[2] = {box.max_x, box.max_y};
+  double lo = 0.0;  // p + r·half for r in [lo, hi] lies in the box
+  double hi = 2.0;
+  for (int k = 0; k < 2; ++k) {
+    if (half[k] == 0.0) {
+      if (from[k] < lo_edge[k] || from[k] > hi_edge[k]) return std::nullopt;
+      continue;
+    }
+    const double r0 = (lo_edge[k] - from[k]) / half[k];
+    const double r1 = (hi_edge[k] - from[k]) / half[k];
+    lo = std::max(lo, std::min(r0, r1));
+    hi = std::min(hi, std::max(r0, r1));
+  }
+  if (lo > hi) return std::nullopt;
+  return Point{std::clamp(p.x + hi * half[0], box.min_x, box.max_x),
+               std::clamp(p.y + hi * half[1], box.min_y, box.max_y)};
+}
+
+}  // namespace
+
+void RasterizeSegment(const Point& a, const Point& b, std::int32_t width,
+                      std::int32_t height, const FragmentCallback& emit) {
+  if (!std::isfinite(a.x) || !std::isfinite(a.y) || !std::isfinite(b.x) ||
+      !std::isfinite(b.y)) {
+    return;
+  }
+  // The traversal walks pixels one step at a time, so an endpoint far off
+  // the grid is first clipped to the grid plus a one-pixel border: the
+  // walk is then bounded by the canvas, not by the segment's length, and
+  // segments already inside the border walk exactly as given.
+  const BBox guard(-1.0, -1.0, width + 1.0, height + 1.0);
+  const std::optional<Point> a_in = ClipFarEnd(b, a, guard);
+  const std::optional<Point> b_in = ClipFarEnd(a, b, guard);
+  if (!a_in.has_value() || !b_in.has_value()) return;
+  TraverseSegment(*a_in, *b_in, width, height, emit);
 }
 
 }  // namespace rj::raster

@@ -162,7 +162,10 @@ void RasterizeTriangle(const Point& a, const Point& b, const Point& c,
 
 /// Rasterizes the segment [a, b] (screen coords) with a DDA walk, emitting
 /// every pixel whose interior the segment passes through. Used for drawing
-/// polygon outlines (accurate raster join, step 1).
+/// polygon outlines (accurate raster join, step 1). Every finite
+/// coordinate is valid input: an endpoint more than one pixel off the grid
+/// is clipped there first, in double, so the walk is bounded by the grid,
+/// not by the segment's length. A non-finite endpoint emits nothing.
 void RasterizeSegment(const Point& a, const Point& b, std::int32_t width,
                       std::int32_t height, const FragmentCallback& emit);
 

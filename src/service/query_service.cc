@@ -83,8 +83,7 @@ Status ValidateQueryCanvas(const Executor& executor,
   if (executor.ResolveVariant(query) != JoinVariant::kAccurateRaster) {
     return Status::OK();
   }
-  return ResolveAccurateCanvasDim(query.accurate_canvas_dim,
-                                  *executor.device())
+  return ResolveAccurateCanvasDim(query.spec.canvas_dim, *executor.device())
       .status();
 }
 }  // namespace
@@ -197,32 +196,21 @@ Executor* QueryService::dataset_executor(std::size_t dataset_id) {
 }
 
 std::future<ServiceResponse> QueryService::Submit(std::size_t dataset_id,
-                                                  const SpatialAggQuery& query,
-                                                  SubmitOptions options) {
-  return Enqueue(dataset_id, query, options, /*blocking=*/true, nullptr);
-}
-
-Result<std::future<ServiceResponse>> QueryService::TrySubmit(
-    std::size_t dataset_id, const SpatialAggQuery& query,
-    SubmitOptions options) {
-  Status reject = Status::OK();
-  std::future<ServiceResponse> future =
-      Enqueue(dataset_id, query, options, /*blocking=*/false, &reject);
-  if (!reject.ok()) return reject;
-  return future;
-}
-
-std::future<ServiceResponse> QueryService::Submit(std::size_t dataset_id,
                                                   const QuerySpec& spec,
                                                   const ExecPolicy& policy,
                                                   SubmitOptions options) {
-  return Submit(dataset_id, spec.ToQuery(policy), options);
+  return Enqueue(dataset_id, {spec, policy}, options, /*blocking=*/true,
+                 nullptr);
 }
 
 Result<std::future<ServiceResponse>> QueryService::TrySubmit(
     std::size_t dataset_id, const QuerySpec& spec, const ExecPolicy& policy,
     SubmitOptions options) {
-  return TrySubmit(dataset_id, spec.ToQuery(policy), options);
+  Status reject = Status::OK();
+  std::future<ServiceResponse> future = Enqueue(
+      dataset_id, {spec, policy}, options, /*blocking=*/false, &reject);
+  if (!reject.ok()) return reject;
+  return future;
 }
 
 std::future<ServiceResponse> QueryService::Enqueue(
@@ -242,8 +230,8 @@ std::future<ServiceResponse> QueryService::Enqueue(
     if (dataset_id >= executors_.size()) {
       invalid = Status::NotFound("unknown dataset id " +
                                  std::to_string(dataset_id));
-    } else if (Status columns = ValidateQueryColumns(
-                   query, executors_[dataset_id]->num_attribute_columns());
+    } else if (Status columns = ValidateSpecColumns(
+                   query.spec, executors_[dataset_id]->num_attribute_columns());
                !columns.ok()) {
       // Submit-time validation: bad column references are a structured
       // per-query error, resolved through the future before admission.
@@ -348,9 +336,8 @@ void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
     if (p.dataset != head.dataset) return false;
     if (executor->ResolveVariant(p.query) != head_variant) return false;
     return head_variant == JoinVariant::kBoundedRaster
-               ? p.query.epsilon == head.query.epsilon
-               : p.query.accurate_canvas_dim ==
-                     head.query.accurate_canvas_dim;
+               ? p.query.spec.epsilon == head.query.spec.epsilon
+               : p.query.spec.canvas_dim == head.query.spec.canvas_dim;
   };
   for (std::deque<Pending>* lane : {&priority_, &fifo_}) {
     for (auto it = lane->begin();
@@ -382,7 +369,7 @@ void QueryService::RunQuery(Pending pending) {
     return std::move(results[0]);
   };
 
-  if (cache_ != nullptr && !pending.query.bypass_result_cache) {
+  if (cache_ != nullptr && pending.query.policy.use_result_cache) {
     // Cached path. The key is the query's semantic identity (dataset id +
     // version, aggregate/filters/variant/ε/canvas/ranges — execution knobs
     // excluded); a hit — fast lookup or single-flight share of a running
@@ -431,7 +418,7 @@ void QueryService::RunGroup(std::vector<Pending> group) {
   std::vector<bool> cacheable;
   misses.reserve(group.size());
   for (Pending& p : group) {
-    if (cache_ != nullptr && !p.query.bypass_result_cache) {
+    if (cache_ != nullptr && p.query.policy.use_result_cache) {
       Timer fetch;
       const query::CacheKey key = query::MakeCacheKey(
           p.dataset, executor->dataset_version(), p.query,
@@ -605,13 +592,13 @@ Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
   RJ_ASSIGN_OR_RETURN(AdmissionPlan plan,
                       executor->PlanFusedAdmission(queries));
 
-  // Placement before the grant: routing, per-shard cache reuse, and
-  // replica-aware device selection decide which shards will actually
-  // execute and where, so hosted[d] — what device d's grant is multiplied
-  // by — covers exactly the executing work. Skipped and cached shards
-  // reserve nothing (all-or-nothing reservation over the executing devices
-  // only). A one-shard dataset places {1}, which reduces everything below
-  // to the single-budget policy.
+  // Placement before the grant: routing and per-shard cache reuse decide
+  // which shards will actually execute (shard s on device s mod pool
+  // size), so hosted[d] — what device d's grant is multiplied by — covers
+  // exactly the executing work. Skipped and cached shards reserve nothing
+  // (all-or-nothing reservation over the executing devices only). A
+  // one-shard dataset places {1}, which reduces everything below to the
+  // single-budget policy.
   RJ_ASSIGN_OR_RETURN(Executor::ShardPlacement placement,
                       executor->PlanFusedPlacement(queries));
   for (QueryStats& s : *stats) {
@@ -630,7 +617,9 @@ Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
   }
 
   // --- Execution, batched to the per-shard grant. -------------------------
-  for (SpatialAggQuery& q : queries) q.device_memory_cap_bytes = per_shard_grant;
+  for (SpatialAggQuery& q : queries) {
+    q.policy.device_memory_cap_bytes = per_shard_grant;
+  }
   for (std::size_t i = 0; i < waiting.size(); ++i) {
     (*stats)[i].queue_seconds = waiting[i]->queued.ElapsedSeconds();
   }
@@ -660,57 +649,7 @@ Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
     cv_capacity_.NotifyAll();
   }
 
-  if (results.ok()) UpdateShardHeat(executor, placement);
   return results;
-}
-
-void QueryService::UpdateShardHeat(
-    Executor* executor, const Executor::ShardPlacement& placement) {
-  // A replica cannot move a lone shard: placement's lowest-index tie-break
-  // keeps it on its home device.
-  if (executor->num_shards() < 2 || options_.replicate_hot_shards == 0) return;
-
-  std::vector<std::vector<std::size_t>> replicas;
-  bool install = false;
-  {
-    MutexLock lock(heat_mutex_);
-    ShardHeat& h = shard_heat_[executor];
-    const std::size_t num_shards = placement.device_of_shard.size();
-    if (h.heat.size() != num_shards) h.heat.assign(num_shards, 0.0);
-    const double alpha = std::clamp(options_.shard_heat_alpha, 0.0, 1.0);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      // "Visited" = the query needed this shard's rows (executed or served
-      // from the partial cache); routing-skipped shards cool down.
-      const bool visited = placement.device_of_shard[s] !=
-                           Executor::ShardPlacement::kSkipped;
-      h.heat[s] = (1.0 - alpha) * h.heat[s] + (visited ? alpha : 0.0);
-    }
-    const std::uint64_t interval =
-        std::max<std::uint64_t>(1, options_.replica_update_interval);
-    if (++h.queries % interval == 0) {
-      // Top-K by heat (stable sort: ties resolve to the lower shard id, so
-      // the map is deterministic for a given query history). The K hottest
-      // shards may run on any pool device; placement's least-loaded rule
-      // does the actual balancing.
-      std::vector<std::size_t> order(num_shards);
-      for (std::size_t s = 0; s < num_shards; ++s) order[s] = s;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return h.heat[a] > h.heat[b];
-                       });
-      replicas.assign(num_shards, {});
-      const std::size_t k =
-          std::min(options_.replicate_hot_shards, num_shards);
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t s = order[i];
-        for (std::size_t d = 0; d < pool_->size(); ++d) {
-          if (d != s % pool_->size()) replicas[s].push_back(d);
-        }
-      }
-      install = true;
-    }
-  }
-  if (install) executor->SetShardReplicas(std::move(replicas));
 }
 
 void QueryService::Respond(Pending* pending, Result<QueryResult> result,

@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>  // std::once_flag
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -50,7 +49,6 @@
 #include "gpu/device.h"
 #include "gpu/device_pool.h"
 #include "query/executor.h"
-#include "query/query.h"
 #include "query/query_spec.h"
 #include "query/result.h"
 #include "query/result_cache.h"
@@ -104,23 +102,6 @@ struct ServiceOptions {
 
   /// Lock shards of the result cache (concurrency of the hit path).
   std::size_t result_cache_shards = 8;
-
-  /// Hot-shard replication (sharded datasets only): the K hottest shards —
-  /// by an EWMA over how often recent queries actually visited each shard
-  /// (routing-skipped shards don't heat up) — get read replicas on every
-  /// pool device, and placement routes each to the least-loaded candidate
-  /// device instead of pinning it to its home. 0 = off (home-only
-  /// placement). Replication never changes result bits: every device runs
-  /// the identical shard join and the merge order is fixed.
-  std::size_t replicate_hot_shards = 0;
-
-  /// EWMA smoothing factor for the per-shard heat counters (0..1; higher
-  /// = faster reaction to workload shifts).
-  double shard_heat_alpha = 0.3;
-
-  /// Re-derive the replica map from the heat counters every this many
-  /// sharded executions of a dataset (amortizes the sort; clamped ≥ 1).
-  std::uint64_t replica_update_interval = 16;
 };
 
 /// Per-submission options.
@@ -218,9 +199,10 @@ struct ServiceStats {
   query::ResultCacheStats cache;
 };
 
-/// Accepts SpatialAggQuery submissions from many client threads and runs
-/// them against a shared gpu::DevicePool. Thread-safe throughout; see the
-/// file comment for the architecture and docs/SERVICE.md for the policy.
+/// Accepts query submissions (a QuerySpec plus its ExecPolicy) from many
+/// client threads and runs them against a shared gpu::DevicePool.
+/// Thread-safe throughout; see the file comment for the architecture and
+/// docs/SERVICE.md for the policy.
 class QueryService {
  public:
   /// Single-device convenience: wraps `device` in a non-owning pool.
@@ -296,28 +278,20 @@ class QueryService {
   /// run a sequential baseline against the very same preprocessing).
   Executor* dataset_executor(std::size_t dataset_id) RJ_EXCLUDES(mutex_);
 
-  /// Enqueues a query. Blocks while the submission queue is full
-  /// (backpressure); the returned future resolves when the query has
-  /// executed (or failed validation/admission).
+  /// Enqueues the spec under an execution policy. Blocks while the
+  /// submission queue is full (backpressure); the returned future resolves
+  /// when the query has executed (or failed validation/admission). Column
+  /// references and an accurate canvas are validated against the dataset
+  /// at submit; bad specs resolve the future with InvalidArgument without
+  /// reaching admission. The spec's `dataset` name is not consulted —
+  /// `dataset_id` (from RegisterDataset/ResolveDataset) is authoritative.
   std::future<ServiceResponse> Submit(std::size_t dataset_id,
-                                      const SpatialAggQuery& query,
+                                      const QuerySpec& spec,
+                                      const ExecPolicy& policy = {},
                                       SubmitOptions options = {})
       RJ_EXCLUDES(mutex_);
 
   /// Non-blocking Submit: CapacityError when the queue is full.
-  Result<std::future<ServiceResponse>> TrySubmit(std::size_t dataset_id,
-                                                 const SpatialAggQuery& query,
-                                                 SubmitOptions options = {});
-
-  /// Public-API submission: the semantic spec plus an execution policy.
-  /// Column references are validated against the dataset at submit; bad
-  /// specs resolve the future with InvalidArgument without reaching
-  /// admission. The spec's `dataset` name is not consulted — `dataset_id`
-  /// (from RegisterDataset/ResolveDataset) is authoritative.
-  std::future<ServiceResponse> Submit(std::size_t dataset_id,
-                                      const QuerySpec& spec,
-                                      const ExecPolicy& policy = {},
-                                      SubmitOptions options = {});
   Result<std::future<ServiceResponse>> TrySubmit(std::size_t dataset_id,
                                                  const QuerySpec& spec,
                                                  const ExecPolicy& policy = {},
@@ -412,11 +386,11 @@ class QueryService {
 
   /// The uncached execution path of a group — one query, or the distinct
   /// members of a fusion group: plans the group's shard placement
-  /// (routing / per-shard cache / replicas), sizes and reserves ONE set of
+  /// (routing / per-shard cache), sizes and reserves ONE set of
   /// per-device grants (Executor::PlanFusedAdmission, the union upload
   /// plan) against exactly the executing devices, executes the group
-  /// batched to the per-shard grant (Executor::ExecuteFused), releases,
-  /// then feeds the placement into the shard heat tracker. `waiting` are
+  /// batched to the per-shard grant (Executor::ExecuteFused), then
+  /// releases. `waiting` are
   /// the submissions this execution answers; (*stats)[i] receives the
   /// group's grant/counter/timing/routing fields and waiting[i]'s queue
   /// time. With caching on, a solo query runs this as the single-flight
@@ -425,14 +399,6 @@ class QueryService {
   Result<std::vector<QueryResult>> AdmitAndExecute(
       Executor* executor, std::vector<SpatialAggQuery> queries,
       const std::vector<Pending*>& waiting, std::vector<QueryStats>* stats);
-
-  /// EWMA heat update from one executed placement; every
-  /// replica_update_interval-th execution of a dataset re-derives its
-  /// top-K replica map and installs it on the executor. No-op when
-  /// replication is off or the dataset has fewer than two shards.
-  void UpdateShardHeat(Executor* executor,
-                       const Executor::ShardPlacement& placement)
-      RJ_EXCLUDES(heat_mutex_);
 
   /// Fulfills a pending promise and updates completion accounting.
   void Respond(Pending* pending, Result<QueryResult> result,
@@ -462,7 +428,7 @@ class QueryService {
   /// Service lock. Guards the queues, dispatcher bookkeeping, and the
   /// registration tables. Lock order: mutex_ before any device mutex
   /// (AcquireGrant reserves device budgets while holding it), never the
-  /// reverse; disjoint from heat_mutex_ (never both held).
+  /// reverse.
   mutable Mutex mutex_;
   CondVar cv_space_;     ///< submitters: queue has room
   CondVar cv_capacity_;  ///< dispatchers: grant released
@@ -483,17 +449,6 @@ class QueryService {
   std::vector<std::unique_ptr<Executor>> executors_ RJ_GUARDED_BY(mutex_);
   /// Wire names, parallel to executors_ (id = index).
   std::vector<std::string> dataset_names_ RJ_GUARDED_BY(mutex_);
-  /// Per-dataset EWMA shard heat (see ServiceOptions::replicate_hot_shards),
-  /// keyed by executor (stable for the service's lifetime); guarded by
-  /// heat_mutex_ — its own lock, since heat updates happen on the
-  /// execution path, outside mutex_.
-  struct ShardHeat {
-    std::vector<double> heat;
-    std::uint64_t queries = 0;
-  };
-  Mutex heat_mutex_;
-  std::unordered_map<const Executor*, ShardHeat> shard_heat_
-      RJ_GUARDED_BY(heat_mutex_);
   /// Block sources opened by RegisterDatasetFromFile, owned for the
   /// service's lifetime (their executors point into them). Not parallel to
   /// executors_ — table/sharded registrations add no entry.

@@ -39,12 +39,12 @@ class EndToEndTest : public ::testing::Test {
 TEST_F(EndToEndTest, UrbaneStyleHeatmapQuery) {
   // Figure 1(a) analogue: COUNT per neighborhood, visualized.
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 20.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 20.0;
   auto approx = executor_->Execute(query);
   ASSERT_TRUE(approx.ok());
 
-  query.variant = JoinVariant::kAccurateRaster;
+  query.spec.variant = JoinVariant::kAccurateRaster;
   auto exact = executor_->Execute(query);
   ASSERT_TRUE(exact.ok());
 
@@ -62,14 +62,14 @@ TEST_F(EndToEndTest, FilteredAverageFareQuery) {
   // "Average fare of morning trips per neighborhood" — exercises filters +
   // algebraic aggregate through every exact variant.
   SpatialAggQuery query;
-  query.aggregate = AggregateKind::kAverage;
-  query.aggregate_column = kTaxiFare;
-  ASSERT_TRUE(query.filters.Add({kTaxiHour, FilterOp::kLess, 12.0f}).ok());
+  query.spec.aggregate = AggregateKind::kAverage;
+  query.spec.aggregate_column = kTaxiFare;
+  ASSERT_TRUE(query.spec.filters.Add({kTaxiHour, FilterOp::kLess, 12.0f}).ok());
 
-  query.variant = JoinVariant::kAccurateRaster;
+  query.spec.variant = JoinVariant::kAccurateRaster;
   auto a = executor_->Execute(query);
   ASSERT_TRUE(a.ok());
-  query.variant = JoinVariant::kIndexCpu;
+  query.spec.variant = JoinVariant::kIndexCpu;
   auto b = executor_->Execute(query);
   ASSERT_TRUE(b.ok());
 
@@ -90,15 +90,15 @@ TEST_F(EndToEndTest, LevelOfDetailZoomImprovesAccuracy) {
   // Emulate by running bounded at two ε values standing for zoomed-out /
   // zoomed-in pixel sizes and comparing per-polygon errors.
   SpatialAggQuery query;
-  query.variant = JoinVariant::kAccurateRaster;
+  query.spec.variant = JoinVariant::kAccurateRaster;
   auto exact = executor_->Execute(query);
   ASSERT_TRUE(exact.ok());
 
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 200.0;  // zoomed out
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 200.0;  // zoomed out
   auto coarse = executor_->Execute(query);
   ASSERT_TRUE(coarse.ok());
-  query.epsilon = 20.0;  // zoomed in (10× finer pixels)
+  query.spec.epsilon = 20.0;  // zoomed in (10× finer pixels)
   auto fine = executor_->Execute(query);
   ASSERT_TRUE(fine.ok());
 
@@ -128,7 +128,7 @@ TEST_F(EndToEndTest, DiskResidentPathMatchesInMemory) {
     if (n.value() == 0) break;
     Executor batch_exec(device_.get(), &batch, &polys_);
     SpatialAggQuery query;
-    query.variant = JoinVariant::kIndexCpu;
+    query.spec.variant = JoinVariant::kIndexCpu;
     auto r = batch_exec.Execute(query);
     ASSERT_TRUE(r.ok());
     parts.push_back(r.value().arrays);
@@ -136,7 +136,7 @@ TEST_F(EndToEndTest, DiskResidentPathMatchesInMemory) {
   const raster::ResultArrays merged = MergeResults(parts);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kIndexCpu;
+  query.spec.variant = JoinVariant::kIndexCpu;
   auto whole = executor_->Execute(query);
   ASSERT_TRUE(whole.ok());
   for (std::size_t i = 0; i < polys_.size(); ++i) {
@@ -148,11 +148,11 @@ TEST_F(EndToEndTest, DiskResidentPathMatchesInMemory) {
 TEST_F(EndToEndTest, ChoroplethImagesNearlyIdentical) {
   // Render the Fig. 6 pair and compare pixel-wise.
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 20.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 20.0;
   auto approx = executor_->Execute(query);
   ASSERT_TRUE(approx.ok());
-  query.variant = JoinVariant::kAccurateRaster;
+  query.spec.variant = JoinVariant::kAccurateRaster;
   auto exact = executor_->Execute(query);
   ASSERT_TRUE(exact.ok());
 

@@ -412,11 +412,11 @@ TEST(HttpServerTest, OverloadShedsWith503) {
               DeviceConfig(16 << 20, /*bandwidth=*/2 << 20));
 
   SpatialAggQuery slow;
-  slow.variant = JoinVariant::kBoundedRaster;
-  slow.epsilon = 5.0;
+  slow.spec.variant = JoinVariant::kBoundedRaster;
+  slow.spec.epsilon = 5.0;
   // #1 occupies the dispatcher, #2 fills the depth-1 queue.
-  auto running = stack.service.Submit(stack.dataset, slow);
-  auto queued = stack.service.Submit(stack.dataset, slow);
+  auto running = stack.service.Submit(stack.dataset, slow.spec, slow.policy);
+  auto queued = stack.service.Submit(stack.dataset, slow.spec, slow.policy);
 
   HttpClient client("127.0.0.1", stack.server->port());
   const QuerySpec spec =

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "data/point_table.h"
+#include "query/result_cache.h"
 
 namespace rj {
 namespace {
@@ -146,9 +147,9 @@ TEST(QuerySpecIdentity, ConversionIsLossless) {
   policy.cpu_threads = 8;
   policy.overlap_transfers = false;
   SpatialAggQuery query = spec.ToQuery(policy);
-  EXPECT_EQ(query.cpu_threads, 8);
-  EXPECT_FALSE(query.overlap_transfers);
-  EXPECT_EQ(QuerySpec::FromQuery(query, "taxi"), spec);
+  EXPECT_EQ(query.policy.cpu_threads, 8);
+  EXPECT_FALSE(query.policy.overlap_transfers);
+  EXPECT_EQ(query.spec, spec);
 }
 
 // --- v1 JSON round trips ----------------------------------------------------
@@ -320,14 +321,18 @@ TEST(QuerySpecIdentity, BlockPruningIsExecutionOnly) {
   const QuerySpec spec = QuerySpecBuilder().Dataset("d").Build().value();
   ExecPolicy policy;
   policy.block_pruning = false;
-  const SpatialAggQuery query = spec.ToQuery(policy);
-  EXPECT_FALSE(query.enable_block_pruning);
+  const SpatialAggQuery unpruned = spec.ToQuery(policy);
+  EXPECT_FALSE(unpruned.policy.block_pruning);
   // An execution knob, not semantics: identity and hash ignore it, so a
   // cached result is shared across pruning settings.
   SpatialAggQuery pruned = spec.ToQuery(ExecPolicy{});
-  EXPECT_TRUE(pruned.enable_block_pruning);
-  EXPECT_TRUE(query == pruned);
-  EXPECT_EQ(HashQuery(query), HashQuery(pruned));
+  EXPECT_TRUE(pruned.policy.block_pruning);
+  const query::CacheKey key =
+      query::MakeCacheKey(0, 0, unpruned, JoinVariant::kBoundedRaster);
+  const query::CacheKey pruned_key =
+      query::MakeCacheKey(0, 0, pruned, JoinVariant::kBoundedRaster);
+  EXPECT_EQ(key, pruned_key);
+  EXPECT_EQ(query::CacheKeyHash{}(key), query::CacheKeyHash{}(pruned_key));
 }
 
 }  // namespace

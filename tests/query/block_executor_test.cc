@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "data/block_file.h"
 #include "data/datasets.h"
+#include "query/result_cache.h"
 
 namespace rj {
 namespace {
@@ -103,35 +104,36 @@ TEST_F(BlockExecutorTest, EveryVariantMatchesInMemoryExecutor) {
   std::vector<SpatialAggQuery> queries;
 
   SpatialAggQuery bounded;
-  bounded.variant = JoinVariant::kBoundedRaster;
-  bounded.epsilon = 4.0;
-  bounded.aggregate = AggregateKind::kSum;
-  bounded.aggregate_column = 0;
-  bounded.with_result_ranges = true;
+  bounded.spec.variant = JoinVariant::kBoundedRaster;
+  bounded.spec.epsilon = 4.0;
+  bounded.spec.aggregate = AggregateKind::kSum;
+  bounded.spec.aggregate_column = 0;
+  bounded.spec.with_result_ranges = true;
   queries.push_back(bounded);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 256;
-  accurate.aggregate = AggregateKind::kAverage;
-  accurate.aggregate_column = 0;
-  ASSERT_TRUE(accurate.filters.Add({1, FilterOp::kLess, 12.0f}).ok());
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 256;
+  accurate.spec.aggregate = AggregateKind::kAverage;
+  accurate.spec.aggregate_column = 0;
+  ASSERT_TRUE(accurate.spec.filters.Add({1, FilterOp::kLess, 12.0f}).ok());
   queries.push_back(accurate);
 
   SpatialAggQuery idx_device;
-  idx_device.variant = JoinVariant::kIndexDevice;
-  ASSERT_TRUE(idx_device.filters.Add({0, FilterOp::kGreaterEqual, 25.0f}).ok());
+  idx_device.spec.variant = JoinVariant::kIndexDevice;
+  FilterSet& filters = idx_device.spec.filters;
+  ASSERT_TRUE(filters.Add({0, FilterOp::kGreaterEqual, 25.0f}).ok());
   queries.push_back(idx_device);
 
   SpatialAggQuery idx_cpu;
-  idx_cpu.variant = JoinVariant::kIndexCpu;
-  idx_cpu.aggregate = AggregateKind::kMax;
-  idx_cpu.aggregate_column = 0;
+  idx_cpu.spec.variant = JoinVariant::kIndexCpu;
+  idx_cpu.spec.aggregate = AggregateKind::kMax;
+  idx_cpu.spec.aggregate_column = 0;
   queries.push_back(idx_cpu);
 
   SpatialAggQuery automatic;
-  automatic.variant = JoinVariant::kAuto;
-  automatic.epsilon = 10.0;
+  automatic.spec.variant = JoinVariant::kAuto;
+  automatic.spec.epsilon = 10.0;
   queries.push_back(automatic);
 
   for (const SpatialAggQuery& query : queries) {
@@ -145,16 +147,16 @@ TEST_F(BlockExecutorTest, EveryVariantMatchesInMemoryExecutor) {
 
 TEST_F(BlockExecutorTest, PruningKnobDoesNotChangeResults) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 4.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
-  ASSERT_TRUE(query.filters.Add({1, FilterOp::kLess, 6.0f}).ok());
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 4.0;
+  query.spec.aggregate = AggregateKind::kSum;
+  query.spec.aggregate_column = 0;
+  ASSERT_TRUE(query.spec.filters.Add({1, FilterOp::kLess, 6.0f}).ok());
 
-  query.enable_block_pruning = true;
+  query.policy.block_pruning = true;
   auto on = src_executor_->ExecuteUncached(query);
   ASSERT_TRUE(on.ok());
-  query.enable_block_pruning = false;
+  query.policy.block_pruning = false;
   auto off = src_executor_->ExecuteUncached(query);
   ASSERT_TRUE(off.ok());
   ExpectIdentical(off.value(), on.value());
@@ -162,22 +164,26 @@ TEST_F(BlockExecutorTest, PruningKnobDoesNotChangeResults) {
 
 TEST_F(BlockExecutorTest, PruningKnobIsExcludedFromQueryIdentity) {
   SpatialAggQuery a;
-  a.variant = JoinVariant::kBoundedRaster;
-  a.epsilon = 4.0;
+  a.spec.variant = JoinVariant::kBoundedRaster;
+  a.spec.epsilon = 4.0;
   SpatialAggQuery b = a;
-  b.enable_block_pruning = false;
-  // Execution knob, not semantics: equal identity, equal hash (a cached
+  b.policy.block_pruning = false;
+  // Execution knob, not semantics: equal cache key, equal hash (a cached
   // result must be shared across pruning settings).
-  EXPECT_TRUE(a == b);
-  EXPECT_EQ(HashQuery(a), HashQuery(b));
+  const query::CacheKey ka =
+      query::MakeCacheKey(0, 0, a, JoinVariant::kBoundedRaster);
+  const query::CacheKey kb =
+      query::MakeCacheKey(0, 0, b, JoinVariant::kBoundedRaster);
+  EXPECT_EQ(ka, kb);
+  EXPECT_EQ(query::CacheKeyHash{}(ka), query::CacheKeyHash{}(kb));
 }
 
 TEST_F(BlockExecutorTest, AdmissionIsSizedByBlockCapacity) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 4.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 4.0;
+  query.spec.aggregate = AggregateKind::kSum;
+  query.spec.aggregate_column = 0;
 
   auto plan = src_executor_->PlanAdmission(query);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -189,7 +195,7 @@ TEST_F(BlockExecutorTest, AdmissionIsSizedByBlockCapacity) {
             std::max(plan.value().fixed_bytes, 2 * block_bytes));
   EXPECT_EQ(plan.value().full_bytes, plan.value().min_bytes);
 
-  query.overlap_transfers = false;
+  query.policy.overlap_transfers = false;
   auto serial = src_executor_->PlanAdmission(query);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial.value().min_bytes,
@@ -198,8 +204,8 @@ TEST_F(BlockExecutorTest, AdmissionIsSizedByBlockCapacity) {
 
 TEST_F(BlockExecutorTest, CappedGrantStillExecutesIdentically) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 4.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 4.0;
   auto plan = src_executor_->PlanAdmission(query);
   ASSERT_TRUE(plan.ok());
 
@@ -208,7 +214,7 @@ TEST_F(BlockExecutorTest, CappedGrantStillExecutesIdentically) {
   // A grant at exactly min_bytes forces the overlap→serialized downgrade
   // path (two block VBOs no longer fit beside the fixed uploads), which
   // must not change a bit of the result.
-  query.device_memory_cap_bytes = plan.value().min_bytes;
+  query.policy.device_memory_cap_bytes = plan.value().min_bytes;
   auto capped = src_executor_->ExecuteUncached(query);
   ASSERT_TRUE(capped.ok()) << capped.status().ToString();
   ExpectIdentical(uncapped.value(), capped.value());
@@ -225,12 +231,12 @@ TEST_F(BlockExecutorTest, SourceAccessorsAndSchema) {
 
 TEST_F(BlockExecutorTest, FusedExecutionMatchesIndividualRuns) {
   SpatialAggQuery count;
-  count.variant = JoinVariant::kBoundedRaster;
-  count.epsilon = 6.0;
+  count.spec.variant = JoinVariant::kBoundedRaster;
+  count.spec.epsilon = 6.0;
   SpatialAggQuery sum = count;
-  sum.aggregate = AggregateKind::kSum;
-  sum.aggregate_column = 0;
-  sum.with_result_ranges = true;
+  sum.spec.aggregate = AggregateKind::kSum;
+  sum.spec.aggregate_column = 0;
+  sum.spec.with_result_ranges = true;
 
   const gpu::Counters& counters = src_device_->counters();
   const gpu::CountersSnapshot before_fused = counters.Snapshot();

@@ -46,7 +46,7 @@ TEST_F(ExecutorTest, AllVariantsAgreeOnCount) {
        {JoinVariant::kAccurateRaster, JoinVariant::kIndexDevice,
         JoinVariant::kIndexCpu}) {
     SpatialAggQuery query;
-    query.variant = variant;
+    query.spec.variant = variant;
     auto result = executor_->Execute(query);
     ASSERT_TRUE(result.ok()) << JoinVariantName(variant);
     for (std::size_t i = 0; i < polys_.size(); ++i) {
@@ -58,8 +58,8 @@ TEST_F(ExecutorTest, AllVariantsAgreeOnCount) {
 
 TEST_F(ExecutorTest, BoundedCloseToExact) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 2.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 2.0;
   auto result = executor_->Execute(query);
   ASSERT_TRUE(result.ok());
   const JoinResult exact =
@@ -75,9 +75,9 @@ TEST_F(ExecutorTest, BoundedCloseToExact) {
 
 TEST_F(ExecutorTest, AverageAggregate) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kAccurateRaster;
-  query.aggregate = AggregateKind::kAverage;
-  query.aggregate_column = 0;
+  query.spec.variant = JoinVariant::kAccurateRaster;
+  query.spec.aggregate = AggregateKind::kAverage;
+  query.spec.aggregate_column = 0;
   auto result = executor_->Execute(query);
   ASSERT_TRUE(result.ok());
   const JoinResult exact = ReferenceJoin(points_, polys_, FilterSet(), 0);
@@ -90,18 +90,18 @@ TEST_F(ExecutorTest, AverageAggregate) {
 
 TEST_F(ExecutorTest, NonCountWithoutColumnRejected) {
   SpatialAggQuery query;
-  query.aggregate = AggregateKind::kSum;
+  query.spec.aggregate = AggregateKind::kSum;
   EXPECT_FALSE(executor_->Execute(query).ok());
 }
 
 TEST_F(ExecutorTest, FiltersFlowThrough) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kIndexCpu;
-  ASSERT_TRUE(query.filters.Add({1, FilterOp::kLess, 12.0f}).ok());
+  query.spec.variant = JoinVariant::kIndexCpu;
+  ASSERT_TRUE(query.spec.filters.Add({1, FilterOp::kLess, 12.0f}).ok());
   auto result = executor_->Execute(query);
   ASSERT_TRUE(result.ok());
   const JoinResult exact =
-      ReferenceJoin(points_, polys_, query.filters, PointTable::npos);
+      ReferenceJoin(points_, polys_, query.spec.filters, PointTable::npos);
   for (std::size_t i = 0; i < polys_.size(); ++i) {
     EXPECT_DOUBLE_EQ(result.value().values[i], exact.arrays.count[i]);
   }
@@ -109,8 +109,8 @@ TEST_F(ExecutorTest, FiltersFlowThrough) {
 
 TEST_F(ExecutorTest, AutoVariantResolvesAndRuns) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kAuto;
-  query.epsilon = 20.0;
+  query.spec.variant = JoinVariant::kAuto;
+  query.spec.epsilon = 20.0;
   auto result = executor_->Execute(query);
   ASSERT_TRUE(result.ok());
   double total = 0.0;
@@ -120,9 +120,9 @@ TEST_F(ExecutorTest, AutoVariantResolvesAndRuns) {
 
 TEST_F(ExecutorTest, ResultRangesRequested) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 20.0;
-  query.with_result_ranges = true;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 20.0;
+  query.spec.with_result_ranges = true;
   auto result = executor_->Execute(query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().ranges.loose.size(), polys_.size());
@@ -137,8 +137,8 @@ TEST_F(ExecutorTest, ResultRangesRequested) {
 
 TEST_F(ExecutorTest, TimingPhasesPopulated) {
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
   auto result = executor_->Execute(query);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.value().total_seconds, 0.0);

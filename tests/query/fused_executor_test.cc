@@ -91,30 +91,30 @@ std::vector<SpatialAggQuery> BoundedGroup() {
   std::vector<SpatialAggQuery> group;
 
   SpatialAggQuery count;
-  count.variant = JoinVariant::kBoundedRaster;
-  count.epsilon = 8.0;
+  count.spec.variant = JoinVariant::kBoundedRaster;
+  count.spec.epsilon = 8.0;
   group.push_back(count);
 
   SpatialAggQuery sum;
-  sum.variant = JoinVariant::kBoundedRaster;
-  sum.epsilon = 8.0;
-  sum.aggregate = AggregateKind::kSum;
-  sum.aggregate_column = 0;
+  sum.spec.variant = JoinVariant::kBoundedRaster;
+  sum.spec.epsilon = 8.0;
+  sum.spec.aggregate = AggregateKind::kSum;
+  sum.spec.aggregate_column = 0;
   group.push_back(sum);
 
   SpatialAggQuery filtered_avg;
-  filtered_avg.variant = JoinVariant::kBoundedRaster;
-  filtered_avg.epsilon = 8.0;
-  filtered_avg.aggregate = AggregateKind::kAverage;
-  filtered_avg.aggregate_column = 0;
+  filtered_avg.spec.variant = JoinVariant::kBoundedRaster;
+  filtered_avg.spec.epsilon = 8.0;
+  filtered_avg.spec.aggregate = AggregateKind::kAverage;
+  filtered_avg.spec.aggregate_column = 0;
   EXPECT_TRUE(
-      filtered_avg.filters.Add(F(0, FilterOp::kGreater, 30.0f)).ok());
+      filtered_avg.spec.filters.Add(F(0, FilterOp::kGreater, 30.0f)).ok());
   group.push_back(filtered_avg);
 
   SpatialAggQuery count_ranges;
-  count_ranges.variant = JoinVariant::kBoundedRaster;
-  count_ranges.epsilon = 8.0;
-  count_ranges.with_result_ranges = true;
+  count_ranges.spec.variant = JoinVariant::kBoundedRaster;
+  count_ranges.spec.epsilon = 8.0;
+  count_ranges.spec.with_result_ranges = true;
   group.push_back(count_ranges);
 
   return group;
@@ -125,30 +125,30 @@ std::vector<SpatialAggQuery> AccurateGroup() {
   std::vector<SpatialAggQuery> group;
 
   SpatialAggQuery count;
-  count.variant = JoinVariant::kAccurateRaster;
-  count.accurate_canvas_dim = 512;
+  count.spec.variant = JoinVariant::kAccurateRaster;
+  count.spec.canvas_dim = 512;
   group.push_back(count);
 
   SpatialAggQuery sum;
-  sum.variant = JoinVariant::kAccurateRaster;
-  sum.accurate_canvas_dim = 512;
-  sum.aggregate = AggregateKind::kSum;
-  sum.aggregate_column = 0;
+  sum.spec.variant = JoinVariant::kAccurateRaster;
+  sum.spec.canvas_dim = 512;
+  sum.spec.aggregate = AggregateKind::kSum;
+  sum.spec.aggregate_column = 0;
   group.push_back(sum);
 
   SpatialAggQuery filtered_min;
-  filtered_min.variant = JoinVariant::kAccurateRaster;
-  filtered_min.accurate_canvas_dim = 512;
-  filtered_min.aggregate = AggregateKind::kMin;
-  filtered_min.aggregate_column = 0;
-  EXPECT_TRUE(filtered_min.filters.Add(F(0, FilterOp::kLess, 70.0f)).ok());
+  filtered_min.spec.variant = JoinVariant::kAccurateRaster;
+  filtered_min.spec.canvas_dim = 512;
+  filtered_min.spec.aggregate = AggregateKind::kMin;
+  filtered_min.spec.aggregate_column = 0;
+  EXPECT_TRUE(filtered_min.spec.filters.Add(F(0, FilterOp::kLess, 70.0f)).ok());
   group.push_back(filtered_min);
 
   SpatialAggQuery max;
-  max.variant = JoinVariant::kAccurateRaster;
-  max.accurate_canvas_dim = 512;
-  max.aggregate = AggregateKind::kMax;
-  max.aggregate_column = 0;
+  max.spec.variant = JoinVariant::kAccurateRaster;
+  max.spec.canvas_dim = 512;
+  max.spec.aggregate = AggregateKind::kMax;
+  max.spec.aggregate_column = 0;
   group.push_back(max);
 
   return group;
@@ -250,17 +250,17 @@ TEST(FusedExecutorTest, AccurateGroupsOnTheSharedCanvasMatchPerCallJoins) {
     std::vector<SpatialAggQuery> group = AccurateGroup();
     std::vector<QueryResult> expected;
     for (SpatialAggQuery& q : group) {
-      q.accurate_canvas_dim = dim;
+      q.spec.canvas_dim = dim;
       AccurateRasterJoinOptions options;
       options.canvas_dim = dim;
-      options.weight_column = q.EffectiveAggregateColumn();
-      options.filters = q.filters;
+      options.weight_column = q.spec.EffectiveAggregateColumn();
+      options.filters = q.spec.filters;
       auto join = AccurateRasterJoin(&reference_device, s.points, s.polys,
                                      soup.value(), world, options);
       ASSERT_TRUE(join.ok()) << join.status().ToString();
       QueryResult r;
       r.arrays = join.value().arrays;
-      r.values = FinalizeAggregate(q.aggregate, r.arrays);
+      r.values = FinalizeAggregate(q.spec.aggregate, r.arrays);
       expected.push_back(std::move(r));
     }
 
@@ -292,7 +292,7 @@ TEST(FusedExecutorTest, GrantCappedFusionStaysIdentical) {
   gpu::Device device(DevOptions());
   Executor executor(&device, &s.points, &s.polys);
   for (SpatialAggQuery& q : group) {
-    q.device_memory_cap_bytes = 64 << 10;  // ~5k points per batch pair
+    q.policy.device_memory_cap_bytes = 64 << 10;  // ~5k points per batch pair
   }
   ExpectFusedMatchesBaseline(executor, group, expected);
 }
@@ -312,7 +312,7 @@ TEST(FusedExecutorTest, MixedEpsilonGroupIsRejected) {
   Executor executor(&device, &s.points, &s.polys);
 
   std::vector<SpatialAggQuery> group = BoundedGroup();
-  group[1].epsilon = 12.0;
+  group[1].spec.epsilon = 12.0;
   auto r = executor.ExecuteFused(group);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -336,10 +336,10 @@ TEST(FusedExecutorTest, IndexVariantGroupIsRejected) {
   Executor executor(&device, &s.points, &s.polys);
 
   SpatialAggQuery a;
-  a.variant = JoinVariant::kIndexDevice;
+  a.spec.variant = JoinVariant::kIndexDevice;
   SpatialAggQuery b = a;
-  b.aggregate = AggregateKind::kSum;
-  b.aggregate_column = 0;
+  b.spec.aggregate = AggregateKind::kSum;
+  b.spec.aggregate_column = 0;
   EXPECT_FALSE(executor.ExecuteFused({a, b}).ok());
 }
 

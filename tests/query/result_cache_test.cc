@@ -56,13 +56,15 @@ TEST(CacheKeyTest, PermutedFilterSetsProduceTheSameKey) {
   EXPECT_EQ(a.Hash(), b.Hash());
 
   SpatialAggQuery qa;
-  qa.filters = a;
+  qa.spec.filters = a;
   SpatialAggQuery qb;
-  qb.filters = b;
-  EXPECT_EQ(qa, qb);
-  EXPECT_EQ(HashQuery(qa), HashQuery(qb));
-  EXPECT_EQ(MakeCacheKey(1, 0, qa, JoinVariant::kBoundedRaster),
-            MakeCacheKey(1, 0, qb, JoinVariant::kBoundedRaster));
+  qb.spec.filters = b;
+  EXPECT_EQ(qa.spec, qb.spec);
+  EXPECT_EQ(HashSpec(qa.spec), HashSpec(qb.spec));
+  const CacheKey ka = MakeCacheKey(1, 0, qa, JoinVariant::kBoundedRaster);
+  const CacheKey kb = MakeCacheKey(1, 0, qb, JoinVariant::kBoundedRaster);
+  EXPECT_EQ(ka, kb);
+  EXPECT_EQ(CacheKeyHash{}(ka), CacheKeyHash{}(kb));
 }
 
 TEST(CacheKeyTest, SignedZeroHashesAndStoresConsistently) {
@@ -75,20 +77,21 @@ TEST(CacheKeyTest, SignedZeroHashesAndStoresConsistently) {
   EXPECT_EQ(pos.Hash(), neg.Hash());
 
   SpatialAggQuery qpos;
-  qpos.filters = pos;
-  qpos.epsilon = 0.0;
+  qpos.spec.filters = pos;
+  qpos.spec.epsilon = 0.0;
   SpatialAggQuery qneg;
-  qneg.filters = neg;
-  qneg.epsilon = -0.0;
-  EXPECT_EQ(qpos, qneg);
-  EXPECT_EQ(HashQuery(qpos), HashQuery(qneg));
+  qneg.spec.filters = neg;
+  qneg.spec.epsilon = -0.0;
+  EXPECT_EQ(qpos.spec, qneg.spec);
+  EXPECT_EQ(HashSpec(qpos.spec), HashSpec(qneg.spec));
+  const CacheKey kpos = MakeCacheKey(0, 0, qpos, JoinVariant::kBoundedRaster);
+  const CacheKey kneg = MakeCacheKey(0, 0, qneg, JoinVariant::kBoundedRaster);
+  EXPECT_EQ(kpos, kneg);
+  EXPECT_EQ(CacheKeyHash{}(kpos), CacheKeyHash{}(kneg));
 
   ResultCache cache({1 << 20, 4});
-  cache.Insert(MakeCacheKey(0, 0, qpos, JoinVariant::kBoundedRaster),
-               MakeResult(1.0));
-  EXPECT_NE(
-      cache.Lookup(MakeCacheKey(0, 0, qneg, JoinVariant::kBoundedRaster)),
-      nullptr);
+  cache.Insert(kpos, MakeResult(1.0));
+  EXPECT_NE(cache.Lookup(kneg), nullptr);
 }
 
 TEST(CacheKeyTest, DifferentConjunctionsDiffer) {
@@ -106,41 +109,48 @@ TEST(CacheKeyTest, DifferentConjunctionsDiffer) {
 
 TEST(CacheKeyTest, ExecutionKnobsAreExcludedFromKeyAndEquality) {
   SpatialAggQuery base;
-  base.variant = JoinVariant::kBoundedRaster;
-  base.epsilon = 10.0;
+  base.spec.variant = JoinVariant::kBoundedRaster;
+  base.spec.epsilon = 10.0;
 
   SpatialAggQuery knobbed = base;
-  knobbed.device_memory_cap_bytes = 12345;   // admission grant
-  knobbed.cpu_threads = 8;                   // CPU baseline threads
-  knobbed.overlap_transfers = !base.overlap_transfers;
-  EXPECT_EQ(base, knobbed);
-  EXPECT_EQ(HashQuery(base), HashQuery(knobbed));
-  EXPECT_EQ(MakeCacheKey(0, 0, base, JoinVariant::kBoundedRaster),
-            MakeCacheKey(0, 0, knobbed, JoinVariant::kBoundedRaster));
+  knobbed.policy.device_memory_cap_bytes = 12345;  // admission grant
+  knobbed.policy.cpu_threads = 8;                  // CPU baseline threads
+  knobbed.policy.overlap_transfers = !base.policy.overlap_transfers;
+  knobbed.policy.use_result_cache = false;
+  knobbed.policy.block_pruning = false;
+  knobbed.policy.shard_routing = false;
+  knobbed.policy.shard_cache = false;
+  const CacheKey base_key =
+      MakeCacheKey(0, 0, base, JoinVariant::kBoundedRaster);
+  const CacheKey knobbed_key =
+      MakeCacheKey(0, 0, knobbed, JoinVariant::kBoundedRaster);
+  EXPECT_EQ(base_key, knobbed_key);
+  EXPECT_EQ(CacheKeyHash{}(base_key), CacheKeyHash{}(knobbed_key));
 
   // Semantic fields DO key.
   SpatialAggQuery eps = base;
-  eps.epsilon = 11.0;
-  EXPECT_NE(base, eps);
+  eps.spec.epsilon = 11.0;
+  EXPECT_NE(base.spec, eps.spec);
   SpatialAggQuery ranges = base;
-  ranges.with_result_ranges = true;
-  EXPECT_NE(base, ranges);
-  EXPECT_NE(MakeCacheKey(0, 0, base, JoinVariant::kBoundedRaster),
-            MakeCacheKey(0, 0, eps, JoinVariant::kBoundedRaster));
+  ranges.spec.with_result_ranges = true;
+  EXPECT_NE(base.spec, ranges.spec);
+  EXPECT_NE(base_key, MakeCacheKey(0, 0, eps, JoinVariant::kBoundedRaster));
+  EXPECT_NE(base_key,
+            MakeCacheKey(0, 0, ranges, JoinVariant::kBoundedRaster));
 }
 
 TEST(CacheKeyTest, CountCanonicalizesTheAggregateColumnAway) {
   SpatialAggQuery a;
-  a.aggregate = AggregateKind::kCount;
-  a.aggregate_column = 3;
+  a.spec.aggregate = AggregateKind::kCount;
+  a.spec.aggregate_column = 3;
   SpatialAggQuery b;
-  b.aggregate = AggregateKind::kCount;
-  b.aggregate_column = 7;
-  EXPECT_EQ(a, b);  // COUNT never reads the column
+  b.spec.aggregate = AggregateKind::kCount;
+  b.spec.aggregate_column = 7;
+  EXPECT_EQ(a.spec, b.spec);  // COUNT never reads the column
 
-  a.aggregate = AggregateKind::kSum;
-  b.aggregate = AggregateKind::kSum;
-  EXPECT_NE(a, b);  // SUM does
+  a.spec.aggregate = AggregateKind::kSum;
+  b.spec.aggregate = AggregateKind::kSum;
+  EXPECT_NE(a.spec, b.spec);  // SUM does
 }
 
 TEST(CacheKeyTest, DatasetAndVersionPartitionTheKeySpace) {
@@ -195,7 +205,7 @@ TEST(ResultCacheTest, LruEvictsColdestWithinCapacity) {
   SpatialAggQuery q;
   std::vector<CacheKey> keys;
   for (int i = 0; i < 16; ++i) {
-    q.epsilon = 1.0 + i;
+    q.spec.epsilon = 1.0 + i;
     keys.push_back(MakeCacheKey(0, 0, q, JoinVariant::kBoundedRaster));
     cache.Insert(keys.back(), MakeResult(i, /*n=*/32));
   }
@@ -211,14 +221,14 @@ TEST(ResultCacheTest, LruEvictsColdestWithinCapacity) {
 TEST(ResultCacheTest, LookupRefreshesLruOrder) {
   ResultCache cache({4096, 1});
   SpatialAggQuery q;
-  q.epsilon = 1.0;
+  q.spec.epsilon = 1.0;
   const CacheKey hot = MakeCacheKey(0, 0, q, JoinVariant::kBoundedRaster);
   cache.Insert(hot, MakeResult(1.0, 32));
   for (int i = 2; i < 12; ++i) {
     // Keep touching `hot` while inserting churn: it must survive every
     // round because the touch moves it to the LRU front.
     ASSERT_NE(cache.Lookup(hot), nullptr) << "evicted after " << i;
-    q.epsilon = static_cast<double>(i);
+    q.spec.epsilon = static_cast<double>(i);
     cache.Insert(MakeCacheKey(0, 0, q, JoinVariant::kBoundedRaster),
                  MakeResult(i, 32));
   }
@@ -489,9 +499,9 @@ TEST(ExecutorCacheTest, RepeatedQueryHitsWithIdenticalPayload) {
   executor.set_result_cache(&cache, /*dataset_key=*/42);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 8.0;
-  query.with_result_ranges = true;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 8.0;
+  query.spec.with_result_ranges = true;
 
   auto miss = executor.Execute(query);
   ASSERT_TRUE(miss.ok()) << miss.status().ToString();
@@ -500,8 +510,8 @@ TEST(ExecutorCacheTest, RepeatedQueryHitsWithIdenticalPayload) {
   // A repeat with different execution knobs must still hit (the knobs are
   // excluded from the key precisely because results are identical).
   SpatialAggQuery knobbed = query;
-  knobbed.device_memory_cap_bytes = 64 << 10;
-  knobbed.overlap_transfers = false;
+  knobbed.policy.device_memory_cap_bytes = 64 << 10;
+  knobbed.policy.overlap_transfers = false;
   const gpu::CountersSnapshot before = device.counters().Snapshot();
   auto hit = executor.Execute(knobbed);
   ASSERT_TRUE(hit.ok());
@@ -519,11 +529,11 @@ TEST(ExecutorCacheTest, RepeatedQueryHitsWithIdenticalPayload) {
 
   // Permuted-but-equivalent filters hit the same entry.
   SpatialAggQuery f1 = query;
-  f1.filters = MakeFilters({F(0, FilterOp::kGreater, 3.0f),
-                            F(0, FilterOp::kLess, 90.0f)});
+  f1.spec.filters = MakeFilters({F(0, FilterOp::kGreater, 3.0f),
+                                 F(0, FilterOp::kLess, 90.0f)});
   SpatialAggQuery f2 = query;
-  f2.filters = MakeFilters({F(0, FilterOp::kLess, 90.0f),
-                            F(0, FilterOp::kGreater, 3.0f)});
+  f2.spec.filters = MakeFilters({F(0, FilterOp::kLess, 90.0f),
+                                 F(0, FilterOp::kGreater, 3.0f)});
   auto fmiss = executor.Execute(f1);
   ASSERT_TRUE(fmiss.ok());
   EXPECT_FALSE(fmiss.value().cache_hit);
@@ -541,8 +551,8 @@ TEST(ExecutorCacheTest, VersionBumpInvalidates) {
   executor.set_result_cache(&cache, 0);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
 
   ASSERT_TRUE(executor.Execute(query).ok());
   auto hit = executor.Execute(query);
@@ -566,11 +576,11 @@ TEST(ExecutorCacheTest, CachedHitsMatchUncachedAcrossShards) {
   Executor base(&base_device, &data.points, &data.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 8.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
-  query.with_result_ranges = true;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 8.0;
+  query.spec.aggregate = AggregateKind::kSum;
+  query.spec.aggregate_column = 0;
+  query.spec.with_result_ranges = true;
   auto expected = base.ExecuteUncached(query);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
@@ -609,7 +619,7 @@ TEST(ExecutorCacheTest, PlanCacheHitsOnRepeatedAdmission) {
   Executor executor(&device, &data.points, &data.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
+  query.spec.variant = JoinVariant::kBoundedRaster;
   auto p1 = executor.PlanAdmission(query);
   auto p2 = executor.PlanAdmission(query);
   ASSERT_TRUE(p1.ok());

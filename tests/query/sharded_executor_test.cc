@@ -89,35 +89,35 @@ std::vector<SpatialAggQuery> Workload() {
   std::vector<SpatialAggQuery> queries;
 
   SpatialAggQuery bounded;
-  bounded.variant = JoinVariant::kBoundedRaster;
-  bounded.epsilon = 6.0;
-  bounded.aggregate = AggregateKind::kSum;
-  bounded.aggregate_column = 0;
+  bounded.spec.variant = JoinVariant::kBoundedRaster;
+  bounded.spec.epsilon = 6.0;
+  bounded.spec.aggregate = AggregateKind::kSum;
+  bounded.spec.aggregate_column = 0;
   queries.push_back(bounded);
 
   SpatialAggQuery bounded_ranges;
-  bounded_ranges.variant = JoinVariant::kBoundedRaster;
-  bounded_ranges.epsilon = 10.0;
-  bounded_ranges.with_result_ranges = true;
+  bounded_ranges.spec.variant = JoinVariant::kBoundedRaster;
+  bounded_ranges.spec.epsilon = 10.0;
+  bounded_ranges.spec.with_result_ranges = true;
   queries.push_back(bounded_ranges);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 512;
-  accurate.aggregate = AggregateKind::kAverage;
-  accurate.aggregate_column = 0;
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 512;
+  accurate.spec.aggregate = AggregateKind::kAverage;
+  accurate.spec.aggregate_column = 0;
   queries.push_back(accurate);
 
   SpatialAggQuery index_device;
-  index_device.variant = JoinVariant::kIndexDevice;
-  index_device.aggregate = AggregateKind::kMin;
-  index_device.aggregate_column = 0;
+  index_device.spec.variant = JoinVariant::kIndexDevice;
+  index_device.spec.aggregate = AggregateKind::kMin;
+  index_device.spec.aggregate_column = 0;
   queries.push_back(index_device);
 
   SpatialAggQuery index_cpu;
-  index_cpu.variant = JoinVariant::kIndexCpu;
-  index_cpu.aggregate = AggregateKind::kMax;
-  index_cpu.aggregate_column = 0;
+  index_cpu.spec.variant = JoinVariant::kIndexCpu;
+  index_cpu.spec.aggregate = AggregateKind::kMax;
+  index_cpu.spec.aggregate_column = 0;
   queries.push_back(index_cpu);
 
   return queries;
@@ -134,39 +134,39 @@ QueryResult PerCallJoin(const JoinSetup& s, const BBox& world,
   EXPECT_TRUE(soup.ok());
   QueryResult r;
   Result<JoinResult> join = Status::Internal("variant not covered");
-  if (q.variant == JoinVariant::kBoundedRaster) {
+  if (q.spec.variant == JoinVariant::kBoundedRaster) {
     BoundedRasterJoinOptions options;
-    options.epsilon = q.epsilon;
-    options.weight_column = q.EffectiveAggregateColumn();
-    options.filters = q.filters;
-    options.compute_result_ranges = q.with_result_ranges;
+    options.epsilon = q.spec.epsilon;
+    options.weight_column = q.spec.EffectiveAggregateColumn();
+    options.filters = q.spec.filters;
+    options.compute_result_ranges = q.spec.with_result_ranges;
     join = BoundedRasterJoin(&device, s.points, s.polys, soup.value(), world,
                              options, nullptr, &r.ranges);
-  } else if (q.variant == JoinVariant::kAccurateRaster) {
+  } else if (q.spec.variant == JoinVariant::kAccurateRaster) {
     AccurateRasterJoinOptions options;
-    options.canvas_dim = q.accurate_canvas_dim;
-    options.weight_column = q.EffectiveAggregateColumn();
-    options.filters = q.filters;
+    options.canvas_dim = q.spec.canvas_dim;
+    options.weight_column = q.spec.EffectiveAggregateColumn();
+    options.filters = q.spec.filters;
     join = AccurateRasterJoin(&device, s.points, s.polys, soup.value(), world,
                               options);
   } else {
     IndexJoinOptions options;
-    options.weight_column = q.EffectiveAggregateColumn();
-    options.filters = q.filters;
-    if (q.variant == JoinVariant::kIndexDevice) {
+    options.weight_column = q.spec.EffectiveAggregateColumn();
+    options.filters = q.spec.filters;
+    if (q.spec.variant == JoinVariant::kIndexDevice) {
       join = IndexJoinDevice(&device, s.points, s.polys, world, options);
-    } else if (q.variant == JoinVariant::kIndexCpu) {
+    } else if (q.spec.variant == JoinVariant::kIndexCpu) {
       options.assign_mode = GridAssignMode::kExactGeometry;
       auto index = GridIndex::Build(s.polys, world, options.index_resolution,
                                     options.assign_mode);
       EXPECT_TRUE(index.ok());
       join = IndexJoinCpu(s.points, s.polys, index.value(), options,
-                          q.cpu_threads);
+                          q.policy.cpu_threads);
     }
   }
   EXPECT_TRUE(join.ok()) << join.status().ToString();
   r.arrays = join.value().arrays;
-  r.values = FinalizeAggregate(q.aggregate, r.arrays);
+  r.values = FinalizeAggregate(q.spec.aggregate, r.arrays);
   return r;
 }
 
@@ -181,7 +181,8 @@ std::vector<QueryResult> Baseline(const JoinSetup& s) {
   for (const SpatialAggQuery& q : Workload()) {
     auto r = executor.Execute(q);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    SCOPED_TRACE("per-call reference, variant " + JoinVariantName(q.variant));
+    SCOPED_TRACE("per-call reference, variant " +
+                 JoinVariantName(q.spec.variant));
     ExpectIdenticalResults(PerCallJoin(s, executor.world(), q), r.value());
     results.push_back(std::move(r).MoveValueUnsafe());
   }
@@ -276,7 +277,8 @@ TEST(ShardedExecutorTest, GrantCappedBatchingStaysIdentical) {
   const std::vector<SpatialAggQuery> workload = Workload();
   for (std::size_t q = 0; q < workload.size(); ++q) {
     SpatialAggQuery query = workload[q];
-    query.device_memory_cap_bytes = 64 << 10;  // ~5k points per batch pair
+    // ~5k points per batch pair.
+    query.policy.device_memory_cap_bytes = 64 << 10;
     auto r = executor.Execute(query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     SCOPED_TRACE("query=" + std::to_string(q));
@@ -298,7 +300,7 @@ TEST(ShardedExecutorTest, MixedFboLimitsAreRejected) {
   Executor executor(&pool, &table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
+  query.spec.variant = JoinVariant::kBoundedRaster;
   EXPECT_FALSE(executor.Execute(query).ok());
 }
 
@@ -339,8 +341,8 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
   Executor executor(&pool, &table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
   auto r = executor.Execute(query);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // No query overlapped, so the attributed delta is exactly the pool's
@@ -370,8 +372,7 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
 /// Quarter-extent selectivity: polygons covering one corner of the data
 /// extent must let routing skip at least half of the Hilbert-cut shards —
 /// while aggregates and §5 ranges stay bitwise identical to unrouted
-/// execution AND to the single-device baseline, for every shard count ×
-/// replication configuration the placement layer distinguishes.
+/// execution AND to the single-device baseline, for every shard count.
 TEST(ShardedRoutingTest, QuarterExtentQueriesSkipHalfTheShardsBitwise) {
   const BBox world(0, 0, 1000, 1000);
   const BBox corner(0, 0, 250, 250);
@@ -396,72 +397,60 @@ TEST(ShardedRoutingTest, QuarterExtentQueriesSkipHalfTheShardsBitwise) {
     auto table = data::ShardedTable::Partition(s.points, sharding);
     ASSERT_TRUE(table.ok());
 
-    for (const bool replicate : {false, true}) {
-      gpu::DevicePoolOptions pool_options;
-      pool_options.num_devices = shards;
-      pool_options.device = DevOptions();
-      gpu::DevicePool pool(pool_options);
-      Executor executor(&pool, &table.value(), &s.polys);
-      if (replicate) {
-        // Every shard readable from every device: the adversarial
-        // placement input (maximal routing freedom).
-        std::vector<std::vector<std::size_t>> replicas(shards);
-        for (std::size_t r = 0; r < shards; ++r) {
-          for (std::size_t d = 0; d < shards; ++d) replicas[r].push_back(d);
-        }
-        executor.SetShardReplicas(std::move(replicas));
+    gpu::DevicePoolOptions pool_options;
+    pool_options.num_devices = shards;
+    pool_options.device = DevOptions();
+    gpu::DevicePool pool(pool_options);
+    Executor executor(&pool, &table.value(), &s.polys);
+
+    for (std::size_t q = 0; q < workload.size(); ++q) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " query=" + std::to_string(q));
+      auto routed = executor.Execute(workload[q]);
+      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+      // The corner polygons fit one quadrant of the Hilbert order, so
+      // at least half the shards are provably disjoint from the query
+      // region and must be skipped.
+      EXPECT_GE(routed.value().counters.shards_skipped * 2, shards);
+      EXPECT_EQ(routed.value().counters.shards_routed +
+                    routed.value().counters.shards_skipped,
+                shards);
+      ExpectIdenticalResults(expected[q], routed.value());
+
+      SpatialAggQuery unrouted = workload[q];
+      unrouted.policy.shard_routing = false;
+      auto full = executor.Execute(unrouted);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      EXPECT_EQ(full.value().counters.shards_skipped, 0u);
+      EXPECT_EQ(full.value().counters.shards_routed, shards);
+      ExpectIdenticalResults(expected[q], full.value());
+      ExpectIdenticalResults(routed.value(), full.value());
+
+      // The same query fused with a second member (different
+      // aggregate, same canvas) routes too: a shard is skipped only
+      // when no member can match it, and each member stays bitwise
+      // equal to its unrouted solo run.
+      if (workload[q].spec.variant != JoinVariant::kBoundedRaster &&
+          workload[q].spec.variant != JoinVariant::kAccurateRaster) {
+        continue;  // index variants have no raster pass to fuse
       }
-
-      for (std::size_t q = 0; q < workload.size(); ++q) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " replicate=" + std::to_string(replicate) +
-                     " query=" + std::to_string(q));
-        auto routed = executor.Execute(workload[q]);
-        ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-        // The corner polygons fit one quadrant of the Hilbert order, so
-        // at least half the shards are provably disjoint from the query
-        // region and must be skipped.
-        EXPECT_GE(routed.value().counters.shards_skipped * 2, shards);
-        EXPECT_EQ(routed.value().counters.shards_routed +
-                      routed.value().counters.shards_skipped,
-                  shards);
-        ExpectIdenticalResults(expected[q], routed.value());
-
-        SpatialAggQuery unrouted = workload[q];
-        unrouted.enable_shard_routing = false;
-        auto full = executor.Execute(unrouted);
-        ASSERT_TRUE(full.ok()) << full.status().ToString();
-        EXPECT_EQ(full.value().counters.shards_skipped, 0u);
-        EXPECT_EQ(full.value().counters.shards_routed, shards);
-        ExpectIdenticalResults(expected[q], full.value());
-        ExpectIdenticalResults(routed.value(), full.value());
-
-        // The same query fused with a second member (different
-        // aggregate, same canvas) routes too: a shard is skipped only
-        // when no member can match it, and each member stays bitwise
-        // equal to its unrouted solo run.
-        if (workload[q].variant != JoinVariant::kBoundedRaster &&
-            workload[q].variant != JoinVariant::kAccurateRaster) {
-          continue;  // index variants have no raster pass to fuse
-        }
-        SpatialAggQuery partner = workload[q];
-        partner.aggregate = AggregateKind::kMax;
-        partner.aggregate_column = 0;
-        partner.with_result_ranges = false;
-        auto fused = executor.ExecuteFused({workload[q], partner});
-        ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-        ASSERT_EQ(fused.value().size(), 2u);
-        EXPECT_GT(fused.value()[0].counters.shards_skipped, 0u);
-        EXPECT_EQ(fused.value()[0].counters.shards_routed +
-                      fused.value()[0].counters.shards_skipped,
-                  shards);
-        SpatialAggQuery unrouted_partner = partner;
-        unrouted_partner.enable_shard_routing = false;
-        auto partner_full = executor.Execute(unrouted_partner);
-        ASSERT_TRUE(partner_full.ok()) << partner_full.status().ToString();
-        ExpectIdenticalResults(full.value(), fused.value()[0]);
-        ExpectIdenticalResults(partner_full.value(), fused.value()[1]);
-      }
+      SpatialAggQuery partner = workload[q];
+      partner.spec.aggregate = AggregateKind::kMax;
+      partner.spec.aggregate_column = 0;
+      partner.spec.with_result_ranges = false;
+      auto fused = executor.ExecuteFused({workload[q], partner});
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      ASSERT_EQ(fused.value().size(), 2u);
+      EXPECT_GT(fused.value()[0].counters.shards_skipped, 0u);
+      EXPECT_EQ(fused.value()[0].counters.shards_routed +
+                    fused.value()[0].counters.shards_skipped,
+                shards);
+      SpatialAggQuery unrouted_partner = partner;
+      unrouted_partner.policy.shard_routing = false;
+      auto partner_full = executor.Execute(unrouted_partner);
+      ASSERT_TRUE(partner_full.ok()) << partner_full.status().ToString();
+      ExpectIdenticalResults(full.value(), fused.value()[0]);
+      ExpectIdenticalResults(partner_full.value(), fused.value()[1]);
     }
   }
 }
@@ -486,9 +475,10 @@ TEST(ShardedRoutingTest, AllShardsSkippableStillMergesWellFormed) {
   Executor executor(&pool, &table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
-  ASSERT_TRUE(query.filters.Add({0, FilterOp::kGreaterEqual, 1000.0f}).ok());
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
+  FilterSet& filters = query.spec.filters;
+  ASSERT_TRUE(filters.Add({0, FilterOp::kGreaterEqual, 1000.0f}).ok());
   auto r = executor.Execute(query);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Force-keep: exactly one shard executed, the rest skipped.
@@ -517,10 +507,10 @@ TEST(ShardedRoutingTest, PerShardCacheServesRepeatsBitwise) {
   executor.set_result_cache(&cache, /*dataset_key=*/42);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 8.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 8.0;
+  query.spec.aggregate = AggregateKind::kSum;
+  query.spec.aggregate_column = 0;
 
   auto first = executor.ExecuteUncached(query);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -537,7 +527,7 @@ TEST(ShardedRoutingTest, PerShardCacheServesRepeatsBitwise) {
   EXPECT_EQ(second.value().counters.shards_routed, 0u);
 
   SpatialAggQuery uncached = query;
-  uncached.enable_shard_cache = false;
+  uncached.policy.shard_cache = false;
   auto plan_off = executor.PlanPlacement(uncached);
   ASSERT_TRUE(plan_off.ok());
   EXPECT_EQ(plan_off.value().cache_hits, 0u);
@@ -555,10 +545,10 @@ TEST(ShardedRoutingTest, PerShardCacheServesRepeatsBitwise) {
 
 SpatialAggQuery Accurate(std::int32_t canvas_dim, AggregateKind aggregate) {
   SpatialAggQuery q;
-  q.variant = JoinVariant::kAccurateRaster;
-  q.accurate_canvas_dim = canvas_dim;
-  q.aggregate = aggregate;
-  if (aggregate != AggregateKind::kCount) q.aggregate_column = 0;
+  q.spec.variant = JoinVariant::kAccurateRaster;
+  q.spec.canvas_dim = canvas_dim;
+  q.spec.aggregate = aggregate;
+  if (aggregate != AggregateKind::kCount) q.spec.aggregate_column = 0;
   return q;
 }
 
@@ -673,7 +663,7 @@ TEST(SharedCanvasTest, ConcurrentFirstUseBuildsOneCanvas) {
     queries.push_back(Accurate(512, aggregate));
     SpatialAggQuery filtered = Accurate(512, aggregate);
     ASSERT_TRUE(
-        filtered.filters.Add({0, FilterOp::kGreaterEqual, 40.0f}).ok());
+        filtered.spec.filters.Add({0, FilterOp::kGreaterEqual, 40.0f}).ok());
     queries.push_back(filtered);
   }
 
@@ -683,7 +673,7 @@ TEST(SharedCanvasTest, ConcurrentFirstUseBuildsOneCanvas) {
   std::vector<QueryResult> expected;
   std::uint64_t warm_fragments = 0;
   for (const SpatialAggQuery& q : queries) {
-    ASSERT_TRUE(seq.GetAccurateCanvas(q.accurate_canvas_dim).ok());
+    ASSERT_TRUE(seq.GetAccurateCanvas(q.spec.canvas_dim).ok());
     const gpu::CountersSnapshot before = seq_pool.TotalCounters();
     auto r = seq.ExecuteUncached(q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -842,7 +832,7 @@ TEST(ShardedExecutorTest, PlanAdmissionIsPerShard) {
   Executor executor(&pool, &table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kIndexDevice;  // stride-only footprint
+  query.spec.variant = JoinVariant::kIndexDevice;  // stride-only footprint
   auto plan = executor.PlanAdmission(query);
   ASSERT_TRUE(plan.ok());
   // full_bytes covers the *largest shard* resident, not the whole table.

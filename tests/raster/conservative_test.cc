@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -116,6 +117,50 @@ TEST(ConservativeSegmentTest, HorizontalOnPixelBorder) {
                                });
   EXPECT_TRUE(px.count({2, 3}));
   EXPECT_TRUE(px.count({2, 4}));
+}
+
+PixelSet CollectSegment(const Point& a, const Point& b, std::int32_t w,
+                        std::int32_t h) {
+  PixelSet px;
+  RasterizeSegmentConservative(a, b, w, h,
+                               [&px](std::int32_t x, std::int32_t y) {
+                                 px.insert({x, y});
+                               });
+  return px;
+}
+
+// The scan window is clamped to the canvas in double before any integer
+// cast, so every finite coordinate is valid input.
+
+TEST(ConservativeTest, HugeTriangleCoversTheWholeCanvas) {
+  const Point a{-1e12, -1e12}, b{1e12, -1e12}, c{0.0, 1e12};
+  EXPECT_EQ(CollectConservative(a, b, c, 8, 8).size(), 64u);
+  EXPECT_EQ(CollectConservative(a, c, b, 8, 8).size(), 64u);
+}
+
+TEST(ConservativeSegmentTest, FarEndpointsEmitOnlyTheCanvasRow) {
+  PixelSet row;
+  for (std::int32_t x = 0; x < 8; ++x) row.insert({x, 0});
+  EXPECT_EQ(CollectSegment({-1e12, 0.5}, {1e12, 0.5}, 8, 8), row);
+  EXPECT_EQ(CollectSegment({1e12, 0.5}, {-1e12, 0.5}, 8, 8), row);
+}
+
+TEST(ConservativeTest, ShapesWhollyOutsideTheCanvasEmitNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Beyond the one-pixel expansion on each side, near and far.
+  EXPECT_TRUE(CollectConservative({9.5, 1}, {12, 1}, {10, 5}, 8, 8).empty());
+  EXPECT_TRUE(
+      CollectConservative({1, -1e12}, {5, -1e12}, {3, -2.5}, 8, 8).empty());
+  EXPECT_TRUE(
+      CollectConservative({1e12, 1e12}, {2e12, 1e12}, {1e12, 2e12}, 8, 8)
+          .empty());
+  EXPECT_TRUE(CollectConservative({-3, -3}, {-2.5, -3}, {-3, -2.5}, 8, 8)
+                  .empty());
+  EXPECT_TRUE(CollectConservative({nan, 1}, {nan, 2}, {nan, 3}, 8, 8).empty());
+  EXPECT_TRUE(CollectSegment({-1e12, 9.5}, {1e12, 9.5}, 8, 8).empty());
+  EXPECT_TRUE(CollectSegment({-1e12, -1e12}, {-2.5, -3}, 8, 8).empty());
+  EXPECT_TRUE(CollectSegment({1e12, 1}, {2e12, 5}, 8, 8).empty());
+  EXPECT_TRUE(CollectSegment({nan, nan}, {nan, nan}, 8, 8).empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -421,6 +422,206 @@ TEST(ScanTriangleSpansTest, MatchesBoxScanOnTinyRegions) {
   ASSERT_TRUE(soup.ok());
   ExpectSameOnEveryTriangle(soup.value(), world, 64, 64);
   ExpectSameOnEveryTriangle(soup.value(), world, 333, 217);
+}
+
+// --- The segment walk: far ends are clipped, the traversal is unchanged. --
+
+/// The reference: the traversal RasterizeSegment ran before it clipped far
+/// endpoints, copied verbatim. Valid only while both endpoints' pixel
+/// indices fit in an int32.
+Fragments RefSegmentWalk(const Point& a, const Point& b, std::int32_t width,
+                         std::int32_t height) {
+  Fragments out;
+  double x = a.x, y = a.y;
+  const double dx = b.x - a.x;
+  const double dy = b.y - a.y;
+
+  std::int32_t px = static_cast<std::int32_t>(std::floor(x));
+  std::int32_t py = static_cast<std::int32_t>(std::floor(y));
+  const std::int32_t end_px = static_cast<std::int32_t>(std::floor(b.x));
+  const std::int32_t end_py = static_cast<std::int32_t>(std::floor(b.y));
+
+  const std::int32_t step_x = dx > 0 ? 1 : (dx < 0 ? -1 : 0);
+  const std::int32_t step_y = dy > 0 ? 1 : (dy < 0 ? -1 : 0);
+
+  auto emit_clipped = [&](std::int32_t ex, std::int32_t ey) {
+    if (ex >= 0 && ex < width && ey >= 0 && ey < height) {
+      out.emplace_back(ex, ey);
+    }
+  };
+
+  double t_max_x, t_max_y, t_delta_x, t_delta_y;
+  if (step_x != 0) {
+    const double next_vx = step_x > 0 ? (px + 1.0) : px;
+    t_max_x = (next_vx - x) / dx;
+    t_delta_x = 1.0 / std::fabs(dx);
+  } else {
+    t_max_x = std::numeric_limits<double>::infinity();
+    t_delta_x = std::numeric_limits<double>::infinity();
+  }
+  if (step_y != 0) {
+    const double next_vy = step_y > 0 ? (py + 1.0) : py;
+    t_max_y = (next_vy - y) / dy;
+    t_delta_y = 1.0 / std::fabs(dy);
+  } else {
+    t_max_y = std::numeric_limits<double>::infinity();
+    t_delta_y = std::numeric_limits<double>::infinity();
+  }
+
+  emit_clipped(px, py);
+  const std::int64_t max_steps =
+      static_cast<std::int64_t>(std::fabs(b.x - a.x) + std::fabs(b.y - a.y)) +
+      4;
+  for (std::int64_t i = 0; i < max_steps; ++i) {
+    if (px == end_px && py == end_py) break;
+    if (t_max_x < t_max_y) {
+      t_max_x += t_delta_x;
+      px += step_x;
+    } else {
+      t_max_y += t_delta_y;
+      py += step_y;
+    }
+    emit_clipped(px, py);
+  }
+  return out;
+}
+
+/// RasterizeSegment's fragments in emission order.
+Fragments SegmentWalk(const Point& a, const Point& b, std::int32_t width,
+                      std::int32_t height) {
+  Fragments out;
+  RasterizeSegment(a, b, width, height,
+                   [&out](std::int32_t x, std::int32_t y) {
+                     out.emplace_back(x, y);
+                   });
+  return out;
+}
+
+/// A point of the guard rectangle [-1, W+1] × [-1, H+1], within which
+/// RasterizeSegment walks its endpoints as given.
+Point InGuard(Rng& rng) {
+  return {rng.Uniform(-1.0, kW + 1.0), rng.Uniform(-1.0, kH + 1.0)};
+}
+
+void ExpectSameWalk(const Point& a, const Point& b) {
+  EXPECT_EQ(SegmentWalk(a, b, kW, kH), RefSegmentWalk(a, b, kW, kH))
+      << std::setprecision(17) << "segment (" << a.x << ", " << a.y
+      << ") (" << b.x << ", " << b.y << ")";
+}
+
+TEST(RasterizeSegmentTest, WalkInsideTheGuardMatchesTheReference) {
+  Rng rng(201);
+  for (int i = 0; i < kTrials; ++i) {
+    const Point a = InGuard(rng);
+    const Point b = InGuard(rng);
+    ExpectSameWalk(a, b);
+    ExpectSameWalk(a, a);                      // zero length
+    ExpectSameWalk(a, {b.x, a.y});             // horizontal
+    ExpectSameWalk(a, {a.x, b.y});             // vertical
+    const Point ha{Snap(a.x, 1.0, 0.5), Snap(a.y, 1.0, 0.5)};
+    const Point hb{Snap(b.x, 1.0, 0.5), Snap(b.y, 1.0, 0.5)};
+    ExpectSameWalk(ha, hb);                    // half-integer endpoints
+    ExpectSameWalk({Snap(a.x, 1.0, 0.0), Snap(a.y, 1.0, 0.0)},
+                   {Snap(b.x, 1.0, 0.0), Snap(b.y, 1.0, 0.0)});  // corners
+  }
+  // The guard's own corners and edges.
+  ExpectSameWalk({-1.0, -1.0}, {kW + 1.0, kH + 1.0});
+  ExpectSameWalk({-1.0, kH + 1.0}, {kW + 1.0, -1.0});
+  ExpectSameWalk({-1.0, 0.5}, {kW + 1.0, 0.5});
+}
+
+TEST(RasterizeSegmentTest, FarEndpointsEmitOnlyTheCanvasRow) {
+  // Both ends 10^12 pixels off the canvas: the walk starts and ends on the
+  // guard rectangle, so it emits row 0's eight pixels in a few steps.
+  Fragments row;
+  for (std::int32_t x = 0; x < 8; ++x) row.emplace_back(x, 0);
+  EXPECT_EQ(SegmentWalk({-1e12, 0.5}, {1e12, 0.5}, 8, 8), row);
+  const Fragments reversed(row.rbegin(), row.rend());
+  EXPECT_EQ(SegmentWalk({1e12, 0.5}, {-1e12, 0.5}, 8, 8), reversed);
+}
+
+TEST(RasterizeSegmentTest, SegmentsMissingTheCanvasOrNotFiniteEmitNothing) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(SegmentWalk({-1e12, -5.0}, {1e12, -5.0}, 8, 8).empty());
+  EXPECT_TRUE(SegmentWalk({20.0, -1e12}, {20.0, 1e12}, 8, 8).empty());
+  EXPECT_TRUE(SegmentWalk({-1e12, 1e12}, {-5.0, 1e12}, 8, 8).empty());
+  EXPECT_TRUE(SegmentWalk({-inf, 0.5}, {inf, 0.5}, 8, 8).empty());
+  EXPECT_TRUE(SegmentWalk({nan, 0.5}, {4.5, 0.5}, 8, 8).empty());
+  EXPECT_TRUE(SegmentWalk({4.5, 0.5}, {4.5, nan}, 8, 8).empty());
+}
+
+TEST(RasterizeSegmentTest, ExtremeFiniteEndpointsStayBoundedByTheCanvas) {
+  // Both ends near the largest double: the clipped ends are only as exact
+  // as the endpoints' ulp, but the walk stays on the canvas and short.
+  const double big = std::numeric_limits<double>::max();
+  for (const auto& [a, b] :
+       {std::pair<Point, Point>{{-big, 0.5}, {big, 0.5}},
+        std::pair<Point, Point>{{-big, -big}, {big, big}},
+        std::pair<Point, Point>{{big, -big}, {-big, big}},
+        std::pair<Point, Point>{{3.5, 2.5}, {-big, big}}}) {
+    const Fragments walk = SegmentWalk(a, b, 8, 8);
+    EXPECT_LE(walk.size(), 8u + 8u + 4u);
+    for (const auto& [x, y] : walk) {
+      EXPECT_TRUE(x >= 0 && x < 8 && y >= 0 && y < 8);
+    }
+  }
+}
+
+TEST(RasterizeSegmentTest, FarEndpointWalksAConnectedChainOnTheLine) {
+  // One end on the canvas, the other up to 10^12 pixels away in any
+  // direction: the emitted pixels form one 4-connected chain of at most
+  // W + H + 4 pixels, each touching the segment's line, ending (or
+  // starting) at the near end's pixel.
+  Rng rng(202);
+  for (int i = 0; i < kTrials; ++i) {
+    const Point near{rng.Uniform(0.0, kW), rng.Uniform(0.0, kH)};
+    const double angle = rng.Uniform(0.0, 2.0 * M_PI);
+    const double distance = std::pow(10.0, rng.Uniform(0.0, 12.0));
+    Point dir{std::cos(angle), std::sin(angle)};
+    if (i % 8 == 0) dir = {1.0, 0.0};
+    if (i % 8 == 1) dir = {0.0, -1.0};
+    const Point far{near.x + distance * dir.x, near.y + distance * dir.y};
+    const bool near_first = i % 2 == 0;
+    const Point a = near_first ? near : far;
+    const Point b = near_first ? far : near;
+    SCOPED_TRACE(::testing::Message()
+                 << std::setprecision(17) << "segment (" << a.x << ", "
+                 << a.y << ") (" << b.x << ", " << b.y << ")");
+    const Fragments walk = SegmentWalk(a, b, kW, kH);
+    ASSERT_FALSE(walk.empty());
+    EXPECT_LE(walk.size(), static_cast<std::size_t>(kW + kH + 4));
+    const std::pair<std::int32_t, std::int32_t> near_pixel{
+        static_cast<std::int32_t>(std::floor(near.x)),
+        static_cast<std::int32_t>(std::floor(near.y))};
+    EXPECT_EQ(near_first ? walk.front() : walk.back(), near_pixel);
+
+    // Distance of a pixel corner from the line, measured from the near end
+    // along the unit normal (well conditioned: the near end is on the
+    // canvas).
+    const double length = std::hypot(far.x - near.x, far.y - near.y);
+    const Point normal{-(far.y - near.y) / length, (far.x - near.x) / length};
+    for (std::size_t k = 0; k < walk.size(); ++k) {
+      const auto [x, y] = walk[k];
+      if (k > 0) {
+        const auto [px, py] = walk[k - 1];
+        EXPECT_EQ(std::abs(x - px) + std::abs(y - py), 1)
+            << "gap or repeat at fragment " << k;
+      }
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -lo;
+      for (const Point corner : {Point{x + 0.0, y + 0.0}, Point{x + 1.0, y + 0.0},
+                                 Point{x + 0.0, y + 1.0},
+                                 Point{x + 1.0, y + 1.0}}) {
+        const double d = normal.x * (corner.x - near.x) +
+                         normal.y * (corner.y - near.y);
+        lo = std::min(lo, d);
+        hi = std::max(hi, d);
+      }
+      EXPECT_TRUE(lo <= 1e-9 && hi >= -1e-9)
+          << "pixel (" << x << ", " << y << ") misses the line";
+    }
+  }
 }
 
 }  // namespace

@@ -69,34 +69,35 @@ std::vector<SpatialAggQuery> DistinctQueries() {
   std::vector<SpatialAggQuery> mix;
 
   SpatialAggQuery bounded;
-  bounded.variant = JoinVariant::kBoundedRaster;
-  bounded.epsilon = 6.0;
+  bounded.spec.variant = JoinVariant::kBoundedRaster;
+  bounded.spec.epsilon = 6.0;
   mix.push_back(bounded);
 
   SpatialAggQuery bounded_ranges;
-  bounded_ranges.variant = JoinVariant::kBoundedRaster;
-  bounded_ranges.epsilon = 9.0;
-  bounded_ranges.aggregate = AggregateKind::kSum;
-  bounded_ranges.aggregate_column = 0;
-  bounded_ranges.with_result_ranges = true;
+  bounded_ranges.spec.variant = JoinVariant::kBoundedRaster;
+  bounded_ranges.spec.epsilon = 9.0;
+  bounded_ranges.spec.aggregate = AggregateKind::kSum;
+  bounded_ranges.spec.aggregate_column = 0;
+  bounded_ranges.spec.with_result_ranges = true;
   mix.push_back(bounded_ranges);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 256;
-  accurate.aggregate = AggregateKind::kAverage;
-  accurate.aggregate_column = 0;
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 256;
+  accurate.spec.aggregate = AggregateKind::kAverage;
+  accurate.spec.aggregate_column = 0;
   mix.push_back(accurate);
 
   SpatialAggQuery filtered;
-  filtered.variant = JoinVariant::kIndexDevice;
-  EXPECT_TRUE(filtered.filters.Add({0, FilterOp::kGreaterEqual, 25.0f}).ok());
+  filtered.spec.variant = JoinVariant::kIndexDevice;
+  FilterSet& filters = filtered.spec.filters;
+  EXPECT_TRUE(filters.Add({0, FilterOp::kGreaterEqual, 25.0f}).ok());
   mix.push_back(filtered);
 
   SpatialAggQuery cpu_max;
-  cpu_max.variant = JoinVariant::kIndexCpu;
-  cpu_max.aggregate = AggregateKind::kMax;
-  cpu_max.aggregate_column = 0;
+  cpu_max.spec.variant = JoinVariant::kIndexCpu;
+  cpu_max.spec.aggregate = AggregateKind::kMax;
+  cpu_max.spec.aggregate_column = 0;
   mix.push_back(cpu_max);
 
   return mix;
@@ -134,21 +135,25 @@ TEST(CacheServiceTest, HitReportsFreshStatsAndMovesNoDeviceCounters) {
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
 
-  SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 7.0;
+  QuerySpec spec;
+  spec.variant = JoinVariant::kBoundedRaster;
+  spec.epsilon = 7.0;
 
-  const ServiceResponse miss = service.Submit(dataset, query).get();
+  const ServiceResponse miss = service.Submit(dataset, spec).get();
   ASSERT_TRUE(miss.result.ok()) << miss.result.status().ToString();
   EXPECT_FALSE(miss.stats.cache_hit);
   EXPECT_GT(miss.stats.granted_bytes, 0u);
 
   // Quiesce, then hit: no device counter may move, and the hit's stats
   // must be fresh — zero grants, equal counter snapshots, no replayed
-  // phase timings — instead of the miss's execution stats.
+  // phase timings — instead of the miss's execution stats. The hit names
+  // its dataset where the miss did not: the id is the dataset's identity,
+  // so the name never splits the cache entry.
   service.Drain();
   const gpu::CountersSnapshot before = device.counters().Snapshot();
-  const ServiceResponse hit = service.Submit(dataset, query).get();
+  QuerySpec named = spec;
+  named.dataset = "taxi";
+  const ServiceResponse hit = service.Submit(dataset, named).get();
   ASSERT_TRUE(hit.result.ok());
   EXPECT_TRUE(hit.stats.cache_hit);
   EXPECT_TRUE(hit.result.value().cache_hit);
@@ -216,10 +221,10 @@ TEST(CacheServiceTest, ConcurrentHammerSingleFlightAndBitwiseIdentical) {
             // Vary execution-only knobs per client: they are excluded
             // from the key, so these must all collapse onto one entry.
             SpatialAggQuery query = mix[pick];
-            query.cpu_threads = 1 + static_cast<int>(c % 3);
-            query.overlap_transfers = (c % 2) == 0;
+            query.policy.cpu_threads = 1 + static_cast<int>(c % 3);
+            query.policy.overlap_transfers = (c % 2) == 0;
             ServiceResponse response =
-                service.Submit(dataset, query).get();
+                service.Submit(dataset, query.spec, query.policy).get();
             if (!response.result.ok()) {
               ADD_FAILURE() << response.result.status().ToString();
               ++failures;
@@ -252,7 +257,8 @@ TEST(CacheServiceTest, ConcurrentHammerSingleFlightAndBitwiseIdentical) {
     for (std::size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&] {
         for (const SpatialAggQuery& q : mix) {
-          ServiceResponse response = service.Submit(dataset, q).get();
+          ServiceResponse response =
+              service.Submit(dataset, q.spec, q.policy).get();
           if (!response.result.ok() || !response.stats.cache_hit) {
             ++failures;
           }
@@ -287,9 +293,9 @@ TEST(CacheServiceTest, LruCapacityHoldsUnderChurn) {
     std::vector<std::future<ServiceResponse>> futures;
     for (int i = 0; i < 24; ++i) {
       SpatialAggQuery query;
-      query.variant = JoinVariant::kBoundedRaster;
-      query.epsilon = 5.0 + i;  // distinct keys
-      futures.push_back(service.Submit(dataset, query));
+      query.spec.variant = JoinVariant::kBoundedRaster;
+      query.spec.epsilon = 5.0 + i;  // distinct keys
+      futures.push_back(service.Submit(dataset, query.spec, query.policy));
     }
     for (auto& f : futures) {
       ASSERT_TRUE(f.get().result.ok());
@@ -309,19 +315,23 @@ TEST(CacheServiceTest, InvalidateDatasetMakesTheNextSubmitMiss) {
                                                       &data.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
 
-  ASSERT_TRUE(service.Submit(dataset, query).get().result.ok());
-  EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
+  ASSERT_TRUE(
+      service.Submit(dataset, query.spec, query.policy).get().result.ok());
+  EXPECT_TRUE(
+      service.Submit(dataset, query.spec, query.policy).get().stats.cache_hit);
 
   // The out-of-band mutation hook: the cached entry stops matching, and
   // the re-executed result is cached under the new version.
   service.InvalidateDataset(dataset);
-  const ServiceResponse after = service.Submit(dataset, query).get();
+  const ServiceResponse after =
+      service.Submit(dataset, query.spec, query.policy).get();
   ASSERT_TRUE(after.result.ok());
   EXPECT_FALSE(after.stats.cache_hit);
-  EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
+  EXPECT_TRUE(
+      service.Submit(dataset, query.spec, query.policy).get().stats.cache_hit);
 }
 
 TEST(CacheServiceTest, ReRegistrationReturnsSameIdAndBumpsVersion) {
@@ -334,15 +344,18 @@ TEST(CacheServiceTest, ReRegistrationReturnsSameIdAndBumpsVersion) {
       service.dataset_executor(dataset)->dataset_version();
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kIndexCpu;
-  ASSERT_TRUE(service.Submit(dataset, query).get().result.ok());
-  EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
+  query.spec.variant = JoinVariant::kIndexCpu;
+  ASSERT_TRUE(
+      service.Submit(dataset, query.spec, query.policy).get().result.ok());
+  EXPECT_TRUE(
+      service.Submit(dataset, query.spec, query.policy).get().stats.cache_hit);
 
   const std::size_t again = service.RegisterDataset(&data.points,
                                                     &data.polys);
   EXPECT_EQ(again, dataset);
   EXPECT_GT(service.dataset_executor(dataset)->dataset_version(), version);
-  EXPECT_FALSE(service.Submit(dataset, query).get().stats.cache_hit);
+  EXPECT_FALSE(
+      service.Submit(dataset, query.spec, query.policy).get().stats.cache_hit);
 
   // A genuinely different dataset still gets a fresh id.
   Dataset other = MakeDataset(5, 1000, 50);
@@ -359,9 +372,10 @@ TEST(CacheServiceTest, CacheOffBehavesAsBefore) {
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
+  query.spec.variant = JoinVariant::kBoundedRaster;
   for (int i = 0; i < 2; ++i) {
-    const ServiceResponse r = service.Submit(dataset, query).get();
+    const ServiceResponse r =
+        service.Submit(dataset, query.spec, query.policy).get();
     ASSERT_TRUE(r.result.ok());
     EXPECT_FALSE(r.stats.cache_hit);
     EXPECT_GT(r.stats.granted_bytes, 0u);

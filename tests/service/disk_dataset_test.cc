@@ -187,28 +187,28 @@ TEST(DiskDatasetTest, QueuedQueriesFuseOverDiskDatasets) {
   // fusion-compatible queries queue behind it — the shape that fuses for
   // in-memory datasets fuses over the block scan too.
   SpatialAggQuery warmup;
-  warmup.variant = JoinVariant::kAccurateRaster;
-  warmup.accurate_canvas_dim = 1024;
+  warmup.spec.variant = JoinVariant::kAccurateRaster;
+  warmup.spec.canvas_dim = 1024;
   std::future<ServiceResponse> head =
-      service.Submit(disk_id.value(), warmup);
+      service.Submit(disk_id.value(), warmup.spec, warmup.policy);
 
   std::vector<SpatialAggQuery> group;
   for (int i = 0; i < 4; ++i) {
     SpatialAggQuery q;
-    q.variant = JoinVariant::kBoundedRaster;
-    q.epsilon = 8.0;
+    q.spec.variant = JoinVariant::kBoundedRaster;
+    q.spec.epsilon = 8.0;
     if (i % 2 == 1) {
-      q.aggregate = AggregateKind::kSum;
-      q.aggregate_column = 0;
+      q.spec.aggregate = AggregateKind::kSum;
+      q.spec.aggregate_column = 0;
     }
     if (i >= 2) {
-      EXPECT_TRUE(q.filters.Add({0, FilterOp::kLess, float(40 + i)}).ok());
+      EXPECT_TRUE(q.spec.filters.Add({0, FilterOp::kLess, float(40 + i)}).ok());
     }
     group.push_back(q);
   }
   std::vector<std::future<ServiceResponse>> futures;
   for (const SpatialAggQuery& q : group) {
-    futures.push_back(service.Submit(disk_id.value(), q));
+    futures.push_back(service.Submit(disk_id.value(), q.spec, q.policy));
   }
   ASSERT_TRUE(head.get().result.ok());
 

@@ -57,25 +57,25 @@ std::vector<SpatialAggQuery> CompatibleGroup() {
   std::vector<SpatialAggQuery> group;
 
   SpatialAggQuery count;
-  count.variant = JoinVariant::kBoundedRaster;
-  count.epsilon = 8.0;
+  count.spec.variant = JoinVariant::kBoundedRaster;
+  count.spec.epsilon = 8.0;
   group.push_back(count);
 
   SpatialAggQuery sum;
   sum = count;
-  sum.aggregate = AggregateKind::kSum;
-  sum.aggregate_column = 0;
+  sum.spec.aggregate = AggregateKind::kSum;
+  sum.spec.aggregate_column = 0;
   group.push_back(sum);
 
   SpatialAggQuery filtered_avg = count;
-  filtered_avg.aggregate = AggregateKind::kAverage;
-  filtered_avg.aggregate_column = 0;
+  filtered_avg.spec.aggregate = AggregateKind::kAverage;
+  filtered_avg.spec.aggregate_column = 0;
   EXPECT_TRUE(
-      filtered_avg.filters.Add({0, FilterOp::kGreater, 30.0f}).ok());
+      filtered_avg.spec.filters.Add({0, FilterOp::kGreater, 30.0f}).ok());
   group.push_back(filtered_avg);
 
   SpatialAggQuery count_ranges = count;
-  count_ranges.with_result_ranges = true;
+  count_ranges.spec.with_result_ranges = true;
   group.push_back(count_ranges);
 
   return group;
@@ -108,10 +108,10 @@ void ExpectIdenticalResults(const QueryResult& expected,
 
 /// A deliberately slow head-of-line query that keeps the single dispatcher
 /// busy while the test queues the group behind it.
-SpatialAggQuery Warmup() {
-  SpatialAggQuery warmup;
+QuerySpec Warmup() {
+  QuerySpec warmup;
   warmup.variant = JoinVariant::kAccurateRaster;
-  warmup.accurate_canvas_dim = 1024;
+  warmup.canvas_dim = 1024;
   return warmup;
 }
 
@@ -142,7 +142,7 @@ TEST(FusedServiceTest, QueuedCompatibleQueriesFuseAndStayIdentical) {
   std::future<ServiceResponse> head = service.Submit(dataset, Warmup());
   std::vector<std::future<ServiceResponse>> futures;
   for (const SpatialAggQuery& q : group) {
-    futures.push_back(service.Submit(dataset, q));
+    futures.push_back(service.Submit(dataset, q.spec, q.policy));
   }
   ASSERT_TRUE(head.get().result.ok());
 
@@ -181,23 +181,24 @@ TEST(FusedServiceTest, IncompatibleQueriesNeverGroup) {
   // Pairwise incompatible: differing ε, differing canvas family, an index
   // variant (nothing to fuse), and a same-shape query on another dataset.
   SpatialAggQuery bounded5;
-  bounded5.variant = JoinVariant::kBoundedRaster;
-  bounded5.epsilon = 5.0;
+  bounded5.spec.variant = JoinVariant::kBoundedRaster;
+  bounded5.spec.epsilon = 5.0;
   SpatialAggQuery bounded8 = bounded5;
-  bounded8.epsilon = 8.0;
+  bounded8.spec.epsilon = 8.0;
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 256;
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 256;
   SpatialAggQuery index_device;
-  index_device.variant = JoinVariant::kIndexDevice;
+  index_device.spec.variant = JoinVariant::kIndexDevice;
 
   std::future<ServiceResponse> head = service.Submit(ds_a, Warmup());
   std::vector<std::future<ServiceResponse>> futures;
-  futures.push_back(service.Submit(ds_a, bounded5));
-  futures.push_back(service.Submit(ds_a, bounded8));
-  futures.push_back(service.Submit(ds_a, accurate));
-  futures.push_back(service.Submit(ds_a, index_device));
-  futures.push_back(service.Submit(ds_b, bounded5));
+  futures.push_back(service.Submit(ds_a, bounded5.spec, bounded5.policy));
+  futures.push_back(service.Submit(ds_a, bounded8.spec, bounded8.policy));
+  futures.push_back(service.Submit(ds_a, accurate.spec, accurate.policy));
+  futures.push_back(
+      service.Submit(ds_a, index_device.spec, index_device.policy));
+  futures.push_back(service.Submit(ds_b, bounded5.spec, bounded5.policy));
   ASSERT_TRUE(head.get().result.ok());
 
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -229,7 +230,7 @@ TEST(FusedServiceTest, FusedMembersPopulateTheResultCache) {
   std::future<ServiceResponse> head = service.Submit(dataset, Warmup());
   std::vector<std::future<ServiceResponse>> round1;
   for (const SpatialAggQuery& q : group) {
-    round1.push_back(service.Submit(dataset, q));
+    round1.push_back(service.Submit(dataset, q.spec, q.policy));
   }
   ASSERT_TRUE(head.get().result.ok());
   std::vector<QueryResult> first;
@@ -244,7 +245,8 @@ TEST(FusedServiceTest, FusedMembersPopulateTheResultCache) {
   // Round 2: every member is a hit — no device work, no fusion, and the
   // cached value is the fused execution's (bitwise equal to round 1).
   for (std::size_t i = 0; i < group.size(); ++i) {
-    ServiceResponse response = service.Submit(dataset, group[i]).get();
+    ServiceResponse response =
+        service.Submit(dataset, group[i].spec, group[i].policy).get();
     ASSERT_TRUE(response.result.ok());
     EXPECT_TRUE(response.stats.cache_hit) << "member " << i;
     EXPECT_EQ(response.stats.fused_group_size, 1u);
@@ -258,6 +260,8 @@ TEST(FusedServiceTest, DuplicateQueriesDedupeInsideTheGroup) {
   // Four copies of one cacheable query queue behind the warmup: the group
   // dedupes to a single fused slot (fused_group_size stays 1 — one
   // distinct query executed) and all four futures resolve identically.
+  // Two copies name the dataset and two do not: the dataset id, not the
+  // spec's name, identifies the dataset, so the name never splits a slot.
   Dataset data = MakeDataset(6, 12000, 45);
 
   gpu::Device device(DeviceConfig(16 << 20));
@@ -269,16 +273,18 @@ TEST(FusedServiceTest, DuplicateQueriesDedupeInsideTheGroup) {
   const std::size_t dataset =
       service.RegisterDataset(&data.points, &data.polys);
 
-  SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 8.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
+  QuerySpec spec;
+  spec.variant = JoinVariant::kBoundedRaster;
+  spec.epsilon = 8.0;
+  spec.aggregate = AggregateKind::kSum;
+  spec.aggregate_column = 0;
+  QuerySpec named = spec;
+  named.dataset = "taxi";
 
   std::future<ServiceResponse> head = service.Submit(dataset, Warmup());
   std::vector<std::future<ServiceResponse>> futures;
   for (int i = 0; i < 4; ++i) {
-    futures.push_back(service.Submit(dataset, query));
+    futures.push_back(service.Submit(dataset, i % 2 == 0 ? spec : named));
   }
   ASSERT_TRUE(head.get().result.ok());
 
@@ -312,7 +318,7 @@ TEST(FusedServiceTest, FusionOffNeverGroups) {
   std::future<ServiceResponse> head = service.Submit(dataset, Warmup());
   std::vector<std::future<ServiceResponse>> futures;
   for (const SpatialAggQuery& q : CompatibleGroup()) {
-    futures.push_back(service.Submit(dataset, q));
+    futures.push_back(service.Submit(dataset, q.spec, q.policy));
   }
   ASSERT_TRUE(head.get().result.ok());
   for (auto& f : futures) {

@@ -61,35 +61,35 @@ std::vector<SpatialAggQuery> QueryMix() {
   std::vector<SpatialAggQuery> mix;
 
   SpatialAggQuery bounded_count;
-  bounded_count.variant = JoinVariant::kBoundedRaster;
-  bounded_count.epsilon = 5.0;
+  bounded_count.spec.variant = JoinVariant::kBoundedRaster;
+  bounded_count.spec.epsilon = 5.0;
   mix.push_back(bounded_count);
 
   SpatialAggQuery bounded_sum_ranges;
-  bounded_sum_ranges.variant = JoinVariant::kBoundedRaster;
-  bounded_sum_ranges.epsilon = 8.0;
-  bounded_sum_ranges.aggregate = AggregateKind::kSum;
-  bounded_sum_ranges.aggregate_column = 0;
-  bounded_sum_ranges.with_result_ranges = true;
+  bounded_sum_ranges.spec.variant = JoinVariant::kBoundedRaster;
+  bounded_sum_ranges.spec.epsilon = 8.0;
+  bounded_sum_ranges.spec.aggregate = AggregateKind::kSum;
+  bounded_sum_ranges.spec.aggregate_column = 0;
+  bounded_sum_ranges.spec.with_result_ranges = true;
   mix.push_back(bounded_sum_ranges);
 
   SpatialAggQuery accurate_avg;
-  accurate_avg.variant = JoinVariant::kAccurateRaster;
-  accurate_avg.accurate_canvas_dim = 256;
-  accurate_avg.aggregate = AggregateKind::kAverage;
-  accurate_avg.aggregate_column = 0;
+  accurate_avg.spec.variant = JoinVariant::kAccurateRaster;
+  accurate_avg.spec.canvas_dim = 256;
+  accurate_avg.spec.aggregate = AggregateKind::kAverage;
+  accurate_avg.spec.aggregate_column = 0;
   mix.push_back(accurate_avg);
 
   SpatialAggQuery filtered_device;
-  filtered_device.variant = JoinVariant::kIndexDevice;
-  EXPECT_TRUE(
-      filtered_device.filters.Add({0, FilterOp::kGreaterEqual, 25.0f}).ok());
+  filtered_device.spec.variant = JoinVariant::kIndexDevice;
+  FilterSet& filters = filtered_device.spec.filters;
+  EXPECT_TRUE(filters.Add({0, FilterOp::kGreaterEqual, 25.0f}).ok());
   mix.push_back(filtered_device);
 
   SpatialAggQuery cpu_max;
-  cpu_max.variant = JoinVariant::kIndexCpu;
-  cpu_max.aggregate = AggregateKind::kMax;
-  cpu_max.aggregate_column = 0;
+  cpu_max.spec.variant = JoinVariant::kIndexCpu;
+  cpu_max.spec.aggregate = AggregateKind::kMax;
+  cpu_max.spec.aggregate_column = 0;
   mix.push_back(cpu_max);
 
   return mix;
@@ -164,8 +164,9 @@ TEST(QueryServiceTest, ConcurrentMixBitwiseIdenticalToSequential) {
           SubmitOptions submit;
           submit.priority = (c + q) % 3 == 0 ? Priority::kHigh
                                              : Priority::kNormal;
+          const SpatialAggQuery& query = mix[pick];
           ServiceResponse response =
-              service.Submit(dataset, mix[pick], submit).get();
+              service.Submit(dataset, query.spec, query.policy, submit).get();
           if (!response.result.ok()) {
             ADD_FAILURE() << response.result.status().ToString();
             ++mismatches;
@@ -210,12 +211,12 @@ TEST(QueryServiceTest, OversubscribingQueriesQueueNotFail) {
                                                       &data.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
 
   std::vector<std::future<ServiceResponse>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(service.Submit(dataset, query));
+    futures.push_back(service.Submit(dataset, query.spec, query.policy));
   }
   for (auto& f : futures) {
     ServiceResponse response = f.get();
@@ -241,7 +242,7 @@ TEST(QueryServiceTest, TinyBudgetNeverExceedsBudgetAndStaysCorrect) {
   gpu::Device seq_device(DeviceConfig(64 << 20));
   Executor seq_executor(&seq_device, &data.points, &data.polys);
   SpatialAggQuery query;
-  query.variant = JoinVariant::kIndexDevice;  // no fixed triangle VBO
+  query.spec.variant = JoinVariant::kIndexDevice;  // no fixed triangle VBO
   auto expected = seq_executor.Execute(query);
   ASSERT_TRUE(expected.ok());
 
@@ -255,7 +256,7 @@ TEST(QueryServiceTest, TinyBudgetNeverExceedsBudgetAndStaysCorrect) {
 
   std::vector<std::future<ServiceResponse>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(service.Submit(dataset, query));
+    futures.push_back(service.Submit(dataset, query.spec, query.policy));
   }
   for (auto& f : futures) {
     ServiceResponse response = f.get();
@@ -274,7 +275,7 @@ TEST(QueryServiceTest, ImpossibleFootprintIsRejectedNotQueued) {
   gpu::Device probe(DeviceConfig(64 << 20));
   Executor probe_executor(&probe, &data.points, &data.polys);
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
+  query.spec.variant = JoinVariant::kBoundedRaster;
   auto plan = probe_executor.PlanAdmission(query);
   ASSERT_TRUE(plan.ok());
   ASSERT_GT(plan.value().fixed_bytes, 64u);
@@ -283,7 +284,8 @@ TEST(QueryServiceTest, ImpossibleFootprintIsRejectedNotQueued) {
   QueryService service(&device, {});
   const std::size_t dataset = service.RegisterDataset(&data.points,
                                                       &data.polys);
-  ServiceResponse response = service.Submit(dataset, query).get();
+  ServiceResponse response =
+      service.Submit(dataset, query.spec, query.policy).get();
   ASSERT_FALSE(response.result.ok());
   EXPECT_EQ(response.result.status().code(), StatusCode::kCapacityError);
 }
@@ -298,21 +300,21 @@ TEST(QueryServiceTest, PriorityLaneDispatchesBeforeLaterFifo) {
                                                       &data.polys);
 
   SpatialAggQuery heavy;
-  heavy.variant = JoinVariant::kBoundedRaster;
-  heavy.epsilon = 4.0;
+  heavy.spec.variant = JoinVariant::kBoundedRaster;
+  heavy.spec.epsilon = 4.0;
   SpatialAggQuery light;
-  light.variant = JoinVariant::kIndexCpu;
+  light.spec.variant = JoinVariant::kIndexCpu;
 
   // While the dispatcher is busy with `heavy`, queue FIFO a, then HIGH c,
   // then FIFO b. In every interleaving c must dispatch before b: b is
   // submitted after c, and whenever both are queued the priority lane
   // drains first.
-  auto blocker = service.Submit(dataset, heavy);
-  auto a = service.Submit(dataset, light);
+  auto blocker = service.Submit(dataset, heavy.spec, heavy.policy);
+  auto a = service.Submit(dataset, light.spec, light.policy);
   SubmitOptions high;
   high.priority = Priority::kHigh;
-  auto c = service.Submit(dataset, light, high);
-  auto b = service.Submit(dataset, light);
+  auto c = service.Submit(dataset, light.spec, light.policy, high);
+  auto b = service.Submit(dataset, light.spec, light.policy);
 
   (void)blocker.get();
   (void)a.get();
@@ -334,13 +336,13 @@ TEST(QueryServiceTest, TrySubmitBackpressureRejectsWhenQueueFull) {
                                                       &data.polys);
 
   SpatialAggQuery heavy;
-  heavy.variant = JoinVariant::kBoundedRaster;
-  heavy.epsilon = 4.0;
+  heavy.spec.variant = JoinVariant::kBoundedRaster;
+  heavy.spec.epsilon = 4.0;
 
   std::vector<std::future<ServiceResponse>> accepted;
   std::size_t rejected = 0;
   for (int i = 0; i < 10; ++i) {
-    auto r = service.TrySubmit(dataset, heavy);
+    auto r = service.TrySubmit(dataset, heavy.spec, heavy.policy);
     if (r.ok()) {
       accepted.push_back(std::move(r).MoveValueUnsafe());
     } else {
@@ -359,7 +361,7 @@ TEST(QueryServiceTest, UnknownDatasetResolvesFutureWithError) {
   gpu::Device device(DeviceConfig(1 << 20));
   QueryService service(&device, {});
   SpatialAggQuery query;
-  ServiceResponse response = service.Submit(42, query).get();
+  ServiceResponse response = service.Submit(42, query.spec, query.policy).get();
   ASSERT_FALSE(response.result.ok());
   EXPECT_EQ(response.result.status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(response.result.status().retryable());
@@ -375,21 +377,23 @@ TEST(QueryServiceTest, OversizedCanvasResolvesFutureWithInvalidArgument) {
   const std::size_t id = service.RegisterDataset(&data.points, &data.polys);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 1 << 20;
-  ServiceResponse rejected = service.Submit(id, accurate).get();
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 1 << 20;
+  ServiceResponse rejected =
+      service.Submit(id, accurate.spec, accurate.policy).get();
   ASSERT_FALSE(rejected.result.ok());
   EXPECT_EQ(rejected.result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(rejected.result.status().retryable());
 
   SpatialAggQuery bounded;
-  bounded.variant = JoinVariant::kBoundedRaster;
-  bounded.accurate_canvas_dim = 1 << 20;
-  ServiceResponse served = service.Submit(id, bounded).get();
+  bounded.spec.variant = JoinVariant::kBoundedRaster;
+  bounded.spec.canvas_dim = 1 << 20;
+  ServiceResponse served =
+      service.Submit(id, bounded.spec, bounded.policy).get();
   EXPECT_TRUE(served.result.ok()) << served.result.status().ToString();
 
-  accurate.accurate_canvas_dim = 256;
-  served = service.Submit(id, accurate).get();
+  accurate.spec.canvas_dim = 256;
+  served = service.Submit(id, accurate.spec, accurate.policy).get();
   ASSERT_TRUE(served.result.ok()) << served.result.status().ToString();
   Result<QueryResult> expected =
       service.dataset_executor(id)->ExecuteUncached(accurate);
@@ -408,9 +412,9 @@ TEST(QueryServiceTest, DestructorDrainsAcceptedQueries) {
     const std::size_t dataset = service.RegisterDataset(&data.points,
                                                         &data.polys);
     SpatialAggQuery query;
-    query.variant = JoinVariant::kBoundedRaster;
+    query.spec.variant = JoinVariant::kBoundedRaster;
     for (int i = 0; i < 8; ++i) {
-      futures.push_back(service.Submit(dataset, query));
+      futures.push_back(service.Submit(dataset, query.spec, query.policy));
     }
     // Service destroyed here with queries still queued.
   }

@@ -52,21 +52,21 @@ gpu::DevicePoolOptions PoolOptions(std::size_t devices, std::size_t budget) {
 std::vector<SpatialAggQuery> Mix() {
   std::vector<SpatialAggQuery> mix;
   SpatialAggQuery bounded;
-  bounded.variant = JoinVariant::kBoundedRaster;
-  bounded.epsilon = 8.0;
-  bounded.aggregate = AggregateKind::kSum;
-  bounded.aggregate_column = 0;
+  bounded.spec.variant = JoinVariant::kBoundedRaster;
+  bounded.spec.epsilon = 8.0;
+  bounded.spec.aggregate = AggregateKind::kSum;
+  bounded.spec.aggregate_column = 0;
   mix.push_back(bounded);
 
   SpatialAggQuery ranges;
-  ranges.variant = JoinVariant::kBoundedRaster;
-  ranges.epsilon = 12.0;
-  ranges.with_result_ranges = true;
+  ranges.spec.variant = JoinVariant::kBoundedRaster;
+  ranges.spec.epsilon = 12.0;
+  ranges.spec.with_result_ranges = true;
   mix.push_back(ranges);
 
   SpatialAggQuery accurate;
-  accurate.variant = JoinVariant::kAccurateRaster;
-  accurate.accurate_canvas_dim = 256;
+  accurate.spec.variant = JoinVariant::kAccurateRaster;
+  accurate.spec.canvas_dim = 256;
   mix.push_back(accurate);
   return mix;
 }
@@ -120,7 +120,9 @@ TEST(ShardedServiceTest, ConcurrentShardedQueriesMatchSequentialBaseline) {
     clients.emplace_back([&, c] {
       for (std::size_t q = 0; q < 6; ++q) {
         const std::size_t pick = (q + c) % mix.size();
-        ServiceResponse response = service.Submit(dataset, mix[pick]).get();
+        const SpatialAggQuery& query = mix[pick];
+        ServiceResponse response =
+            service.Submit(dataset, query.spec, query.policy).get();
         if (!response.result.ok() ||
             !Identical(expected[pick], response.result.value())) {
           all_identical = false;
@@ -159,14 +161,16 @@ TEST(ShardedServiceTest, PerDeviceReservationsNeverExceedAnyBudget) {
       service.RegisterShardedDataset(&table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
+  query.spec.aggregate = AggregateKind::kSum;
+  query.spec.aggregate_column = 0;
 
   std::vector<std::future<ServiceResponse>> futures;
   futures.reserve(12);
-  for (int i = 0; i < 12; ++i) futures.push_back(service.Submit(dataset, query));
+  for (int i = 0; i < 12; ++i) {
+    futures.push_back(service.Submit(dataset, query.spec, query.policy));
+  }
   for (auto& f : futures) {
     ServiceResponse response = f.get();
     // Oversubscribed capacity queues queries; it must not fail them.
@@ -204,8 +208,9 @@ TEST(ShardedServiceTest, ImpossiblePlacementIsRejectedNotQueued) {
       service.RegisterShardedDataset(&table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kIndexDevice;
-  ServiceResponse response = service.Submit(dataset, query).get();
+  query.spec.variant = JoinVariant::kIndexDevice;
+  ServiceResponse response =
+      service.Submit(dataset, query.spec, query.policy).get();
   EXPECT_FALSE(response.result.ok());
   EXPECT_EQ(response.result.status().code(), StatusCode::kCapacityError)
       << response.result.status().ToString();
@@ -225,10 +230,10 @@ TEST(ShardedServiceTest, MixedShardedAndUnshardedDatasetsCoexist) {
       service.RegisterShardedDataset(&table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 8.0;
-  ServiceResponse a = service.Submit(plain, query).get();
-  ServiceResponse b = service.Submit(sharded, query).get();
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 8.0;
+  ServiceResponse a = service.Submit(plain, query.spec, query.policy).get();
+  ServiceResponse b = service.Submit(sharded, query.spec, query.policy).get();
   ASSERT_TRUE(a.result.ok()) << a.result.status().ToString();
   ASSERT_TRUE(b.result.ok()) << b.result.status().ToString();
   EXPECT_TRUE(Identical(a.result.value(), b.result.value()));
@@ -267,14 +272,15 @@ TEST(ShardedServiceTest, RoutingStatsPartitionTheShardCount) {
       service.RegisterShardedDataset(&table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 8.0;
-  query.aggregate = AggregateKind::kSum;
-  query.aggregate_column = 0;
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 8.0;
+  query.spec.aggregate = AggregateKind::kSum;
+  query.spec.aggregate_column = 0;
   auto want = baseline.Execute(query);
   ASSERT_TRUE(want.ok());
 
-  ServiceResponse routed = service.Submit(dataset, query).get();
+  ServiceResponse routed =
+      service.Submit(dataset, query.spec, query.policy).get();
   ASSERT_TRUE(routed.result.ok()) << routed.result.status().ToString();
   EXPECT_TRUE(Identical(want.value(), routed.result.value()));
   EXPECT_GE(routed.stats.shards_skipped, 2u);  // >= 50% of 4 shards
@@ -283,59 +289,13 @@ TEST(ShardedServiceTest, RoutingStatsPartitionTheShardCount) {
             4u);
 
   SpatialAggQuery unrouted = query;
-  unrouted.enable_shard_routing = false;
-  ServiceResponse full = service.Submit(dataset, unrouted).get();
+  unrouted.policy.shard_routing = false;
+  ServiceResponse full =
+      service.Submit(dataset, unrouted.spec, unrouted.policy).get();
   ASSERT_TRUE(full.result.ok());
   EXPECT_TRUE(Identical(routed.result.value(), full.result.value()));
   EXPECT_EQ(full.stats.shards_skipped, 0u);
   EXPECT_EQ(full.stats.shards_routed, 4u);
-}
-
-TEST(ShardedServiceTest, HotShardReplicationStaysBitwiseIdentical) {
-  const JoinSetup s = MakeSetup(6, 8000, 35);
-  gpu::Device baseline_device(PoolOptions(1, 64u << 20).device);
-  Executor baseline(&baseline_device, &s.points, &s.polys);
-  std::vector<QueryResult> expected;
-  for (const SpatialAggQuery& q : Mix()) {
-    auto r = baseline.Execute(q);
-    ASSERT_TRUE(r.ok());
-    expected.push_back(std::move(r).MoveValueUnsafe());
-  }
-
-  data::ShardingOptions sharding;
-  sharding.num_shards = 3;
-  sharding.policy = data::ShardPolicy::kHilbert;
-  auto table = data::ShardedTable::Partition(s.points, sharding);
-  ASSERT_TRUE(table.ok());
-  gpu::DevicePool pool(PoolOptions(3, 64u << 20));
-
-  ServiceOptions service_options;
-  service_options.replicate_hot_shards = 2;
-  service_options.shard_heat_alpha = 1.0;  // heat == last visit
-  service_options.replica_update_interval = 2;
-  QueryService service(&pool, service_options);
-  const std::size_t dataset =
-      service.RegisterShardedDataset(&table.value(), &s.polys);
-
-  // Enough traffic to cross several replica-refresh intervals; every
-  // response — before and after replicas install — must stay identical
-  // to the single-device baseline.
-  const std::vector<SpatialAggQuery> mix = Mix();
-  for (std::size_t round = 0; round < 4; ++round) {
-    for (std::size_t q = 0; q < mix.size(); ++q) {
-      ServiceResponse response = service.Submit(dataset, mix[q]).get();
-      ASSERT_TRUE(response.result.ok())
-          << response.result.status().ToString();
-      EXPECT_TRUE(Identical(expected[q], response.result.value()))
-          << "round " << round << " query " << q;
-    }
-  }
-  // The heat tracker installed read replicas for the K hottest shards.
-  const auto replicas = service.dataset_executor(dataset)->shard_replicas();
-  ASSERT_EQ(replicas.size(), 3u);
-  std::size_t replicated = 0;
-  for (const auto& r : replicas) replicated += r.empty() ? 0 : 1;
-  EXPECT_EQ(replicated, 2u);
 }
 
 TEST(ShardedServiceTest, ShardedResultsServeFromServiceCache) {
@@ -354,14 +314,16 @@ TEST(ShardedServiceTest, ShardedResultsServeFromServiceCache) {
       service.RegisterShardedDataset(&table.value(), &s.polys);
 
   SpatialAggQuery query;
-  query.variant = JoinVariant::kBoundedRaster;
-  query.epsilon = 10.0;
-  ServiceResponse first = service.Submit(dataset, query).get();
+  query.spec.variant = JoinVariant::kBoundedRaster;
+  query.spec.epsilon = 10.0;
+  ServiceResponse first =
+      service.Submit(dataset, query.spec, query.policy).get();
   ASSERT_TRUE(first.result.ok());
   EXPECT_FALSE(first.stats.cache_hit);
   EXPECT_EQ(first.stats.shards_routed + first.stats.shards_skipped, 2u);
 
-  ServiceResponse second = service.Submit(dataset, query).get();
+  ServiceResponse second =
+      service.Submit(dataset, query.spec, query.policy).get();
   ASSERT_TRUE(second.result.ok());
   EXPECT_TRUE(second.stats.cache_hit);
   // Whole-query cache hits never touch the placement layer.

@@ -83,7 +83,7 @@ TEST(QueryServiceShutdownTest, RacingTrySubmitNeverObservesTornDownState) {
         // shutdown error — never hang, never crash.
         for (;;) {
           Result<std::future<ServiceResponse>> submitted =
-              service->TrySubmit(dataset, query);
+              service->TrySubmit(dataset, query.spec, query.policy);
           if (!submitted.ok()) {
             // Queue-full fast fail; keep hammering until shutdown.
             ++rejected;
@@ -130,7 +130,7 @@ TEST(QueryServiceShutdownTest, RacingTrySubmitNeverObservesTornDownState) {
     // After Shutdown() returns, submissions keep failing cleanly (and the
     // failure is classified retryable — clients may come back elsewhere).
     Result<std::future<ServiceResponse>> late =
-        service->TrySubmit(dataset, query);
+        service->TrySubmit(dataset, query.spec, query.policy);
     if (late.ok()) {
       ServiceResponse response = late.value().get();
       ASSERT_FALSE(response.result.ok());
