@@ -9,8 +9,12 @@
 /// the in-memory experiments.
 ///
 /// Two extra axes beyond the paper's figure:
-///  * cold-scan throughput — MB/s of block reads per variant (bytes_read /
-///    the phase::kDiskRead wall time);
+///  * scan throughput — MB/s of block bytes moved from the file to the
+///    device per variant: bytes_read / (phase::kDiskRead + phase::kTransfer
+///    wall time). A block is read in place (a view of the mapping), so
+///    the disk-read phase only creates the view; the page-ins of a fresh
+///    mapping and the pack into the device buffer are timed under the
+///    transfer phase, and the scan rate spans both;
 ///  * pruning selectivity — a sweep of canvas sub-regions over the same
 ///    file, reporting the fraction of blocks the zone maps prune and the
 ///    disk bytes saved, pruning on vs off.
@@ -58,13 +62,14 @@ std::unique_ptr<data::PointBlockSource> OpenOrDie(const std::string& path) {
   return std::move(source.value());
 }
 
-/// Disk throughput of one execution: bytes the source read over the time
-/// spent inside the disk-read phase.
+/// Scan throughput of one execution: bytes the source read over the time
+/// spent viewing blocks and packing them into device buffers.
 double ScanMbPerSec(const data::PointBlockSource& source,
                     const JoinResult& result) {
-  const double disk_s = result.timing.Get(phase::kDiskRead);
-  if (disk_s <= 0.0) return 0.0;
-  return static_cast<double>(source.bytes_read()) / (1 << 20) / disk_s;
+  const double scan_s = result.timing.Get(phase::kDiskRead) +
+                        result.timing.Get(phase::kTransfer);
+  if (scan_s <= 0.0) return 0.0;
+  return static_cast<double>(source.bytes_read()) / (1 << 20) / scan_s;
 }
 
 }  // namespace
@@ -182,7 +187,7 @@ int main() {
                acc.value().timing.Get(phase::kDiskRead) * 1e3)
         .Field("bounded_disk_ms",
                bnd.value().timing.Get(phase::kDiskRead) * 1e3)
-        .Field("cold_scan_mb_per_s", scan_mbps)
+        .Field("scan_mb_per_s", scan_mbps)
         .Field("bytes_read", static_cast<std::size_t>(bnd_source->bytes_read()));
   }
 

@@ -382,40 +382,7 @@ Result<std::unique_ptr<BlockFileReader>> BlockFileReader::Open(
   return reader;
 }
 
-Result<BlockRef> BlockFileReader::ReadBlock(std::size_t block,
-                                            PointTable* scratch) const {
-  if (block >= blocks_.size()) {
-    return Status::OutOfRange("block index out of range");
-  }
-  if (scratch == nullptr) {
-    return Status::InvalidArgument("ReadBlock requires a scratch table");
-  }
-  const BlockMeta& meta = blocks_[block];
-  const auto n = static_cast<std::size_t>(meta.num_rows);
-  const std::size_t num_attrs = names_.size();
-  const unsigned char* p = map_ + meta.data_offset;
-
-  std::vector<double> xs(n), ys(n);
-  std::memcpy(xs.data(), p, n * sizeof(double));
-  p += n * sizeof(double);
-  std::memcpy(ys.data(), p, n * sizeof(double));
-  p += n * sizeof(double);
-  std::vector<std::vector<float>> cols(num_attrs);
-  for (std::size_t c = 0; c < num_attrs; ++c) {
-    cols[c].resize(n);
-    std::memcpy(cols[c].data(), p, n * sizeof(float));
-    p += n * sizeof(float);
-  }
-  scratch->AdoptColumns(std::move(xs), std::move(ys), names_,
-                        std::move(cols));
-  bytes_read_.fetch_add(BlockDataBytes(meta.num_rows, num_attrs),
-                        std::memory_order_relaxed);
-  return BlockRef{scratch, 0, n};
-}
-
-Result<BlockView> BlockFileReader::ViewBlock(std::size_t block,
-                                             PointTable* scratch) const {
-  (void)scratch;  // the mapping is the block storage
+Result<BlockView> BlockFileReader::ViewBlock(std::size_t block) const {
   if (block >= blocks_.size()) {
     return Status::OutOfRange("block index out of range");
   }

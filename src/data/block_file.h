@@ -25,14 +25,11 @@
 ///   block data ×num_blocks, each padded to 8 bytes:
 ///     f64 x[n], f64 y[n], f32 attr0[n], …, f32 attrK[n]
 ///
-/// Blocks are 8-byte aligned so a zero-copy reader may reinterpret the
-/// mapped doubles in place — ViewBlock does exactly that, returning
-/// column pointers into the RAM-cached mapping; ReadBlock remains the
-/// copying path, memcpy'ing each block's columns into a caller scratch
-/// table (see mmap lifetime rules in docs/STORAGE.md — both a BlockRef
-/// into scratch and a BlockView into the mapping obey the same lifetime
-/// bound: invalidated by the next read into the same scratch or by the
-/// reader's death).
+/// Blocks are 8-byte aligned so a reader may reinterpret the mapped
+/// doubles in place — ViewBlock does exactly that, returning column
+/// pointers into the mapping, which the scan packs straight into device
+/// buffers (see the mmap lifetime rule in docs/STORAGE.md: a view is
+/// valid until the reader dies).
 #pragma once
 
 #include <atomic>
@@ -80,8 +77,7 @@ class BlockFileWriter {
 /// field and block offset against the actual file size before trusting it
 /// (corrupt or hostile files fail with IOError, they cannot drive
 /// allocations or out-of-bounds reads). The mapping lives for the reader's
-/// lifetime; ReadBlock copies one block's columns out of it into the
-/// caller's scratch, so concurrent readers only share read-only pages.
+/// lifetime and is only ever read, so concurrent scans share its pages.
 class BlockFileReader final : public PointBlockSource {
  public:
   static Result<std::unique_ptr<BlockFileReader>> Open(
@@ -105,17 +101,11 @@ class BlockFileReader final : public PointBlockSource {
     return &blocks_[block].zone;
   }
   BBox extent() const override { return extent_; }
-  Result<BlockRef> ReadBlock(std::size_t block,
-                             PointTable* scratch) const override;
 
-  /// Zero-copy read: returns column pointers directly into the mapping
-  /// (every block is 8-byte aligned by the format, so the f64/f32 runs
-  /// reinterpret in place; `scratch` is ignored). Meters bytes_read
-  /// exactly as ReadBlock does — the Fig. 13 metric counts block bytes
-  /// accessed, and a zero-copy scan accesses the same pages a copying
-  /// scan would.
-  Result<BlockView> ViewBlock(std::size_t block,
-                              PointTable* scratch) const override;
+  /// Returns column pointers directly into the mapping (every block is
+  /// 8-byte aligned by the format, so the f64/f32 runs reinterpret in
+  /// place).
+  Result<BlockView> ViewBlock(std::size_t block) const override;
 
   std::uint64_t bytes_read() const override {
     return bytes_read_.load(std::memory_order_relaxed);

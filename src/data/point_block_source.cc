@@ -24,20 +24,16 @@ BlockZoneMap ComputeZoneMap(const PointTable& table, std::size_t begin,
   return zone;
 }
 
-Result<BlockView> PointBlockSource::ViewBlock(std::size_t block,
-                                              PointTable* scratch) const {
-  RJ_ASSIGN_OR_RETURN(BlockRef ref, ReadBlock(block, scratch));
-  // Re-base the window to block-local indices by offsetting each column
-  // pointer — zero-copy over whatever storage ReadBlock returned (the
-  // parent table for in-memory adapters, `scratch` for disk readers).
+BlockView ViewRows(const PointTable& table, std::size_t begin,
+                   std::size_t end) {
   BlockView view;
-  view.xs = ref.table->xs().data() + ref.begin;
-  view.ys = ref.table->ys().data() + ref.begin;
-  view.attrs.resize(ref.table->num_attributes());
+  view.xs = table.xs().data() + begin;
+  view.ys = table.ys().data() + begin;
+  view.attrs.resize(table.num_attributes());
   for (std::size_t c = 0; c < view.attrs.size(); ++c) {
-    view.attrs[c] = ref.table->attribute(c).data() + ref.begin;
+    view.attrs[c] = table.attribute(c).data() + begin;
   }
-  view.size = ref.size();
+  view.size = end - begin;
   return view;
 }
 
@@ -47,10 +43,9 @@ Result<PointTable> MaterializeBlocks(const PointBlockSource& source) {
     out.AddAttribute(name);
   }
   out.Reserve(source.num_rows());
-  PointTable scratch;
   std::vector<float> vals(source.num_attributes());
   for (std::size_t b = 0; b < source.num_blocks(); ++b) {
-    RJ_ASSIGN_OR_RETURN(BlockView view, source.ViewBlock(b, &scratch));
+    RJ_ASSIGN_OR_RETURN(BlockView view, source.ViewBlock(b));
     for (std::size_t i = 0; i < view.size; ++i) {
       for (std::size_t c = 0; c < vals.size(); ++c) {
         vals[c] = view.attrs[c][i];
@@ -86,13 +81,11 @@ void TableBlockSource::BuildZoneMaps() {
   }
 }
 
-Result<BlockRef> TableBlockSource::ReadBlock(std::size_t block,
-                                             PointTable* scratch) const {
-  (void)scratch;  // the parent table *is* the block storage
+Result<BlockView> TableBlockSource::ViewBlock(std::size_t block) const {
   if (block >= num_blocks_) {
     return Status::OutOfRange("block index out of range");
   }
-  return BlockRef{table_, BlockBegin(block), BlockEnd(block)};
+  return ViewRows(*table_, BlockBegin(block), BlockEnd(block));
 }
 
 }  // namespace rj::data

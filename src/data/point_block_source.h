@@ -8,10 +8,14 @@
 /// in-memory table or an mmap-backed disk file (block_file.h) — and skip
 /// blocks a query's canvas or filters can never touch.
 ///
-/// Thread-safety contract: a source is immutable once built. ReadBlock is
-/// const and safe to call from multiple threads concurrently **as long as
-/// each caller supplies its own scratch table** (the upload pipeline's
-/// reader thread and a concurrent query each bring their own).
+/// A block is read one way, in place: ViewBlock returns column pointers
+/// into the source's own storage (the parent table, or the file mapping),
+/// so no scan copies a point on the host before packing it into a device
+/// buffer.
+///
+/// Thread-safety contract: a source is immutable once built. ViewBlock is
+/// const and safe to call from multiple threads concurrently (the upload
+/// pipeline's reader thread and a concurrent query read the same storage).
 #pragma once
 
 #include <algorithm>
@@ -40,29 +44,13 @@ struct BlockZoneMap {
   std::vector<float> col_max;
 };
 
-/// One readable block: `rows` [begin, end) of `*table`. For in-memory
-/// adapters `table` is the parent table and [begin, end) a row window; for
-/// disk readers `table` is the caller's scratch holding exactly the block.
-/// The reference stays valid until the next ReadBlock into the same
-/// scratch (or until the source dies, whichever is first).
-struct BlockRef {
-  const PointTable* table = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-
-  std::size_t size() const { return end - begin; }
-};
-
 /// Zero-copy view of one block's columns, indexed block-locally: row i of
 /// the view is row i of the block, i in [0, size). Mirrors the PointTable
 /// read surface (At / attribute) so row-loop templates accept either.
 ///
-/// Lifetime: the pointers belong to the source (mmap pages, a parent
-/// table) or to the caller's scratch, depending on which ViewBlock
-/// produced them — so a view is valid until the next ViewBlock/ReadBlock
-/// into the same scratch or until the source dies, whichever is first.
-/// Exactly the BlockRef contract; no caller may hold a view across either
-/// event.
+/// Lifetime: the pointers belong to the source's storage (mmap pages, a
+/// parent table), so a view is valid until the source dies — or, for a
+/// table, until the table is next mutated.
 struct BlockView {
   const double* xs = nullptr;
   const double* ys = nullptr;
@@ -72,6 +60,11 @@ struct BlockView {
   Point At(std::size_t i) const { return {xs[i], ys[i]}; }
   const float* attribute(std::size_t c) const { return attrs[c]; }
 };
+
+/// View of rows [begin, end) of `table`: column pointers offset into the
+/// table, no copy.
+BlockView ViewRows(const PointTable& table, std::size_t begin,
+                   std::size_t end);
 
 /// Schema + extent + an ordered stream of fixed-capacity column blocks.
 class PointBlockSource {
@@ -97,31 +90,19 @@ class PointBlockSource {
   /// scan reads it.
   virtual BBox extent() const = 0;
 
-  /// Materializes block `block`. Disk sources fill `*scratch` and return a
-  /// reference into it; in-memory adapters return a window of the parent
-  /// table without touching `scratch`. See the class comment for the
-  /// concurrency contract.
-  virtual Result<BlockRef> ReadBlock(std::size_t block,
-                                     PointTable* scratch) const = 0;
-
-  /// Column-pointer view of block `block`. The base implementation calls
-  /// ReadBlock and wraps the resulting window, so it is a copy for disk
-  /// sources but already zero-copy for in-memory adapters (whose ReadBlock
-  /// is a pointer adjustment). Sources whose storage is directly
-  /// addressable override it to skip the scratch copy entirely —
-  /// BlockFileReader returns pointers into its RAM-cached mapping
-  /// (the format 8-byte aligns every block for exactly this). Overrides
-  /// must meter bytes_read identically to ReadBlock: the Fig. 13 metric
-  /// counts block bytes *accessed*, not bytes memcpy'd.
-  virtual Result<BlockView> ViewBlock(std::size_t block,
-                                      PointTable* scratch) const;
+  /// Column-pointer view of block `block`, in place: an in-memory adapter
+  /// returns a window of its parent table, BlockFileReader pointers into
+  /// its mapping. A disk source meters the block's bytes into bytes_read:
+  /// the Fig. 13 metric counts block bytes accessed. OutOfRange for a
+  /// block index past num_blocks().
+  virtual Result<BlockView> ViewBlock(std::size_t block) const = 0;
 
   /// Total bytes read from disk so far (0 for in-memory sources) — the
   /// Fig. 13 disk-access metric.
   virtual std::uint64_t bytes_read() const = 0;
 
   /// True when blocks live on disk (reads cost I/O); false when the data
-  /// is RAM-resident and ReadBlock is a pointer adjustment.
+  /// is RAM-resident and ViewBlock is a pointer adjustment.
   virtual bool disk_resident() const = 0;
 
   std::size_t num_attributes() const { return attribute_names().size(); }
@@ -138,7 +119,7 @@ class PointBlockSource {
 
 /// Adapter presenting an in-memory PointTable as a block source: block b
 /// is the row window [b*capacity, min(n, (b+1)*capacity)) of the parent —
-/// ReadBlock is a pointer adjustment, no copy. Zone maps are off by
+/// ViewBlock is a pointer adjustment, no copy. Zone maps are off by
 /// default (computing them is an O(n) scan a one-shot query would never
 /// amortize); call BuildZoneMaps() to enable pruning for a long-lived
 /// registration.
@@ -170,8 +151,7 @@ class TableBlockSource final : public PointBlockSource {
     return zone_maps_.empty() ? nullptr : &zone_maps_[block];
   }
   BBox extent() const override { return table_->Extent(); }
-  Result<BlockRef> ReadBlock(std::size_t block,
-                             PointTable* scratch) const override;
+  Result<BlockView> ViewBlock(std::size_t block) const override;
   std::uint64_t bytes_read() const override { return 0; }
   bool disk_resident() const override { return false; }
 
@@ -198,8 +178,7 @@ BlockZoneMap ComputeZoneMap(const PointTable& table, std::size_t begin,
                             std::size_t end);
 
 /// Reads every block of `source` in order into one in-memory table — the
-/// determinism baseline (the same logical row order as the disk scan) and
-/// the v1 loading path's materializer.
+/// determinism baseline (the same logical row order as the disk scan).
 Result<PointTable> MaterializeBlocks(const PointBlockSource& source);
 
 }  // namespace rj::data

@@ -51,10 +51,11 @@ class PointTable {
   void Append(double px, double py) { Append(px, py, {}); }
 
   /// Replaces the table's contents with fully-built columns, moved in
-  /// wholesale — the bulk-materialization path for readers that already
-  /// hold column vectors (ColumnStoreReader, BlockFileReader), which would
-  /// otherwise re-copy every row through Append. All column vectors must
-  /// share one length and `attrs` must match `names` in count.
+  /// wholesale — the bulk-materialization path for code that already
+  /// holds column vectors (ColumnStoreReader, BlockFileWriter's Hilbert
+  /// reorder), which would otherwise re-copy every row through Append.
+  /// All column vectors must share one length and `attrs` must match
+  /// `names` in count.
   void AdoptColumns(std::vector<double> xs, std::vector<double> ys,
                     std::vector<std::string> names,
                     std::vector<std::vector<float>> attrs) {

@@ -7,63 +7,6 @@
 namespace rj {
 
 namespace {
-constexpr unsigned kInside = 0;
-constexpr unsigned kLeft = 1;
-constexpr unsigned kRight = 2;
-constexpr unsigned kBottom = 4;
-constexpr unsigned kTop = 8;
-}  // namespace
-
-unsigned ComputeOutcode(const BBox& rect, const Point& p) {
-  unsigned code = kInside;
-  if (p.x < rect.min_x) {
-    code |= kLeft;
-  } else if (p.x > rect.max_x) {
-    code |= kRight;
-  }
-  if (p.y < rect.min_y) {
-    code |= kBottom;
-  } else if (p.y > rect.max_y) {
-    code |= kTop;
-  }
-  return code;
-}
-
-std::optional<std::pair<Point, Point>> ClipSegmentCohenSutherland(
-    const BBox& rect, Point a, Point b) {
-  unsigned code_a = ComputeOutcode(rect, a);
-  unsigned code_b = ComputeOutcode(rect, b);
-
-  for (;;) {
-    if ((code_a | code_b) == 0) return std::make_pair(a, b);  // both inside
-    if ((code_a & code_b) != 0) return std::nullopt;  // same outside zone
-
-    const unsigned out = code_a != 0 ? code_a : code_b;
-    Point p;
-    if (out & kTop) {
-      p.x = a.x + (b.x - a.x) * (rect.max_y - a.y) / (b.y - a.y);
-      p.y = rect.max_y;
-    } else if (out & kBottom) {
-      p.x = a.x + (b.x - a.x) * (rect.min_y - a.y) / (b.y - a.y);
-      p.y = rect.min_y;
-    } else if (out & kRight) {
-      p.y = a.y + (b.y - a.y) * (rect.max_x - a.x) / (b.x - a.x);
-      p.x = rect.max_x;
-    } else {
-      p.y = a.y + (b.y - a.y) * (rect.min_x - a.x) / (b.x - a.x);
-      p.x = rect.min_x;
-    }
-    if (out == code_a) {
-      a = p;
-      code_a = ComputeOutcode(rect, a);
-    } else {
-      b = p;
-      code_b = ComputeOutcode(rect, b);
-    }
-  }
-}
-
-namespace {
 
 enum class Edge { kLeftE, kRightE, kBottomE, kTopE };
 

@@ -1,16 +1,13 @@
 /// \file clip.h
-/// \brief Clipping primitives: Cohen–Sutherland segment clipping,
-/// Sutherland–Hodgman polygon clipping, and pixel∩polygon area fractions.
+/// \brief Clipping primitives: Sutherland–Hodgman polygon clipping and
+/// pixel∩polygon area fractions.
 ///
 /// The paper uses Cohen–Sutherland in the fragment shader to estimate the
 /// fraction of a boundary pixel covered by its polygon (§6.1, "Computing
-/// Result Ranges"). We provide both that edge-based estimate and an exact
-/// Sutherland–Hodgman area computation; agg::ResultRange uses the exact
-/// variant, and a test verifies the shader-style estimate tracks it.
+/// Result Ranges"). agg::ResultRange computes that fraction exactly
+/// instead, with Sutherland–Hodgman area clipping.
 #pragma once
 
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "geometry/bbox.h"
@@ -18,15 +15,6 @@
 #include "geometry/polygon.h"
 
 namespace rj {
-
-/// Cohen–Sutherland outcode for p against rect.
-unsigned ComputeOutcode(const BBox& rect, const Point& p);
-
-/// Clips segment [a, b] against `rect` using the Cohen–Sutherland algorithm.
-/// Returns the clipped endpoints, or nullopt if the segment lies entirely
-/// outside the rectangle.
-std::optional<std::pair<Point, Point>> ClipSegmentCohenSutherland(
-    const BBox& rect, Point a, Point b);
 
 /// Clips a (convex or concave) subject ring against an axis-aligned
 /// rectangle with the Sutherland–Hodgman algorithm. The result may be empty.

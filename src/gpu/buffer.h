@@ -4,7 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace rj::gpu {
 
@@ -14,30 +14,26 @@ namespace rj::gpu {
 enum class BufferKind { kVertexBuffer, kShaderStorage, kTexture };
 
 /// A block of simulated device memory. Contents live in host RAM, but every
-/// upload is metered by the owning Device so benches can report the
-/// host→device transfer component (Fig. 9/11/13 breakdowns).
+/// write goes through the owning Device's metered Upload, so benches can
+/// report the host→device transfer component (Fig. 9/11/13 breakdowns).
+/// The storage starts uninitialized: every buffer is fully written by its
+/// upload before anything reads it.
 class Buffer {
  public:
-  Buffer(BufferKind kind, std::size_t bytes) : kind_(kind), data_(bytes) {}
+  Buffer(BufferKind kind, std::size_t bytes)
+      : kind_(kind), size_(bytes), data_(new std::uint8_t[bytes]) {}
 
   BufferKind kind() const { return kind_; }
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const { return size_; }
 
-  std::uint8_t* data() { return data_.data(); }
-  const std::uint8_t* data() const { return data_.data(); }
-
-  template <typename T>
-  T* As() {
-    return reinterpret_cast<T*>(data_.data());
-  }
-  template <typename T>
-  const T* As() const {
-    return reinterpret_cast<const T*>(data_.data());
-  }
+  const std::uint8_t* data() const { return data_.get(); }
 
  private:
+  friend class Device;  // the only writer (Device::Upload)
+
   BufferKind kind_;
-  std::vector<std::uint8_t> data_;
+  std::size_t size_;
+  std::unique_ptr<std::uint8_t[]> data_;
 };
 
 }  // namespace rj::gpu

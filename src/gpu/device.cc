@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 namespace rj::gpu {
@@ -51,8 +50,8 @@ std::size_t Device::bytes_allocated() const {
 
 namespace {
 // Clamp: the budget may have been shrunk below the used bytes, and an
-// unsigned wrap here would report a near-infinite remainder (the executor's
-// batch planner consumes it via MaxResidentElements).
+// unsigned wrap here would report a near-infinite remainder (the joins'
+// batch planner consumes bytes_free()).
 std::size_t ClampedRemaining(std::size_t used, std::size_t budget) {
   return used >= budget ? 0 : budget - used;
 }
@@ -143,34 +142,8 @@ void Device::ReleaseReservation(std::size_t bytes) {
   bytes_reserved_ -= bytes;
 }
 
-Status Device::CopyToDevice(Buffer* dst, std::size_t offset, const void* src,
-                            std::size_t bytes) {
-  if (offset + bytes > dst->size()) {
-    return Status::OutOfRange("CopyToDevice overflows destination buffer");
-  }
-  std::memcpy(dst->data() + offset, src, bytes);
+void Device::MeterTransfer(std::size_t bytes) {
   counters_.AddBytesTransferred(bytes);
-  SimulateTransferTime(bytes);
-  return Status::OK();
-}
-
-Status Device::CopyToHost(const Buffer* src, std::size_t offset, void* dst,
-                          std::size_t bytes) {
-  if (offset + bytes > src->size()) {
-    return Status::OutOfRange("CopyToHost overflows source buffer");
-  }
-  std::memcpy(dst, src->data() + offset, bytes);
-  counters_.AddBytesTransferred(bytes);
-  SimulateTransferTime(bytes);
-  return Status::OK();
-}
-
-std::size_t Device::MaxResidentElements(std::size_t point_bytes) const {
-  if (point_bytes == 0) return 0;
-  return bytes_free() / point_bytes;
-}
-
-void Device::SimulateTransferTime(std::size_t bytes) {
   const double bw = options_.transfer_bandwidth_bytes_per_sec;
   if (bw <= 0.0) return;
   const double seconds = static_cast<double>(bytes) / bw;

@@ -6,13 +6,15 @@
 /// GPU constraints the paper's algorithms are designed around:
 ///  1. bounded device memory → out-of-core point batching (§5), and
 ///  2. a maximum FBO resolution → multi-canvas tiling for small ε (Fig. 5).
-/// Host→device uploads go through CopyToDevice(), which both meters bytes
-/// (gpu::Counters) and spends real wall time proportional to a configurable
-/// bandwidth, so transfer/compute breakdowns have the paper's shape.
+/// Every write into device memory goes through Upload(), which runs the
+/// caller's fill on the destination range, meters the bytes
+/// (gpu::Counters) and spends real wall time proportional to a
+/// configurable bandwidth, so transfer/compute breakdowns have the paper's
+/// shape.
 ///
 /// Thread-safety contract (docs/SERVICE.md): a Device may be shared by
 /// concurrent queries. Allocation, freeing, reservation, and budget
-/// queries are serialized on an internal mutex; transfers touch only the
+/// queries are serialized on an internal mutex; uploads touch only the
 /// caller-owned buffer plus atomic counters, so they run without a lock.
 /// Admission layers (rj::QueryService) carve the budget into per-query
 /// grants with TryReserve() before dispatching, so concurrent queries'
@@ -140,25 +142,28 @@ class Device {
   [[nodiscard]] Result<MemoryReservation> TryReserve(std::size_t bytes)
       RJ_EXCLUDES(mutex_);
 
-  /// Copies host memory into a device buffer at `offset`, metering bytes
-  /// and (optionally) spending bandwidth-proportional wall time.
-  Status CopyToDevice(Buffer* dst, std::size_t offset, const void* src,
-                      std::size_t bytes);
-
-  /// Copies device memory back to the host (result readback; also metered).
-  Status CopyToHost(const Buffer* src, std::size_t offset, void* dst,
-                    std::size_t bytes);
-
-  /// Largest number of points (each `point_bytes` wide) that fits in the
-  /// remaining budget — the executor's batch-size planner.
-  std::size_t MaxResidentElements(std::size_t point_bytes) const
-      RJ_EXCLUDES(mutex_);
+  /// The one write into device memory: when [offset, offset + bytes) lies
+  /// inside `dst`, runs `fill(p)`, which must write all `bytes` bytes
+  /// starting at `p`, then meters the bytes and spends the simulated
+  /// bandwidth wait. A range past the end returns OutOfRange without
+  /// running `fill` or metering anything.
+  template <typename Fill>
+  Status Upload(Buffer* dst, std::size_t offset, std::size_t bytes,
+                Fill&& fill) {
+    if (offset > dst->size() || bytes > dst->size() - offset) {
+      return Status::OutOfRange("upload overflows destination buffer");
+    }
+    fill(dst->data_.get() + offset);
+    MeterTransfer(bytes);
+    return Status::OK();
+  }
 
  private:
   friend class MemoryReservation;
   void ReleaseReservation(std::size_t bytes) RJ_EXCLUDES(mutex_);
 
-  void SimulateTransferTime(std::size_t bytes);
+  /// Counts `bytes` as transferred and waits the simulated bandwidth time.
+  void MeterTransfer(std::size_t bytes);
 
   DeviceOptions options_;
   Counters counters_;

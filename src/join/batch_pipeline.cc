@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 namespace rj::join {
@@ -11,45 +12,6 @@ namespace {
 // (a concurrent query on a shared device): one immediate retry, then
 // sleeps of 2/4/8/16/32 ms before latching CapacityError.
 constexpr int kMaxTransientRetries = 6;
-
-/// Staging buffers parked between pipelines. A batch's staging image is a
-/// multi-megabyte transient per query: allocated fresh each time, glibc
-/// returns it to the dispatcher thread's malloc arena, may trim the arena,
-/// and the next query re-faults every page (the problem FboPool solves for
-/// canvases). Parked buffers keep steady-state uploads on warm memory. At
-/// most kMaxParkedBytes stay parked; a buffer beyond that is freed.
-class StagingPool {
- public:
-  static StagingPool& Shared() {
-    static StagingPool pool;
-    return pool;
-  }
-
-  /// The most recently parked buffer, or an empty one. Buffers only grow,
-  /// so the pool settles at buffers that hold the largest batch.
-  std::vector<float> Acquire() RJ_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (parked_.empty()) return {};
-    std::vector<float> buffer = std::move(parked_.back());
-    parked_.pop_back();
-    parked_bytes_ -= buffer.capacity() * sizeof(float);
-    return buffer;
-  }
-
-  void Release(std::vector<float> buffer) RJ_EXCLUDES(mutex_) {
-    const std::size_t bytes = buffer.capacity() * sizeof(float);
-    MutexLock lock(mutex_);
-    if (bytes == 0 || parked_bytes_ + bytes > kMaxParkedBytes) return;
-    parked_bytes_ += bytes;
-    parked_.push_back(std::move(buffer));
-  }
-
- private:
-  static constexpr std::size_t kMaxParkedBytes = 256ull << 20;
-  Mutex mutex_;
-  std::vector<std::vector<float>> parked_ RJ_GUARDED_BY(mutex_);
-  std::size_t parked_bytes_ RJ_GUARDED_BY(mutex_) = 0;
-};
 }  // namespace
 
 BatchPipeline::BatchPipeline(gpu::Device* device, ScanPlan scan,
@@ -59,11 +21,11 @@ BatchPipeline::BatchPipeline(gpu::Device* device, ScanPlan scan,
   // A single batch has nothing to prefetch behind it; stay serialized and
   // keep the working set at one buffer (full_bytes in the admission plan).
   overlap_ = scan_.overlap_transfers && num_batches_ > 1;
-  // Disk-resident sources add the third stage: a reader thread
-  // materializes block b+2 while block b+1 uploads and block b draws. The
-  // extra slot never holds a device buffer while loading, so the resident
-  // VBO count stays ≤ 2 — the same working set the admission plan
-  // reserves for plain double buffering.
+  // Disk-resident sources add the third stage: a reader thread views
+  // block b+2 while block b+1 uploads and block b draws. The extra slot
+  // never holds a device buffer while loading, so the resident VBO count
+  // stays ≤ 2 — the same working set the admission plan reserves for
+  // plain double buffering.
   disk_staged_ = overlap_ && scan_.source->disk_resident();
   slots_.resize(disk_staged_ ? 3 : (overlap_ ? 2 : 1));
   if (overlap_) {
@@ -78,9 +40,6 @@ BatchPipeline::~BatchPipeline() {
   // Destructor cannot propagate the drain status; callers that care call
   // Drain() themselves first (the executor paths all do).
   (void)Drain(nullptr);
-  for (Slot& slot : slots_) {
-    StagingPool::Shared().Release(std::move(slot.staging));
-  }
 }
 
 Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
@@ -142,30 +101,41 @@ Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
 
 Status BatchPipeline::UploadSlot(Slot* slot) {
   Timer timer;
+  const data::BlockView& rows = slot->rows;
   // Stride from the layout's single definition, so the packed/metered
   // bytes can never drift from what PlanUpload/PlanAdmission reserve.
-  const std::size_t stride = UploadStrideBytes(columns_) / sizeof(float);
-  if (slot->staging.capacity() == 0) {
-    slot->staging = StagingPool::Shared().Acquire();
-  }
-  const PointTable& table = *slot->rows;
-  slot->staging.resize((slot->end - slot->begin) * stride);
-  float* out = slot->staging.data();
-  for (std::size_t i = slot->begin; i < slot->end; ++i) {
-    *out++ = static_cast<float>(table.xs()[i]);
-    *out++ = static_cast<float>(table.ys()[i]);
-    for (const std::size_t c : columns_) *out++ = table.attribute(c)[i];
-  }
-
+  const std::size_t bytes = rows.size * UploadStrideBytes(columns_);
   Status status = Status::OK();
-  const std::size_t bytes = slot->staging.size() * sizeof(float);
   if (bytes > 0) {
     Result<std::shared_ptr<gpu::Buffer>> vbo =
         AllocateWithBackoff(slot, bytes);
     if (vbo.ok()) {
       slot->vbo = std::move(vbo).MoveValueUnsafe();
-      status = device_->CopyToDevice(slot->vbo.get(), 0,
-                                     slot->staging.data(), bytes);
+      // Pack the interleaved [x, y, col...] float32 image straight from the
+      // block's storage into the VBO: the only host pass over the batch.
+      // The byte stores may alias any heap object, so the loop's bounds and
+      // column pointers are copied into locals first; read through `rows`
+      // or `columns_`, they would be reloaded after every store.
+      std::vector<const float*> cols;
+      cols.reserve(columns_.size());
+      for (const std::size_t c : columns_) cols.push_back(rows.attrs[c]);
+      status = device_->Upload(
+          slot->vbo.get(), 0, bytes, [&](std::uint8_t* out) {
+            const double* xs = rows.xs;
+            const double* ys = rows.ys;
+            const float* const* col = cols.data();
+            const std::size_t n = rows.size;
+            const std::size_t k = cols.size();
+            const auto put = [&out](float v) {
+              std::memcpy(out, &v, sizeof(v));
+              out += sizeof(v);
+            };
+            for (std::size_t i = 0; i < n; ++i) {
+              put(static_cast<float>(xs[i]));
+              put(static_cast<float>(ys[i]));
+              for (std::size_t j = 0; j < k; ++j) put(col[j][i]);
+            }
+          });
       if (!status.ok()) {
         device_->Free(slot->vbo);
         slot->vbo.reset();
@@ -183,20 +153,17 @@ Status BatchPipeline::UploadSlot(Slot* slot) {
 
 Status BatchPipeline::ReadBlockInto(Slot* slot, std::size_t ordinal) {
   Timer timer;
-  Result<data::BlockRef> ref =
-      scan_.source->ReadBlock(scan_.blocks[ordinal], &slot->table);
+  Result<data::BlockView> view =
+      scan_.source->ViewBlock(scan_.blocks[ordinal]);
   // Transfer time and disk time are separate phases: only disk-resident
   // sources spend wall time here worth reporting (the in-memory adapter's
-  // ReadBlock is a pointer assignment).
+  // ViewBlock is a pointer adjustment).
   if (scan_.source->disk_resident()) {
     MutexLock lock(mutex_);
     disk_seconds_ += timer.ElapsedSeconds();
   }
-  if (!ref.ok()) return ref.status();
-  const data::BlockRef block = std::move(ref).MoveValueUnsafe();
-  slot->rows = block.table;
-  slot->begin = block.begin;
-  slot->end = block.end;
+  if (!view.ok()) return view.status();
+  slot->rows = std::move(view).MoveValueUnsafe();
   return Status::OK();
 }
 
@@ -229,8 +196,7 @@ void BatchPipeline::ReaderLoop() {
       }
     }
     // Pass complete. Park until the consumer rewinds for the next tile
-    // pass (or drains) — the thread and the slots' scratch tables stay
-    // warm across passes.
+    // pass (or drains) — the thread stays warm across passes.
     MutexLock lock(mutex_);
     while (!canceled_ && rewinds_ <= pass) cv_producer_.Wait(lock);
     if (canceled_) return;
@@ -242,9 +208,9 @@ void BatchPipeline::TransferLoop() {
     for (std::size_t b = 0; b < num_batches_; ++b) {
       Slot& slot = slots_[b % slots_.size()];
       if (disk_staged_) {
-        // Three-stage: wait for the reader thread to hand over the loaded
-        // block (mutex acquisition orders its rows/begin/end writes before
-        // the pack below).
+        // Three-stage: wait for the reader thread to hand over the block's
+        // view (mutex acquisition orders its write of `rows` before the
+        // pack below).
         MutexLock lock(mutex_);
         while (!canceled_ && error_.ok() &&
                !(slot.state == Slot::State::kLoaded &&
@@ -283,8 +249,7 @@ void BatchPipeline::TransferLoop() {
       }
     }
     // Pass complete. Park until the consumer rewinds for the next tile
-    // pass (or drains) — the thread and the slots' staging buffers stay
-    // warm across passes.
+    // pass (or drains) — the thread stays warm across passes.
     MutexLock lock(mutex_);
     while (!canceled_ && rewinds_ <= pass) cv_producer_.Wait(lock);
     if (canceled_) return;
@@ -306,8 +271,7 @@ Result<std::optional<BatchPipeline::BatchView>> BatchPipeline::Acquire() {
     slot.batch_index = next_acquire_;
     slot.state = Slot::State::kReady;
     view_outstanding_ = true;
-    const BatchView view{next_acquire_++, slot.begin, slot.end, slot.rows};
-    return std::optional<BatchView>(view);
+    return std::optional<BatchView>(BatchView{next_acquire_++, slot.rows});
   }
   MutexLock lock(mutex_);
   while (error_.ok() && !(slot.state == Slot::State::kReady &&
@@ -319,10 +283,9 @@ Result<std::optional<BatchPipeline::BatchView>> BatchPipeline::Acquire() {
   // the batch that never became ready.
   if (slot.state == Slot::State::kReady &&
       slot.batch_index == next_acquire_) {
-    const BatchView view{slot.batch_index, slot.begin, slot.end, slot.rows};
     ++next_acquire_;
     view_outstanding_ = true;
-    return std::optional<BatchView>(view);
+    return std::optional<BatchView>(BatchView{slot.batch_index, slot.rows});
   }
   return error_;
 }
@@ -373,8 +336,7 @@ Status BatchPipeline::Drain(PhaseTimer* timing) {
       device_->Free(slot.vbo);
       slot.vbo.reset();
     }
-    slot.table = PointTable();
-    slot.rows = nullptr;
+    slot.rows = data::BlockView();
     slot.state = Slot::State::kFree;
   }
   MutexLock lock(mutex_);

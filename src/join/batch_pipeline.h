@@ -5,13 +5,16 @@
 /// The paper's out-of-core analysis assumes the host→device transfer of
 /// point batch b+1 is hidden behind the draw of batch b. BatchPipeline
 /// implements that overlap for the simulated device: a dedicated transfer
-/// thread packs the interleaved [x, y, col...] VBO image of the next batch
-/// into a persistent staging buffer and uploads it through
-/// Device::CopyToDevice — which meters the bytes and spends the simulated
-/// PCIe wait — while the caller's thread draws the current batch. Two
-/// device VBO slots bound the look-ahead: at most batches b and b+1 are
-/// resident at once, which is why admission plans (Executor::PlanAdmission)
-/// reserve 2× the upload stride when overlap is enabled.
+/// thread allocates the next batch's VBO and packs the interleaved
+/// [x, y, col...] image straight into it through Device::Upload — which
+/// meters the bytes and spends the simulated PCIe wait — while the
+/// caller's thread draws the current batch. Each point byte is copied
+/// once on its way to the device: a batch is a data::BlockView of the
+/// source's own storage (the resident table, or a block file's mapping),
+/// read in place by both the pack and the draw. Two device VBO slots
+/// bound the look-ahead: at most batches b and b+1 are resident at once,
+/// which is why admission plans (Executor::PlanAdmission) reserve 2× the
+/// upload stride when overlap is enabled.
 ///
 /// Results are bitwise independent of the overlap: batches are handed to
 /// the consumer strictly in order and every draw runs on the consumer's
@@ -24,16 +27,17 @@
 /// The pipeline streams the blocks of a ScanPlan (join_common.h) — one
 /// device batch per block — and the consumer loops Acquire()/Release()
 /// until Acquire returns nullopt, then calls Rewind() to re-stream every
-/// block for the next tile pass (the threads and staging buffers survive
-/// across passes) or Drain() when done. A resident table is scanned through
-/// the plan's in-memory adapter (data::TableBlockSource), whose blocks are
-/// the planned batch slices. When the source is disk-resident and
-/// transfers overlap, the scan runs three-staged: a reader thread
-/// materializes block b+2 from disk (metered under phase::kDiskRead) while
-/// the transfer thread packs and uploads block b+1 and the consumer draws
-/// block b. Three slots cover the three stages, but a loading slot holds no
-/// device buffer yet, so at most two VBOs are ever resident — the same 2×
-/// stride the admission plan reserves for plain double buffering.
+/// block for the next tile pass (the threads survive across passes) or
+/// Drain() when done. A resident table is scanned through the plan's
+/// in-memory adapter (data::TableBlockSource), whose blocks are the planned
+/// batch slices. When the source is disk-resident and transfers overlap,
+/// the scan runs three-staged: a reader thread produces the view of block
+/// b+2 (metered under phase::kDiskRead) while the transfer thread packs and
+/// uploads block b+1 and the consumer draws block b. A fresh mapping's
+/// page-ins therefore land in the pack, on the transfer thread. Three
+/// slots cover the three stages, but a loading slot holds no device buffer
+/// yet, so at most two VBOs are ever resident — the same 2× stride the
+/// admission plan reserves for plain double buffering.
 ///
 /// Error handling: the first failure (device allocation, upload) is
 /// latched; batches that already made it to the device are still handed
@@ -47,11 +51,12 @@
 /// any slot buffers, so an error — or a consumer that stops mid-stream —
 /// can never leak the thread or device memory.
 ///
-/// Transfer time accounting: the wall time of pack + upload is accumulated
-/// internally (the PhaseTimer API is not thread-safe) and folded into
-/// phase::kTransfer by Drain(). With overlap on, that phase reports the
-/// time *spent* transferring, which no longer adds to end-to-end latency —
-/// exactly the paper's "transfer is hidden" claim the Fig. 9 bench checks.
+/// Transfer time accounting: the wall time of allocate + pack + upload is
+/// accumulated internally (the PhaseTimer API is not thread-safe) and
+/// folded into phase::kTransfer by Drain(). With overlap on, that phase
+/// reports the time *spent* transferring, which no longer adds to
+/// end-to-end latency — exactly the paper's "transfer is hidden" claim the
+/// Fig. 9 bench checks.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +70,6 @@
 #include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "data/point_block_source.h"
-#include "data/point_table.h"
 #include "gpu/device.h"
 #include "join/join_common.h"
 
@@ -73,16 +77,12 @@ namespace rj::join {
 
 class BatchPipeline {
  public:
-  /// One uploaded batch, resident on the device until Release()d. The
-  /// batch's rows are rows [begin, end) of `*rows`: for in-memory table
-  /// scans `rows` is the scanned table itself (begin/end are global row
-  /// indices); for disk sources `rows` is a pipeline-owned scratch holding
-  /// just this block. Valid until Release().
+  /// One uploaded batch, resident on the device until Release()d: `rows`
+  /// views the batch's block in the source's own storage (for a resident
+  /// table, a row window of it; for a block file, its mapping).
   struct BatchView {
     std::size_t index = 0;  ///< batch ordinal (ascending)
-    std::size_t begin = 0;  ///< first point row
-    std::size_t end = 0;    ///< one past the last point row
-    const PointTable* rows = nullptr;  ///< table the rows live in
+    data::BlockView rows;
   };
 
   /// Streams `scan.blocks` (ordinals into `scan.source`, ascending — the
@@ -105,7 +105,7 @@ class BatchPipeline {
   std::size_t num_batches() const { return num_batches_; }
 
   /// Blocks until the next batch is resident on the device and returns its
-  /// row range; nullopt once every batch has been consumed. The caller
+  /// view; nullopt once every batch has been consumed. The caller
   /// must Release() the previous batch before the next Acquire(): under
   /// memory pressure the prefetcher waits for that free
   /// (AllocateWithBackoff), so holding a view while acquiring the next
@@ -118,9 +118,8 @@ class BatchPipeline {
 
   /// Restarts the scan from batch 0 for the next tile pass, once every
   /// batch of the current pass has been consumed and released. Keeps the
-  /// transfer thread and the slots' staging buffers alive — multi-tile
-  /// joins re-stream the points without paying a thread spawn and two
-  /// batch-sized staging allocations per tile. Returns the latched
+  /// transfer (and reader) thread alive — multi-tile joins re-stream the
+  /// points without paying a thread spawn per tile. Returns the latched
   /// pipeline error, if any.
   Status Rewind() RJ_EXCLUDES(mutex_);
 
@@ -131,24 +130,13 @@ class BatchPipeline {
 
  private:
   struct Slot {
-    /// Persistent staging buffer: drawn from a process-wide pool on the
-    /// slot's first upload and parked again when the pipeline is destroyed,
-    /// resized per batch but never reallocated once it has reached the
-    /// steady-state batch size (the same transient-allocation fix FboPool
-    /// applies to canvases).
-    std::vector<float> staging;
+    data::BlockView rows;  ///< the batch's block, in the source's storage
     std::shared_ptr<gpu::Buffer> vbo;
-    /// Disk sources: the scratch the block is materialized into (persists
-    /// across passes, like `staging`).
-    PointTable table;
-    const PointTable* rows = nullptr;  ///< table the rows live in
     std::size_t batch_index = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
     enum class State {
       kFree,     ///< available to the reader / prefetcher
-      kLoading,  ///< disk-staged: reader thread materializing the block
-      kLoaded,   ///< disk-staged: rows resident in host RAM, upload pending
+      kLoading,  ///< disk-staged: reader thread viewing the block
+      kLoaded,   ///< disk-staged: view ready, upload pending
       kReady,    ///< upload complete, awaiting (or drawn by) the consumer
     } state = State::kFree;
   };
@@ -162,22 +150,23 @@ class BatchPipeline {
                                                            std::size_t bytes)
       RJ_EXCLUDES(mutex_);
 
-  /// Packs the slot's rows [begin, end) and uploads them, accumulating the
-  /// elapsed wall time into transfer_seconds_. Runs on the transfer thread
-  /// (overlap) or the caller (serialized).
+  /// Allocates the slot's VBO and packs the slot's rows straight into it
+  /// (Device::Upload), accumulating the elapsed wall time into
+  /// transfer_seconds_. Runs on the transfer thread (overlap) or the
+  /// caller (serialized).
   Status UploadSlot(Slot* slot) RJ_EXCLUDES(mutex_);
 
-  /// Materializes block ordinal `ordinal` of the scan list into `slot`
-  /// (setting rows/begin/end), accumulating disk wall time for
-  /// disk-resident sources. Runs on the reader thread (three-stage), the
-  /// transfer thread (two-stage), or the caller (serialized).
+  /// Views block ordinal `ordinal` of the scan list into `slot->rows`,
+  /// accumulating disk wall time for disk-resident sources. Runs on the
+  /// reader thread (three-stage), the transfer thread (two-stage), or the
+  /// caller (serialized).
   Status ReadBlockInto(Slot* slot, std::size_t ordinal) RJ_EXCLUDES(mutex_);
 
   /// Upload stage: packs and uploads each block ahead of the consumer.
   void TransferLoop() RJ_EXCLUDES(mutex_);
 
-  /// Disk stage of the three-stage pipeline: materializes blocks from the
-  /// source into free slots ahead of the transfer thread.
+  /// Disk stage of the three-stage pipeline: views blocks of the source
+  /// into free slots ahead of the transfer thread.
   void ReaderLoop() RJ_EXCLUDES(mutex_);
 
   gpu::Device* device_;
@@ -188,11 +177,11 @@ class BatchPipeline {
   bool disk_staged_ = false;  ///< three-stage: dedicated disk reader thread
 
   /// 3 disk-staged, 2 with overlap, 1 serialized. NOT guarded by mutex_ —
-  /// slot *payloads* (staging/vbo/table/rows/begin/end) move between
-  /// threads by ownership handoff: exactly one stage owns a slot at a time,
-  /// determined by its `state`, and every state transition happens under
-  /// mutex_ (overlap mode), so the mutex acquisition orders the previous
-  /// owner's payload writes before the next owner's reads. Serialized mode
+  /// slot *payloads* (rows/vbo) move between threads by ownership
+  /// handoff: exactly one stage owns a slot at a time, determined by its
+  /// `state`, and every state transition happens under mutex_ (overlap
+  /// mode), so the mutex acquisition orders the previous owner's payload
+  /// writes before the next owner's reads. Serialized mode
   /// has a single thread and touches slots lock-free. The analysis cannot
   /// express per-element ownership, so the protocol is enforced by the
   /// asserts in the .cc and TSan instead.

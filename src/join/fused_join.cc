@@ -88,13 +88,12 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
   RJ_RETURN_NOT_OK(UploadTriangleVbo(device, soup.size(), &out.timing));
 
   // One pipeline for every tile pass: the transfer (and, for disk
-  // sources, reader) thread and the slots' staging buffers stay warm
-  // across tiles (Rewind re-streams the blocks per pass), instead of
-  // paying a thread spawn and two batch-sized staging allocations per
-  // tile. The columns shipped are every member's filter and aggregated
-  // columns (the draw reads the host rows directly; the upload is there so
-  // the simulated device meters the transfer the paper's cost model
-  // charges).
+  // sources, reader) thread stays warm across tiles (Rewind re-streams the
+  // blocks per pass) instead of paying a thread spawn per tile. The
+  // columns shipped are every member's filter and aggregated columns (the
+  // draw reads the batch's view of the source directly; the upload is
+  // there so the simulated device meters the transfer the paper's cost
+  // model charges).
   const std::size_t blocks_pruned = scan.blocks_pruned;
   join::BatchPipeline pipeline(device, std::move(scan),
                                FusedUploadColumns(members));
@@ -119,8 +118,8 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
     }
 
     // --- Step I: one shared point scan feeding every member (batched when
-    // out-of-core). The pipeline prefetches batch b+1 (pack + CopyToDevice
-    // on its transfer thread, metered under phase::kTransfer) while the
+    // out-of-core). The pipeline prefetches batch b+1 (packed into its VBO
+    // on the transfer thread, metered under phase::kTransfer) while the
     // calling thread draws batch b in place.
     if (t > 0) RJ_RETURN_NOT_OK(pipeline.Rewind());
     for (;;) {
@@ -130,8 +129,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
       {
         ScopedPhase sp(&out.timing, phase::kProcessing);
         for (const std::uint64_t drawn : raster::DrawPointsMulti(
-                 vp, *view->rows, view->begin, view->end, targets,
-                 &device->counters())) {
+                 vp, view->rows, targets, &device->counters())) {
           drawn_total += drawn;
         }
       }
@@ -218,7 +216,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   // --- Step 2: one shared scan (Procedure AccuratePoints). Batch b+1's
   // host→device transfer runs on the pipeline's prefetch thread while this
   // loop processes batch b (plus, for disk sources, the reader thread
-  // materializing batch b+2).
+  // viewing batch b+2).
   const std::size_t blocks_pruned = scan.blocks_pruned;
   join::BatchPipeline upload_pipeline(device, std::move(scan),
                                       FusedUploadColumns(members));
@@ -236,10 +234,10 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         upload_pipeline.Acquire());
     if (!view.has_value()) break;
-    const PointTable& rows = *view->rows;
+    const data::BlockView& rows = view->rows;
     for (std::size_t t = 0; t < m; ++t) {
       weights[t] = members[t].weight_column != PointTable::npos
-                       ? rows.attribute(members[t].weight_column).data()
+                       ? rows.attribute(members[t].weight_column)
                        : nullptr;
     }
 
@@ -254,9 +252,8 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     // boundary rows accumulate exactly into the member's result arrays,
     // interior rows blend into its point canvas — exactly what the
     // member's solo run does, in the same order.
-    for (std::size_t tile = view->begin; tile < view->end;
-         tile += raster::kPointTile) {
-      const std::size_t n = std::min(view->end - tile, raster::kPointTile);
+    for (std::size_t tile = 0; tile < rows.size; tile += raster::kPointTile) {
+      const std::size_t n = std::min(rows.size - tile, raster::kPointTile);
       raster::TransformTile(vp, rows, tile, n, dim, dim, px, py);
       std::fill(accepted, accepted + n, static_cast<unsigned char>(0));
       for (std::size_t t = 0; t < m; ++t) {

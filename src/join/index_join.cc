@@ -13,13 +13,10 @@ namespace rj {
 
 namespace {
 
-/// Procedure JoinPoint over one range of points using the given index;
-/// accumulates into `out`. Shared by all flavours; templated over the row
-/// accessor (PointTable or a zero-copy data::BlockView — both expose
-/// At(i) and attribute(c)[i]) so the block-source scan can run straight
-/// off the mmap without a scratch copy.
-template <typename Rows>
-void JoinPointRange(const Rows& points, const PolygonSet& polys,
+/// Procedure JoinPoint over rows [begin, end) of a block's view using the
+/// given index; accumulates into `out`. Shared by all flavours: every scan
+/// reads its blocks in place (data::PointBlockSource::ViewBlock).
+void JoinPointRange(const data::BlockView& points, const PolygonSet& polys,
                     const GridIndex& index, const IndexJoinOptions& options,
                     std::size_t begin, std::size_t end,
                     raster::ResultArrays* out) {
@@ -94,8 +91,8 @@ Result<JoinResult> IndexJoinDevice(gpu::Device* device, ScanPlan scan,
     {
       // PIP compute stage (the SIMT analogue) on the calling thread.
       ScopedPhase sp(&result.timing, phase::kProcessing);
-      JoinPointRange(*view->rows, polys, *index, options, view->begin,
-                     view->end, &result.arrays);
+      JoinPointRange(view->rows, polys, *index, options, 0, view->rows.size,
+                     &result.arrays);
     }
     pipeline.Release(*view);
     device->counters().AddBatches(1);
@@ -166,15 +163,12 @@ Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
   JoinResult result(polys.size());
   ScopedPhase sp(&result.timing, phase::kProcessing);
 
-  // One pool and one block scratch for the whole scan: the working set is
-  // a single block, never the table — and for RAM-cached mappings
-  // (BlockFileReader) and table adapters ViewBlock skips even the block
-  // copy, scanning the source's storage in place.
+  // One pool for the whole scan, which reads each block in place: the
+  // source's storage (a mapping or a table) is scanned without a copy.
   std::optional<ThreadPool> pool;
   if (num_threads > 1) pool.emplace(static_cast<std::size_t>(num_threads));
-  PointTable scratch;
   for (const std::size_t b : sel.blocks) {
-    RJ_ASSIGN_OR_RETURN(data::BlockView view, source.ViewBlock(b, &scratch));
+    RJ_ASSIGN_OR_RETURN(data::BlockView view, source.ViewBlock(b));
     if (pool.has_value()) {
       // Per-thread accumulators merged per block in ascending worker order,
       // mirroring the paper's OpenMP implementation with thread-local

@@ -1,6 +1,7 @@
 #include "join/join_common.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -125,9 +126,10 @@ Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,
   RJ_ASSIGN_OR_RETURN(
       auto tri_vbo,
       device->Allocate(gpu::BufferKind::kVertexBuffer, tri_bytes));
-  std::vector<std::uint8_t> zeros(tri_bytes, 0);
   const Status status =
-      device->CopyToDevice(tri_vbo.get(), 0, zeros.data(), tri_bytes);
+      device->Upload(tri_vbo.get(), 0, tri_bytes, [&](std::uint8_t* dst) {
+        std::memset(dst, 0, tri_bytes);
+      });
   device->Free(tri_vbo);
   return status;
 }

@@ -230,7 +230,7 @@ ScanPlan PlanBlockScan(gpu::Device* device,
                        bool overlap_transfers);
 
 /// Ships and meters the bounded join's triangle VBO exactly once per
-/// query (allocate → zero-fill upload → free, timed under
+/// query (allocate → an upload that zero-fills it → free, timed under
 /// phase::kTransfer). TriangleVboBytes keeps what it meters aligned with
 /// PlanAdmission's fixed_bytes.
 Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "geometry/pip.h"
 
@@ -86,7 +87,9 @@ Result<JoinResult> MaterializingJoin(gpu::Device* device,
                                    std::max<std::size_t>(bytes, 1)));
     if (bytes > 0) {
       RJ_RETURN_NOT_OK(
-          device->CopyToDevice(buf.get(), 0, pairs.data(), bytes));
+          device->Upload(buf.get(), 0, bytes, [&](std::uint8_t* dst) {
+            std::memcpy(dst, pairs.data(), bytes);
+          }));
     }
     device->Free(buf);
   }

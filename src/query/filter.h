@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "data/point_block_source.h"
 #include "data/point_table.h"
 
 namespace rj {
@@ -137,13 +138,12 @@ class FilterSet {
   /// Batch form of Matches over rows [begin, end): match[r] = Matches(
   /// points, begin + r). The same comparisons, applied one conjunct at a
   /// time down a contiguous column — branch-free, so the loop vectorizes.
-  template <typename Rows>
-  void MatchRows(const Rows& points, std::size_t begin, std::size_t end,
-                 unsigned char* match) const {
+  void MatchRows(const data::BlockView& points, std::size_t begin,
+                 std::size_t end, unsigned char* match) const {
     const std::size_t n = end - begin;
     std::fill(match, match + n, static_cast<unsigned char>(1));
     for (const AttributeFilter& f : filters_) {
-      const float* column = points.attribute(f.column).data() + begin;
+      const float* column = points.attribute(f.column) + begin;
       for (std::size_t r = 0; r < n; ++r) match[r] &= f.Evaluate(column[r]);
     }
   }

@@ -24,7 +24,7 @@ void ResultArrays::AddFrom(const ResultArrays& other) {
   }
 }
 
-void TransformTile(const Viewport& vp, const PointTable& rows,
+void TransformTile(const Viewport& vp, const data::BlockView& rows,
                    std::size_t first, std::size_t n, std::int32_t width,
                    std::int32_t height, std::int32_t* px, std::int32_t* py) {
   const auto w = static_cast<double>(width);
@@ -41,20 +41,20 @@ void TransformTile(const Viewport& vp, const PointTable& rows,
 
 namespace {
 
-/// The point pass over rows [begin, end) of `rows`, one tile at a time:
-/// the shared vertex stage (TransformTile), then, per target, the rows
-/// that pass the target's filters and were not clipped are selected
+/// The point pass over the rows of `rows`, one tile at a time: the
+/// shared vertex stage (TransformTile), then, per target, the rows that
+/// pass the target's filters and were not clipped are selected
 /// branch-free and blended into the target's FBO in row order; drawn[t]
 /// counts them.
-void ShadeRows(const Viewport& vp, const PointTable& rows, std::size_t begin,
-               std::size_t end, const std::vector<MultiTarget>& targets,
+void ShadeRows(const Viewport& vp, const data::BlockView& rows,
+               const std::vector<MultiTarget>& targets,
                const std::vector<const float*>& weights, std::uint64_t* drawn) {
   std::int32_t px[kPointTile] = {};
   std::int32_t py[kPointTile] = {};
   unsigned char match[kPointTile] = {};
   std::uint32_t selected[kPointTile] = {};
-  for (std::size_t tile = begin; tile < end; tile += kPointTile) {
-    const std::size_t n = std::min(end - tile, kPointTile);
+  for (std::size_t tile = 0; tile < rows.size; tile += kPointTile) {
+    const std::size_t n = std::min(rows.size - tile, kPointTile);
     TransformTile(vp, rows, tile, n, targets[0].fbo->width(),
                   targets[0].fbo->height(), px, py);
     for (std::size_t t = 0; t < targets.size(); ++t) {
@@ -80,9 +80,8 @@ void ShadeRows(const Viewport& vp, const PointTable& rows, std::size_t begin,
 }  // namespace
 
 std::vector<std::uint64_t> DrawPointsMulti(
-    const Viewport& vp, const PointTable& rows, std::size_t begin,
-    std::size_t end, const std::vector<MultiTarget>& targets,
-    gpu::Counters* counters) {
+    const Viewport& vp, const data::BlockView& rows,
+    const std::vector<MultiTarget>& targets, gpu::Counters* counters) {
   const std::size_t m = targets.size();
   std::vector<std::uint64_t> drawn(m, 0);
   if (m == 0) return drawn;
@@ -91,15 +90,15 @@ std::vector<std::uint64_t> DrawPointsMulti(
   std::vector<const float*> weights(m, nullptr);
   for (std::size_t t = 0; t < m; ++t) {
     if (targets[t].weight_column != PointTable::npos) {
-      weights[t] = rows.attribute(targets[t].weight_column).data();
+      weights[t] = rows.attribute(targets[t].weight_column);
     }
   }
-  ShadeRows(vp, rows, begin, end, targets, weights, drawn.data());
+  ShadeRows(vp, rows, targets, weights, drawn.data());
 
   if (counters != nullptr) {
     // The scan is shared: meter the vertex stage once for the whole group,
     // and the fragment stage as the sum of what every target blended.
-    counters->AddVerticesProcessed(end - begin);
+    counters->AddVerticesProcessed(rows.size);
     std::uint64_t total = 0;
     for (const std::uint64_t d : drawn) total += d;
     counters->AddFragments(total);
@@ -110,7 +109,7 @@ std::vector<std::uint64_t> DrawPointsMulti(
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
                          Fbo* fbo, gpu::Counters* counters) {
-  return DrawPointsMulti(vp, points, 0, points.size(),
+  return DrawPointsMulti(vp, data::ViewRows(points, 0, points.size()),
                          {MultiTarget{&filters, weight_column, fbo}},
                          counters)[0];
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "data/point_block_source.h"
 #include "data/point_table.h"
 #include "gpu/counters.h"
 #include "query/filter.h"
@@ -63,7 +64,7 @@ inline constexpr std::size_t kPointTile = 512;
 /// pixel (px[r], py[r]) of each row under `vp` on a width × height canvas,
 /// the floor of its screen position, or px[r] = py[r] = -1 when the row
 /// falls outside the canvas (clipped by the pipeline).
-void TransformTile(const Viewport& vp, const PointTable& rows,
+void TransformTile(const Viewport& vp, const data::BlockView& rows,
                    std::size_t first, std::size_t n, std::int32_t width,
                    std::int32_t height, std::int32_t* px, std::int32_t* py);
 
@@ -77,8 +78,8 @@ struct MultiTarget {
   Fbo* fbo = nullptr;
 };
 
-/// Procedure DrawPoints (§4.1) for a group of targets: one scan of rows
-/// [begin, end) of `rows`, drawn in place, feeding every target. The
+/// Procedure DrawPoints (§4.1) for a group of targets: one scan of the
+/// rows of `rows`, drawn in place, feeding every target. The
 /// vertex stage runs once per point for the whole group — the
 /// world→screen transform and clip, one tile of rows at a time — then
 /// each target selects the tile's rows its filters accept (evaluated
@@ -91,16 +92,15 @@ struct MultiTarget {
 /// the shared transform is a pure function of the point, the FBOs are
 /// disjoint, and each target sees its fragments in row order.
 ///
-/// Counters meter the shared scan once: vertices += end − begin (not once
+/// Counters meter the shared scan once: vertices += rows.size (not once
 /// per target), fragments += the sum of the per-target drawn counts.
 std::vector<std::uint64_t> DrawPointsMulti(
-    const Viewport& vp, const PointTable& rows, std::size_t begin,
-    std::size_t end, const std::vector<MultiTarget>& targets,
-    gpu::Counters* counters);
+    const Viewport& vp, const data::BlockView& rows,
+    const std::vector<MultiTarget>& targets, gpu::Counters* counters);
 
 /// Procedure DrawPoints (§4.1) for one target over the whole table: the
-/// one-target DrawPointsMulti, metered the same way. Returns the number of
-/// points drawn.
+/// one-target DrawPointsMulti of ViewRows(points, 0, n), metered the same
+/// way. Returns the number of points drawn.
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
                          Fbo* fbo, gpu::Counters* counters);

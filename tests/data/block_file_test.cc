@@ -181,84 +181,86 @@ TEST_F(BlockFileTest, SchemaExtentAndBlockShapeRoundTrip) {
   EXPECT_TRUE(src.disk_resident());
 }
 
-TEST_F(BlockFileTest, BytesReadMetered) {
-  BlockFileOptions options;
-  options.block_capacity = 100;
-  ASSERT_TRUE(BlockFileWriter(options).Write(path_, MakeTable(250)).ok());
-  auto reader = BlockFileReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.value()->bytes_read(), 0u);
-  PointTable scratch;
-  ASSERT_TRUE(reader.value()->ReadBlock(0, &scratch).ok());
-  // 100 rows × (2 × 8 B locations + 2 × 4 B attrs) = 2400 B.
-  EXPECT_EQ(reader.value()->bytes_read(), 100u * (16 + 8));
-  ASSERT_TRUE(reader.value()->ReadBlock(2, &scratch).ok());  // 50-row tail
-  EXPECT_EQ(reader.value()->bytes_read(), 150u * (16 + 8));
-}
-
-/// The zero-copy read path: ViewBlock's columns must be bitwise the ones
-/// ReadBlock copies out, the pointers must land inside the mapping and
-/// stay put across repeated views (no hidden rematerialization), and
-/// bytes_read must meter identically to the copying path — Fig. 13 counts
-/// block bytes accessed, not bytes memcpy'd.
-TEST_F(BlockFileTest, ViewBlockIsZeroCopyAndMetersLikeReadBlock) {
-  BlockFileOptions options;
-  options.block_capacity = 100;
-  ASSERT_TRUE(BlockFileWriter(options).Write(path_, MakeTable(250)).ok());
-  auto reader = BlockFileReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
-
-  PointTable scratch;
-  auto view = reader.value()->ViewBlock(0, &scratch);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  // Same metering as the ReadBlock test: 100 rows × (16 + 8) B.
-  EXPECT_EQ(reader.value()->bytes_read(), 100u * (16 + 8));
-  // Zero-copy: scratch was never touched.
-  EXPECT_TRUE(scratch.empty());
-  EXPECT_EQ(scratch.num_attributes(), 0u);
-
-  PointTable copied;
-  ASSERT_TRUE(reader.value()->ReadBlock(0, &copied).ok());
-  EXPECT_EQ(reader.value()->bytes_read(), 2u * 100u * (16 + 8));
-  ASSERT_EQ(view.value().size, copied.size());
-  ASSERT_EQ(view.value().attrs.size(), copied.num_attributes());
-  for (std::size_t i = 0; i < copied.size(); ++i) {
-    EXPECT_EQ(view.value().xs[i], copied.xs()[i]) << "row " << i;
-    EXPECT_EQ(view.value().ys[i], copied.ys()[i]) << "row " << i;
-    for (std::size_t c = 0; c < copied.num_attributes(); ++c) {
-      EXPECT_EQ(view.value().attribute(c)[i], copied.attribute(c)[i])
+/// Expects `view` to hold exactly rows [begin, begin + view.size) of
+/// `table`, bit for bit.
+void ExpectViewHoldsRows(const BlockView& view, const PointTable& table,
+                         std::size_t begin) {
+  ASSERT_EQ(view.attrs.size(), table.num_attributes());
+  for (std::size_t i = 0; i < view.size; ++i) {
+    EXPECT_EQ(view.xs[i], table.xs()[begin + i]) << "row " << i;
+    EXPECT_EQ(view.ys[i], table.ys()[begin + i]) << "row " << i;
+    for (std::size_t c = 0; c < table.num_attributes(); ++c) {
+      EXPECT_EQ(view.attribute(c)[i], table.attribute(c)[begin + i])
           << "row " << i << " col " << c;
     }
   }
+}
+
+TEST_F(BlockFileTest, BytesReadMetered) {
+  BlockFileOptions options;
+  options.block_capacity = 100;
+  options.hilbert_cluster = false;  // on-disk order is the written order
+  const PointTable table = MakeTable(250);
+  ASSERT_TRUE(BlockFileWriter(options).Write(path_, table).ok());
+  auto reader = BlockFileReader::Open(path_);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.value()->bytes_read(), 0u);
+  ASSERT_TRUE(reader.value()->ViewBlock(0).ok());
+  // 100 rows × (2 × 8 B locations + 2 × 4 B attrs) = 2400 B.
+  EXPECT_EQ(reader.value()->bytes_read(), 100u * (16 + 8));
+  auto tail = reader.value()->ViewBlock(2);  // 50-row tail
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(reader.value()->bytes_read(), 150u * (16 + 8));
+  ASSERT_EQ(tail.value().size, 50u);
+  ExpectViewHoldsRows(tail.value(), table, 200);
+}
+
+/// The read path: ViewBlock's columns must be bitwise the written rows,
+/// the pointers must stay put across repeated views (they alias the file
+/// mapping, not a per-call buffer), and every view meters the block's
+/// bytes — Fig. 13 counts block bytes accessed, not bytes memcpy'd.
+TEST_F(BlockFileTest, ViewBlockIsZeroCopyAndMetersLikeReadBlock) {
+  BlockFileOptions options;
+  options.block_capacity = 100;
+  options.hilbert_cluster = false;  // on-disk order is the written order
+  const PointTable table = MakeTable(250);
+  ASSERT_TRUE(BlockFileWriter(options).Write(path_, table).ok());
+  auto reader = BlockFileReader::Open(path_);
+  ASSERT_TRUE(reader.ok());
+
+  auto view = reader.value()->ViewBlock(0);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // 100 rows × (16 + 8) B.
+  EXPECT_EQ(reader.value()->bytes_read(), 100u * (16 + 8));
+  ASSERT_EQ(view.value().size, 100u);
+  ExpectViewHoldsRows(view.value(), table, 0);
 
   // Repeated views of the same block return the same mapped addresses —
   // the view aliases the file mapping rather than any per-call buffer.
-  auto again = reader.value()->ViewBlock(0, &scratch);
+  auto again = reader.value()->ViewBlock(0);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().xs, view.value().xs);
   EXPECT_EQ(again.value().ys, view.value().ys);
   EXPECT_EQ(again.value().attrs, view.value().attrs);
-  EXPECT_EQ(reader.value()->bytes_read(), 3u * 100u * (16 + 8));
+  EXPECT_EQ(reader.value()->bytes_read(), 2u * 100u * (16 + 8));
 
-  EXPECT_FALSE(reader.value()->ViewBlock(99, &scratch).ok());
+  EXPECT_FALSE(reader.value()->ViewBlock(99).ok());
 }
 
-/// The base-class ViewBlock over an in-memory adapter: block-local column
-/// pointers straight into the parent table (already zero-copy because
-/// TableBlockSource::ReadBlock is a pointer adjustment).
+/// ViewBlock over an in-memory adapter: block-local column pointers
+/// straight into the parent table (ViewRows).
 TEST_F(BlockFileTest, TableSourceViewBlockAliasesParentTable) {
   const PointTable table = MakeTable(250);
   TableBlockSource source(&table, 100);
-  PointTable scratch;
-  auto view = source.ViewBlock(2, &scratch);  // 50-row tail block
+  auto view = source.ViewBlock(2);  // 50-row tail block
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view.value().size, 50u);
   EXPECT_EQ(view.value().xs, table.xs().data() + 200);
   EXPECT_EQ(view.value().ys, table.ys().data() + 200);
   ASSERT_EQ(view.value().attrs.size(), 2u);
   EXPECT_EQ(view.value().attribute(1), table.attribute(1).data() + 200);
-  EXPECT_TRUE(scratch.empty());
   EXPECT_EQ(source.bytes_read(), 0u);
+  EXPECT_FALSE(source.ViewBlock(3).ok());
 }
 
 TEST_F(BlockFileTest, OpenRejectsTruncatedAndCorruptFiles) {

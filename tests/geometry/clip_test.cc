@@ -11,48 +11,6 @@ namespace {
 
 const BBox kRect(0, 0, 10, 10);
 
-TEST(CohenSutherlandTest, FullyInsideUnchanged) {
-  auto r = ClipSegmentCohenSutherland(kRect, {1, 1}, {9, 9});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->first, Point(1, 1));
-  EXPECT_EQ(r->second, Point(9, 9));
-}
-
-TEST(CohenSutherlandTest, FullyOutsideRejected) {
-  EXPECT_FALSE(ClipSegmentCohenSutherland(kRect, {11, 11}, {20, 20}).has_value());
-  EXPECT_FALSE(ClipSegmentCohenSutherland(kRect, {-5, 5}, {-1, 9}).has_value());
-}
-
-TEST(CohenSutherlandTest, CrossingSegmentClipped) {
-  auto r = ClipSegmentCohenSutherland(kRect, {-5, 5}, {15, 5});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->first, Point(0, 5));
-  EXPECT_EQ(r->second, Point(10, 5));
-}
-
-TEST(CohenSutherlandTest, DiagonalThroughCorner) {
-  auto r = ClipSegmentCohenSutherland(kRect, {-5, -5}, {15, 15});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(r->first.x, 0.0, 1e-12);
-  EXPECT_NEAR(r->first.y, 0.0, 1e-12);
-  EXPECT_NEAR(r->second.x, 10.0, 1e-12);
-  EXPECT_NEAR(r->second.y, 10.0, 1e-12);
-}
-
-TEST(CohenSutherlandTest, DiagonalMissingCornerRejected) {
-  // Passes above the top-left corner region without entering.
-  EXPECT_FALSE(
-      ClipSegmentCohenSutherland(kRect, {-2, 9}, {1, 14}).has_value());
-}
-
-TEST(CohenSutherlandTest, OutcodesMatchZones) {
-  EXPECT_EQ(ComputeOutcode(kRect, {5, 5}), 0u);
-  EXPECT_NE(ComputeOutcode(kRect, {-1, 5}) & 1u, 0u);   // left
-  EXPECT_NE(ComputeOutcode(kRect, {11, 5}) & 2u, 0u);   // right
-  EXPECT_NE(ComputeOutcode(kRect, {5, -1}) & 4u, 0u);   // bottom
-  EXPECT_NE(ComputeOutcode(kRect, {5, 11}) & 8u, 0u);   // top
-}
-
 TEST(SutherlandHodgmanTest, TriangleFullyInsideUnchanged) {
   const Ring tri = {{1, 1}, {5, 1}, {3, 4}};
   const Ring out = ClipRingToRect(tri, kRect);

@@ -2,7 +2,7 @@
 /// \brief Thread-safety hammer for the shared gpu::Device.
 ///
 /// QueryService shares one Device between concurrent queries, so
-/// Allocate/Free/TryReserve/CopyToDevice and every budget query must be
+/// Allocate/Free/TryReserve/Upload and every budget query must be
 /// safe from many threads. These tests are the ThreadSanitizer targets the
 /// CI tsan job runs; without synchronization in Device they fail under
 /// TSan (data races on the budget counters) and can trip the allocation
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -50,18 +51,19 @@ TEST(DeviceConcurrencyTest, AllocateFreeCopyHammer) {
         // Round-trip a thread-unique pattern through the buffer.
         std::vector<std::uint8_t> src(bytes,
                                       static_cast<std::uint8_t>(t + 1));
-        ASSERT_TRUE(
-            device.CopyToDevice(buf.value().get(), 0, src.data(), bytes)
-                .ok());
-        std::vector<std::uint8_t> dst(bytes, 0);
-        ASSERT_TRUE(
-            device.CopyToHost(buf.value().get(), 0, dst.data(), bytes).ok());
-        if (dst != src) corrupted = true;
+        ASSERT_TRUE(device
+                        .Upload(buf.value().get(), 0, bytes,
+                                [&](std::uint8_t* dst) {
+                                  std::memcpy(dst, src.data(), bytes);
+                                })
+                        .ok());
+        if (std::memcmp(buf.value()->data(), src.data(), bytes) != 0) {
+          corrupted = true;
+        }
 
         // Interleave budget queries with the churn.
         EXPECT_LE(device.bytes_allocated(), kBudget);
         (void)device.bytes_free();
-        (void)device.MaxResidentElements(8);
         device.Free(buf.value());
       }
     });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -52,33 +53,41 @@ TEST(DeviceTest, CopyRoundTripAndMetering) {
   for (std::size_t i = 0; i < src.size(); ++i) {
     src[i] = static_cast<std::uint8_t>(i);
   }
-  ASSERT_TRUE(
-      device.CopyToDevice(buf.value().get(), 0, src.data(), 256).ok());
-  std::vector<std::uint8_t> dst(256, 0);
-  ASSERT_TRUE(device.CopyToHost(buf.value().get(), 0, dst.data(), 256).ok());
-  EXPECT_EQ(std::memcmp(src.data(), dst.data(), 256), 0);
-  EXPECT_EQ(device.counters().bytes_transferred(), 512u);  // both directions
+  ASSERT_TRUE(device
+                  .Upload(buf.value().get(), 0, 256,
+                          [&](std::uint8_t* dst) {
+                            std::memcpy(dst, src.data(), 256);
+                          })
+                  .ok());
+  EXPECT_EQ(std::memcmp(src.data(), buf.value()->data(), 256), 0);
+  EXPECT_EQ(device.counters().bytes_transferred(), 256u);
 }
 
 TEST(DeviceTest, CopyOverflowRejected) {
   Device device(SmallDevice());
   auto buf = device.Allocate(BufferKind::kVertexBuffer, 64);
   ASSERT_TRUE(buf.ok());
-  std::vector<std::uint8_t> src(128);
-  const Status st = device.CopyToDevice(buf.value().get(), 0, src.data(), 128);
-  EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
-  std::vector<std::uint8_t> dst(128);
-  const Status st2 = device.CopyToHost(buf.value().get(), 32, dst.data(), 64);
-  EXPECT_EQ(st2.code(), StatusCode::kOutOfRange);
-}
-
-TEST(DeviceTest, MaxResidentElements) {
-  Device device(SmallDevice());
-  EXPECT_EQ(device.MaxResidentElements(8), 128u);
-  auto buf = device.Allocate(BufferKind::kVertexBuffer, 512);
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ(device.MaxResidentElements(8), 64u);
-  EXPECT_EQ(device.MaxResidentElements(0), 0u);
+  bool filled = false;
+  const auto fill = [&](std::uint8_t*) { filled = true; };
+  // Past the end, at the end plus one byte, and an offset whose sum with
+  // the size wraps around: each is OutOfRange, runs no fill, meters 0.
+  EXPECT_EQ(device.Upload(buf.value().get(), 0, 128, fill).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(device.Upload(buf.value().get(), 32, 33, fill).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(device.Upload(buf.value().get(), 65, 0, fill).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(device
+                .Upload(buf.value().get(), 32,
+                        std::numeric_limits<std::size_t>::max() - 16, fill)
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_FALSE(filled);
+  EXPECT_EQ(device.counters().bytes_transferred(), 0u);
+  // The last in-range byte is writable, and metered.
+  EXPECT_TRUE(device.Upload(buf.value().get(), 63, 1, fill).ok());
+  EXPECT_TRUE(filled);
+  EXPECT_EQ(device.counters().bytes_transferred(), 1u);
 }
 
 TEST(DeviceTest, BytesFreeClampsWhenBudgetShrinksBelowAllocated) {
@@ -91,7 +100,6 @@ TEST(DeviceTest, BytesFreeClampsWhenBudgetShrinksBelowAllocated) {
   device.set_memory_budget_bytes(512);
   EXPECT_EQ(device.memory_budget_bytes(), 512u);
   EXPECT_EQ(device.bytes_free(), 0u);
-  EXPECT_EQ(device.MaxResidentElements(8), 0u);
   EXPECT_FALSE(device.Allocate(BufferKind::kVertexBuffer, 1).ok());
   device.Free(buf.value());
   EXPECT_EQ(device.bytes_free(), 512u);
@@ -178,8 +186,12 @@ TEST(DeviceTest, SimulatedTransferHybridWaitStaysAccurate) {
   std::vector<std::uint8_t> src(1 << 20, 7);
 
   Timer timer;
-  ASSERT_TRUE(
-      device.CopyToDevice(buf.value().get(), 0, src.data(), src.size()).ok());
+  ASSERT_TRUE(device
+                  .Upload(buf.value().get(), 0, src.size(),
+                          [&](std::uint8_t* dst) {
+                            std::memcpy(dst, src.data(), src.size());
+                          })
+                  .ok());
   const double elapsed = timer.ElapsedSeconds();
   const double expected = static_cast<double>(1 << 20) / 50.0e6;
   EXPECT_GE(elapsed, expected * 0.95);

@@ -1,16 +1,21 @@
 /// \file batch_pipeline_test.cc
 /// \brief Tests for the double-buffered upload pipeline
-/// (join::BatchPipeline): overlap on/off must be bitwise identical, a join
-/// must meter exactly the bytes its batches ship,
-/// and pipeline errors must propagate cleanly (drain-on-error).
+/// (join::BatchPipeline): batches view their blocks in place, overlap
+/// on/off must be bitwise identical, a join must meter exactly the bytes
+/// its batches ship, and pipeline errors must propagate cleanly
+/// (drain-on-error).
 #include "join/batch_pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/block_file.h"
 #include "data/datasets.h"
 #include "join/index_join.h"
 #include "join/raster_join_accurate.h"
@@ -77,15 +82,22 @@ TEST(BatchPipelineTest, PullModeCoversEveryRowInOrder) {
         PlanTableScan(device, s.points, /*bytes_per_point=*/0, 777, overlap),
         {0});
     EXPECT_EQ(pipeline.num_batches(), (5000 + 776) / 777);
+    // Each batch views its row window of the table in place.
     std::size_t expected_begin = 0;
     std::size_t index = 0;
     for (;;) {
       auto view = pipeline.Acquire();
       ASSERT_TRUE(view.ok()) << view.status().ToString();
       if (!view.value().has_value()) break;
+      const data::BlockView& rows = view.value()->rows;
       EXPECT_EQ(view.value()->index, index);
-      EXPECT_EQ(view.value()->begin, expected_begin);
-      expected_begin = view.value()->end;
+      EXPECT_EQ(rows.xs, s.points.xs().data() + expected_begin);
+      EXPECT_EQ(rows.ys, s.points.ys().data() + expected_begin);
+      EXPECT_EQ(rows.attribute(0),
+                s.points.attribute(0).data() + expected_begin);
+      EXPECT_EQ(rows.size, std::min<std::size_t>(
+                               777, s.points.size() - expected_begin));
+      expected_begin += rows.size;
       ++index;
       pipeline.Release(*view.value());
     }
@@ -98,6 +110,60 @@ TEST(BatchPipelineTest, PullModeCoversEveryRowInOrder) {
     // Every buffer was released: nothing left allocated on the device.
     EXPECT_EQ(device.bytes_allocated(), 0u);
   }
+}
+
+TEST(BatchPipelineTest, DiskBatchesViewTheMappedBlocksInPlace) {
+  JoinSetup s = MakeSetup(4, 5000, 95);
+  const std::string path = ::testing::TempDir() + "/batch_pipeline_test.rjb";
+  data::BlockFileOptions file_options;
+  file_options.block_capacity = 777;
+  ASSERT_TRUE(data::BlockFileWriter(file_options).Write(path, s.points).ok());
+  auto reader = data::BlockFileReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const data::BlockFileReader& source = *reader.value();
+  ASSERT_EQ(source.num_blocks(), (5000u + 776) / 777);
+  // Block bytes of the whole file: x, y as f64 plus one f32 column.
+  const std::size_t file_bytes =
+      s.points.size() * (2 * sizeof(double) + sizeof(float));
+  const FilterSet no_filters;
+  // Serialized, then three-stage (reader, transfer and drawing threads).
+  for (const bool overlap : {false, true}) {
+    std::vector<data::BlockView> mapped;
+    for (std::size_t b = 0; b < source.num_blocks(); ++b) {
+      auto view = source.ViewBlock(b);
+      ASSERT_TRUE(view.ok());
+      mapped.push_back(std::move(view).MoveValueUnsafe());
+    }
+    const std::uint64_t read_before = source.bytes_read();
+    gpu::Device device = MakeDevice();
+    join::BatchPipeline pipeline(
+        &device,
+        PlanBlockScan(&device, source, {&no_filters}, s.world,
+                      /*enable_pruning=*/false, overlap),
+        {0});
+    std::size_t index = 0;
+    for (;;) {
+      auto view = pipeline.Acquire();
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      if (!view.value().has_value()) break;
+      const data::BlockView& rows = view.value()->rows;
+      ASSERT_LT(index, mapped.size());
+      EXPECT_EQ(rows.xs, mapped[index].xs) << "batch " << index;
+      EXPECT_EQ(rows.ys, mapped[index].ys) << "batch " << index;
+      EXPECT_EQ(rows.attrs, mapped[index].attrs) << "batch " << index;
+      EXPECT_EQ(rows.size, source.block_rows(index)) << "batch " << index;
+      ++index;
+      pipeline.Release(*view.value());
+    }
+    EXPECT_EQ(index, source.num_blocks());
+    EXPECT_TRUE(pipeline.Drain(nullptr).ok());
+    // x, y plus one attribute column, float32 each, once per row.
+    EXPECT_EQ(device.counters().bytes_transferred(),
+              s.points.size() * 3 * sizeof(float));
+    EXPECT_EQ(source.bytes_read() - read_before, file_bytes);
+    EXPECT_EQ(device.bytes_allocated(), 0u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(BatchPipelineTest, OverlapKeepsAtMostTwoBatchesResident) {
@@ -123,8 +189,8 @@ TEST(BatchPipelineTest, OverlapKeepsAtMostTwoBatchesResident) {
 TEST(BatchPipelineTest, RewindRestreamsEveryBatchPerTilePass) {
   JoinSetup s = MakeSetup(4, 5000, 91);
   // Multi-tile joins re-stream the points once per tile pass through the
-  // same pipeline (Rewind), keeping the transfer thread and staging
-  // buffers warm instead of rebuilding the pipeline per tile.
+  // same pipeline (Rewind), keeping the transfer thread warm instead of
+  // rebuilding the pipeline per tile.
   constexpr std::size_t kPasses = 3;
   for (const bool overlap : {false, true}) {
     gpu::Device device = MakeDevice();
@@ -142,9 +208,12 @@ TEST(BatchPipelineTest, RewindRestreamsEveryBatchPerTilePass) {
         auto view = pipeline.Acquire();
         ASSERT_TRUE(view.ok()) << view.status().ToString();
         if (!view.value().has_value()) break;
+        const data::BlockView& rows = view.value()->rows;
         EXPECT_EQ(view.value()->index, index);
-        EXPECT_EQ(view.value()->begin, expected_begin);
-        expected_begin = view.value()->end;
+        EXPECT_EQ(rows.xs, s.points.xs().data() + expected_begin);
+        EXPECT_EQ(rows.size, std::min<std::size_t>(
+                                 777, s.points.size() - expected_begin));
+        expected_begin += rows.size;
         ++index;
         pipeline.Release(*view.value());
       }
